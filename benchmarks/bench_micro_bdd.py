@@ -1,27 +1,25 @@
 """Microbenchmarks for the BDD kernels (perf trajectory tracking).
 
-Compares the dedicated kernels against the seed formulations they
-replaced:
-
-* ``apply_and``        — `and_(f, g)` kernel vs the seed's 3-operand
-  detour ``ite(f, g, FALSE)``;
+* ``apply_and``        — `and_(f, g)` over random formula pairs, cold
+  caches: the conjunction kernel's raw speed;
 * ``commutative_cache``— `and_(b, a)` after `and_(a, b)` (one shared
-  cache entry) vs the seed's order-sensitive ``ite`` cache;
+  cache entry), with the and-cache hit rate;
 * ``and_many``         — balanced-tree reduction vs a linear fold;
-* ``relational_product`` — the fused `and_exists(S, R, X)` vs
-  materializing the conjunction and quantifying it;
-* ``transformer_image``— end-to-end `transform_forward` on an ACL
-  model (the paper's transformer hot path), with the manager's
-  op-level stats attached.
+* ``relational_product`` — `and_exists(S, R, X)` on the composition
+  shape ``left(x, aux) AND right(aux, y)``;
+* ``transformer_image``— `and_exists` on an ACL model's transformer
+  (the paper's transformer hot path), with the manager's op-level stats
+  attached;
+* ``telemetry_overhead`` — tracing and flight-recorder cost on the
+  kernel hot path.
 
-The manager's own `ite` now normalizes terminal-branch triples into
-the binary kernels, so ``ite(f, g, FALSE)`` is `and_(f, g)` down to
-the cache entry — the seed formulation no longer exists in the
-engine.  The baseline is therefore :class:`SeedIte`, a faithful
-replica of the seed kernel (iterative two-phase expansion over one
-order-sensitive 3-operand cache).
+Nothing here reads the manager's private node store.  (A fused
+relational-product kernel used to be compared against
+`exists(and_(…))` here; it lost on this bench and tied end to end, and
+was deleted in PR 12.)
 
-Emits ``BENCH_micro_bdd.json`` so successive PRs can compare numbers.
+Emits ``BENCH_micro_bdd.json`` (stamped with nproc, CPU model and git
+sha) so successive PRs can compare numbers.
 
 Usage:  PYTHONPATH=src python benchmarks/bench_micro_bdd.py [--quick]
 """
@@ -30,110 +28,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import random
+import sys
 import time
 from pathlib import Path
 
 from repro import ZenFunction
-from repro.bdd import FALSE, Bdd
+from repro.bdd import Bdd
 from repro.core.transformers import TransformerContext
 from repro.network import Header, acl_match_line
 from repro.workloads import random_acl
 
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from benchmarks.e2e.harness import cpu_model, git_sha  # noqa: E402
+
 SEED = 2020
-
-
-class SeedIte:
-    """Frozen replica of the seed manager's ``ite`` kernel.
-
-    The live engine now rewrites terminal-branch triples into the
-    binary apply kernels, so ``manager.ite(f, g, FALSE)`` and
-    ``manager.and_(f, g)`` execute identical code and share one cache
-    — useless as a baseline.  This is a faithful port of the kernel
-    the seed shipped (``git show <seed>:src/repro/bdd/manager.py``):
-    iterative two-phase expansion, one order-sensitive 3-operand
-    cache, inline unique-table insertion, no delegation and no
-    commutative key normalization.  It reads the live manager's node
-    arrays directly so both sides of a comparison share a unique
-    table.
-    """
-
-    def __init__(self, manager: Bdd) -> None:
-        self.manager = manager
-        self.cache: dict = {}
-
-    def clear_cache(self) -> None:
-        self.cache.clear()
-
-    def __call__(self, f: int, g: int, h: int) -> int:
-        manager = self.manager
-        levels = manager._level
-        lows = manager._low
-        highs = manager._high
-        unique = manager._unique
-        cache = self.cache
-        expand = [(f, g, h)]
-        phase = [0]
-        keys: list = [None]
-        results: list = []
-        while expand:
-            task = expand.pop()
-            ph = phase.pop()
-            key = keys.pop()
-            if ph == 1:
-                high = results.pop()
-                low = results.pop()
-                lv = task
-                if low == high:
-                    node = low
-                else:
-                    ukey = (lv, low, high)
-                    node = unique.get(ukey)
-                    if node is None:
-                        node = len(levels)
-                        levels.append(lv)
-                        lows.append(low)
-                        highs.append(high)
-                        unique[ukey] = node
-                cache[key] = node
-                results.append(node)
-                continue
-            tf, tg, th = task
-            if tf == 1:
-                results.append(tg)
-                continue
-            if tf == 0:
-                results.append(th)
-                continue
-            if tg == th:
-                results.append(tg)
-                continue
-            if tg == 1 and th == 0:
-                results.append(tf)
-                continue
-            ckey = (tf, tg, th)
-            cached = cache.get(ckey)
-            if cached is not None:
-                results.append(cached)
-                continue
-            lf, lg, lh = levels[tf], levels[tg], levels[th]
-            lv = lf if lf < lg else lg
-            if lh < lv:
-                lv = lh
-            f0, f1 = (lows[tf], highs[tf]) if lf == lv else (tf, tf)
-            g0, g1 = (lows[tg], highs[tg]) if lg == lv else (tg, tg)
-            h0, h1 = (lows[th], highs[th]) if lh == lv else (th, th)
-            expand.append(lv)
-            phase.append(1)
-            keys.append(ckey)
-            expand.append((f1, g1, h1))
-            phase.append(0)
-            keys.append(None)
-            expand.append((f0, g0, h0))
-            phase.append(0)
-            keys.append(None)
-        return results[-1]
 
 
 def best_of(fn, repeats: int) -> float:
@@ -160,87 +73,62 @@ def random_formula(manager: Bdd, rng: random.Random, depth: int) -> int:
     return manager.xor(left, right)
 
 
-def bench_apply_vs_ite(num_vars: int, pairs: int, repeats: int) -> dict:
-    """Dedicated and-kernel vs the seed's ``ite(f, g, FALSE)`` detour.
+def bench_apply_and(num_vars: int, pairs: int, repeats: int) -> dict:
+    """The conjunction kernel over random formula pairs, cold caches.
 
-    Both formulations run on one shared manager (same unique table,
-    caches cleared before every timed pass) so allocator warm-up does
-    not bias either side.  The seed side is the :class:`SeedIte`
-    replica — the live ``ite`` would just delegate to ``and_``.
+    The unique tables are warmed first, so the timed passes measure
+    expansion and cache traffic, not node allocation.
     """
     manager = Bdd()
     manager.new_vars(num_vars)
-    seed_ite = SeedIte(manager)
     rng = random.Random(SEED)
     operands = [
         (random_formula(manager, rng, 4), random_formula(manager, rng, 4))
         for _ in range(pairs)
     ]
-    for f, g in operands:  # sanity: the replica agrees with the kernel
-        assert seed_ite(f, g, FALSE) == manager.and_(f, g)
 
-    def run(use_apply: bool) -> float:
-        def pass_() -> None:
-            manager.clear_cache()
-            seed_ite.clear_cache()
-            for f, g in operands:
-                if use_apply:
-                    manager.and_(f, g)
-                else:
-                    seed_ite(f, g, FALSE)
+    def pass_() -> None:
+        manager.clear_cache()
+        for f, g in operands:
+            manager.and_(f, g)
 
-        pass_()  # warm the unique table with the result nodes
-        return best_of(pass_, repeats)
-
+    pass_()  # warm the unique tables with the result nodes
     return {
         "name": "apply_and",
         "vars": num_vars,
         "pairs": pairs,
-        "apply_ms": run(True) * 1000,
-        "ite_ms": run(False) * 1000,
+        "apply_ms": best_of(pass_, repeats) * 1000,
     }
 
 
 def bench_commutative_cache(num_vars: int, pairs: int, repeats: int) -> dict:
-    """Reversed-operand re-query: apply cache hits, seed ite misses.
+    """Reversed-operand re-query: one cache probe.
 
-    The apply kernels key caches on ``(min(f, g), max(f, g))``, so
-    ``and_(g, f)`` after ``and_(f, g)`` is one cache probe.  The seed
-    kernel's ``(f, g, h)`` key re-descends the whole reversed call.
+    The and-cache is keyed on the ordered pair, so ``and_(g, f)`` after
+    ``and_(f, g)`` costs a single lookup.
     """
     manager = Bdd()
     manager.new_vars(num_vars)
-    seed_ite = SeedIte(manager)
     rng = random.Random(SEED)
     operands = [
         (random_formula(manager, rng, 5), random_formula(manager, rng, 5))
         for _ in range(pairs)
     ]
 
-    def forward_then_reversed(use_apply: bool) -> float:
-        def run() -> None:
-            manager.clear_cache()
-            seed_ite.clear_cache()
-            for f, g in operands:
-                if use_apply:
-                    manager.and_(f, g)
-                    manager.and_(g, f)
-                else:
-                    seed_ite(f, g, FALSE)
-                    seed_ite(g, f, FALSE)
-
-        return best_of(run, repeats)
+    def forward_then_reversed() -> None:
+        manager.clear_cache()
+        for f, g in operands:
+            manager.and_(f, g)
+            manager.and_(g, f)
 
     manager.reset_stats()
-    apply_ms = forward_then_reversed(True) * 1000
-    stats = manager.stats()
+    apply_ms = best_of(forward_then_reversed, repeats) * 1000
     return {
         "name": "commutative_cache",
         "vars": num_vars,
         "pairs": pairs,
         "apply_ms": apply_ms,
-        "ite_ms": forward_then_reversed(False) * 1000,
-        "apply_hit_rate": round(stats.hit_rate("and"), 4),
+        "apply_hit_rate": round(manager.stats().hit_rate("and"), 4),
     }
 
 
@@ -284,12 +172,11 @@ def bench_and_many(conjuncts_count: int, repeats: int) -> dict:
 
 
 def bench_relational_product(width: int, repeats: int) -> dict:
-    """Fused and_exists vs materializing the conjunction.
+    """The relational product on the composition shape.
 
-    The composition shape: ``left(x, aux) AND right(aux, y)`` with the
-    middle block quantified away — exactly what transformer
-    composition computes.  The three-way conjunction is much larger
-    than either operand or the result, which is where fusion pays.
+    ``left(x, aux) AND right(aux, y)`` with the middle block quantified
+    away — exactly what transformer composition computes.  The
+    conjunction is much larger than either operand or the result.
     """
     manager = Bdd()
     manager.new_vars(3 * width)
@@ -318,23 +205,10 @@ def bench_relational_product(width: int, repeats: int) -> dict:
         for i in range(width)
     )
 
-    seed_ite = SeedIte(manager)
-
-    def fused() -> int:
+    def product() -> int:
         manager.clear_cache()
         return manager.and_exists(left, right, aux_levels)
 
-    def unfused() -> int:
-        # The seed formulation: conjoin through the ite detour (the
-        # SeedIte replica), then quantify the materialized
-        # conjunction.  Quantification still uses the live exists, so
-        # the row isolates the fusion win, conservatively.
-        manager.clear_cache()
-        seed_ite.clear_cache()
-        conj = seed_ite(left, right, FALSE)
-        return manager.exists(conj, aux_levels)
-
-    assert fused() == unfused()
     conj = manager.and_(left, right)
     return {
         "name": "relational_product",
@@ -342,8 +216,7 @@ def bench_relational_product(width: int, repeats: int) -> dict:
         "left_nodes": manager.node_count(left),
         "right_nodes": manager.node_count(right),
         "conjunction_nodes": manager.node_count(conj),
-        "fused_ms": best_of(fused, repeats) * 1000,
-        "unfused_ms": best_of(unfused, repeats) * 1000,
+        "product_ms": best_of(product, repeats) * 1000,
     }
 
 
@@ -351,8 +224,7 @@ def bench_transformer_image(lines: int, repeats: int) -> dict:
     """End-to-end transformer post-image on an ACL model.
 
     The input set is non-trivial (a predicate over several header
-    fields), so the unfused formulation has a real conjunction to
-    materialize.
+    fields), so there is a real conjunction to quantify.
     """
     acl = random_acl(lines, seed=SEED)
     f = ZenFunction(lambda h: acl_match_line(acl, h), [Header], name="acl")
@@ -368,9 +240,8 @@ def bench_transformer_image(lines: int, repeats: int) -> dict:
     )
     input_set = context.from_predicate(predicate)
 
-    # Both formulations start from the same shifted set so the timed
-    # region is exactly the image kernel (the conjoin+quantify step
-    # transform_forward performs).
+    # Start from the shifted set so the timed region is exactly the
+    # conjoin+quantify step transform_forward performs.
     manager = context.manager
     in_space = context.space(transformer.input_type)
     shifted = manager.rename(
@@ -378,35 +249,19 @@ def bench_transformer_image(lines: int, repeats: int) -> dict:
     )
     manager.reset_stats()
 
-    def fused() -> None:
+    def image() -> None:
         manager.clear_cache()
         manager.and_exists(
             shifted, transformer.relation, transformer.in_levels
         )
 
-    fused_ms = best_of(fused, repeats) * 1000
-    stats = manager.stats()
-
-    # Seed formulation: materialize the conjunction through the ite
-    # detour (the SeedIte replica), then quantify it — what
-    # transform_forward did before the fused kernel and the dedicated
-    # apply kernels existed.
-    seed_ite = SeedIte(manager)
-
-    def unfused() -> None:
-        manager.clear_cache()
-        seed_ite.clear_cache()
-        conj = seed_ite(shifted, transformer.relation, FALSE)
-        manager.exists(conj, transformer.in_levels)
-
-    unfused_ms = best_of(unfused, repeats) * 1000
+    image_ms = best_of(image, repeats) * 1000
     return {
         "name": "transformer_image",
         "acl_lines": lines,
         "relation_nodes": manager.node_count(transformer.relation),
-        "fused_ms": fused_ms,
-        "unfused_ms": unfused_ms,
-        "bdd_stats": stats.as_dict(),
+        "image_ms": image_ms,
+        "bdd_stats": manager.stats().as_dict(),
     }
 
 
@@ -415,9 +270,9 @@ def bench_telemetry_overhead(
 ) -> dict:
     """Tracing overhead on the kernel hot path (disabled and enabled).
 
-    The disabled number is the one that matters: instrumentation in
-    ``_begin``/``_end`` must cost no more than an attribute read and a
-    branch when no tracer is active (the < 5% acceptance bar, checked
+    The disabled number is the one that matters: a public op must pay
+    no more than an attribute read and a branch for its span when no
+    tracer is active (the < 5% acceptance bar, checked
     against both the enabled run and — via ``vs_baseline_ms`` from the
     previous ``BENCH_micro_bdd.json`` — the pre-telemetry kernel
     timing).  The enabled number documents the price of a full span
@@ -545,8 +400,7 @@ def main() -> None:
     parser.add_argument(
         "--out",
         type=Path,
-        default=Path(__file__).resolve().parent.parent
-        / "BENCH_micro_bdd.json",
+        default=ROOT / "BENCH_micro_bdd.json",
     )
     args = parser.parse_args()
     if not args.out.parent.is_dir():
@@ -564,7 +418,7 @@ def main() -> None:
     )
 
     results = [
-        bench_apply_vs_ite(sizes["vars"], sizes["pairs"], args.repeats),
+        bench_apply_and(sizes["vars"], sizes["pairs"], args.repeats),
         bench_commutative_cache(sizes["vars"], sizes["pairs"], args.repeats),
         bench_and_many(sizes["many"], args.repeats),
         bench_relational_product(sizes["width"], args.repeats),
@@ -579,25 +433,20 @@ def main() -> None:
         "quick": args.quick,
         "repeats": args.repeats,
         "python": platform.python_version(),
+        "stamp": {
+            "nproc": os.cpu_count(),
+            "cpu_model": cpu_model(),
+            "git_sha": git_sha(ROOT),
+        },
         "results": results,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
-    print(f"{'benchmark':>20} {'new_ms':>10} {'seed_ms':>10} {'speedup':>8}")
-    pairs = {
-        "apply_and": ("apply_ms", "ite_ms"),
-        "commutative_cache": ("apply_ms", "ite_ms"),
-        "and_many": ("balanced_ms", "linear_ms"),
-        "relational_product": ("fused_ms", "unfused_ms"),
-        "transformer_image": ("fused_ms", "unfused_ms"),
-    }
-    for row in results:
-        if row["name"] == "telemetry_overhead":
-            continue
-        new_key, old_key = pairs[row["name"]]
-        new, old = row[new_key], row[old_key]
-        speedup = old / new if new else float("inf")
-        print(f"{row['name']:>20} {new:>10.2f} {old:>10.2f} {speedup:>7.2f}x")
+    print(f"{'benchmark':>28} {'ms':>10}")
+    for row in results[:-1]:
+        for key, value in row.items():
+            if key.endswith("_ms"):
+                print(f"{row['name'] + '.' + key[:-3]:>28} {value:>10.2f}")
 
     overhead = results[-1]
     line = (

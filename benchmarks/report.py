@@ -104,6 +104,10 @@ COMPOSE_ROW_SCHEMA = {
     "escalations": int,
 }
 
+#: Provenance a ``bench == "micro_bdd"`` artifact must carry under
+#: ``stamp``: what machine and code produced the numbers.
+STAMP_SCHEMA = {"nproc": int, "cpu_model": str, "git_sha": str}
+
 #: Allowed fractional throughput drop between successive pool sizes
 #: before --check-scaling complains.
 DEFAULT_SCALING_TOLERANCE = 0.15
@@ -188,6 +192,17 @@ def _check_compose_row(i: int, row: dict) -> list:
     return problems
 
 
+def _check_stamp(data: dict) -> list:
+    stamp = data.get("stamp")
+    if not isinstance(stamp, dict):
+        return ["missing object 'stamp' (nproc, cpu_model, git_sha)"]
+    return [
+        f"stamp.{key} must be {expected.__name__}"
+        for key, expected in STAMP_SCHEMA.items()
+        if not isinstance(stamp.get(key), expected)
+    ]
+
+
 def check_bench_file(path: Path) -> list:
     """Validate one BENCH_*.json against the shared schema.
 
@@ -208,6 +223,8 @@ def check_bench_file(path: Path) -> list:
                 f"key {key!r} must be {expected.__name__}, got "
                 f"{type(data[key]).__name__}"
             )
+    if data.get("bench") == "micro_bdd":
+        problems.extend(_check_stamp(data))
     results = data.get("results")
     if isinstance(results, list):
         if not results:

@@ -81,13 +81,13 @@ class BddBackend:
         return self._manager.or_(a, b)
 
     def not_(self, a: Bit) -> Bit:
-        return self._manager.not_(a)
+        return a ^ 1  # a complement edge: no manager call
 
     def xor(self, a: Bit, b: Bit) -> Bit:
         return self._manager.xor(a, b)
 
     def iff(self, a: Bit, b: Bit) -> Bit:
-        return self._manager.iff(a, b)
+        return self._manager.xor(a, b) ^ 1
 
     def ite(self, c: Bit, t: Bit, e: Bit) -> Bit:
         return self._manager.ite(c, t, e)

@@ -5,43 +5,54 @@ diagram library used both for bounded model checking and for the state
 set transformer abstraction (pre/post image via existential
 quantification, variable renaming between transformer variable sets).
 
-Design notes
-------------
-* Nodes are integers; 0 is the FALSE terminal and 1 is TRUE.
-* Each internal node stores a *level* (its position in the variable
-  order), a low child (level-variable = False) and a high child.
-* A unique table enforces canonicity; per-operation computed caches
-  memoize the core kernels.
-* Variables are created against an explicit order; helper constructors
-  support the interleaved orders the paper's heuristics produce.
+Encoding (complement edges)
+---------------------------
+* A function is an integer *handle* ``2 * index + complement``.  Index
+  0 is the only terminal, so ``FALSE == 0`` and ``TRUE == 1``, and
+  ``not_(f)`` is ``f ^ 1``: no node, no cache, no kernel.
+* Node ``index`` stores a *level* (its position in the variable
+  order), a low child handle (level-variable = False) and a high child
+  handle, in three parallel lists.  Canonical form: the stored high
+  edge is never complemented (``_mk`` pushes a complemented high edge
+  onto the result handle), so a function and its negation share every
+  node and equal functions have equal handles.
+* :meth:`Bdd.low`, :meth:`Bdd.high` and :meth:`Bdd.level_of` take a
+  handle and return *semantic* cofactors; code outside this module
+  never sees the stored edges.
+* One unique table per level and every computed cache are keyed by a
+  single int (``a * _KEY + b``).  Handle arithmetic mints a fresh int
+  object per use, and a tuple key would keep two of them alive per
+  entry; one packed int per entry keeps the heap below the
+  two-terminal layout this replaced.
 
-Kernel architecture (the transformer hot path)
-----------------------------------------------
-All core operations are *iterative* two-phase kernels (an explicit
-expand/combine stack instead of Python recursion), so deep BDDs from
+Kernel architecture
+-------------------
+All kernels are *iterative*, on one work stack of ints (three per
+suspended node: cache key, level, the other child), so deep BDDs from
 wide packet types can never hit the interpreter's recursion limit:
 
-* ``ite``          — the general 3-operand kernel (its own cache);
-* ``and_/or_/xor`` — dedicated binary apply kernels with commutative
-  cache-key normalization (``and_(a, b)`` and ``and_(b, a)`` share one
-  cache entry) so binary ops no longer detour through the ``ite``
-  cache;
-* ``not_``         — a negation kernel whose cache is symmetric
-  (negation is an involution);
-* ``and_exists``   — the fused relational-product kernel: computes
-  ``exists(and_(f, g), V)`` without ever materializing the full
-  conjunction, the operation at the heart of transformer pre/post
-  images and composition;
-* ``exists/forall/restrict/rename/permute`` — iterative traversals
-  with the quantified-level ``max()`` hoisted out of the per-node
-  loop;
+* ``and`` — the conjunction kernel (commutative key normalization);
+  ``or_`` is De Morgan on the same kernel and cache, so disjunctions
+  and conjunctions share work;
+* ``xor`` — keyed on uncomplemented operands (``iff`` is ``xor ^ 1``);
+* both resolve children that are terminal, identical, complementary or
+  already cached inline, so the typical call — a single expansion —
+  never pushes a frame;
+* ``ite`` — the 3-operand kernel; triples with a constant or
+  complementary branch reduce to the binary kernels;
+* ``exists`` — quantification with early termination at quantified
+  levels (``forall`` is ``¬exists¬``; ``and_exists``, the relational
+  product of transformer pre/post images, is ``and`` then ``exists``
+  under one public op);
+* ``restrict/rename/permute`` — one substitution kernel; all three
+  commute with negation, so its caches are keyed on uncomplemented
+  handles;
 * ``and_many/or_many`` — balanced-tree reduction (a linear fold builds
   lopsided intermediates whose sizes accumulate).
 
-An op-level statistics layer (:class:`BddStats`) counts cache
-hits/misses per kernel, public-op calls, and peak node count; optional
-wall-time per public op is gated behind a cheap flag check
-(:meth:`Bdd.enable_timing`).
+Public ops resolve terminal, identical and complementary operands
+before any bookkeeping; only calls that reach a kernel are counted in
+:class:`BddStats` and traced (one span per public op).
 
 The manager deliberately exposes levels == variable indices: variable
 ``i`` sits at level ``i`` in the order.  Callers that need a specific
@@ -52,7 +63,6 @@ chooses an allocation before building any BDDs.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ZenSolverError
@@ -63,30 +73,25 @@ TRUE = 1
 
 _TERMINAL_LEVEL = 1 << 30
 
-# Apply-kernel opcodes.
-_OP_AND = 0
-_OP_OR = 1
-_OP_XOR = 2
-_OP_NAMES = ("and", "or", "xor")
+# Packed keys are ``a * _KEY + b`` — ``a << 32 | b`` as one multiply-add
+# — for handles a, b < 2**32; ``divmod(key, _KEY)`` unpacks.
+_KEY = 1 << 32
 
 
 class BddStats:
     """Op-level counters for a :class:`Bdd` manager.
 
-    * ``calls``        — public-op invocation counts;
+    * ``calls``        — public-op invocations that reached a kernel;
     * ``cache_hits`` / ``cache_misses`` — per-kernel computed-cache
       behaviour (a miss is one node expansion of that kernel);
-    * ``peak_nodes``   — high-water mark of the unique table;
-    * ``node_count``   — table size when :meth:`Bdd.stats` was called;
-    * ``op_time``      — cumulative wall seconds per outermost public
-      op, populated only while :meth:`Bdd.enable_timing` is on.
+    * ``peak_nodes``   — high-water mark of the node store;
+    * ``node_count``   — store size when :meth:`Bdd.stats` was called.
     """
 
     __slots__ = (
         "calls",
         "cache_hits",
         "cache_misses",
-        "op_time",
         "peak_nodes",
         "node_count",
     )
@@ -99,7 +104,6 @@ class BddStats:
         self.calls: Dict[str, int] = {}
         self.cache_hits: Dict[str, int] = {}
         self.cache_misses: Dict[str, int] = {}
-        self.op_time: Dict[str, float] = {}
         self.peak_nodes = 0
         self.node_count = 0
 
@@ -118,7 +122,6 @@ class BddStats:
             "cache_hits": dict(self.cache_hits),
             "cache_misses": dict(self.cache_misses),
             "cache_hit_rate": {op: round(self.hit_rate(op), 4) for op in ops},
-            "op_time": {op: round(t, 6) for op, t in self.op_time.items()},
             "peak_nodes": self.peak_nodes,
             "node_count": self.node_count,
         }
@@ -127,8 +130,8 @@ class BddStats:
         """Flat numeric snapshot (the shared counter protocol).
 
         Keys are ``calls.<op>`` / ``cache_hits.<op>`` /
-        ``cache_misses.<op>`` / ``op_time_s.<op>`` plus ``peak_nodes``
-        and ``node_count``; every value is a plain number, so
+        ``cache_misses.<op>`` plus ``peak_nodes`` and ``node_count``;
+        every value is a plain number, so
         :func:`repro.telemetry.delta` can diff two snapshots.
         """
         out: dict = {}
@@ -138,8 +141,6 @@ class BddStats:
             out[f"cache_hits.{op}"] = hits
         for op, misses in self.cache_misses.items():
             out[f"cache_misses.{op}"] = misses
-        for op, secs in self.op_time.items():
-            out[f"op_time_s.{op}"] = secs
         out["peak_nodes"] = self.peak_nodes
         out["node_count"] = self.node_count
         return out
@@ -152,23 +153,18 @@ class BddStats:
         """A human-readable table of the counters."""
         lines = [
             f"nodes: {self.node_count} (peak {self.peak_nodes})",
-            f"{'op':>12} {'calls':>9} {'hits':>10} {'misses':>10} "
-            f"{'hit%':>6} {'time_ms':>9}",
+            f"{'op':>12} {'calls':>9} {'hits':>10} {'misses':>10} {'hit%':>6}",
         ]
         ops = sorted(
-            set(self.calls)
-            | set(self.cache_hits)
-            | set(self.cache_misses)
-            | set(self.op_time)
+            set(self.calls) | set(self.cache_hits) | set(self.cache_misses)
         )
         for op in ops:
             hits = self.cache_hits.get(op, 0)
             misses = self.cache_misses.get(op, 0)
             rate = 100.0 * self.hit_rate(op)
-            ms = 1000.0 * self.op_time.get(op, 0.0)
             lines.append(
                 f"{op:>12} {self.calls.get(op, 0):>9} {hits:>10} "
-                f"{misses:>10} {rate:>6.1f} {ms:>9.2f}"
+                f"{misses:>10} {rate:>6.1f}"
             )
         return "\n".join(lines)
 
@@ -187,39 +183,33 @@ class Bdd:
     """
 
     def __init__(self) -> None:
-        # Node storage; indices 0/1 are terminals.
-        self._level: List[int] = [_TERMINAL_LEVEL, _TERMINAL_LEVEL]
-        self._low: List[int] = [0, 1]
-        self._high: List[int] = [0, 1]
-        self._unique: Dict[Tuple[int, int, int], int] = {}
-        self._cache: Dict[Tuple, int] = {}
-        self._ite_cache: Dict[Tuple[int, int, int], int] = {}
-        # One cache per binary opcode (and/or/xor): the per-node keys
-        # are plain (f, g) pairs, and the fused relational product can
-        # consult just the and-cache.
-        self._apply_caches: List[Dict[Tuple[int, int], int]] = [{}, {}, {}]
-        # Two-level caches for the quantification kernels: the outer
-        # key is the (interned) query — quantified level set — so the
-        # per-node inner keys stay small and cheap to hash.
-        self._quantify_cache: Dict[Tuple, Dict[int, int]] = {}
-        self._and_exists_cache: Dict[frozenset, Dict[Tuple[int, int], int]] = {}
-        self._neg_cache: Dict[int, int] = {}
+        # Node storage by node index (handle >> 1); index 0 is the
+        # terminal.  Stored high edges are never complemented.
+        self._level: List[int] = [_TERMINAL_LEVEL]
+        self._low: List[int] = [FALSE]
+        self._high: List[int] = [FALSE]
+        # One unique table per level: low * _KEY + high -> handle.
+        self._unique: List[Dict[int, int]] = []
+        # Computed caches, all keyed by one packed int.  The quantify
+        # and substitution caches are two-level: the outer key is the
+        # query (level set, mapping), the inner a handle.
+        self._and_cache: Dict[int, int] = {}
+        self._xor_cache: Dict[int, int] = {}
+        self._ite_cache: Dict[int, int] = {}
+        self._quantify_cache: Dict[frozenset, Dict[int, int]] = {}
+        self._subst_cache: Dict[Tuple[str, frozenset], Dict[int, int]] = {}
         self._num_vars = 0
         self._stats = BddStats()
-        self._timing = False
-        self._timing_depth = 0
-        # Trace-span bookkeeping: only the *outermost* public op opens
-        # a span (a transformer image calls rename/and_exists/permute
-        # internally; per-inner-op spans would explode the trace).
-        self._span_depth = 0
-        self._op_span = None
         # Cooperative resource governance (duck-typed BudgetMeter; the
-        # manager never imports repro.core.budget).  Kernels tick every
-        # 1024 work-stack iterations, bounding both node-cap overshoot
-        # and deadline latency while costing the unmetered hot path one
-        # add + compare per expansion.
+        # manager never imports repro.core.budget).  Two checkpoints:
+        # every allocation (_mk and its inlined copies in _and/_xor)
+        # trips the node cap at the crossing node and looks at the
+        # clock every 256th, and every kernel ticks each 1024
+        # expansions for runs that allocate nothing.  Unmetered, each
+        # costs one test.
         self._budget = None
-        self._node_cap: Optional[int] = None
+        # Node cap; no node index reaches _KEY, so that means "none".
+        self._node_cap = _KEY
 
     # ------------------------------------------------------------------
     # Resource governance
@@ -235,7 +225,7 @@ class Bdd:
 
         Accepts a :class:`repro.core.budget.Budget` or a running
         meter.  ``max_bdd_nodes`` caps the manager's *cumulative*
-        allocation count (the unique table is append-only, so that is
+        allocation count (the node store is append-only, so that is
         the quantity that exhausts memory).  The install fails fast —
         before replacing any previous meter — when the manager is
         already over the node cap.
@@ -245,21 +235,21 @@ class Bdd:
         if budget is not None:
             budget.tick(len(self._level))
         self._budget = budget
-        # Cache the numeric node cap so _mk can trip it exactly at the
-        # crossing allocation (the periodic ticks alone would let small
-        # workloads finish entirely between checkpoints).
-        self._node_cap = getattr(
-            getattr(budget, "budget", None), "max_bdd_nodes", None
-        )
+        # Cache the numeric node cap so an allocation can trip it
+        # exactly at the crossing (the periodic ticks alone would let
+        # small workloads finish entirely between checkpoints).
+        cap = getattr(getattr(budget, "budget", None), "max_bdd_nodes", None)
+        self._node_cap = _KEY if cap is None else cap
 
     # ------------------------------------------------------------------
-    # Statistics
+    # Statistics and tracing
     # ------------------------------------------------------------------
 
     def stats(self) -> BddStats:
         """The live op-level statistics for this manager."""
         st = self._stats
         st.node_count = len(self._level)
+        # The store is append-only, so the peak is its current size.
         if st.node_count > st.peak_nodes:
             st.peak_nodes = st.node_count
         return st
@@ -276,45 +266,27 @@ class Bdd:
         """Canonical reset spelling (alias of :meth:`reset_stats`)."""
         self.reset_stats()
 
-    def enable_timing(self, enabled: bool = True) -> None:
-        """Toggle wall-time accounting for public ops.
-
-        Off by default: the hot path then pays only one flag check per
-        public call.
-        """
-        self._timing = enabled
-        self._timing_depth = 0
-
-    def _begin(self, op: str) -> float:
+    def _run(self, op: str, kernel: Callable[..., int], *args) -> int:
+        """Count one public op that reached its kernel, and run it."""
         calls = self._stats.calls
         calls[op] = calls.get(op, 0) + 1
         if TRACER.enabled:
-            self._span_depth += 1
-            if self._span_depth == 1:
-                self._op_span = TRACER.begin("bdd." + op)
-        if self._timing:
-            self._timing_depth += 1
-            if self._timing_depth == 1:
-                return perf_counter()
-        return 0.0
+            return self._traced(op, kernel, *args)
+        return kernel(*args)
 
-    def _end(self, op: str, t0: float) -> None:
-        if self._timing and self._timing_depth > 0:
-            self._timing_depth -= 1
-            if self._timing_depth == 0:
-                times = self._stats.op_time
-                times[op] = times.get(op, 0.0) + (perf_counter() - t0)
-        nodes = len(self._level)
-        if nodes > self._stats.peak_nodes:
-            self._stats.peak_nodes = nodes
-        # Span depth is tracked independently of TRACER.enabled so a
-        # mid-op toggle cannot unbalance the stack.
-        if self._span_depth > 0:
-            self._span_depth -= 1
-            if self._span_depth == 0 and self._op_span is not None:
-                done, self._op_span = self._op_span, None
-                done.attrs["nodes"] = nodes
-                TRACER.finish(done)
+    def _traced(self, op: str, kernel: Callable[..., int], *args) -> int:
+        """Run a kernel under a ``bdd.<op>`` span.
+
+        Kernels call only other kernels, never public ops, so a span
+        is always an outermost op (a transformer image is one
+        ``and_exists`` span, not one per inner conjunction).
+        """
+        live = TRACER.begin("bdd." + op)
+        try:
+            return kernel(*args)
+        finally:
+            live.attrs["nodes"] = len(self._level)
+            TRACER.finish(live)
 
     def _count_cache(self, op: str, hits: int, misses: int) -> None:
         st = self._stats
@@ -334,7 +306,7 @@ class Bdd:
 
     @property
     def num_nodes(self) -> int:
-        """Total allocated node count (including terminals)."""
+        """Total allocated node count (including the terminal)."""
         return len(self._level)
 
     def new_var(self) -> int:
@@ -345,6 +317,7 @@ class Bdd:
         """
         level = self._num_vars
         self._num_vars += 1
+        self._unique.append({})
         return self._mk(level, FALSE, TRUE)
 
     def new_vars(self, count: int) -> List[int]:
@@ -359,21 +332,19 @@ class Bdd:
 
     def nvar(self, index: int) -> int:
         """The BDD node for the negation of a variable."""
-        if not 0 <= index < self._num_vars:
-            raise ZenSolverError(f"unknown BDD variable {index}")
-        return self._mk(index, TRUE, FALSE)
+        return self.var(index) ^ 1
 
     def level_of(self, node: int) -> int:
         """Level (variable index) labeling an internal node."""
-        return self._level[node]
+        return self._level[node >> 1]
 
     def low(self, node: int) -> int:
-        """Low (False) child of an internal node."""
-        return self._low[node]
+        """Low (False) cofactor of an internal node."""
+        return self._low[node >> 1] ^ (node & 1)
 
     def high(self, node: int) -> int:
-        """High (True) child of an internal node."""
-        return self._high[node]
+        """High (True) cofactor of an internal node."""
+        return self._high[node >> 1] ^ (node & 1)
 
     def is_terminal(self, node: int) -> bool:
         """True for the FALSE/TRUE terminals."""
@@ -382,410 +353,559 @@ class Bdd:
     def _mk(self, level: int, low: int, high: int) -> int:
         if low == high:
             return low
-        key = (level, low, high)
-        node = self._unique.get(key)
+        # Canonical form: a complemented high edge moves to the result.
+        flip = high & 1
+        if flip:
+            low ^= 1
+            high ^= 1
+        table = self._unique[level]
+        key = low * _KEY + high
+        node = table.get(key)
         if node is None:
-            node = len(self._level)
+            index = len(self._level)
+            node = index << 1
             self._level.append(level)
             self._low.append(low)
             self._high.append(high)
-            self._unique[key] = node
+            table[key] = node
             # Allocation-time checkpoint: workloads made of many small
             # kernels never reach the per-kernel tick interval, so the
             # node cap is enforced here — exactly at the crossing
             # allocation, plus a periodic deadline check.
             if self._budget is not None and (
-                (self._node_cap is not None and node >= self._node_cap)
-                or not (node & 255)
+                index >= self._node_cap or not index & 255
             ):
-                self._budget.tick(node + 1)
-        return node
+                self._budget.tick(index + 1)
+        return node ^ flip
 
     # ------------------------------------------------------------------
     # Core operations
     # ------------------------------------------------------------------
 
+    def not_(self, f: int) -> int:
+        """Negation: flips the handle's complement bit."""
+        return f ^ 1
+
+    def and_(self, f: int, g: int) -> int:
+        """Conjunction."""
+        if f < 2:
+            return g if f else FALSE
+        if g < 2:
+            return f if g else FALSE
+        if f == g:
+            return f
+        if f ^ g == 1:
+            return FALSE
+        calls = self._stats.calls
+        calls["and"] = calls.get("and", 0) + 1
+        if TRACER.enabled:
+            return self._traced("and", self._and, f, g)
+        return self._and(f, g)
+
+    def or_(self, f: int, g: int) -> int:
+        """Disjunction (De Morgan on the conjunction kernel)."""
+        if f < 2:
+            return TRUE if f else g
+        if g < 2:
+            return TRUE if g else f
+        if f == g:
+            return f
+        if f ^ g == 1:
+            return TRUE
+        calls = self._stats.calls
+        calls["or"] = calls.get("or", 0) + 1
+        if TRACER.enabled:
+            return self._traced("or", self._and, f ^ 1, g ^ 1) ^ 1
+        return self._and(f ^ 1, g ^ 1) ^ 1
+
+    def xor(self, f: int, g: int) -> int:
+        """Exclusive or."""
+        flip = (f ^ g) & 1
+        if f & 1:
+            f ^= 1
+        if g & 1:
+            g ^= 1
+        if f == g:
+            return flip
+        if not f:
+            return g ^ flip
+        if not g:
+            return f ^ flip
+        calls = self._stats.calls
+        calls["xor"] = calls.get("xor", 0) + 1
+        if TRACER.enabled:
+            return self._traced("xor", self._xor, f, g) ^ flip
+        return self._xor(f, g) ^ flip
+
+    def iff(self, f: int, g: int) -> int:
+        """Equivalence."""
+        return self.xor(f, g) ^ 1
+
+    def implies(self, f: int, g: int) -> int:
+        """Implication."""
+        return self.and_(f, g ^ 1) ^ 1
+
+    def diff(self, f: int, g: int) -> int:
+        """Set difference f AND NOT g."""
+        return self.and_(f, g ^ 1)
+
     def ite(self, f: int, g: int, h: int) -> int:
-        """If-then-else: (f AND g) OR (NOT f AND h).
-
-        Iterative two-phase implementation with a dedicated cache; the
-        general 3-operand kernel.  Binary boolean ops use the
-        specialized apply kernels instead.
-        """
-        t0 = self._begin("ite")
-        result = self._ite(f, g, h)
-        self._end("ite", t0)
-        return result
-
-    def _ite(self, f: int, g: int, h: int) -> int:
-        # Fast path mirroring the expansion-loop terminal cases, so
-        # tiny top-level calls skip the work-stack setup.
-        if f == TRUE:
-            return g
-        if f == FALSE:
-            return h
+        """If-then-else: (f AND g) OR (NOT f AND h)."""
+        if f < 2:
+            return g if f else h
         if g == h:
             return g
-        if g == TRUE and h == FALSE:
+        calls = self._stats.calls
+        calls["ite"] = calls.get("ite", 0) + 1
+        if TRACER.enabled:
+            return self._traced("ite", self._ite, f, g, h)
+        return self._ite(f, g, h)
+
+    def _conj(self, f: int, g: int) -> int:
+        """Conjunction for kernels: any operands, no bookkeeping."""
+        if f < 2:
+            return g if f else FALSE
+        if g < 2:
+            return f if g else FALSE
+        if f == g:
             return f
-        if h == FALSE:
-            return self._apply(_OP_AND, f, g)
-        if g == TRUE:
-            return self._apply(_OP_OR, f, h)
-        if h == TRUE:
-            return self._neg(self._apply(_OP_AND, f, self._neg(g)))
-        if g == FALSE:
-            return self._apply(_OP_AND, self._neg(f), h)
-        cached = self._ite_cache.get((f, g, h))
-        if cached is not None:
-            self._count_cache("ite", 1, 0)
-            return cached
+        if f ^ g == 1:
+            return FALSE
+        return self._and(f, g)
+
+    def _and(self, f: int, g: int) -> int:
+        """Conjunction kernel.
+
+        Operands are non-terminal, distinct and not complementary (the
+        callers resolve those).  A frame on the work stack is a
+        suspended node: its cache key, its level (complemented once the
+        low result is in) and the other child — the low result, the
+        high result, or the high child's key while it is still pending
+        (keys are >= ``_KEY``, handles below it).
+        """
+        if f > g:
+            f, g = g, f
+        key = f * _KEY + g
+        cache = self._and_cache
+        r = cache.get(key)
+        if r is not None:
+            hit = self._stats.cache_hits
+            hit["and"] = hit.get("and", 0) + 1
+            return r
+        levels = self._level
+        lows = self._low
+        highs = self._high
+        uniques = self._unique
+        meter = self._budget
+        cap = self._node_cap
+        stack: List[int] = []
+        push = stack.append
+        pop = stack.pop
+        hits = 0
+        misses = 0
+        while True:
+            # Expand (f, g): f < g, non-trivial, not in the cache.
+            misses += 1
+            if meter is not None and not misses & 1023:
+                meter.tick(len(levels))
+            i = f >> 1
+            j = g >> 1
+            lf = levels[i]
+            lg = levels[j]
+            if lf <= lg:
+                lv = lf
+                if f & 1:
+                    f0 = lows[i] ^ 1
+                    f1 = highs[i] ^ 1
+                else:
+                    f0 = lows[i]
+                    f1 = highs[i]
+            else:
+                lv = lg
+                f0 = f1 = f
+            if lg == lv:
+                if g & 1:
+                    g0 = lows[j] ^ 1
+                    g1 = highs[j] ^ 1
+                else:
+                    g0 = lows[j]
+                    g1 = highs[j]
+            else:
+                g0 = g1 = g
+            # Resolve each child inline; -1 marks one left pending.
+            if f0 < 2:
+                r0 = g0 if f0 else FALSE
+            elif g0 < 2:
+                r0 = f0 if g0 else FALSE
+            elif f0 == g0:
+                r0 = f0
+            elif f0 ^ g0 == 1:
+                r0 = FALSE
+            else:
+                if f0 > g0:
+                    f0, g0 = g0, f0
+                k0 = f0 * _KEY + g0
+                r0 = cache.get(k0, -1)
+                if r0 >= 0:
+                    hits += 1
+            if f1 < 2:
+                r1 = g1 if f1 else FALSE
+            elif g1 < 2:
+                r1 = f1 if g1 else FALSE
+            elif f1 == g1:
+                r1 = f1
+            elif f1 ^ g1 == 1:
+                r1 = FALSE
+            else:
+                if f1 > g1:
+                    f1, g1 = g1, f1
+                k1 = f1 * _KEY + g1
+                r1 = cache.get(k1, -1)
+                if r1 >= 0:
+                    hits += 1
+            if r0 < 0:
+                push(key)
+                push(lv)
+                push(r1 if r1 >= 0 else k1)
+                f = f0
+                g = g0
+                key = k0
+                continue
+            if r1 < 0:
+                push(key)
+                push(~lv)
+                push(r0)
+                f = f1
+                g = g1
+                key = k1
+                continue
+            while True:
+                # Combine: r = mk(lv, r0, r1), inlined — down to the
+                # cache store the same text as in _xor; edit both.
+                if r0 == r1:
+                    r = r0
+                else:
+                    flip = r1 & 1
+                    if flip:
+                        r0 ^= 1
+                        r1 ^= 1
+                    table = uniques[lv]
+                    ukey = r0 * _KEY + r1
+                    r = table.get(ukey)
+                    if r is None:
+                        idx = len(levels)
+                        r = idx << 1
+                        levels.append(lv)
+                        lows.append(r0)
+                        highs.append(r1)
+                        table[ukey] = r
+                        # The allocation checkpoint of _mk.
+                        if meter is not None and (
+                            idx >= cap or not idx & 255
+                        ):
+                            meter.tick(idx + 1)
+                    if flip:
+                        r ^= 1
+                cache[key] = r
+                if not stack:
+                    self._count_cache("and", hits, misses)
+                    return r
+                other = pop()
+                lv = pop()
+                key = pop()
+                if lv < 0:
+                    lv = ~lv
+                    r0 = other
+                    r1 = r
+                elif other < _KEY:
+                    r0 = r
+                    r1 = other
+                else:
+                    # The pending high child may have been computed
+                    # while the low one was.
+                    r1 = cache.get(other, -1)
+                    if r1 < 0:
+                        push(key)
+                        push(~lv)
+                        push(r)
+                        key = other
+                        f, g = divmod(other, _KEY)
+                        break
+                    hits += 1
+                    r0 = r
+
+    def _parity(self, f: int, g: int) -> int:
+        """Exclusive or for kernels: any operands, no bookkeeping."""
+        flip = (f ^ g) & 1
+        if f & 1:
+            f ^= 1
+        if g & 1:
+            g ^= 1
+        if f == g:
+            return flip
+        if not f:
+            return g ^ flip
+        if not g:
+            return f ^ flip
+        return self._xor(f, g) ^ flip
+
+    def _xor(self, f: int, g: int) -> int:
+        """Exclusive-or kernel; frames as in :meth:`_and`.
+
+        Operands are uncomplemented, non-terminal and distinct:
+        complement bits factor out of xor, so callers (and every
+        expansion, for the low children — stored high edges are
+        uncomplemented already) strip them and flip the result.  The
+        stripped parity of a pending low child rides in the frame's
+        level slot.
+        """
+        if f > g:
+            f, g = g, f
+        key = f * _KEY + g
+        cache = self._xor_cache
+        r = cache.get(key)
+        if r is not None:
+            hit = self._stats.cache_hits
+            hit["xor"] = hit.get("xor", 0) + 1
+            return r
+        levels = self._level
+        lows = self._low
+        highs = self._high
+        uniques = self._unique
+        meter = self._budget
+        cap = self._node_cap
+        stack: List[int] = []
+        push = stack.append
+        pop = stack.pop
+        hits = 0
+        misses = 0
+        while True:
+            misses += 1
+            if meter is not None and not misses & 1023:
+                meter.tick(len(levels))
+            i = f >> 1
+            j = g >> 1
+            lf = levels[i]
+            lg = levels[j]
+            if lf <= lg:
+                lv = lf
+                f0 = lows[i]
+                f1 = highs[i]
+            else:
+                lv = lg
+                f0 = f1 = f
+            if lg == lv:
+                g0 = lows[j]
+                g1 = highs[j]
+            else:
+                g0 = g1 = g
+            flip0 = (f0 ^ g0) & 1
+            if f0 & 1:
+                f0 ^= 1
+            if g0 & 1:
+                g0 ^= 1
+            if f0 == g0:
+                r0 = flip0
+            elif not f0:
+                r0 = g0 ^ flip0
+            elif not g0:
+                r0 = f0 ^ flip0
+            else:
+                if f0 > g0:
+                    f0, g0 = g0, f0
+                k0 = f0 * _KEY + g0
+                r0 = cache.get(k0, -1)
+                if r0 >= 0:
+                    hits += 1
+                    if flip0:
+                        r0 ^= 1
+            if f1 == g1:
+                r1 = FALSE
+            elif not f1:
+                r1 = g1
+            elif not g1:
+                r1 = f1
+            else:
+                if f1 > g1:
+                    f1, g1 = g1, f1
+                k1 = f1 * _KEY + g1
+                r1 = cache.get(k1, -1)
+                if r1 >= 0:
+                    hits += 1
+            if r0 < 0:
+                push(key)
+                push(lv << 1 | flip0)
+                push(r1 if r1 >= 0 else k1)
+                f = f0
+                g = g0
+                key = k0
+                continue
+            if r1 < 0:
+                push(key)
+                push(~lv)
+                push(r0)
+                f = f1
+                g = g1
+                key = k1
+                continue
+            while True:
+                # Combine, as in _and; edit both.
+                if r0 == r1:
+                    r = r0
+                else:
+                    flip = r1 & 1
+                    if flip:
+                        r0 ^= 1
+                        r1 ^= 1
+                    table = uniques[lv]
+                    ukey = r0 * _KEY + r1
+                    r = table.get(ukey)
+                    if r is None:
+                        idx = len(levels)
+                        r = idx << 1
+                        levels.append(lv)
+                        lows.append(r0)
+                        highs.append(r1)
+                        table[ukey] = r
+                        # The allocation checkpoint of _mk.
+                        if meter is not None and (
+                            idx >= cap or not idx & 255
+                        ):
+                            meter.tick(idx + 1)
+                    if flip:
+                        r ^= 1
+                cache[key] = r
+                if not stack:
+                    self._count_cache("xor", hits, misses)
+                    return r
+                other = pop()
+                lv = pop()
+                key = pop()
+                if lv < 0:
+                    lv = ~lv
+                    r0 = other
+                    r1 = r
+                    continue
+                r0 = r ^ 1 if lv & 1 else r
+                lv >>= 1
+                if other < _KEY:
+                    r1 = other
+                    continue
+                r1 = cache.get(other, -1)
+                if r1 < 0:
+                    push(key)
+                    push(~lv)
+                    push(r0)
+                    key = other
+                    f, g = divmod(other, _KEY)
+                    break
+                hits += 1
+
+    def _ite(self, f: int, g: int, h: int) -> int:
+        """The 3-operand kernel, for any operands.
+
+        Each triple is first normalized: ``f`` and ``g`` uncomplemented
+        (``ite(¬f, g, h) = ite(f, h, g)``, ``ite(f, ¬g, ¬h) =
+        ¬ite(f, g, h)``), a branch equal to ``f`` or ``¬f`` replaced by
+        the constant it then is.  Triples with a constant or
+        complementary branch go to the binary kernels, sharing their
+        caches with direct ``and_``/``xor`` calls.  Frames: packed
+        triple with the result's complement bit, level (complemented
+        once the low result is in), then the pending high triple or the
+        low result.
+        """
         levels = self._level
         lows = self._low
         highs = self._high
         cache = self._ite_cache
-        unique = self._unique
+        meter = self._budget
+        stack: List[int] = []
+        push = stack.append
+        pop = stack.pop
         hits = 0
         misses = 0
-        # Work stack: phase 0 expands a triple; phase 1 combines the
-        # two sub-results from the result stack.
-        expand = [(f, g, h)]
-        phase = [0]
-        keys: List = [None]
-        results: List[int] = []
-        meter = self._budget
-        ticks = 0
-        while expand:
-            ticks += 1
-            if meter is not None and not (ticks & 1023):
-                meter.tick(len(levels))
-            task = expand.pop()
-            ph = phase.pop()
-            key = keys.pop()
-            if ph == 1:
-                # Combine: the high result was pushed last.
-                high = results.pop()
-                low = results.pop()
-                lv = task  # type: ignore[assignment]
-                if low == high:
-                    node = low
-                else:
-                    ukey = (lv, low, high)
-                    node = unique.get(ukey)
-                    if node is None:
-                        node = len(levels)
-                        levels.append(lv)
-                        lows.append(low)
-                        highs.append(high)
-                        unique[ukey] = node
-                cache[key] = node
-                results.append(node)
-                continue
-            tf, tg, th = task
-            # Terminal cases.
-            if tf == TRUE:
-                results.append(tg)
-                continue
-            if tf == FALSE:
-                results.append(th)
-                continue
-            if tg == th:
-                results.append(tg)
-                continue
-            if tg == TRUE and th == FALSE:
-                results.append(tf)
-                continue
-            # Normalize terminal-branch triples to the binary kernels
-            # (CUDD-style): ite work then shares the apply caches with
-            # direct and_/or_ calls instead of duplicating it in the
-            # 3-operand cache.
-            if th == FALSE:
-                results.append(self._apply(_OP_AND, tf, tg))
-                continue
-            if tg == TRUE:
-                results.append(self._apply(_OP_OR, tf, th))
-                continue
-            if th == TRUE:
-                results.append(
-                    self._neg(self._apply(_OP_AND, tf, self._neg(tg)))
-                )
-                continue
-            if tg == FALSE:
-                results.append(self._apply(_OP_AND, self._neg(tf), th))
-                continue
-            ckey = (tf, tg, th)
-            cached = cache.get(ckey)
-            if cached is not None:
-                hits += 1
-                results.append(cached)
-                continue
-            misses += 1
-            lf, lg, lh = levels[tf], levels[tg], levels[th]
-            lv = lf if lf < lg else lg
-            if lh < lv:
-                lv = lh
-            f0, f1 = (lows[tf], highs[tf]) if lf == lv else (tf, tf)
-            g0, g1 = (lows[tg], highs[tg]) if lg == lv else (tg, tg)
-            h0, h1 = (lows[th], highs[th]) if lh == lv else (th, th)
-            # Schedule: combine after both children; push high first so
-            # low is computed first and sits deeper in the result stack.
-            expand.append(lv)  # type: ignore[arg-type]
-            phase.append(1)
-            keys.append(ckey)
-            expand.append((f1, g1, h1))
-            phase.append(0)
-            keys.append(None)
-            expand.append((f0, g0, h0))
-            phase.append(0)
-            keys.append(None)
-        self._count_cache("ite", hits, misses)
-        return results[-1]
-
-    def not_(self, f: int) -> int:
-        """Negation (dedicated kernel; the cache is symmetric)."""
-        t0 = self._begin("not")
-        result = self._neg(f)
-        self._end("not", t0)
-        return result
-
-    def _neg(self, f: int) -> int:
-        if f == FALSE:
-            return TRUE
-        if f == TRUE:
-            return FALSE
-        cached = self._neg_cache.get(f)
-        if cached is not None:
-            self._count_cache("not", 1, 0)
-            return cached
-        levels = self._level
-        lows = self._low
-        highs = self._high
-        cache = self._neg_cache
-        hits = 0
-        misses = 0
-        expand = [f]
-        phase = [0]
-        keys: List = [None]
-        results: List[int] = []
-        meter = self._budget
-        ticks = 0
-        while expand:
-            ticks += 1
-            if meter is not None and not (ticks & 1023):
-                meter.tick(len(levels))
-            task = expand.pop()
-            ph = phase.pop()
-            key = keys.pop()
-            if ph == 1:
-                high = results.pop()
-                low = results.pop()
-                lv, src = key
-                node = self._mk(lv, low, high)
-                # Negation is an involution: cache both directions.
-                cache[src] = node
-                cache[node] = src
-                results.append(node)
-                continue
-            if task == FALSE:
-                results.append(TRUE)
-                continue
-            if task == TRUE:
-                results.append(FALSE)
-                continue
-            cached = cache.get(task)
-            if cached is not None:
-                hits += 1
-                results.append(cached)
-                continue
-            misses += 1
-            lv = levels[task]
-            expand.append(0)
-            phase.append(1)
-            keys.append((lv, task))
-            expand.append(highs[task])
-            phase.append(0)
-            keys.append(None)
-            expand.append(lows[task])
-            phase.append(0)
-            keys.append(None)
-        self._count_cache("not", hits, misses)
-        return results[-1]
-
-    def and_(self, f: int, g: int) -> int:
-        """Conjunction (dedicated apply kernel)."""
-        t0 = self._begin("and")
-        result = self._apply(_OP_AND, f, g)
-        self._end("and", t0)
-        return result
-
-    def or_(self, f: int, g: int) -> int:
-        """Disjunction (dedicated apply kernel)."""
-        t0 = self._begin("or")
-        result = self._apply(_OP_OR, f, g)
-        self._end("or", t0)
-        return result
-
-    def xor(self, f: int, g: int) -> int:
-        """Exclusive or (dedicated apply kernel)."""
-        t0 = self._begin("xor")
-        result = self._apply(_OP_XOR, f, g)
-        self._end("xor", t0)
-        return result
-
-    def _apply(self, opc: int, f: int, g: int) -> int:
-        """Binary apply kernel for the commutative ops and/or/xor.
-
-        Operands in a cache key are sorted (all three ops commute), so
-        ``op(a, b)`` and ``op(b, a)`` share one entry.
-        """
-        # Fast path: resolve terminal/cached top-level calls without
-        # paying the work-stack setup (the symbolic bitblaster makes
-        # very many tiny calls).
-        if opc == _OP_AND:
-            if f == FALSE or g == FALSE:
-                return FALSE
-            if f == TRUE or f == g:
-                return g
-            if g == TRUE:
-                return f
-        elif opc == _OP_OR:
-            if f == TRUE or g == TRUE:
-                return TRUE
-            if f == FALSE or f == g:
-                return g
-            if g == FALSE:
-                return f
-        else:
-            if f == g:
-                return FALSE
-            if f == FALSE:
-                return g
-            if g == FALSE:
-                return f
-            if f == TRUE:
-                return self._neg(g)
-            if g == TRUE:
-                return self._neg(f)
-        cache = self._apply_caches[opc]
-        cached = cache.get((f, g) if f < g else (g, f))
-        if cached is not None:
-            self._count_cache(_OP_NAMES[opc], 1, 0)
-            return cached
-        levels = self._level
-        lows = self._low
-        highs = self._high
-        unique = self._unique
-        hits = 0
-        misses = 0
-        expand: List = [(f, g)]
-        phase = [0]
-        keys: List = [None]
-        results: List[int] = []
-        meter = self._budget
-        ticks = 0
-        while expand:
-            ticks += 1
-            if meter is not None and not (ticks & 1023):
-                meter.tick(len(levels))
-            task = expand.pop()
-            ph = phase.pop()
-            key = keys.pop()
-            if ph == 1:
-                high = results.pop()
-                low = results.pop()
-                lv = task
-                if low == high:
-                    node = low
-                else:
-                    ukey = (lv, low, high)
-                    node = unique.get(ukey)
-                    if node is None:
-                        node = len(levels)
-                        levels.append(lv)
-                        lows.append(low)
-                        highs.append(high)
-                        unique[ukey] = node
-                cache[key] = node
-                results.append(node)
-                continue
-            tf, tg = task
-            # Terminal cases per opcode.
-            if opc == _OP_AND:
-                if tf == FALSE or tg == FALSE:
-                    results.append(FALSE)
-                    continue
-                if tf == TRUE or tf == tg:
-                    results.append(tg)
-                    continue
-                if tg == TRUE:
-                    results.append(tf)
-                    continue
-            elif opc == _OP_OR:
-                if tf == TRUE or tg == TRUE:
-                    results.append(TRUE)
-                    continue
-                if tf == FALSE or tf == tg:
-                    results.append(tg)
-                    continue
-                if tg == FALSE:
-                    results.append(tf)
-                    continue
-            else:  # XOR
-                if tf == tg:
-                    results.append(FALSE)
-                    continue
-                if tf == FALSE:
-                    results.append(tg)
-                    continue
-                if tg == FALSE:
-                    results.append(tf)
-                    continue
-                if tf == TRUE:
-                    results.append(self._neg(tg))
-                    continue
-                if tg == TRUE:
-                    results.append(self._neg(tf))
-                    continue
-            # Commutative cache-key normalization (the unswapped task
-            # tuple is reused as the key to avoid an allocation).
-            if tf > tg:
-                tf, tg = tg, tf
-                ckey = (tf, tg)
+        while True:
+            if f < 2:
+                r = g if f else h
+            elif g == h:
+                r = g
             else:
-                ckey = task
-            cached = cache.get(ckey)
-            if cached is not None:
-                hits += 1
-                results.append(cached)
-                continue
-            misses += 1
-            lf, lg = levels[tf], levels[tg]
-            lv = lf if lf < lg else lg
-            f0, f1 = (lows[tf], highs[tf]) if lf == lv else (tf, tf)
-            g0, g1 = (lows[tg], highs[tg]) if lg == lv else (tg, tg)
-            expand.append(lv)
-            phase.append(1)
-            keys.append(ckey)
-            expand.append((f1, g1))
-            phase.append(0)
-            keys.append(None)
-            expand.append((f0, g0))
-            phase.append(0)
-            keys.append(None)
-        self._count_cache(_OP_NAMES[opc], hits, misses)
-        return results[-1]
-
-    def iff(self, f: int, g: int) -> int:
-        """Equivalence."""
-        return self._neg(self._apply(_OP_XOR, f, g))
-
-    def implies(self, f: int, g: int) -> int:
-        """Implication."""
-        return self.ite(f, g, TRUE)
-
-    def diff(self, f: int, g: int) -> int:
-        """Set difference f AND NOT g."""
-        return self.ite(g, FALSE, f)
+                if f & 1:
+                    f ^= 1
+                    g, h = h, g
+                if g >> 1 == f >> 1:
+                    g = TRUE ^ (g & 1)
+                if h >> 1 == f >> 1:
+                    h = h & 1
+                if g < 2:
+                    if h < 2:
+                        r = g if g == h else f ^ h
+                    elif g:
+                        r = self._conj(f ^ 1, h ^ 1) ^ 1
+                    else:
+                        r = self._conj(f ^ 1, h)
+                elif h < 2:
+                    r = self._conj(f, g ^ 1) ^ 1 if h else self._conj(f, g)
+                elif g ^ h == 1:
+                    r = self._parity(f, h)
+                else:
+                    flip = g & 1
+                    if flip:
+                        g ^= 1
+                        h ^= 1
+                    key = (f * _KEY + g) * _KEY + h
+                    r = cache.get(key, -1)
+                    if r < 0:
+                        misses += 1
+                        if meter is not None and not misses & 1023:
+                            meter.tick(len(levels))
+                        i = f >> 1
+                        j = g >> 1
+                        k = h >> 1
+                        lf = levels[i]
+                        lg = levels[j]
+                        lh = levels[k]
+                        lv = lf if lf < lg else lg
+                        if lh < lv:
+                            lv = lh
+                        f0, f1 = (lows[i], highs[i]) if lf == lv else (f, f)
+                        g0, g1 = (lows[j], highs[j]) if lg == lv else (g, g)
+                        if lh != lv:
+                            h0 = h1 = h
+                        elif h & 1:
+                            h0 = lows[k] ^ 1
+                            h1 = highs[k] ^ 1
+                        else:
+                            h0 = lows[k]
+                            h1 = highs[k]
+                        push(key << 1 | flip)
+                        push(lv)
+                        push((f1 * _KEY + g1) * _KEY + h1)
+                        f = f0
+                        g = g0
+                        h = h0
+                        continue
+                    hits += 1
+                    if flip:
+                        r ^= 1
+            while True:
+                if not stack:
+                    self._count_cache("ite", hits, misses)
+                    return r
+                other = pop()
+                lv = pop()
+                key = pop()
+                if lv >= 0:
+                    push(key)
+                    push(~lv)
+                    push(r)
+                    other, h = divmod(other, _KEY)
+                    f, g = divmod(other, _KEY)
+                    break
+                r = self._mk(~lv, other, r)
+                cache[key >> 1] = r
+                if key & 1:
+                    r ^= 1
 
     def and_many(self, nodes: Iterable[int]) -> int:
         """Conjunction of many nodes (balanced-tree reduction).
@@ -795,32 +915,25 @@ class Bdd:
         small and independent, which also makes their cache entries
         reusable across calls.
         """
-        t0 = self._begin("and_many")
-        result = self._reduce_many(_OP_AND, nodes, TRUE, FALSE)
-        self._end("and_many", t0)
-        return result
+        return self._run("and_many", self._conj_many, list(nodes))
 
     def or_many(self, nodes: Iterable[int]) -> int:
         """Disjunction of many nodes (balanced-tree reduction)."""
-        t0 = self._begin("or_many")
-        result = self._reduce_many(_OP_OR, nodes, FALSE, TRUE)
-        self._end("or_many", t0)
-        return result
+        negated = [n ^ 1 for n in nodes]
+        return self._run("or_many", self._conj_many, negated) ^ 1
 
-    def _reduce_many(
-        self, opc: int, nodes: Iterable[int], neutral: int, absorbing: int
-    ) -> int:
-        pending = [n for n in nodes if n != neutral]
-        if absorbing in pending:
-            return absorbing
+    def _conj_many(self, pending: List[int]) -> int:
+        pending = [n for n in pending if n != TRUE]
+        if FALSE in pending:
+            return FALSE
         if not pending:
-            return neutral
+            return TRUE
         while len(pending) > 1:
             merged: List[int] = []
             for i in range(0, len(pending) - 1, 2):
-                node = self._apply(opc, pending[i], pending[i + 1])
-                if node == absorbing:
-                    return absorbing
+                node = self._conj(pending[i], pending[i + 1])
+                if node == FALSE:
+                    return FALSE
                 merged.append(node)
             if len(pending) & 1:
                 merged.append(pending[-1])
@@ -834,340 +947,199 @@ class Bdd:
     def exists(self, f: int, variables: Iterable[int]) -> int:
         """Existential quantification over variable indices."""
         level_set = frozenset(variables)
-        if not level_set:
+        if not level_set or f < 2:
             return f
-        t0 = self._begin("exists")
-        result = self._quantify(f, level_set, max(level_set), _OP_OR)
-        self._end("exists", t0)
-        return result
+        top = max(level_set)
+        return self._run("exists", self._quantify, f, level_set, top)
 
     def forall(self, f: int, variables: Iterable[int]) -> int:
         """Universal quantification over variable indices."""
         level_set = frozenset(variables)
-        if not level_set:
+        if not level_set or f < 2:
             return f
-        t0 = self._begin("forall")
-        result = self._quantify(f, level_set, max(level_set), _OP_AND)
-        self._end("forall", t0)
-        return result
+        top = max(level_set)
+        return self._run("forall", self._quantify, f ^ 1, level_set, top) ^ 1
 
-    def _quantify(
-        self, f: int, level_set: frozenset, max_level: int, merge_opc: int
-    ) -> int:
-        """Iterative quantification kernel.
+    def _quantify(self, f: int, level_set: frozenset, max_level: int) -> int:
+        """Existential quantification kernel, for any operand.
 
-        ``max_level`` is hoisted once per query: any node below it
-        cannot contain a quantified variable and is returned as-is.
-        All results (including that early exit) are cached.
+        ``max_level`` is hoisted once per query: a node below it
+        cannot contain a quantified variable and is returned as-is
+        (and cached, like every other result).
+        Frames: handle, level (complemented once the low result is
+        in), then the high child or the low result.  At a quantified
+        level a low result of TRUE ends the node: its high child is
+        never visited.
         """
-        name = "exists" if merge_opc == _OP_OR else "forall"
-        # Quantified levels merge toward this absorbing terminal: once
-        # the low branch hits it, the high branch is never expanded.
-        absorbing = TRUE if merge_opc == _OP_OR else FALSE
-        neutral = FALSE if merge_opc == _OP_OR else TRUE
         levels = self._level
         lows = self._low
         highs = self._high
-        subcache = self._quantify_cache.get((name, level_set))
-        if subcache is None:
-            subcache = self._quantify_cache[(name, level_set)] = {}
-        cache = subcache
+        cache = self._quantify_cache.get(level_set)
+        if cache is None:
+            cache = self._quantify_cache[level_set] = {}
+        meter = self._budget
+        stack: List[int] = []
+        push = stack.append
+        pop = stack.pop
         hits = 0
         misses = 0
-        # Phases: 0 = expand a node, 1 = combine two child results,
-        # 2 = early-termination check between the children of a
-        # quantified level.
-        expand: List = [f]
-        phase = [0]
-        keys: List = [None]
-        results: List[int] = []
-        meter = self._budget
-        ticks = 0
-        while expand:
-            ticks += 1
-            if meter is not None and not (ticks & 1023):
-                meter.tick(len(levels))
-            task = expand.pop()
-            ph = phase.pop()
-            key = keys.pop()
-            if ph == 1:
-                high = results.pop()
-                low = results.pop()
-                lv, ckey = key
-                # Quantified levels are marked with a negative lv so
-                # the combine avoids a second set-membership test.
-                if lv < 0:
-                    # Inline the common merge terminals; fall back to
-                    # the apply kernel for real work.
-                    if low == high or high == neutral:
-                        node = low
-                    elif low == neutral:
-                        node = high
-                    elif low == absorbing or high == absorbing:
-                        node = absorbing
-                    else:
-                        node = self._apply(merge_opc, low, high)
-                else:
-                    node = self._mk(lv, low, high)
-                cache[ckey] = node
-                results.append(node)
-                continue
-            if ph == 2:
-                if results[-1] == absorbing:
-                    cache[key] = absorbing
-                    continue  # result stays on the stack; skip high
-                expand.append(0)
-                phase.append(1)
-                keys.append((-1, key))
-                expand.append(task)  # the pending high child
-                phase.append(0)
-                keys.append(None)
-                continue
-            if task < 2:
-                results.append(task)
-                continue
-            lv = levels[task]
-            ckey = task
-            cached = cache.get(ckey)
-            if cached is not None:
-                hits += 1
-                results.append(cached)
-                continue
-            if lv > max_level:
-                # All quantified variables are above this node.
-                cache[ckey] = task
-                results.append(task)
-                continue
-            misses += 1
-            if lv in level_set:
-                expand.append(highs[task])
-                phase.append(2)
-                keys.append(ckey)
+        while True:
+            if f < 2:
+                r = f
             else:
-                expand.append(0)
-                phase.append(1)
-                keys.append((lv, ckey))
-                expand.append(highs[task])
-                phase.append(0)
-                keys.append(None)
-            expand.append(lows[task])
-            phase.append(0)
-            keys.append(None)
-        self._count_cache(name, hits, misses)
-        return results[-1]
+                r = cache.get(f, -1)
+                if r >= 0:
+                    hits += 1
+                elif levels[f >> 1] > max_level:
+                    r = cache[f] = f
+                else:
+                    misses += 1
+                    if meter is not None and not misses & 1023:
+                        meter.tick(len(levels))
+                    i = f >> 1
+                    push(f)
+                    push(levels[i])
+                    if f & 1:
+                        push(highs[i] ^ 1)
+                        f = lows[i] ^ 1
+                    else:
+                        push(highs[i])
+                        f = lows[i]
+                    continue
+            while True:
+                if not stack:
+                    self._count_cache("exists", hits, misses)
+                    return r
+                other = pop()
+                lv = pop()
+                key = pop()
+                if lv >= 0:
+                    if r == TRUE and lv in level_set:
+                        cache[key] = TRUE
+                        continue
+                    push(key)
+                    push(~lv)
+                    push(r)
+                    f = other
+                    break
+                lv = ~lv
+                if lv not in level_set:
+                    r = self._mk(lv, other, r)
+                elif other != r:
+                    r = self._conj(other ^ 1, r ^ 1) ^ 1
+                cache[key] = r
 
     def and_exists(self, f: int, g: int, variables: Iterable[int]) -> int:
-        """Fused relational product: ``exists(and_(f, g), variables)``.
+        """Relational product: ``exists(and_(f, g), variables)``.
 
         The defining operation of transformer image computation
-        ("conjoin the relation, then existentially quantify").  Fusing
-        the two passes means the full conjunction — which can be
-        exponentially larger than either operand or the result — is
-        never materialized: quantified levels are collapsed with
-        ``or`` *during* the conjunction traversal.
+        ("conjoin the relation, then existentially quantify"), as one
+        public op: one call count, one span per image.
         """
         level_set = frozenset(variables)
-        t0 = self._begin("and_exists")
-        if not level_set:
-            result = self._apply(_OP_AND, f, g)
-        else:
-            result = self._and_exists(f, g, level_set, max(level_set))
-        self._end("and_exists", t0)
-        return result
+        return self._run("and_exists", self._relprod, f, g, level_set)
 
-    def _and_exists(
-        self, f: int, g: int, level_set: frozenset, max_level: int
-    ) -> int:
-        levels = self._level
-        lows = self._low
-        highs = self._high
-        and_cache = self._apply_caches[_OP_AND]
-        subcache = self._and_exists_cache.get(level_set)
-        if subcache is None:
-            subcache = self._and_exists_cache[level_set] = {}
-        cache = subcache
-        hits = 0
-        misses = 0
-        # Phases: 0 = expand a pair, 1 = combine two child results,
-        # 2 = early-termination check at a quantified level (once the
-        # low branch saturates to TRUE the high pair is never visited).
-        expand: List = [(f, g)]
-        phase = [0]
-        keys: List = [None]
-        results: List[int] = []
-        meter = self._budget
-        ticks = 0
-        while expand:
-            ticks += 1
-            if meter is not None and not (ticks & 1023):
-                meter.tick(len(levels))
-            task = expand.pop()
-            ph = phase.pop()
-            key = keys.pop()
-            if ph == 1:
-                high = results.pop()
-                low = results.pop()
-                lv, ckey = key
-                # Quantified levels are marked with a negative lv so
-                # the combine avoids a second set-membership test.
-                if lv < 0:
-                    # Inline the common merge terminals; fall back to
-                    # the apply kernel for real work.
-                    if low == high or high == FALSE:
-                        node = low
-                    elif low == FALSE:
-                        node = high
-                    elif low == TRUE or high == TRUE:
-                        node = TRUE
-                    else:
-                        node = self._apply(_OP_OR, low, high)
-                else:
-                    node = self._mk(lv, low, high)
-                cache[ckey] = node
-                results.append(node)
-                continue
-            if ph == 2:
-                if results[-1] == TRUE:
-                    cache[key] = TRUE
-                    continue  # result stays on the stack; skip high
-                expand.append(0)
-                phase.append(1)
-                keys.append((-1, key))
-                expand.append(task)  # the pending high pair
-                phase.append(0)
-                keys.append(None)
-                continue
-            tf, tg = task
-            if tf == FALSE or tg == FALSE:
-                results.append(FALSE)
-                continue
-            if tf == TRUE and tg == TRUE:
-                results.append(TRUE)
-                continue
-            if tf == TRUE or tf == tg:
-                results.append(
-                    self._quantify(tg, level_set, max_level, _OP_OR)
-                )
-                continue
-            if tg == TRUE:
-                results.append(
-                    self._quantify(tf, level_set, max_level, _OP_OR)
-                )
-                continue
-            if tf > tg:
-                tf, tg = tg, tf
-                task = (tf, tg)
-            lf, lg = levels[tf], levels[tg]
-            lv = lf if lf < lg else lg
-            if lv > max_level:
-                # No quantified variable below: plain conjunction.
-                results.append(self._apply(_OP_AND, tf, tg))
-                continue
-            ckey = task
-            cached = cache.get(ckey)
-            if cached is not None:
-                hits += 1
-                results.append(cached)
-                continue
-            # If this conjunction was already materialized by the apply
-            # kernel, quantify the cached node instead: the per-node
-            # quantify cache shares work across all pairs that reach
-            # the same conjunction.  Skipped while the and-cache is
-            # empty (cold managers) so cold relational products do not
-            # pay a per-expansion probe that can never hit.
-            conj = and_cache.get(ckey) if and_cache else None
-            if conj is not None:
-                hits += 1
-                node = self._quantify(conj, level_set, max_level, _OP_OR)
-                cache[ckey] = node
-                results.append(node)
-                continue
-            misses += 1
-            f0, f1 = (lows[tf], highs[tf]) if lf == lv else (tf, tf)
-            g0, g1 = (lows[tg], highs[tg]) if lg == lv else (tg, tg)
-            if lv in level_set:
-                expand.append((f1, g1))
-                phase.append(2)
-                keys.append(ckey)
-            else:
-                expand.append(0)
-                phase.append(1)
-                keys.append((lv, ckey))
-                expand.append((f1, g1))
-                phase.append(0)
-                keys.append(None)
-            expand.append((f0, g0))
-            phase.append(0)
-            keys.append(None)
-        self._count_cache("and_exists", hits, misses)
-        return results[-1]
+    def _relprod(self, f: int, g: int, level_set: frozenset) -> int:
+        conj = self._conj(f, g)
+        if not level_set:
+            return conj
+        return self._quantify(conj, level_set, max(level_set))
 
     def restrict(self, f: int, assignment: Dict[int, bool]) -> int:
         """Cofactor: fix some variables to constants."""
-        if not assignment:
+        if not assignment or f < 2:
             return f
-        t0 = self._begin("restrict")
-        result = self._restrict(f, assignment, frozenset(assignment.items()))
-        self._end("restrict", t0)
-        return result
+        return self._run(
+            "restrict", self._substitute, f, "restrict", assignment, {}
+        )
 
-    def _restrict(self, f: int, assignment: Dict[int, bool], key_items) -> int:
+    def _substitute(
+        self,
+        f: int,
+        op: str,
+        assignment: Dict[int, bool],
+        mapping: Dict[int, int],
+        ordered: bool = True,
+    ) -> int:
+        """The restrict/rename/permute kernel, for any operand.
+
+        Fixes the levels in `assignment` to constants and relabels the
+        levels in `mapping`; each public op passes one of the two.
+        When the relabelling keeps the order (``ordered``) a node is
+        made directly at its new level, otherwise it is rebuilt with
+        ``ite`` on its new variable.  All three commute with negation,
+        so the per-query cache is keyed on uncomplemented handles.
+        Frames: handle with the result's complement bit, new level
+        (complemented once the low result is in), then the high child
+        or the low result.
+        """
+        query = (op, frozenset((assignment or mapping).items()))
+        cache = self._subst_cache.get(query)
+        if cache is None:
+            cache = self._subst_cache[query] = {}
         levels = self._level
         lows = self._low
         highs = self._high
-        cache = self._cache
+        meter = self._budget
+        stack: List[int] = []
+        push = stack.append
+        pop = stack.pop
         hits = 0
         misses = 0
-        expand: List = [f]
-        phase = [0]
-        keys: List = [None]
-        results: List[int] = []
-        meter = self._budget
-        ticks = 0
-        while expand:
-            ticks += 1
-            if meter is not None and not (ticks & 1023):
-                meter.tick(len(levels))
-            task = expand.pop()
-            ph = phase.pop()
-            key = keys.pop()
-            if ph == 1:
-                high = results.pop()
-                low = results.pop()
-                lv, ckey = key
-                node = self._mk(lv, low, high)
-                cache[ckey] = node
-                results.append(node)
-                continue
+        while True:
             # Walk down assigned levels; the chain contributes nothing
-            # to the result graph.
-            node = task
-            while node >= 2:
-                decided = assignment.get(levels[node])
+            # to the result graph but the complement bits it crosses.
+            flip = 0
+            while f >= 2:
+                i = f >> 1
+                decided = assignment.get(levels[i])
                 if decided is None:
                     break
-                node = highs[node] if decided else lows[node]
-            if node < 2:
-                results.append(node)
-                continue
-            ckey = ("restrict", node, key_items)
-            cached = cache.get(ckey)
-            if cached is not None:
+                flip ^= f & 1
+                f = highs[i] if decided else lows[i]
+            if f < 2:
+                r = f ^ flip
+            else:
+                if f & 1:
+                    f ^= 1
+                    flip ^= 1
+                r = cache.get(f, -1)
+                if r < 0:
+                    misses += 1
+                    if meter is not None and not misses & 1023:
+                        meter.tick(len(levels))
+                    i = f >> 1
+                    lv = levels[i]
+                    push(f | flip)
+                    push(mapping.get(lv, lv))
+                    push(highs[i])
+                    f = lows[i]
+                    continue
                 hits += 1
-                results.append(cached)
-                continue
-            misses += 1
-            expand.append(0)
-            phase.append(1)
-            keys.append((levels[node], ckey))
-            expand.append(highs[node])
-            phase.append(0)
-            keys.append(None)
-            expand.append(lows[node])
-            phase.append(0)
-            keys.append(None)
-        self._count_cache("restrict", hits, misses)
-        return results[-1]
+                if flip:
+                    r ^= 1
+            while True:
+                if not stack:
+                    self._count_cache(op, hits, misses)
+                    return r
+                other = pop()
+                lv = pop()
+                key = pop()
+                if lv >= 0:
+                    push(key)
+                    push(~lv)
+                    push(r)
+                    f = other
+                    break
+                if ordered:
+                    r = self._mk(~lv, other, r)
+                else:
+                    r = self._ite(self._mk(~lv, FALSE, TRUE), r, other)
+                if key & 1:
+                    cache[key ^ 1] = r
+                    r ^= 1
+                else:
+                    cache[key] = r
 
     def compose(self, f: int, var_index: int, g: int) -> int:
         """Substitute BDD `g` for variable `var_index` in `f`."""
@@ -1197,62 +1169,7 @@ class Bdd:
         for new_index in mapping.values():
             if not 0 <= new_index < self._num_vars:
                 raise ZenSolverError(f"unknown BDD variable {new_index}")
-        t0 = self._begin("rename")
-        result = self._rename(f, mapping, frozenset(mapping.items()))
-        self._end("rename", t0)
-        return result
-
-    def _rename(self, f: int, mapping: Dict[int, int], key_items) -> int:
-        levels = self._level
-        lows = self._low
-        highs = self._high
-        cache = self._cache
-        hits = 0
-        misses = 0
-        expand: List = [f]
-        phase = [0]
-        keys: List = [None]
-        results: List[int] = []
-        meter = self._budget
-        ticks = 0
-        while expand:
-            ticks += 1
-            if meter is not None and not (ticks & 1023):
-                meter.tick(len(levels))
-            task = expand.pop()
-            ph = phase.pop()
-            key = keys.pop()
-            if ph == 1:
-                high = results.pop()
-                low = results.pop()
-                lv, ckey = key
-                node = self._mk(lv, low, high)
-                cache[ckey] = node
-                results.append(node)
-                continue
-            if task < 2:
-                results.append(task)
-                continue
-            ckey = ("rename", task, key_items)
-            cached = cache.get(ckey)
-            if cached is not None:
-                hits += 1
-                results.append(cached)
-                continue
-            misses += 1
-            level = levels[task]
-            new_level = mapping.get(level, level)
-            expand.append(0)
-            phase.append(1)
-            keys.append((new_level, ckey))
-            expand.append(highs[task])
-            phase.append(0)
-            keys.append(None)
-            expand.append(lows[task])
-            phase.append(0)
-            keys.append(None)
-        self._count_cache("rename", hits, misses)
-        return results[-1]
+        return self._run("rename", self._substitute, f, "rename", {}, mapping)
 
     def permute(self, f: int, mapping: Dict[int, int]) -> int:
         """Rename variables by an arbitrary (possibly non-monotone) map.
@@ -1269,62 +1186,9 @@ class Bdd:
         for new_index in targets:
             if not 0 <= new_index < self._num_vars:
                 raise ZenSolverError(f"unknown BDD variable {new_index}")
-        t0 = self._begin("permute")
-        result = self._permute(f, mapping, frozenset(mapping.items()))
-        self._end("permute", t0)
-        return result
-
-    def _permute(self, f: int, mapping: Dict[int, int], key_items) -> int:
-        levels = self._level
-        lows = self._low
-        highs = self._high
-        cache = self._cache
-        hits = 0
-        misses = 0
-        expand: List = [f]
-        phase = [0]
-        keys: List = [None]
-        results: List[int] = []
-        meter = self._budget
-        ticks = 0
-        while expand:
-            ticks += 1
-            if meter is not None and not (ticks & 1023):
-                meter.tick(len(levels))
-            task = expand.pop()
-            ph = phase.pop()
-            key = keys.pop()
-            if ph == 1:
-                high = results.pop()
-                low = results.pop()
-                new_level, ckey = key
-                node = self._ite(self.var(new_level), high, low)
-                cache[ckey] = node
-                results.append(node)
-                continue
-            if task < 2:
-                results.append(task)
-                continue
-            ckey = ("permute", task, key_items)
-            cached = cache.get(ckey)
-            if cached is not None:
-                hits += 1
-                results.append(cached)
-                continue
-            misses += 1
-            level = levels[task]
-            new_level = mapping.get(level, level)
-            expand.append(0)
-            phase.append(1)
-            keys.append((new_level, ckey))
-            expand.append(highs[task])
-            phase.append(0)
-            keys.append(None)
-            expand.append(lows[task])
-            phase.append(0)
-            keys.append(None)
-        self._count_cache("permute", hits, misses)
-        return results[-1]
+        return self._run(
+            "permute", self._substitute, f, "permute", {}, mapping, False
+        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -1336,42 +1200,35 @@ class Bdd:
         Missing variables default to False.
         """
         node = f
-        while not self.is_terminal(node):
-            if assignment.get(self._level[node], False):
-                node = self._high[node]
+        while node >= 2:
+            index = node >> 1
+            if assignment.get(self._level[index], False):
+                child = self._high[index]
             else:
-                node = self._low[node]
+                child = self._low[index]
+            node = child ^ (node & 1)
         return node == TRUE
+
+    def _reachable(self, f: int) -> List[int]:
+        """Indices of the distinct internal nodes reachable from `f`."""
+        visited: set[int] = set()
+        stack = [f >> 1]
+        while stack:
+            index = stack.pop()
+            if not index or index in visited:
+                continue
+            visited.add(index)
+            stack.append(self._low[index] >> 1)
+            stack.append(self._high[index] >> 1)
+        return list(visited)
 
     def support(self, f: int) -> List[int]:
         """Sorted variable indices that `f` depends on."""
-        seen: set[int] = set()
-        visited: set[int] = set()
-        stack = [f]
-        while stack:
-            node = stack.pop()
-            if node in visited or self.is_terminal(node):
-                continue
-            visited.add(node)
-            seen.add(self._level[node])
-            stack.append(self._low[node])
-            stack.append(self._high[node])
-        return sorted(seen)
+        return sorted({self._level[index] for index in self._reachable(f)})
 
     def node_count(self, f: int) -> int:
         """Number of distinct internal nodes reachable from `f`."""
-        visited: set[int] = set()
-        stack = [f]
-        count = 0
-        while stack:
-            node = stack.pop()
-            if node in visited or self.is_terminal(node):
-                continue
-            visited.add(node)
-            count += 1
-            stack.append(self._low[node])
-            stack.append(self._high[node])
-        return count
+        return len(self._reachable(f))
 
     def sat_count(self, f: int, num_vars: Optional[int] = None) -> int:
         """Number of satisfying assignments over `num_vars` variables.
@@ -1382,44 +1239,43 @@ class Bdd:
         """
         if num_vars is None:
             num_vars = self._num_vars
-        if f == FALSE:
-            return 0
         levels = self._level
         lows = self._low
         highs = self._high
-        # memo[node] = count over variables strictly below node's level.
-        memo: Dict[int, int] = {FALSE: 0, TRUE: 1}
-        stack = [f]
+
+        def models(handle: int, above: int) -> int:
+            # Models of `handle` over the variables from level `above`
+            # down; a complemented handle counts the rest of its span.
+            index = handle >> 1
+            level = levels[index] if index else num_vars
+            count = memo[index]
+            if handle & 1:
+                count = (1 << (num_vars - level)) - count
+            return count << (level - above)
+
+        # memo[index] = models of the uncomplemented node over the
+        # variables from its own level down.
+        memo: Dict[int, int] = {0: 0}
+        stack = [f >> 1]
         meter = self._budget
         ticks = 0
         while stack:
             ticks += 1
             if meter is not None and not (ticks & 1023):
                 meter.tick(len(levels))
-            node = stack[-1]
-            if node in memo:
+            index = stack[-1]
+            if index in memo:
                 stack.pop()
                 continue
-            low, high = lows[node], highs[node]
-            low_count = memo.get(low)
-            high_count = memo.get(high)
-            if low_count is None or high_count is None:
-                if low_count is None:
-                    stack.append(low)
-                if high_count is None:
-                    stack.append(high)
+            low, high = lows[index], highs[index]
+            if low >> 1 not in memo or high >> 1 not in memo:
+                stack.append(low >> 1)
+                stack.append(high >> 1)
                 continue
-            level = levels[node]
-            low_gap = self._levels_below(low) - level - 1
-            high_gap = self._levels_below(high) - level - 1
-            memo[node] = (low_count << low_gap) + (high_count << high_gap)
+            below = levels[index] + 1
+            memo[index] = models(low, below) + models(high, below)
             stack.pop()
-        return memo[f] << self._levels_below(f)
-
-    def _levels_below(self, node: int) -> int:
-        if self.is_terminal(node):
-            return self._num_vars
-        return self._level[node]
+        return models(f, 0)
 
     def any_sat(self, f: int) -> Optional[Dict[int, bool]]:
         """One satisfying assignment (partial: only decided levels)."""
@@ -1427,13 +1283,16 @@ class Bdd:
             return None
         assignment: Dict[int, bool] = {}
         node = f
-        while not self.is_terminal(node):
-            if self._low[node] != FALSE:
-                assignment[self._level[node]] = False
-                node = self._low[node]
+        while node >= 2:
+            index = node >> 1
+            flip = node & 1
+            low = self._low[index] ^ flip
+            if low != FALSE:
+                assignment[self._level[index]] = False
+                node = low
             else:
-                assignment[self._level[node]] = True
-                node = self._high[node]
+                assignment[self._level[index]] = True
+                node = self._high[index] ^ flip
         return assignment
 
     def iter_sat(self, f: int) -> Iterator[Dict[int, bool]]:
@@ -1441,8 +1300,6 @@ class Bdd:
 
         Unmentioned variables are don't-cares on that path.
         """
-        if f == FALSE:
-            return
         stack: List[Tuple[int, Dict[int, bool]]] = [(f, {})]
         while stack:
             node, path = stack.pop()
@@ -1451,13 +1308,13 @@ class Bdd:
                 continue
             if node == FALSE:
                 continue
-            level = self._level[node]
+            level = self.level_of(node)
             high_path = dict(path)
             high_path[level] = True
-            stack.append((self._high[node], high_path))
+            stack.append((self.high(node), high_path))
             low_path = dict(path)
             low_path[level] = False
-            stack.append((self._low[node], low_path))
+            stack.append((self.low(node), low_path))
 
     def pick_assignment(
         self, f: int, variables: Sequence[int]
@@ -1503,35 +1360,37 @@ class Bdd:
         return build(0, {})
 
     def clear_cache(self) -> None:
-        """Drop the computed caches (unique table is kept)."""
-        self._cache.clear()
+        """Drop the computed caches (unique tables are kept)."""
+        self._and_cache.clear()
+        self._xor_cache.clear()
         self._ite_cache.clear()
-        for opcache in self._apply_caches:
-            opcache.clear()
         self._quantify_cache.clear()
-        self._and_exists_cache.clear()
-        self._neg_cache.clear()
+        self._subst_cache.clear()
 
     def to_dot(self, f: int, name: str = "bdd") -> str:
-        """GraphViz DOT rendering of the graph rooted at `f`."""
+        """GraphViz DOT rendering of the graph rooted at `f`.
+
+        Complemented edges (only the root and low edges can be) carry
+        a hollow-dot arrowhead; the single terminal is 0.
+        """
+        def edge(source: str, handle: int, style: str = "") -> str:
+            attrs = [style] if style else []
+            if handle & 1:
+                attrs.append("arrowhead=odot")
+            suffix = f" [{', '.join(attrs)}]" if attrs else ""
+            return f"  {source} -> node{handle >> 1}{suffix};"
+
         lines = [f"digraph {name} {{"]
+        lines.append("  root [shape=point];")
         lines.append('  node0 [label="0", shape=box];')
-        lines.append('  node1 [label="1", shape=box];')
-        visited: set[int] = set()
-        stack = [f]
-        while stack:
-            node = stack.pop()
-            if node in visited or self.is_terminal(node):
-                continue
-            visited.add(node)
+        lines.append(edge("root", f))
+        for index in sorted(self._reachable(f)):
             lines.append(
-                f'  node{node} [label="x{self._level[node]}", shape=circle];'
+                f'  node{index} [label="x{self._level[index]}", shape=circle];'
             )
             lines.append(
-                f"  node{node} -> node{self._low[node]} [style=dashed];"
+                edge(f"node{index}", self._low[index], "style=dashed")
             )
-            lines.append(f"  node{node} -> node{self._high[node]};")
-            stack.append(self._low[node])
-            stack.append(self._high[node])
+            lines.append(edge(f"node{index}", self._high[index]))
         lines.append("}")
         return "\n".join(lines)

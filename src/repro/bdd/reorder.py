@@ -43,6 +43,9 @@ def rebuild(
     # Rebuild bottom-up with Shannon expansion against the *new* order:
     # recursively cofactor the source function on the new top variable.
     cache: Dict[Tuple[int, int], int] = {}
+    # Supports of source nodes, for this copy only: nothing outlives
+    # the call that could be mistaken for another manager's.
+    supports: Dict[int, frozenset] = {}
 
     def copy(node: int, level: int) -> int:
         if node == TRUE or node == FALSE:
@@ -57,7 +60,9 @@ def rebuild(
         if cached is not None:
             return cached
         # Find the next new-order level that the node depends on.
-        support = _support_set(source, node)
+        support = supports.get(node)
+        if support is None:
+            support = supports[node] = frozenset(source.support(node))
         while level < len(order) and order[level] not in support:
             level += 1
         if level >= len(order):
@@ -71,18 +76,6 @@ def rebuild(
 
     new_root = copy(root, 0)
     return target, new_root
-
-
-_SUPPORT_CACHE: Dict[Tuple[int, int], frozenset] = {}
-
-
-def _support_set(manager: Bdd, node: int) -> frozenset:
-    key = (id(manager), node)
-    cached = _SUPPORT_CACHE.get(key)
-    if cached is None:
-        cached = frozenset(manager.support(node))
-        _SUPPORT_CACHE[key] = cached
-    return cached
 
 
 def sift(

@@ -621,8 +621,8 @@ class StateSetTransformer:
             shifted = manager.rename(
                 input_set.node, dict(zip(in_space.levels, self.in_levels))
             )
-            # Fused relational product: never materializes the full
-            # conjunction of the input set with the relation.
+            # Relational product: conjoin with the relation, quantify
+            # the private input variables away.
             image = manager.and_exists(shifted, self.relation, self.in_levels)
             # Private output variables -> canonical.  Output levels are not
             # ascending in allocation order (the ordering analysis scatters

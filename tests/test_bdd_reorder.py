@@ -57,6 +57,24 @@ class TestRebuild:
                 new_root, new_env
             )
 
+    def test_supports_are_not_shared_between_managers(self):
+        # Regression: supports were cached module-wide under
+        # (id(manager), node).  Ids are reused once a manager is freed,
+        # so a later rebuild read the support of another manager's
+        # node and raised "support exhausted" (or copied the wrong
+        # variables).  Alternate two functions over disjoint variables
+        # through many short-lived managers.
+        for round_ in range(200):
+            manager = Bdd()
+            variables = manager.new_vars(8)
+            half = variables[:4] if round_ % 2 else variables[4:]
+            root = manager.and_(
+                manager.xor(half[0], half[1]), manager.or_(half[2], half[3])
+            )
+            target, new_root = rebuild(manager, root, list(range(8)))
+            assert target.support(new_root) == manager.support(root)
+            assert target.sat_count(new_root) == manager.sat_count(root)
+
     def test_rejects_non_permutation(self):
         manager, root, _ = sequential_equality(2)
         with pytest.raises(ZenSolverError):

@@ -36,11 +36,12 @@ from repro.core.modelcheck import reachable_states
 from repro.errors import ZenSolverError, ZenTypeError
 from repro.lang import listops
 from repro.lang import types as ty
-from repro.network.acl import Acl, AclRule
+from repro.network.acl import Acl, AclRule, acl_match_line
 from repro.network.ip import Prefix
 from repro.network.nat import NatRule, NatTable, apply_nat
 from repro.network.packet import Header
 from repro.sat.solver import Solver
+from repro.workloads import random_acl
 
 
 def multiply_commutes() -> ZenFunction:
@@ -191,6 +192,58 @@ class TestBddBudget:
             for i in range(64):
                 manager.new_var()
         assert info.value.reason == "bdd_nodes"
+        # Exactly at the crossing allocation: the 41st store entry (the
+        # terminal and 40 variable nodes) is the first over a cap of 40.
+        assert manager.num_nodes == 41
+        assert info.value.stats["bdd_nodes"] == 41
+
+    @pytest.mark.parametrize("op", ["and_", "or_", "xor", "iff"])
+    def test_small_kernels_trip_the_cap_at_the_crossing(self, op):
+        # The and/xor kernels allocate inline, not through _mk: their
+        # allocation branch carries the same checkpoint.
+        manager = Bdd()
+        acc, *rest = manager.new_vars(200)
+        cap = manager.num_nodes + 30
+        manager.set_budget(Budget(max_bdd_nodes=cap).start())
+        with pytest.raises(ZenBudgetExceeded) as info:
+            for var in rest:  # every allocation is a kernel's own
+                acc = getattr(manager, op)(manager.not_(acc), var)
+        assert info.value.reason == "bdd_nodes"
+        assert manager.num_nodes == cap + 1
+        assert info.value.stats["bdd_nodes"] == cap + 1
+
+    def test_bitblasted_find_trips_the_cap(self):
+        # An ACL find is a stream of tiny and/or/xor/not calls: no
+        # kernel reaches its own 1024-expansion tick, so only the
+        # allocation checkpoint stands between it and the heap.
+        acl = random_acl(150, seed=2020)
+        last = len(acl.rules)
+        f = ZenFunction(lambda h: acl_match_line(acl, h) == last, [Header])
+        engine = BddBackend()
+        with pytest.raises(ZenBudgetExceeded) as info:
+            f.find(
+                lambda h, out: out,
+                backend=engine,
+                budget=Budget(max_bdd_nodes=2000),
+            )
+        assert info.value.reason == "bdd_nodes"
+        assert info.value.stats["bdd_nodes"] == 2001
+        assert engine.manager.num_nodes == 2001
+
+    def test_bitblasted_find_honours_the_deadline(self):
+        acl = random_acl(800, seed=2020)
+        last = len(acl.rules)
+        f = ZenFunction(lambda h: acl_match_line(acl, h) == last, [Header])
+        deadline = 0.1
+        started = time.monotonic()
+        with pytest.raises(ZenBudgetExceeded) as info:
+            f.find(
+                lambda h, out: out,
+                backend="bdd",
+                budget=Budget(deadline_s=deadline),
+            )
+        assert info.value.reason == "deadline"
+        assert time.monotonic() - started < 2 * deadline
 
     def test_set_budget_fails_fast_when_already_over(self):
         manager = Bdd()
@@ -404,7 +457,10 @@ class TestBatfishBudget:
     def test_baseline_node_cap_trips(self):
         with pytest.raises(ZenBudgetExceeded) as info:
             find_packet_matching_last_line(
-                self._acl(), budget=Budget(max_bdd_nodes=120)
+                # 104 header variables, then 7 nodes for the prefix
+                # cube and its complement-edge combinations: 112 with
+                # the terminal.
+                self._acl(), budget=Budget(max_bdd_nodes=110)
             )
         assert info.value.reason == "bdd_nodes"
 
