@@ -229,7 +229,9 @@ class SymbolicEvaluator:
         if isinstance(node, ex.OptionValue):
             opt = memo[node.opt]
             assert isinstance(opt, sv.SymOption)
-            # Guard with the flag so None decodes as the default value.
+            # Load-bearing: the payload under a false flag is unspecified
+            # (values.merge leaves it unmerged), so this guard alone makes
+            # the value of None read as the default.
             return sv.merge(
                 backend,
                 opt.has,

@@ -7,15 +7,22 @@ presence guard, guards monotone by construction (cell i present implies
 cell i-1 present).  Options are a flag plus a payload, exactly the
 class-with-flag-and-value representation §5 describes.
 
+The payload of an absent Option and the element of an absent list cell
+are *unspecified*: ``fresh`` inputs carry arbitrary bits there, so every
+reader masks them with the flag or guard (``OptionValue`` and
+``ListCase`` in the evaluator, :func:`equal` and :func:`decode` here),
+and nothing may be built on their value.
+
 This module also implements the type-driven *merge* operation
 (Rosette-style, §6): ``ite`` over two structured values pushes the
-condition down to the bit leaves, padding list representations to a
-common shape.
+condition down to the bit leaves — except into payloads one side does
+not have, which no reader can observe.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import zip_longest
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..errors import ZenEvaluationError, ZenTypeError
 from ..lang import types as ty
@@ -286,17 +293,14 @@ def merge(
     if isinstance(then, SymOption):
         return SymOption(
             then.type,  # type: ignore[arg-type]
-            backend.ite(cond, then.has, orelse.has),
-            merge(backend, cond, then.val, orelse.val),
+            *_merge_guarded(
+                backend, cond, (then.has, then.val), (orelse.has, orelse.val)
+            ),
         )
     if isinstance(then, SymList):
-        a_cells, b_cells = _pad_cells(backend, then, orelse)
         cells = [
-            (
-                backend.ite(cond, ga, gb),
-                merge(backend, cond, va, vb),
-            )
-            for (ga, va), (gb, vb) in zip(a_cells, b_cells)
+            _merge_guarded(backend, cond, a, b)
+            for a, b in _zip_cells(backend, then, orelse)
         ]
         return SymList(then.type, cells)  # type: ignore[arg-type]
     if isinstance(then, SymMap):
@@ -305,15 +309,25 @@ def merge(
     raise ZenEvaluationError(f"cannot merge values of type {then.type}")
 
 
-def _pad_cells(backend: BoolBackend, a: SymList, b: SymList):
-    """Extend both cell vectors to a common length with absent cells."""
-    element = a.type.element  # type: ignore[attr-defined]
-    size = max(len(a.cells), len(b.cells))
-    pad = lambda cells: list(cells) + [
-        (backend.false(), default(backend, element))
-        for _ in range(size - len(cells))
-    ]
-    return pad(a.cells), pad(b.cells)
+def _merge_guarded(backend: BoolBackend, cond: Bit, a, b):
+    """Merge two (guard, payload) pairs: an Option or one list cell.
+
+    A payload under a constant-false guard is unspecified, so the live
+    side's payload is taken as it is instead of being ``ite``-d
+    against bits no reader can observe.
+    """
+    (ga, va), (gb, vb) = a, b
+    guard = backend.ite(cond, ga, gb)
+    if backend.is_false(gb):
+        return guard, va
+    if backend.is_false(ga):
+        return guard, vb
+    return guard, merge(backend, cond, va, vb)
+
+
+def _zip_cells(backend: BoolBackend, a: SymList, b: SymList):
+    """Pair the cells of two lists; the shorter one ends in absent cells."""
+    return zip_longest(a.cells, b.cells, fillvalue=(backend.false(), None))
 
 
 # ----------------------------------------------------------------------
@@ -330,34 +344,21 @@ def equal(backend: BoolBackend, a: SymValue, b: SymValue) -> Bit:
     if isinstance(a, SymInt):
         return bv.equal(backend, a.bits, b.bits)
     if isinstance(a, SymTuple):
-        bits = [
-            equal(backend, x, y) for x, y in zip(a.items, b.items)
-        ]
-        return _and_many(backend, bits)
-    if isinstance(a, SymObject):
-        bits = [
-            equal(backend, a.fields[name], b.fields[name])
-            for name in a.fields
-        ]
-        return _and_many(backend, bits)
-    if isinstance(a, SymOption):
-        same_flag = backend.iff(a.has, b.has)
-        payload = backend.or_(
-            backend.not_(a.has), equal(backend, a.val, b.val)
+        return _and_many(
+            backend, [equal(backend, x, y) for x, y in zip(a.items, b.items)]
         )
-        return backend.and_(same_flag, payload)
+    if isinstance(a, SymObject):
+        return _and_many(
+            backend,
+            [equal(backend, a.fields[name], b.fields[name]) for name in a.fields],
+        )
+    if isinstance(a, SymOption):
+        return _equal_guarded(backend, (a.has, a.val), (b.has, b.val))
     if isinstance(a, SymList):
-        a_cells, b_cells = _pad_cells(backend, a, b)
-        result = backend.true()
-        for (ga, va), (gb, vb) in zip(a_cells, b_cells):
-            same_guard = backend.iff(ga, gb)
-            same_val = backend.or_(
-                backend.not_(ga), equal(backend, va, vb)
-            )
-            result = backend.and_(
-                result, backend.and_(same_guard, same_val)
-            )
-        return result
+        return _and_many(
+            backend,
+            [_equal_guarded(backend, x, y) for x, y in _zip_cells(backend, a, b)],
+        )
     if isinstance(a, SymMap):
         # Maps compare by representation (entry lists), which matches
         # how the adapted encoding behaves in the paper's implementation.
@@ -365,10 +366,28 @@ def equal(backend: BoolBackend, a: SymValue, b: SymValue) -> Bit:
     raise ZenEvaluationError(f"cannot compare values of type {a.type}")
 
 
+def _equal_guarded(backend: BoolBackend, a, b) -> Bit:
+    """Equality of two (guard, payload) pairs: same guard, and the same
+    payload where it is present (an absent payload is unspecified)."""
+    (ga, va), (gb, vb) = a, b
+    same_guard = backend.iff(ga, gb)
+    if backend.is_false(ga) or backend.is_false(gb):
+        return same_guard
+    payload = backend.or_(backend.not_(ga), equal(backend, va, vb))
+    return backend.and_(same_guard, payload)
+
+
 def _and_many(backend: BoolBackend, bits: Sequence[Bit]) -> Bit:
+    """Conjoin per-part results, deepest variables first.
+
+    ``fresh`` allocates later parts at deeper levels, so folding in
+    reverse declaration order lets each ``and_`` touch only the part it
+    adds instead of re-walking the relation built so far (the same
+    rule ``bitvector.equal`` follows for the bits of one integer).
+    """
     result = backend.true()
-    for bit in bits:
-        result = backend.and_(result, bit)
+    for bit in reversed(bits):
+        result = backend.and_(bit, result)
     return result
 
 
@@ -416,45 +435,6 @@ def input_bits(value: SymValue) -> List[Bit]:
     out: List[Bit] = []
     _collect_bits(value, out)
     return out
-
-
-def walk_allocation_bits(value: SymValue) -> List[Bit]:
-    """Bits of a value in :func:`fresh`'s allocation-call order.
-
-    For any two values of the same type (and list shape), position k
-    of this walk corresponds to the same structural slot — in
-    particular, to the k-th ``fresh`` call made when building an input
-    of that type.  Used by the transformer ordering analysis to pair
-    output bits with the input variables they depend on.
-    """
-    out: List[Bit] = []
-    _walk_alloc(value, out)
-    return out
-
-
-def _walk_alloc(value: SymValue, out: List[Bit]) -> None:
-    if isinstance(value, SymBool):
-        out.append(value.bit)
-    elif isinstance(value, SymInt):
-        # fresh allocates integers most-significant bit first.
-        out.extend(reversed(value.bits))
-    elif isinstance(value, SymTuple):
-        for item in value.items:
-            _walk_alloc(item, out)
-    elif isinstance(value, SymObject):
-        for name in value.fields:  # declaration order, like fresh
-            _walk_alloc(value.fields[name], out)
-    elif isinstance(value, SymOption):
-        out.append(value.has)
-        _walk_alloc(value.val, out)
-    elif isinstance(value, SymList):
-        for guard, element in value.cells:
-            out.append(guard)
-            _walk_alloc(element, out)
-    elif isinstance(value, SymMap):
-        _walk_alloc(value.backing, out)
-    else:
-        raise ZenEvaluationError(f"unknown symbolic value {value!r}")
 
 
 def _collect_bits(value: SymValue, out: List[Bit]) -> None:

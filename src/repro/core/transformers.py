@@ -95,22 +95,6 @@ class _SequenceBackend:
         return getattr(self._inner, attr)
 
 
-class _RecordingBackend:
-    """Wraps a backend and records fresh literals in allocation order."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.order: List = []
-
-    def fresh(self, name: str):
-        lit = self._inner.fresh(name)
-        self.order.append(lit)
-        return lit
-
-    def __getattr__(self, attr):
-        return getattr(self._inner, attr)
-
-
 def _aligned_probe_bits(
     zen_type: ty.ZenType, value: Optional[sv.SymValue], max_list_length: int
 ) -> List:
@@ -157,6 +141,16 @@ def _aligned_probe_bits(
 
     walk(zen_type, value)
     return bits
+
+
+def _set_bits(mask: int) -> List[int]:
+    """Positions of the set bits of a mask, ascending."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
 
 
 def _positional_offset(
@@ -207,31 +201,27 @@ def plan_transformer_order(
     input_type = function.arg_types[0]
     output_type = function.return_type
     probe_engine = SatBackend()
-    recorder = _RecordingBackend(probe_engine)
-    in_probe = sv.fresh(
-        recorder, input_type, "probe", max_list_length
-    )
+    aig = probe_engine.aig
+    in_probe = sv.fresh(probe_engine, input_type, "probe", max_list_length)
+    # The AIG's first inputs are exactly these fresh() calls, in
+    # allocation order, so bit k of a support mask is input slot k.
+    w_in = aig.num_inputs
     evaluator = SymbolicEvaluator(
         probe_engine, max_list_length=max_list_length
     )
     evaluator.bind("arg0", in_probe)
     out_probe = evaluator.evaluate(function.body.expr)
-    position = {lit: k for k, lit in enumerate(recorder.order)}
     out_bits = _aligned_probe_bits(output_type, out_probe, max_list_length)
 
-    w_in = len(recorder.order)
-    supports: List[List[int]] = []
+    in_mask = (1 << w_in) - 1
+    supports = [
+        _set_bits(mask & in_mask)
+        for mask in aig.supports(
+            [probe_engine.true() if bit is None else bit for bit in out_bits]
+        )
+    ]
     frequency = [0] * w_in
-    for bit in out_bits:
-        if bit is None or probe_engine.is_true(bit) or probe_engine.is_false(bit):
-            supports.append([])
-            continue
-        support = [
-            position[lit]
-            for lit in probe_engine.aig.support([bit])
-            if lit in position
-        ]
-        supports.append(support)
+    for support in supports:
         for index in support:
             frequency[index] += 1
 

@@ -232,9 +232,6 @@ class Tracer:
         """Current time on the trace's wall clock (epoch seconds)."""
         return self._wall_anchor + (perf_counter() - self._mono_anchor)
 
-    def _now_wall(self) -> float:
-        return self.now_wall()
-
     def wall_from_monotonic(self, mono: float) -> float:
         """Map a ``time.monotonic``/``perf_counter`` reading to epoch.
 
@@ -262,14 +259,18 @@ class Tracer:
 
         The caller must pass the returned span to :meth:`finish`.
         """
+        # One clock reading gives both the start and the origin of the
+        # duration; a second one would make start + duration overshoot
+        # the true end by whatever ran in between.
+        now = perf_counter()
         live = Span(
             name,
-            self._now_wall(),
+            self.wall_from_monotonic(now),
             os.getpid(),
             threading.get_ident(),
             attrs,
         )
-        live._t0 = perf_counter()
+        live._t0 = now
         self._stack().append(live)
         return live
 

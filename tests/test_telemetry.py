@@ -385,10 +385,21 @@ class TestExport:
         root = by_name["query.find"]
         child = by_name["compile.flatten"]
         # Complete events with µs timestamps, children inside parents.
+        # Epoch-µs floats have a ~0.25 µs ulp, so the exported events
+        # nest only up to rounding ...
         assert all(e["ph"] == "X" for e in events)
         assert root["ts"] <= child["ts"]
         assert child["ts"] + child["dur"] <= root["ts"] + root["dur"] + 1.0
         assert root["args"] == {"backend": "sat"}
+        # ... while the spans themselves nest exactly, on times relative
+        # to the root (before the epoch anchor is added): a span's start
+        # and duration come from one clock reading.
+        (top,) = roots
+        for inner in top.children:
+            offset = inner._t0 - top._t0
+            assert 0.0 <= offset
+            assert offset + inner.duration_s <= top.duration_s
+            assert inner.start == TRACER.wall_from_monotonic(inner._t0)
 
     def test_chrome_trace_labels_processes(self):
         parent_tree = {
