@@ -80,8 +80,8 @@ class Aig:
             return FALSE_LIT
         if a == TRUE_LIT:
             return b
-        if b == TRUE_LIT or a == b:
-            return a if b == TRUE_LIT else a
+        if a == b:
+            return a
         key = (a, b)
         existing = self._strash.get(key)
         if existing is not None:
@@ -165,24 +165,63 @@ class Aig:
 
         The constant node is excluded; inputs and gates are included.
         """
-        order: List[int] = []
-        visited = {0}
-        stack = [lit >> 1 for lit in roots]
-        # Iterative DFS with explicit post-order.
-        post: List[int] = []
-        while stack:
-            node = stack.pop()
-            if node in visited:
+        refs = self.cone_references(roots)
+        return [node for node in range(1, len(refs)) if refs[node]]
+
+    def cone_references(self, roots: Iterable[int]) -> List[int]:
+        """How often each node is referenced from inside the cone of `roots`.
+
+        Indexed by node up to the largest root; a root counts as one
+        reference, so exactly the cone's nodes are non-zero (the
+        constant is excluded).  Fanins always have smaller indices than
+        the gates above them, so one descending sweep sees every
+        reference to a node before the node itself, and ascending index
+        order is a topological order of the cone.
+        """
+        fanin = self._fanin
+        nodes = [lit >> 1 for lit in roots]
+        refs = [0] * (max(nodes, default=0) + 1)
+        for node in nodes:
+            refs[node] += 1
+        for node in range(len(refs) - 1, 0, -1):
+            if refs[node]:
+                pair = fanin[node]
+                if pair is not None:
+                    refs[pair[0] >> 1] += 1
+                    refs[pair[1] >> 1] += 1
+        refs[0] = 0
+        return refs
+
+    def absorb_muxes(self, refs: List[int]) -> Dict[int, Tuple[int, int, int]]:
+        """Find the :meth:`ite` / :meth:`xor` triples of a cone.
+
+        `refs` is :meth:`cone_references` of the cone.  A gate ``NOT g1
+        AND NOT g2`` with ``g1 = c AND t`` and ``g2 = NOT c AND e`` is
+        ``ite(c, NOT t, NOT e)``; when it is the only reference to g1
+        and g2 (a root holds one more), they are absorbed: their
+        entries in `refs` are zeroed and the result maps the gate's
+        node to the literals ``(c, NOT t, NOT e)``.  Descending, so
+        that a gate absorbed from above is no candidate itself.
+        """
+        fanin = self._fanin
+        muxes: Dict[int, Tuple[int, int, int]] = {}
+        for node in range(len(refs) - 1, 0, -1):
+            pair = fanin[node]
+            if not refs[node] or pair is None:
                 continue
-            visited.add(node)
-            post.append(node)
-            pair = self._fanin[node]
-            if pair is not None:
-                stack.extend((pair[0] >> 1, pair[1] >> 1))
-        # Sort by node index: fanins always have smaller indices than the
-        # gates above them, so index order is a valid topological order.
-        order = sorted(post)
-        return order
+            a, b = pair
+            if not a & b & 1 or refs[a >> 1] != 1 or refs[b >> 1] != 1:
+                continue
+            left, right = fanin[a >> 1], fanin[b >> 1]
+            if left is None or right is None:
+                continue
+            for c, t in (left, left[::-1]):
+                if c ^ 1 in right:
+                    e = right[0] if right[1] == c ^ 1 else right[1]
+                    muxes[node] = (c, t ^ 1, e ^ 1)
+                    refs[a >> 1] = refs[b >> 1] = 0
+                    break
+        return muxes
 
     def support(self, roots: Iterable[int]) -> List[int]:
         """Primary-input literals that `roots` transitively depend on."""

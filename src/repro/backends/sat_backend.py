@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..aig import FALSE_LIT, TRUE_LIT, Aig, CnfMapping, encode
-from ..telemetry.spans import TRACER, span
+from ..telemetry.spans import span
 from .interface import Bit
 
 
@@ -56,9 +56,11 @@ class SatBackend:
     def set_budget(self, budget) -> None:
         """Install (or clear) a budget meter for subsequent solves.
 
-        The meter is handed to the CDCL solver of every solve on this
-        backend; circuit (AIG) construction itself is uninstrumented —
-        it is linear in the model, the search is what can diverge.
+        The meter is handed to the encoder and the CDCL solver of every
+        solve on this backend: its deadline is looked at once evaluation
+        has produced the constraint, while the gates are loaded, and
+        throughout the search.  Circuit (AIG) construction itself is
+        uninstrumented — it is linear in the model.
         """
         if budget is not None and not hasattr(budget, "on_conflict"):
             budget = budget.start()
@@ -136,17 +138,21 @@ class SatBackend:
     def is_false(self, a: Bit) -> bool:
         return a == FALSE_LIT
 
+    def _bitblast(self, constraint: Bit) -> CnfMapping:
+        """Encode the constraint into a fresh solver, under the budget."""
+        if self._budget is not None:
+            self._budget.check_deadline()
+        with span("sat.bitblast") as sp:
+            mapping, _ = encode(self._aig, [constraint], budget=self._budget)
+            sp.set("clauses", mapping.solver.num_clauses)
+            sp.set("vars", mapping.solver.num_vars)
+        return mapping
+
     def solve(self, constraint: Bit) -> Optional[SatModel]:
         """Bitblast the constraint and search for a model."""
         if constraint == FALSE_LIT:
             return None
-        if TRACER.enabled:
-            with span("sat.bitblast") as sp:
-                mapping, _ = encode(self._aig, [constraint])
-                sp.set("clauses", mapping.solver.num_clauses)
-                sp.set("vars", mapping.solver.num_vars)
-        else:
-            mapping, _ = encode(self._aig, [constraint])
+        mapping = self._bitblast(constraint)
         try:
             satisfiable = mapping.solver.solve(budget=self._budget)
         finally:
@@ -173,8 +179,7 @@ class SatBackend:
         if constraint == FALSE_LIT:
             self.last_enumeration_truncated = False
             return
-        with span("sat.bitblast"):
-            mapping, _ = encode(self._aig, [constraint])
+        mapping = self._bitblast(constraint)
         solver = mapping.solver
         produced = 0
         try:

@@ -14,11 +14,12 @@ language layer and usable on its own::
 """
 
 from .dimacs import dimacs_string, load_into_solver, parse_dimacs, write_dimacs
-from .solver import Solver, luby
+from .solver import Solver, gate_clauses, luby
 
 __all__ = [
     "Solver",
     "luby",
+    "gate_clauses",
     "parse_dimacs",
     "write_dimacs",
     "dimacs_string",

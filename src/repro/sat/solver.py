@@ -14,7 +14,9 @@ the SAT engine.  The design follows MiniSat:
 Literals use the DIMACS convention externally (positive/negative
 integers, variables numbered from 1).  Internally a literal ``l`` for
 variable ``v`` is encoded as ``2*v`` (positive) or ``2*v + 1``
-(negative) so watch lists can be indexed by literal.
+(negative), so negation is ``l ^ 1`` and both the watch lists and the
+assignment are indexed by literal: ``_assigns[l]`` is 1 (true), 0
+(false) or -1 (unassigned), written for ``l`` and ``l ^ 1`` together.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ from ..telemetry.spans import TRACER
 _UNASSIGNED = -1
 _FALSE = 0
 _TRUE = 1
+
+# Gates loaded between two looks at the deadline in :meth:`Solver.add_gates`.
+_GATE_CHUNK = 2048
 
 
 def luby(i: int) -> int:
@@ -48,18 +53,35 @@ def luby(i: int) -> int:
         i = i - (1 << (k - 1)) + 1
 
 
-class _Clause:
-    """A clause: internal literals plus learning metadata."""
+def gate_clauses(gate: Sequence[int]) -> List[List[int]]:
+    """The DIMACS clauses of one gate, in the order they are attached.
 
-    __slots__ = ("lits", "learned", "activity")
+    ``(out, a, b)`` is ``out <-> a AND b``; ``(out, c, t, e)`` is
+    ``out <-> (t if c else e)``.  This is the one place the shape of a
+    gate's clauses is spelled in DIMACS; :meth:`Solver.add_gates` writes
+    the same clauses in internal literals.
+    """
+    if len(gate) == 3:
+        out, a, b = gate
+        return [[-out, a], [-out, b], [out, -a, -b]]
+    out, c, t, e = gate
+    return [[-c, -t, out], [-c, t, -out], [c, -e, out], [c, e, -out]]
 
-    def __init__(self, lits: List[int], learned: bool):
-        self.lits = lits
-        self.learned = learned
+
+# A clause is the list of its internal literals, the two watched ones
+# first.  Problem clauses are plain lists; a learned clause also carries
+# the activity the database reduction sorts by.
+_Clause = List[int]
+
+
+class _Learned(list):
+    """A learned clause."""
+
+    __slots__ = ("activity",)
+
+    def __init__(self, lits: List[int]):
+        super().__init__(lits)
         self.activity = 0.0
-
-    def __len__(self) -> int:
-        return len(self.lits)
 
 
 class Solver:
@@ -78,11 +100,12 @@ class Solver:
     def __init__(self) -> None:
         self._num_vars = 0
         self._clauses: List[_Clause] = []
-        self._learned: List[_Clause] = []
-        # Indexed by internal literal (two slots per variable).
-        self._watches: List[List[_Clause]] = []
+        self._learned: List[_Learned] = []
+        # Indexed by internal literal (two slots per variable; the two
+        # slots of variable 0 are unused padding).
+        self._watches: List[List[_Clause]] = [[], []]
+        self._assigns: List[int] = [_UNASSIGNED, _UNASSIGNED]
         # Per-variable state; index 0 is unused padding.
-        self._value: List[int] = [_UNASSIGNED]
         self._level: List[int] = [0]
         self._reason: List[Optional[_Clause]] = [None]
         self._activity: List[float] = [0.0]
@@ -161,17 +184,26 @@ class Solver:
 
     def new_var(self) -> int:
         """Allocate a fresh variable and return its (positive) index."""
-        self._num_vars += 1
-        self._value.append(_UNASSIGNED)
-        self._level.append(0)
-        self._reason.append(None)
-        self._activity.append(0.0)
-        self._phase.append(False)
-        self._seen.append(False)
-        self._watches.append([])
-        self._watches.append([])
-        heapq.heappush(self._order, (0.0, self._num_vars))
-        return self._num_vars
+        return self.new_vars(1)
+
+    def new_vars(self, count: int) -> int:
+        """Allocate `count` fresh variables; returns the first's index."""
+        if count < 0:
+            raise ZenSolverError(f"new_vars needs a count, got {count}")
+        first = self._num_vars + 1
+        self._num_vars += count
+        self._assigns.extend([_UNASSIGNED] * (2 * count))
+        self._watches.extend([] for _ in range(2 * count))
+        self._level.extend([0] * count)
+        self._reason.extend([None] * count)
+        self._activity.extend([0.0] * count)
+        self._phase.extend([False] * count)
+        self._seen.extend([False] * count)
+        # No entry of the order heap is larger than (0.0, a new
+        # variable): activities are never negative.  Appending in
+        # increasing order therefore keeps the heap a heap.
+        self._order.extend((0.0, v) for v in range(first, first + count))
+        return first
 
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause of DIMACS literals.
@@ -190,7 +222,7 @@ class Solver:
             if v == 0 or v > self._num_vars:
                 raise ZenSolverError(f"unknown variable in literal {lit}")
             ilit = self._internal(lit)
-            val = self._lit_value(ilit)
+            val = self._assigns[ilit]
             if val == _TRUE:
                 return True  # satisfied at level 0
             if val == _FALSE:
@@ -212,10 +244,99 @@ class Solver:
                 self._ok = False
                 return False
             return True
-        clause = _Clause(simplified, learned=False)
-        self._clauses.append(clause)
-        self._attach(clause)
+        self._clauses.append(simplified)
+        self._attach(simplified)
         return True
+
+    def add_gates(self, gates: Sequence[Sequence[int]], meter=None) -> bool:
+        """Add the clauses of many gates at once; see :func:`gate_clauses`.
+
+        Same result as one :meth:`add_clause` per clause of each gate,
+        for gates whose variables are pairwise distinct (``c``, ``t``
+        and ``e`` of a mux only need to differ from ``c`` and ``out``);
+        any other gate is rejected.  While nothing is assigned at level
+        0 such clauses need none of ``add_clause``'s simplification and
+        are attached directly; otherwise every clause goes through it.
+
+        `meter` is an optional running budget meter whose deadline is
+        looked at once per few thousand gates.
+        """
+        if self._trail_lim:
+            raise ZenSolverError("add_gates called during solving")
+        for start in range(0, len(gates), _GATE_CHUNK):
+            if meter is not None:
+                meter.check_deadline()
+            chunk = gates[start : start + _GATE_CHUNK]
+            if self._ok and not self._trail:
+                self._attach_gates(chunk)
+            else:
+                for gate in chunk:
+                    for clause in gate_clauses(gate):
+                        self.add_clause(clause)
+        return self._ok
+
+    def _attach_gates(self, gates: Sequence[Sequence[int]]) -> None:
+        """:meth:`add_gates` with nothing assigned: write and watch."""
+        n = self._num_vars
+        watches = self._watches
+        clauses = self._clauses
+        for gate in gates:
+            if len(gate) == 3:
+                out, a, b = gate
+                va = a if a > 0 else -a
+                vb = b if b > 0 else -b
+                if not (
+                    0 < out <= n and 0 < va <= n and 0 < vb <= n
+                    and va != vb and va != out and vb != out
+                ):
+                    raise ZenSolverError(f"malformed AND gate {gate}")
+                pos = 2 * out
+                neg = pos + 1
+                ia = 2 * a if a > 0 else 1 - 2 * a
+                ib = 2 * b if b > 0 else 1 - 2 * b
+                first = [neg, ia]
+                second = [neg, ib]
+                third = [pos, ia ^ 1, ib ^ 1]
+                watchers = watches[neg]
+                watchers.append(first)
+                watchers.append(second)
+                watches[ia].append(first)
+                watches[ib].append(second)
+                watches[pos].append(third)
+                watches[ia ^ 1].append(third)
+                clauses += (first, second, third)
+            else:
+                out, c, t, e = gate
+                vc = c if c > 0 else -c
+                vt = t if t > 0 else -t
+                ve = e if e > 0 else -e
+                if not (
+                    0 < out <= n and 0 < vc <= n and 0 < vt <= n and 0 < ve <= n
+                    and vc != vt and vc != ve
+                    and vc != out and vt != out and ve != out
+                ):
+                    raise ZenSolverError(f"malformed mux gate {gate}")
+                pos = 2 * out
+                neg = pos + 1
+                ic = 2 * c if c > 0 else 1 - 2 * c
+                nc = ic ^ 1
+                it = 2 * t if t > 0 else 1 - 2 * t
+                ie = 2 * e if e > 0 else 1 - 2 * e
+                first = [nc, it ^ 1, pos]
+                second = [nc, it, neg]
+                third = [ic, ie ^ 1, pos]
+                fourth = [ic, ie, neg]
+                watchers = watches[nc]
+                watchers.append(first)
+                watchers.append(second)
+                watches[it ^ 1].append(first)
+                watches[it].append(second)
+                watchers = watches[ic]
+                watchers.append(third)
+                watchers.append(fourth)
+                watches[ie ^ 1].append(third)
+                watches[ie].append(fourth)
+                clauses += (first, second, third, fourth)
 
     def solve(self, assumptions: Sequence[int] = (), budget=None) -> bool:
         """Search for a model, optionally under assumption literals.
@@ -359,87 +480,91 @@ class Solver:
         v = ilit >> 1
         return -v if ilit & 1 else v
 
-    def _lit_value(self, ilit: int) -> int:
-        val = self._value[ilit >> 1]
-        if val == _UNASSIGNED:
-            return _UNASSIGNED
-        return val ^ (ilit & 1)
-
     # ------------------------------------------------------------------
     # Watched literals and propagation
     # ------------------------------------------------------------------
 
-    def _watch_list(self, ilit: int) -> List[_Clause]:
-        v = ilit >> 1
-        return self._watches[2 * (v - 1) + (ilit & 1)]
-
     def _attach(self, clause: _Clause) -> None:
-        self._watch_list(clause.lits[0]).append(clause)
-        self._watch_list(clause.lits[1]).append(clause)
+        self._watches[clause[0]].append(clause)
+        self._watches[clause[1]].append(clause)
 
     def _detach(self, clause: _Clause) -> None:
-        for ilit in clause.lits[:2]:
-            watchers = self._watch_list(ilit)
-            try:
-                watchers.remove(clause)
-            except ValueError:
-                pass
+        # By identity: two clauses with equal literals are two clauses.
+        for ilit in clause[:2]:
+            watchers = self._watches[ilit]
+            for i, watched in enumerate(watchers):
+                if watched is clause:
+                    del watchers[i]
+                    break
 
     def _enqueue(self, ilit: int, reason: Optional[_Clause]) -> bool:
-        val = self._lit_value(ilit)
+        val = self._assigns[ilit]
         if val != _UNASSIGNED:
             return val == _TRUE
+        self._assigns[ilit] = _TRUE
+        self._assigns[ilit ^ 1] = _FALSE
         v = ilit >> 1
-        self._value[v] = _TRUE if (ilit & 1) == 0 else _FALSE
         self._level[v] = len(self._trail_lim)
         self._reason[v] = reason
         self._trail.append(ilit)
         return True
 
     def _propagate(self) -> Optional[_Clause]:
-        """Unit propagation; returns a conflicting clause or None."""
-        while self._qhead < len(self._trail):
-            ilit = self._trail[self._qhead]
-            self._qhead += 1
-            self._propagations += 1
-            false_lit = ilit ^ 1
-            watchers = self._watch_list(false_lit)
-            i = 0
-            j = 0
-            n = len(watchers)
-            while i < n:
-                clause = watchers[i]
-                i += 1
-                lits = clause.lits
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
-                first = lits[0]
-                if self._lit_value(first) == _TRUE:
-                    watchers[j] = clause
-                    j += 1
+        """Unit propagation; returns a conflicting clause or None.
+
+        The loop every query spends its solve in, so the assignment and
+        the watch lists are read through locals and an implied literal
+        is enqueued in place (1 / 0 / -1 are _TRUE / _FALSE /
+        _UNASSIGNED).  The budget meter is not consulted here: the
+        search loop charges it per conflict and per decision.
+        """
+        trail = self._trail
+        assigns = self._assigns
+        watches = self._watches
+        level = self._level
+        reason = self._reason
+        depth = len(self._trail_lim)
+        start = qhead = self._qhead
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            watchers = watches[false_lit]
+            if not watchers:
+                continue
+            # Clauses that keep watching false_lit, in their old order.
+            watches[false_lit] = kept = []
+            pending = iter(watchers)
+            for clause in pending:
+                first = clause[0]
+                if first == false_lit:
+                    first = clause[0] = clause[1]
+                    clause[1] = false_lit
+                if assigns[first] == 1:
+                    kept.append(clause)
                     continue
-                found = False
-                for k in range(2, len(lits)):
-                    if self._lit_value(lits[k]) != _FALSE:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self._watch_list(lits[1]).append(clause)
-                        found = True
+                for k in range(2, len(clause)):
+                    other = clause[k]
+                    if assigns[other] != 0:
+                        clause[1] = other
+                        clause[k] = false_lit
+                        watches[other].append(clause)
                         break
-                if found:
-                    continue
-                watchers[j] = clause
-                j += 1
-                if self._lit_value(first) == _FALSE:
-                    # Conflict: keep the remaining watchers and report.
-                    while i < n:
-                        watchers[j] = watchers[i]
-                        j += 1
-                        i += 1
-                    del watchers[j:]
-                    self._qhead = len(self._trail)
-                    return clause
-                self._enqueue(first, clause)
-            del watchers[j:]
+                else:
+                    kept.append(clause)
+                    if assigns[first] == 0:
+                        # Conflict: keep the remaining watchers and report.
+                        kept.extend(pending)
+                        self._propagations += qhead - start
+                        self._qhead = len(trail)
+                        return clause
+                    assigns[first] = 1
+                    assigns[first ^ 1] = 0
+                    v = first >> 1
+                    level[v] = depth
+                    reason[v] = clause
+                    trail.append(first)
+        self._propagations += qhead - start
+        self._qhead = qhead
         return None
 
     # ------------------------------------------------------------------
@@ -463,7 +588,7 @@ class Solver:
         while True:
             assert reason is not None
             self._bump_clause(reason)
-            for q in reason.lits:
+            for q in reason:
                 if q == asserting:
                     continue
                 v = q >> 1
@@ -519,7 +644,7 @@ class Solver:
             p = stack.pop()
             reason = self._reason[p >> 1]
             assert reason is not None
-            for q in reason.lits:
+            for q in reason:
                 v = q >> 1
                 if q == p or seen[v] or self._level[v] == 0:
                     continue
@@ -548,14 +673,16 @@ class Solver:
             for i in range(1, self._num_vars + 1):
                 self._activity[i] *= 1e-100
             self._var_inc *= 1e-100
-            self._order = [
-                (-self._activity[v2], v2)
-                for v2 in range(1, self._num_vars + 1)
-            ]
-            heapq.heapify(self._order)
+            self._rebuild_order()
+
+    def _rebuild_order(self) -> None:
+        """One current entry per variable, nothing stale."""
+        activity = self._activity
+        self._order = [(-activity[v], v) for v in range(1, self._num_vars + 1)]
+        heapq.heapify(self._order)
 
     def _bump_clause(self, clause: _Clause) -> None:
-        if not clause.learned:
+        if not isinstance(clause, _Learned):
             return
         clause.activity += self._cla_inc
         if clause.activity > 1e20:
@@ -569,18 +696,19 @@ class Solver:
 
     def _decide(self) -> int:
         """Pop the unassigned variable with the highest activity."""
+        assigns = self._assigns
         while self._order:
             neg_act, v = heapq.heappop(self._order)
-            if self._value[v] == _UNASSIGNED and -neg_act == self._activity[v]:
+            if assigns[2 * v] == _UNASSIGNED and -neg_act == self._activity[v]:
                 # Push back so the variable re-enters the queue after
                 # backtracking (stale entries are filtered above).
                 heapq.heappush(self._order, (neg_act, v))
                 return v
-            if self._value[v] == _UNASSIGNED:
+            if assigns[2 * v] == _UNASSIGNED:
                 heapq.heappush(self._order, (-self._activity[v], v))
         # Heap exhausted or only stale entries: linear fallback.
         for v in range(1, self._num_vars + 1):
-            if self._value[v] == _UNASSIGNED:
+            if assigns[2 * v] == _UNASSIGNED:
                 return v
         return 0
 
@@ -592,12 +720,29 @@ class Solver:
         if len(self._trail_lim) <= level:
             return
         bound = self._trail_lim[level]
-        for ilit in reversed(self._trail[bound:]):
+        assigns = self._assigns
+        phase = self._phase
+        reason = self._reason
+        undone = self._trail[bound:]
+        for ilit in undone:
+            assigns[ilit] = assigns[ilit ^ 1] = _UNASSIGNED
             v = ilit >> 1
-            self._phase[v] = (ilit & 1) == 0
-            self._value[v] = _UNASSIGNED
-            self._reason[v] = None
-            heapq.heappush(self._order, (-self._activity[v], v))
+            phase[v] = not ilit & 1
+            reason[v] = None
+        # Every unassigned variable needs an entry with its current
+        # activity in the order heap.  _decide pops the smallest such
+        # entry whatever else the heap holds, so how the entries get
+        # there does not change the search: when most variables are
+        # undone (a restart, the end of a solve that found a model) one
+        # heapify replaces a push per variable and drops the stale
+        # entries with it.
+        if 2 * len(undone) > self._num_vars:
+            self._rebuild_order()
+        else:
+            order = self._order
+            activity = self._activity
+            for ilit in undone:
+                heapq.heappush(order, (-activity[ilit >> 1], ilit >> 1))
         del self._trail[bound:]
         del self._trail_lim[level:]
         self._qhead = min(self._qhead, len(self._trail))
@@ -605,18 +750,17 @@ class Solver:
 
     def _reduce_db(self) -> None:
         self._learned.sort(key=lambda c: c.activity)
-        keep: List[_Clause] = []
+        keep: List[_Learned] = []
         drop = len(self._learned) // 2
         for i, clause in enumerate(self._learned):
-            if i < drop and len(clause.lits) > 2 and not self._locked(clause):
+            if i < drop and len(clause) > 2 and not self._locked(clause):
                 self._detach(clause)
             else:
                 keep.append(clause)
         self._learned = keep
 
     def _locked(self, clause: _Clause) -> bool:
-        v = clause.lits[0] >> 1
-        return self._reason[v] is clause
+        return self._reason[clause[0] >> 1] is clause
 
     def _search(self, budget: int, assumptions: List[int]) -> Optional[bool]:
         """Run CDCL for up to `budget` conflicts.
@@ -662,7 +806,7 @@ class Solver:
                         return False
                 else:
                     self._cancel_until(bt_level)
-                    clause = _Clause(learned, learned=True)
+                    clause = _Learned(learned)
                     self._learned.append(clause)
                     self._attach(clause)
                     self._bump_clause(clause)
@@ -677,7 +821,7 @@ class Solver:
             if self._next_assumption < len(assumptions):
                 ilit = assumptions[self._next_assumption]
                 self._next_assumption += 1
-                val = self._lit_value(ilit)
+                val = self._assigns[ilit]
                 if val == _TRUE:
                     continue
                 if val == _FALSE:
@@ -694,7 +838,8 @@ class Solver:
                 v = self._decide()
                 phase_time["decide"] += perf_counter() - t0
             if v == 0:
-                self._model = list(self._value)
+                # Indexed by variable: the values of the positive literals.
+                self._model = self._assigns[::2]
                 return True
             self._decisions += 1
             if meter is not None:
@@ -706,5 +851,5 @@ class Solver:
         self._failed_assumptions = [
             self._external(a)
             for a in assumptions
-            if self._lit_value(a) != _UNASSIGNED
+            if self._assigns[a] != _UNASSIGNED
         ]

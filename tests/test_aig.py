@@ -208,3 +208,20 @@ class TestTseitin:
         x = g.new_input()
         mapping, _ = encode(g, [x, FALSE_LIT])
         assert not mapping.solver.solve()
+
+    def test_out_of_cone_literals_read_as_the_simulator_defaults_them(self):
+        """An input the encoding never saw is False and its negation
+        True (both used to read False), and a gate without a variable
+        is worked out from its fanins, not defaulted."""
+        g = Aig()
+        x, y = g.new_input(), g.new_input()
+        gate = g.and_(x, g.not_(y))
+        mapping, _ = encode(g, [x])
+        assert mapping.solver.solve()
+        assert mapping.model_value(y) is False
+        assert mapping.model_value(y ^ 1) is True
+        assert mapping.model_value(gate) is True
+        assert mapping.model_value(gate ^ 1) is False
+        later = g.new_input()  # created after the encoding
+        assert mapping.solver_literal(later) is None
+        assert mapping.model_value(later ^ 1) is True

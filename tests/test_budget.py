@@ -10,6 +10,7 @@ gracefully across backends and list-depth bounds instead of dying.
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import pytest
@@ -40,14 +41,25 @@ from repro.network.acl import Acl, AclRule, acl_match_line
 from repro.network.ip import Prefix
 from repro.network.nat import NatRule, NatTable, apply_nat
 from repro.network.packet import Header
+from repro.network.routemap import Route
 from repro.sat.solver import Solver
 from repro.workloads import random_acl
+from tests.test_dont_care import _e2e_models
 
 
 def multiply_commutes() -> ZenFunction:
     """32-bit multiply commutativity: hard UNSAT for CDCL, node
     blowup for BDDs — the canonical budget-tripping instance."""
     return ZenFunction(lambda a, b: a * b == b * a, [UInt, UInt])
+
+
+def _pigeonhole(solver, holes):
+    at = [[solver.new_var() for _ in range(holes)] for _ in range(holes + 1)]
+    for pigeon in at:
+        solver.add_clause(pigeon)
+    for hole in range(holes):
+        for p, q in itertools.combinations(range(holes + 1), 2):
+            solver.add_clause([-at[p][hole], -at[q][hole]])
 
 
 class TestBudgetObject:
@@ -144,6 +156,70 @@ class TestSatBudget:
     def test_generous_budget_does_not_change_answer(self):
         g = ZenFunction(lambda x: x * 3 == 21, [UInt])
         assert g.find(budget=Budget(deadline_s=60)) == 7
+
+    def test_deadline_trips_before_the_solver_is_entered(self):
+        """A 10 ms deadline on a query whose evaluation alone takes longer
+        trips at the first look after evaluation: nothing is encoded, and
+        the query is abandoned in well under the time it takes to answer
+        (it used to be found out only inside `Solver.solve`, after the
+        whole encoding had been written)."""
+        models = _e2e_models()
+        function = ZenFunction(
+            models.structural_model(models.shaped_route_map(7, 0, 0, 120)), (Route,)
+        )
+        started = time.perf_counter()
+        assert function.find(backend="sat", max_list_length=4) is not None
+        unbudgeted = time.perf_counter() - started
+
+        entered = set()
+        originals = Solver.add_clause, Solver.solve
+
+        def recording(method):
+            def call(self, *args, **kwargs):
+                entered.add(method.__name__)
+                return method(self, *args, **kwargs)
+
+            return call
+
+        try:
+            Solver.add_clause, Solver.solve = map(recording, originals)
+            started = time.perf_counter()
+            with pytest.raises(ZenBudgetExceeded) as info:
+                function.find(
+                    backend="sat", max_list_length=4, budget=Budget(deadline_s=0.01)
+                )
+            elapsed = time.perf_counter() - started
+        finally:
+            Solver.add_clause, Solver.solve = originals
+        assert info.value.reason == "deadline"
+        assert entered == set()
+        assert elapsed < 0.6 * unbudgeted
+
+    def test_conflict_budget_trips_where_it_always_did(self):
+        """Counts from the solver before its propagation loop was inlined:
+        same conflicts, decisions and propagations means the same search,
+        checkpoint for checkpoint."""
+        solver = Solver()
+        _pigeonhole(solver, 6)
+        assert not solver.solve()
+        assert solver.statistics == {
+            "conflicts": 713, "decisions": 912, "propagations": 8830, "learned": 707,
+        }
+
+        solver = Solver()
+        _pigeonhole(solver, 7)
+        with pytest.raises(ZenBudgetExceeded) as info:
+            solver.solve(budget=Budget(max_conflicts=500))
+        assert info.value.reason == "conflicts"
+        assert info.value.stats["conflicts"] == 501
+        assert solver.statistics == {
+            "conflicts": 501, "decisions": 664, "propagations": 6842, "learned": 500,
+        }
+        # Usable afterwards, and the refutation ends where it did before.
+        assert not solver.solve()
+        assert solver.statistics == {
+            "conflicts": 5423, "decisions": 6491, "propagations": 78094, "learned": 2917,
+        }
 
 
 class TestBddBudget:
