@@ -14,10 +14,7 @@ of pool capacity and records, per overload factor:
 * ``shed_fraction`` / ``reject_fraction`` — how much admitted work
   was load-shed and how many arrivals were fast-rejected at the door
   (structured backpressure, never hangs);
-* ``brownout`` entry/recovery and ``recovery_s``;
-* ``hedge_win_rate`` — 0 in the storm rows (hedging pauses under
-  brownout, exactly as designed); a dedicated cold-start row
-  demonstrates the hedge path winning and its accounting.
+* ``brownout`` entry/recovery and ``recovery_s``.
 
 Emits ``BENCH_overload.json`` in the shared ``BENCH_*.json`` schema
 (``benchmarks/report.py --check-bench`` validates it).
@@ -30,14 +27,9 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import tempfile
-import time
 from pathlib import Path
 
-from repro.service import QueryEngine, QuerySpec
-from repro.service.chaos import OverloadScenario, percentile, run_overload
-
-COLD_START = "repro.service.chaos:cold_start_ms"
+from repro.service.chaos import OverloadScenario, run_overload
 
 
 def storm_row(overload: float, quick: bool, bundle_dir=None) -> dict:
@@ -72,88 +64,8 @@ def storm_row(overload: float, quick: bool, bundle_dir=None) -> dict:
         "brownout_entered": report["brownout_entered"],
         "recovered": report["recovered"],
         "recovery_s": report["recovery_s"],
-        "hedge_win_rate": report["hedge_win_rate"],
         "deadline_expired": report["deadline_expired"],
         "worker_restarts": report["worker_restarts"],
-    }
-
-
-def hedge_row(quick: bool) -> dict:
-    """Tail-latency hedging against deterministic cold starts.
-
-    Every query's primary attempt takes the slow path; the hedge
-    (launched on the second worker after a fixed delay) takes the
-    fast path and wins.  Measures the win rate bookkeeping and the
-    p99 improvement hedging buys.
-    """
-    queries = 10 if quick else 25
-    cold_ms, delay_s = 120.0, 0.02
-    latencies = []
-    with tempfile.TemporaryDirectory() as tmp:
-        with QueryEngine(
-            pool_size=2,
-            hedge=True,
-            hedge_after_s=delay_s,
-            max_batch_size=1,
-        ) as engine:
-            # Spawn both workers off-clock.
-            engine.run(
-                QuerySpec(
-                    builder="repro.service.chaos:sleep_ms",
-                    kind="call",
-                    args=(1.0,),
-                    timeout_s=10.0,
-                )
-            )
-            start = time.monotonic()
-            for i in range(queries):
-                spec = QuerySpec(
-                    builder=COLD_START,
-                    kind="call",
-                    args=(f"{tmp}/q{i}.flag", cold_ms, 1.0),
-                    timeout_s=10.0,
-                )
-                t0 = time.monotonic()
-                engine.run(spec)
-                latencies.append((time.monotonic() - t0) * 1000.0)
-            wall = time.monotonic() - start
-            hedge = engine.overload_stats()["hedge"]
-    return {
-        "scenario": "hedge-cold-start",
-        "overload": 0.0,
-        "pool_size": 2,
-        "arrival_qps": 0.0,
-        "capacity_qps": 0.0,
-        "baseline_p99_ms": cold_ms,  # the unhedged path by construction
-        "priorities": {
-            "interactive": {
-                "submitted": queries,
-                "completed": queries,
-                "p99_ms": round(percentile(latencies, 0.99), 2),
-            },
-            "batch": {"submitted": 0, "completed": 0, "p99_ms": 0.0},
-            "fuzz": {"submitted": 0, "completed": 0, "p99_ms": 0.0},
-        },
-        "goodput_qps": round(queries / wall, 1) if wall else 0.0,
-        "shed_fraction": 0.0,
-        "reject_fraction": 0.0,
-        "interactive_p99_ratio": round(
-            percentile(latencies, 0.99) / cold_ms, 2
-        ),
-        "brownout_entered": False,
-        "recovered": True,
-        "recovery_s": 0.0,
-        "hedge_win_rate": round(
-            hedge["won"] / hedge["launched"] if hedge["launched"] else 0.0,
-            3,
-        ),
-        "deadline_expired": 0,
-        "worker_restarts": 0,
-        "hedge": {
-            "launched": hedge["launched"],
-            "won": hedge["won"],
-            "lost": hedge["lost"],
-        },
     }
 
 
@@ -189,7 +101,6 @@ def main() -> None:
         storm_row(factor, args.quick, bundle_dir=args.bundle_dir)
         for factor in args.overloads
     ]
-    results.append(hedge_row(args.quick))
 
     report = {
         "bench": "overload",
@@ -202,7 +113,7 @@ def main() -> None:
     print(
         f"{'scenario':>16} {'pool':>5} {'goodput':>8} {'shed%':>6}"
         f" {'rej%':>6} {'i_p99':>8} {'ratio':>6} {'brownout':>9}"
-        f" {'recov_s':>8} {'hedge_win':>9}"
+        f" {'recov_s':>8}"
     )
     for row in results:
         interactive = row["priorities"]["interactive"]
@@ -215,7 +126,6 @@ def main() -> None:
             f" {row['interactive_p99_ratio']:>6.2f}"
             f" {str(row['brownout_entered']):>9}"
             f" {str(row['recovery_s']):>8}"
-            f" {row['hedge_win_rate']:>9.2f}"
         )
     print(f"\nwrote {args.out}")
 

@@ -83,7 +83,6 @@ OVERLOAD_ROW_SCHEMA = {
     "shed_fraction": (int, float),
     "reject_fraction": (int, float),
     "interactive_p99_ratio": (int, float),
-    "hedge_win_rate": (int, float),
     "priorities": dict,
 }
 
@@ -675,7 +674,7 @@ def overload_summary(root: Path = REPO_ROOT) -> None:
     print(f"\nOverload protection ({path.name}, {mode} run):")
     print(
         f"{'scenario':>16} {'pool':>5} {'goodput':>8} {'shed%':>6} "
-        f"{'rej%':>6} {'i_p99_ms':>9} {'ratio':>6} {'hedge_win':>9}"
+        f"{'rej%':>6} {'i_p99_ms':>9} {'ratio':>6}"
     )
     for row in data["results"]:
         interactive = row.get("priorities", {}).get("interactive", {})
@@ -686,8 +685,7 @@ def overload_summary(root: Path = REPO_ROOT) -> None:
             f"{row.get('shed_fraction', 0.0) * 100:>6.1f} "
             f"{row.get('reject_fraction', 0.0) * 100:>6.1f} "
             f"{interactive.get('p99_ms', 0.0):>9.1f} "
-            f"{row.get('interactive_p99_ratio', 0.0):>6.2f} "
-            f"{row.get('hedge_win_rate', 0.0):>9.2f}"
+            f"{row.get('interactive_p99_ratio', 0.0):>6.2f}"
         )
 
 

@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from ..core.budget import Budget
 from ..errors import ZenComposeError, ZenServiceError
 from ..service.spec import QuerySpec
 from ..telemetry.metrics import METRICS
@@ -147,6 +148,7 @@ def run_composed(
     recomposer bug (fuzz-farm canary) — never set it outside tests.
     """
     started = time.monotonic()
+    Budget.from_dict(budget)  # a misspelt limit fails here, not in a shard
     canary = bug == CANARY_DROP_ASSUMPTION
     METRICS.counter("compose.queries").inc()
     with span("compose.query", mode=query.get("mode", "reach")) as live:

@@ -121,10 +121,7 @@ def _normalize_budget(budget: Any) -> Optional[BudgetMeter]:
     """Accept None, a plain dict of Budget fields, a Budget, or a
     running meter — compose callers thread budgets as plain JSON."""
     if isinstance(budget, dict):
-        allowed = ("deadline_s", "max_conflicts", "max_bdd_nodes", "max_models")
-        budget = Budget(
-            **{k: budget[k] for k in allowed if budget.get(k) is not None}
-        )
+        budget = Budget.from_dict(budget)
     return start_meter(budget)
 
 

@@ -52,13 +52,6 @@ from .plan import pair_key, point_key
 from .topo import DeviceModel, Point, device_model
 
 
-def _budget_from_dict(data: Optional[Dict[str, Any]]) -> Optional[Budget]:
-    if not data:
-        return None
-    allowed = ("deadline_s", "max_conflicts", "max_bdd_nodes", "max_models")
-    return Budget(**{k: data[k] for k in allowed if data.get(k) is not None})
-
-
 class _ShardModel:
     """Per-device Zen sets for one shard, cached by (device, port)."""
 
@@ -227,7 +220,7 @@ def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
     for key, cover in entry_assumptions.items():
         validate_cover(cover, f"entry_assumptions[{key}]")
     max_cubes = int(task.get("max_cubes", 4096))
-    meter = start_meter(_budget_from_dict(task.get("budget")))
+    meter = start_meter(Budget.from_dict(task.get("budget")))
 
     internal: Dict[Point, Point] = {}
     for dev_a, port_a, dev_b, port_b in task.get("links", []):

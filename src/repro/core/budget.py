@@ -33,8 +33,8 @@ Design notes
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ZenBudgetExceeded, ZenTypeError
 from ..telemetry.profile import QueryProfile
@@ -71,8 +71,7 @@ class Budget:
     max_models: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("deadline_s", "max_conflicts", "max_bdd_nodes", "max_models"):
-            value = getattr(self, name)
+        for name, value in vars(self).items():
             if value is None:
                 continue
             if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -82,12 +81,31 @@ class Budget:
 
     def is_unlimited(self) -> bool:
         """True when no limit is configured."""
-        return (
-            self.deadline_s is None
-            and self.max_conflicts is None
-            and self.max_bdd_nodes is None
-            and self.max_models is None
-        )
+        return not self.to_dict()
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The plain-JSON form: the limits that are set, by field name."""
+        return {k: v for k, v in vars(self).items() if v is not None}
+
+    @classmethod
+    def from_dict(
+        cls, data: Optional[Mapping[str, Any]]
+    ) -> Optional["Budget"]:
+        """Inverse of :meth:`to_dict`; ``None``/empty means no budget.
+
+        An unknown key raises: a misspelt limit must not silently mean
+        "unlimited".
+        """
+        if not data:
+            return None
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(data) - set(names))
+        if unknown:
+            raise ZenTypeError(
+                f"unknown Budget field(s) {unknown}; expected a subset of "
+                f"{names}"
+            )
+        return cls(**data)
 
     def start(self, clock: Callable[[], float] = time.monotonic) -> "BudgetMeter":
         """Stamp the clock and return a fresh meter for one attempt."""

@@ -16,6 +16,7 @@ model then supports every analysis in the paper:
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import typing
 from typing import Any, Callable, List, Optional, Sequence, Tuple
@@ -35,6 +36,33 @@ from ..telemetry.spans import span
 from .budget import start_meter
 
 DEFAULT_MAX_LIST_LENGTH = 4
+
+
+def resolve_ref(ref: Any) -> Any:
+    """Resolve a ``"module:attribute"`` string to the named object.
+
+    Non-string references (already-resolved callables) pass through
+    untouched.  Dotted attribute paths after the colon are followed.
+    """
+    if not isinstance(ref, str):
+        return ref
+    module_name, _, attr_path = ref.partition(":")
+    if not module_name or not attr_path:
+        raise ZenTypeError(
+            f"expected a 'module:attribute' reference, got {ref!r}"
+        )
+    try:
+        target = importlib.import_module(module_name)
+    except ImportError as error:
+        raise ZenTypeError(
+            f"cannot import module {module_name!r} for {ref!r}: {error}"
+        ) from error
+    for part in attr_path.split("."):
+        try:
+            target = getattr(target, part)
+        except AttributeError as error:
+            raise ZenTypeError(f"cannot resolve {ref!r}: {error}") from error
+    return target
 
 
 def _make_backend(backend):
@@ -108,28 +136,7 @@ class ZenFunction:
         builder arguments can, and the worker reconstructs the model on
         its side.
         """
-        target = ref
-        if isinstance(target, str):
-            module_name, _, attr_path = target.partition(":")
-            if not module_name or not attr_path:
-                raise ZenTypeError(
-                    f"expected a 'module:attribute' reference, got {ref!r}"
-                )
-            import importlib
-
-            try:
-                target = importlib.import_module(module_name)
-            except ImportError as error:
-                raise ZenTypeError(
-                    f"cannot import module {module_name!r} for {ref!r}: {error}"
-                ) from error
-            for part in attr_path.split("."):
-                try:
-                    target = getattr(target, part)
-                except AttributeError as error:
-                    raise ZenTypeError(
-                        f"cannot resolve {ref!r}: {error}"
-                    ) from error
+        target = resolve_ref(ref)
         if isinstance(target, cls):
             if args or kwargs:
                 raise ZenTypeError(

@@ -366,17 +366,6 @@ def _solve_service(
 # ----------------------------------------------------------------------
 
 
-def _budget_fields(budget: Optional[Budget]) -> Optional[Dict[str, Any]]:
-    if budget is None:
-        return None
-    fields = ("deadline_s", "max_conflicts", "max_bdd_nodes", "max_models")
-    return {
-        k: getattr(budget, k)
-        for k in fields
-        if getattr(budget, k, None) is not None
-    }
-
-
 def _check_topology(
     data: Dict[str, Any],
     report: OracleReport,
@@ -419,7 +408,7 @@ def _check_topology(
             topo,
             query,
             engine=engine,
-            budget=_budget_fields(budget),
+            budget=budget.to_dict() if budget is not None else None,
             timeout_s=timeout_s,
             # Reference-planted bugs stay in the reference interpreter;
             # only system bugs are interpreted by the compose pipeline.

@@ -3,7 +3,7 @@
 :class:`EngineStatus` is a plain-data snapshot of everything an
 operator wants at a glance: pool utilization, per-priority queue
 depths, rolling latency quantiles, cache hit rate, breaker and
-brownout and hedge state, SLO burn state, and counter totals.  The
+brownout state, SLO burn state, and counter totals.  The
 engine produces one via ``QueryEngine.status()`` and (when configured
 with ``status_file=``) writes it atomically on a cadence so
 ``python -m repro.obs status`` in *another process* can read it.
@@ -42,7 +42,6 @@ class EngineStatus:
     latency_ms: Dict[str, Dict[str, float]] = field(default_factory=dict)
     cache: Dict[str, Any] = field(default_factory=dict)
     breakers: Dict[str, str] = field(default_factory=dict)
-    hedge: Dict[str, Any] = field(default_factory=dict)
     slo: List[Dict[str, Any]] = field(default_factory=list)
     counters: Dict[str, float] = field(default_factory=dict)
     compose: Dict[str, float] = field(default_factory=dict)
@@ -129,14 +128,6 @@ def render_status(status: EngineStatus) -> str:
             f"{name}={state}" for name, state in sorted(status.breakers.items())
         )
         lines.append(f"  breakers: {rendered}")
-    hedge = status.hedge or {}
-    if hedge:
-        lines.append(
-            f"  hedge: enabled={hedge.get('enabled')}"
-            f" launched={hedge.get('launched', 0)}"
-            f" won={hedge.get('won', 0)} lost={hedge.get('lost', 0)}"
-            f" win_rate={float(hedge.get('win_rate') or 0.0):.2f}"
-        )
     compose = status.compose or {}
     if compose:
         lines.append(

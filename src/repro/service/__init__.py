@@ -20,10 +20,10 @@ queries in flight from one caller.
 PR 7 adds overload protection: bounded per-priority admission
 (:class:`AdmissionController`, ``ZenQueueFull`` backpressure),
 utilization-triggered load shedding (``shed_overload`` outcomes),
-client-deadline propagation (``QuerySpec.deadline_s``), tail-latency
-hedging (:class:`HedgeTracker`), hysteretic brownout degradation
-(:class:`BrownoutController`), a deterministic :meth:`QueryEngine.shutdown`
-drain, and the :mod:`repro.service.chaos` fault-injection harness.
+client-deadline propagation (``QuerySpec.deadline_s``), hysteretic
+brownout degradation (:class:`BrownoutController`), a deterministic
+:meth:`QueryEngine.shutdown` drain, and the :mod:`repro.service.chaos`
+fault-injection harness.
 
 Public surface:
 
@@ -45,7 +45,6 @@ from .admission import (
     PRIORITIES,
     AdmissionController,
     BrownoutController,
-    HedgeTracker,
 )
 from .breaker import CLOSED, HALF_OPEN, OPEN, BreakerTransition, CircuitBreaker
 from .cache import CacheEntry, ModelCache, ref_cache_key
@@ -69,7 +68,6 @@ __all__ = [
     "run_spec",
     "AdmissionController",
     "BrownoutController",
-    "HedgeTracker",
     "PRIORITIES",
     "NORMAL",
     "BROWNOUT",

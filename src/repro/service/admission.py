@@ -1,12 +1,12 @@
-"""Admission control, brownout hysteresis, and hedge timing policy.
+"""Admission control and brownout hysteresis policy.
 
 This module holds the *decision* half of the engine's overload
 protection; the dispatcher in :mod:`repro.service.engine` holds the
-*mechanism* half (actually shedding queued tasks, launching hedges,
-shrinking ladders).  Splitting them keeps every policy deterministic
+*mechanism* half (actually shedding queued tasks, shrinking
+ladders).  Splitting them keeps every policy deterministic
 and unit-testable with an injected clock — no subprocesses needed.
 
-Three cooperating pieces:
+Two cooperating pieces:
 
 * :class:`AdmissionController` — a bounded counting semaphore with
   per-priority headroom.  ``interactive`` may fill the whole queue;
@@ -23,20 +23,13 @@ Three cooperating pieces:
   utilization at/below ``exit_utilization`` *continuously* for a full
   ``window_s`` since the last stress signal, so a sawtoothing queue
   cannot flap the mode.
-
-* :class:`HedgeTracker` — an online latency-quantile tracker that
-  turns observed per-attempt service times into the hedge delay
-  (``p95 * factor``).  Hedging stays disabled (``delay() is None``)
-  until ``min_samples`` completions have been seen, because a hedge
-  delay derived from two data points is noise.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ZenQueueFull
 
@@ -45,7 +38,6 @@ __all__ = [
     "PRIORITY_RANK",
     "AdmissionController",
     "BrownoutController",
-    "HedgeTracker",
     "NORMAL",
     "BROWNOUT",
 ]
@@ -373,91 +365,3 @@ class BrownoutController:
             self._entered = 0
             self._exited = 0
 
-
-class HedgeTracker:
-    """Online latency quantiles driving the hedge-launch delay.
-
-    Keeps the last ``maxlen`` successful per-attempt service times and
-    derives ``delay() = max(min_delay_s, quantile * factor)``.  With a
-    ``fixed_delay_s`` override the tracker is bypassed entirely
-    (deterministic tests, operators who know their SLO).  Not
-    thread-safe beyond CPython list-append atomicity — the dispatcher
-    is the only writer, and a torn read in ``delay()`` is harmless.
-    """
-
-    def __init__(
-        self,
-        quantile: float = 0.95,
-        factor: float = 1.5,
-        min_samples: int = 10,
-        min_delay_s: float = 0.001,
-        fixed_delay_s: Optional[float] = None,
-        maxlen: int = 512,
-    ):
-        if not 0.0 < quantile <= 1.0:
-            raise ValueError(f"quantile must be in (0, 1], got {quantile!r}")
-        if factor <= 0:
-            raise ValueError(f"factor must be > 0, got {factor!r}")
-        if min_samples < 1:
-            raise ValueError(
-                f"min_samples must be >= 1, got {min_samples!r}"
-            )
-        self.quantile = quantile
-        self.factor = factor
-        self.min_samples = min_samples
-        self.min_delay_s = min_delay_s
-        self.fixed_delay_s = fixed_delay_s
-        self._samples: Deque[float] = deque(maxlen=maxlen)
-        self._observed = 0
-
-    def observe(self, elapsed_s: float) -> None:
-        if elapsed_s >= 0:
-            self._samples.append(elapsed_s)
-            self._observed += 1
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def percentile(self) -> Optional[float]:
-        """Nearest-rank quantile of the observed service times."""
-        samples = sorted(self._samples)
-        if not samples:
-            return None
-        rank = max(
-            0, min(len(samples) - 1, int(self.quantile * len(samples)) - 1)
-        )
-        if self.quantile * len(samples) > rank + 1:
-            rank += 1
-        return samples[min(rank, len(samples) - 1)]
-
-    def delay(self) -> Optional[float]:
-        """Current hedge delay, or None while hedging is not yet armed."""
-        if self.fixed_delay_s is not None:
-            return self.fixed_delay_s
-        if len(self._samples) < self.min_samples:
-            return None
-        p = self.percentile()
-        if p is None:
-            return None
-        return max(self.min_delay_s, p * self.factor)
-
-    # Shared counter protocol.
-    def snapshot(self) -> Dict[str, float]:
-        delay = self.delay()
-        return {
-            "observed": float(self._observed),
-            "samples": float(len(self._samples)),
-            "armed": float(delay is not None),
-            "delay_s": float(delay) if delay is not None else 0.0,
-        }
-
-    def delta(
-        self, before: Dict[str, float], after: Dict[str, float]
-    ) -> Dict[str, float]:
-        return {
-            key: after.get(key, 0.0) - before.get(key, 0.0)
-            for key in set(before) | set(after)
-        }
-
-    def reset_counters(self) -> None:
-        self._observed = 0

@@ -4,7 +4,7 @@ Two halves:
 
 * **fault targets** — module-level callables a ``QuerySpec`` can name
   by ``"repro.service.chaos:<name>"`` so a *worker* executes the fault
-  (sleep, hard kill, allocation hoard, deterministic cold-start).
+  (sleep, hard kill, allocation hoard).
   They live here, importable, for the same reason as
   ``tests/service_faults.py``: a spawned worker must be able to
   resolve them;
@@ -13,7 +13,7 @@ Two halves:
   :func:`run_overload` (a full arrival storm at a chosen multiple of
   pool capacity, with optional worker faults and clock-skewed
   deadlines, measuring goodput, per-priority latency percentiles,
-  shed/reject fractions, hedge win rate, and brownout recovery).
+  shed/reject fractions, and brownout recovery).
 
 The storm driver is what the acceptance tests and
 ``benchmarks/bench_overload.py`` share: one code path produces both
@@ -44,7 +44,6 @@ __all__ = [
     "sleep_ms",
     "kill_worker",
     "oom_hoard",
-    "cold_start_ms",
     "OverloadScenario",
     "inject_worker_fault",
     "run_overload",
@@ -75,27 +74,6 @@ def oom_hoard() -> None:
     hoard = []
     while True:
         hoard.append(bytearray(1 << 20))
-
-
-def cold_start_ms(
-    flag_path: str, cold_ms: float, warm_ms: float = 1.0
-) -> str:
-    """First caller is slow, everyone after is fast.
-
-    The flag file is cross-process memory: whichever worker arrives
-    first writes it and sleeps ``cold_ms``; later arrivals (a hedge
-    duplicate on a second worker, say) return after ``warm_ms``.
-    Deterministic way to make the hedge lane win a race.
-    """
-    try:
-        fd = os.open(flag_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        time.sleep(warm_ms / 1000.0)
-        return "warm"
-    with os.fdopen(fd, "w") as handle:
-        handle.write(str(os.getpid()))
-    time.sleep(cold_ms / 1000.0)
-    return "cold"
 
 
 # -- single-fault injection (fuzz campaigns, targeted tests) ------------
@@ -196,8 +174,6 @@ class OverloadScenario:
     brownout_window_s: float = 0.5
     max_batch_size: int = 1
     retries: int = 1
-    hedge: bool = False
-    hedge_after_s: Optional[float] = None
     fault_rate: float = 0.0
     fault_kinds: Tuple[str, ...] = ("kill", "stall")
     expired_fraction: float = 0.0
@@ -247,8 +223,6 @@ def run_overload(
         max_queue_depth=scenario.queue_depth,
         shed_threshold=scenario.shed_threshold,
         brownout_window_s=scenario.brownout_window_s,
-        hedge=scenario.hedge,
-        hedge_after_s=scenario.hedge_after_s,
         default_timeout_s=10.0,
         # Storm crashes are injected, not systemic: keep the breaker
         # out of the way so the measured behaviour is admission's.
@@ -269,7 +243,6 @@ def run_overload(
             "queue_depth": scenario.queue_depth,
             "arrival_qps": round(scenario.arrival_qps(), 1),
             "capacity_qps": round(scenario.capacity_qps(), 1),
-            "hedge": scenario.hedge,
             "fault_rate": scenario.fault_rate,
             "expired_fraction": scenario.expired_fraction,
             "seed": scenario.seed,
@@ -418,7 +391,6 @@ def run_overload(
             "p95_ms": round(percentile(samples, 0.95), 2),
             "p99_ms": round(percentile(samples, 0.99), 2),
         }
-    hedge_stats = overload_stats["hedge"]
     report.update(
         {
             "baseline_p99_ms": round(baseline_p99, 2),
@@ -444,9 +416,6 @@ def run_overload(
             "recovery_s": (
                 round(recovery_s, 3) if recovery_s is not None else None
             ),
-            "hedge_launched": hedge_stats["launched"],
-            "hedge_won": hedge_stats["won"],
-            "hedge_win_rate": round(hedge_stats["win_rate"], 3),
             "worker_restarts": restarts,
             "shed_overload": overload_stats["shed_overload"],
             "deadline_expired": overload_stats["deadline_expired"],

@@ -24,7 +24,7 @@ in-process API cannot give:
   :func:`~repro.core.budget.solve_with_fallback`), half-opening after
   a cooldown;
 * **a differential oracle** — :meth:`QueryEngine.run_differential`
-  races the SAT and BDD backends on the same query in parallel
+  runs the SAT and BDD backends on the same query in parallel
   workers; each answer is still concrete-replay-validated in its
   worker (PR 2), and if both complete with contradictory sat/unsat
   verdicts the engine raises
@@ -77,15 +77,11 @@ The engine degrades *predictably* instead of queueing unboundedly:
   a worker; a retry that cannot finish inside the remaining deadline
   is never launched; batched specs that expired behind a slow
   batch-mate are skipped by the worker itself;
-* **hedged requests** — with hedging enabled, a request still
-  unanswered after a p95-derived delay is duplicated on a second,
-  idle worker; the first reply wins and the loser is killed and
-  charged to telemetry (``service.hedge.*``);
 * **brownout mode** — sustained stress (shedding, or utilization at
   the brownout threshold) flips the engine into a degraded mode:
-  fallback ladders shrink to one rung, cooperative budgets shrink by
-  ``brownout_budget_factor``, hedging pauses, and non-interactive
-  cold-cache work is shed (the warm fast path stays open).  Recovery
+  fallback ladders shrink to one rung, cooperative budgets halve
+  (``BROWNOUT_BUDGET_FACTOR``), and non-interactive cold-cache work
+  is shed (the warm fast path stays open).  Recovery
   is hysteretic (:class:`~repro.service.admission.BrownoutController`).
 
 Every result carries its full attempt history — worker pids, attempt
@@ -132,7 +128,6 @@ from .admission import (
     PRIORITY_RANK,
     AdmissionController,
     BrownoutController,
-    HedgeTracker,
 )
 from .breaker import OPEN as BREAKER_OPEN
 from .breaker import CircuitBreaker
@@ -158,6 +153,16 @@ BATCH_SIZE_BOUNDS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64)
 #: Queue waits shorter than this don't earn a span (scheduler noise).
 _QUEUE_WAIT_SPAN_FLOOR_S = 0.005
 
+#: Retry backoff grows by this factor per attempt (from
+#: ``backoff_base_s``, capped at ``backoff_max_s``).
+BACKOFF_FACTOR = 2.0
+
+#: In brownout, cooperative budgets shrink to this share.
+BROWNOUT_BUDGET_FACTOR = 0.5
+
+#: Span of the per-priority rolling latency windows in ``status()``.
+LATENCY_WINDOW_S = 60.0
+
 
 @dataclass(frozen=True)
 class AttemptRecord:
@@ -181,9 +186,7 @@ class AttemptRecord:
       before this attempt was submitted (pool contention + backoff
       skew; 0 for sheds, which never reach a worker);
     * ``breaker_state`` — the backend's breaker state right after the
-      outcome was recorded;
-    * ``hedged`` — True when this attempt ran on the hedge lane (a
-      tail-latency duplicate), not the primary dispatch.
+      outcome was recorded.
     """
 
     backend: str
@@ -196,7 +199,6 @@ class AttemptRecord:
     elapsed_s: float = 0.0
     queue_wait_s: float = 0.0
     breaker_state: str = ""
-    hedged: bool = False
 
     @property
     def duration_ms(self) -> float:
@@ -229,9 +231,8 @@ class ServiceResult:
     submission's round-trip.
 
     Overload observability: ``priority`` echoes the spec's admission
-    class, ``queue_wait_s`` totals the eligible-but-unserved time
-    across every attempt, and ``hedged`` is True when the winning
-    answer came from the hedge lane rather than the primary dispatch.
+    class and ``queue_wait_s`` totals the eligible-but-unserved time
+    across every attempt.
     """
 
     answer: Any
@@ -250,7 +251,6 @@ class ServiceResult:
     batch_size: int = 1
     priority: str = "interactive"
     queue_wait_s: float = 0.0
-    hedged: bool = False
 
     @property
     def retried(self) -> bool:
@@ -356,7 +356,6 @@ class _Task:
         "batch_size",
         "deadline_at",
         "admitted",
-        "hedged",
         "launched",
         "total_queue_wait_s",
     )
@@ -386,7 +385,9 @@ class _Task:
         self.attempts: List[AttemptRecord] = []
         self.result: Optional[ServiceResult] = None
         self.error: Optional[ZenServiceError] = None
-        self.group: Optional[Dict[str, Any]] = None
+        #: Identity shared by the sides of one differential run (which
+        #: must never share a batch); None for every other task.
+        self.group: Optional[object] = None
         self.done = False
         self.future: "Future[ServiceResult]" = Future()
         self.trace_parent: Optional[Span] = None
@@ -395,8 +396,6 @@ class _Task:
         self.deadline_at: Optional[float] = None
         #: True while this task holds an admission slot.
         self.admitted = False
-        #: True once a hedge duplicate has been launched for it.
-        self.hedged = False
         #: True once the first dispatch marked the future RUNNING —
         #: after that, ``Future.cancel()`` is (correctly) refused.
         self.launched = False
@@ -424,17 +423,13 @@ class _Batch:
     reply lands.
     """
 
-    __slots__ = ("seq", "tasks", "next_index", "deadline", "hedge")
+    __slots__ = ("seq", "tasks", "next_index", "deadline")
 
-    def __init__(self, seq: int, tasks: List[_Task], hedge: bool = False):
+    def __init__(self, seq: int, tasks: List[_Task]):
         self.seq = seq
         self.tasks = tasks
         self.next_index = 0
         self.deadline: Optional[float] = None
-        #: True for a tail-latency duplicate: its single task is also
-        #: the current task of a primary batch, first reply wins, and
-        #: this lane never charges breakers or consumes retries.
-        self.hedge = hedge
 
     @property
     def current(self) -> _Task:
@@ -464,37 +459,25 @@ class QueryEngine:
         *,
         retries: int = 2,
         backoff_base_s: float = 0.05,
-        backoff_factor: float = 2.0,
         backoff_max_s: float = 2.0,
         jitter_s: float = 0.02,
         breaker_threshold: int = 3,
         breaker_cooldown_s: float = 5.0,
         default_timeout_s: Optional[float] = 60.0,
         backends: Sequence[str] = ("sat", "bdd"),
-        start_method: Optional[str] = None,
         seed: int = 0,
         max_batch_size: int = 8,
         crash_loop_threshold: int = 3,
         cache_capacity: int = 32,
         max_queue_depth: Optional[int] = 10_000,
         shed_threshold: float = 0.9,
-        brownout_enter: float = 0.75,
-        brownout_exit: float = 0.5,
         brownout_window_s: float = 1.0,
-        brownout_budget_factor: float = 0.5,
-        hedge: bool = False,
-        hedge_after_s: Optional[float] = None,
-        hedge_quantile: float = 0.95,
-        hedge_factor: float = 1.5,
-        hedge_min_samples: int = 10,
         recorder: Optional[FlightRecorder] = None,
         bundle_dir: Optional[str] = None,
         slos: Optional[Sequence[SLOSpec]] = None,
         status_file: Optional[str] = None,
         status_interval_s: float = 1.0,
-        latency_window_s: float = 60.0,
         clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
     ):
         if pool_size < 1:
             raise ZenTypeError(f"pool_size must be >= 1, got {pool_size!r}")
@@ -524,25 +507,14 @@ class QueryEngine:
             raise ZenTypeError(
                 f"shed_threshold must be in (0, 1], got {shed_threshold!r}"
             )
-        if not 0.0 < brownout_budget_factor <= 1.0:
-            raise ZenTypeError(
-                "brownout_budget_factor must be in (0, 1], got "
-                f"{brownout_budget_factor!r}"
-            )
-        if hedge_after_s is not None and hedge_after_s < 0:
-            raise ZenTypeError(
-                f"hedge_after_s must be >= 0, got {hedge_after_s!r}"
-            )
-        if start_method is None:
-            # fork shares the parent's imported modules (cheap spawn,
-            # builder refs always resolve); spawn is the portable
-            # fallback and gets sys.path shipped in the worker config.
-            methods = get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
+        # fork shares the parent's imported modules (cheap spawn,
+        # builder refs always resolve); spawn is the portable
+        # fallback and gets sys.path shipped in the worker config.
+        methods = get_all_start_methods()
+        start_method = "fork" if "fork" in methods else methods[0]
         self.pool_size = pool_size
         self.retries = retries
         self.backoff_base_s = backoff_base_s
-        self.backoff_factor = backoff_factor
         self.backoff_max_s = backoff_max_s
         self.jitter_s = jitter_s
         self.default_timeout_s = default_timeout_s
@@ -551,7 +523,6 @@ class QueryEngine:
         self.crash_loop_threshold = crash_loop_threshold
         self.cache_capacity = cache_capacity
         self._clock = clock
-        self._sleep = sleep
         self._rng = random.Random(seed)
         self._seq = 0
         self._closed = False
@@ -593,24 +564,13 @@ class QueryEngine:
         )
         # -- overload-protection state ----------------------------------
         self.shed_threshold = shed_threshold
-        self.brownout_budget_factor = brownout_budget_factor
-        self.hedge_enabled = hedge
         self._admission = AdmissionController(
             max_depth=max_queue_depth,
             shed_threshold=shed_threshold,
             clock=clock,
         )
         self._brownout = BrownoutController(
-            enter_utilization=brownout_enter,
-            exit_utilization=brownout_exit,
-            window_s=brownout_window_s,
-            clock=clock,
-        )
-        self._hedge_tracker = HedgeTracker(
-            quantile=hedge_quantile,
-            factor=hedge_factor,
-            min_samples=hedge_min_samples,
-            fixed_delay_s=hedge_after_s,
+            window_s=brownout_window_s, clock=clock
         )
         self._shed_count = 0
         self._observed_sheds = 0
@@ -618,7 +578,6 @@ class QueryEngine:
         self._expired_count = 0
         self._cancelled_count = 0
         self._shutdown_failed_count = 0
-        self._hedges = {"launched": 0, "won": 0, "lost": 0, "failed": 0}
         #: Builder refs known warm in at least one worker (from ok
         #: replies whose cache was consulted) — the brownout fast path
         #: keeps serving these while cold builds are shed.
@@ -628,10 +587,6 @@ class QueryEngine:
             raise ZenTypeError(
                 f"status_interval_s must be > 0, got {status_interval_s!r}"
             )
-        if latency_window_s <= 0:
-            raise ZenTypeError(
-                f"latency_window_s must be > 0, got {latency_window_s!r}"
-            )
         self._recorder = recorder if recorder is not None else RECORDER
         self.bundle_dir = bundle_dir
         self.status_file = status_file
@@ -639,7 +594,7 @@ class QueryEngine:
         self._status_written_at = -float("inf")
         self._pool_busy = 0
         self._latency_windows = {
-            p: RollingHistogram(latency_window_s) for p in PRIORITIES
+            p: RollingHistogram(LATENCY_WINDOW_S) for p in PRIORITIES
         }
         self._latency_hist = METRICS.histogram(
             "service.latency_s", LOG_BOUNDS
@@ -775,19 +730,17 @@ class QueryEngine:
         return self._brownout.observe(self._admission.utilization(), 0)
 
     def _absorb_overload_metrics(self) -> None:
-        """Fold the admission/brownout/hedge silos into METRICS.
+        """Fold the admission/brownout silos into METRICS.
 
-        All three speak the shared ``snapshot()`` counter protocol, so
+        Both speak the shared ``snapshot()`` counter protocol, so
         their state shows up in ``METRICS.snapshot()`` (and therefore
         in flight-recorder bundles) under stable gauge names.
         """
         METRICS.absorb("service.admission", self._admission)
         METRICS.absorb("service.brownout", self._brownout)
-        METRICS.absorb("service.hedge_delay", self._hedge_tracker)
 
     def overload_stats(self) -> Dict[str, Any]:
         """Admission, shedding, deadline, and brownout counters."""
-        launched = self._hedges["launched"]
         self._absorb_overload_metrics()
         return {
             "mode": self.mode,
@@ -800,15 +753,8 @@ class QueryEngine:
             "cancelled": self._cancelled_count,
             "engine_shutdown": self._shutdown_failed_count,
             "brownout": self._brownout.detail(),
-            "hedge": {
-                **self._hedges,
-                "enabled": self.hedge_enabled,
-                "delay_s": self._hedge_tracker.delay(),
-                "samples": len(self._hedge_tracker),
-                "win_rate": (
-                    self._hedges["won"] / launched if launched else 0.0
-                ),
-            },
+            # Forced wart: benchmarks/e2e/workloads.py (frozen) reads it.
+            "hedge": {"launched": 0},
         }
 
     @property
@@ -830,7 +776,6 @@ class QueryEngine:
         at = now if now is not None else self._clock()
         admission = self._admission.detail()
         cache = self.cache_stats()
-        launched = self._hedges["launched"]
         self._absorb_overload_metrics()
         return EngineStatus(
             generated_unix=time.time(),
@@ -859,14 +804,6 @@ class QueryEngine:
             breakers={
                 name: breaker.state
                 for name, breaker in self._breakers.items()
-            },
-            hedge={
-                **self._hedges,
-                "enabled": self.hedge_enabled,
-                "delay_s": self._hedge_tracker.delay(),
-                "win_rate": (
-                    self._hedges["won"] / launched if launched else 0.0
-                ),
             },
             slo=self._slo.state(at) if self._slo is not None else [],
             compose={
@@ -1035,8 +972,6 @@ class QueryEngine:
         self,
         spec: Union[QuerySpec, Dict[str, QuerySpec]],
         backends: Sequence[str] = ("sat", "bdd"),
-        *,
-        race: bool = False,
     ) -> ServiceResult:
         """Cross-check a find/verify query across two backends.
 
@@ -1054,12 +989,9 @@ class QueryEngine:
         * both fail → :class:`ZenQueryFailed` with the combined
           attempt history.
 
-        With ``race=True`` the first *sound* answer wins immediately
-        and the other worker is cancelled (lower latency, no
-        cross-check unless the slower side already finished).  `spec`
-        may also be a dict mapping backend name to spec — the two
-        sides are then expected to be semantically equivalent queries
-        (useful for oracle testing and staged encodings).
+        `spec` may also be a dict mapping backend name to spec — the
+        two sides are then expected to be semantically equivalent
+        queries (useful for oracle testing and staged encodings).
         """
         self._check_open()
         if isinstance(spec, dict):
@@ -1077,10 +1009,8 @@ class QueryEngine:
                     f"kind={side.kind!r} for backend {name!r}"
                 )
         tasks: List[_Task] = []
-        group = {"race": race, "tasks": tasks}
-        with span(
-            "service.run_differential", backends=list(sides), race=race
-        ) as sp:
+        group = object()
+        with span("service.run_differential", backends=list(sides)) as sp:
             # Incremental admit-then-enqueue (see run_many): a depth-1
             # window must be able to drain side 1 before side 2 blocks.
             for i, (name, side) in enumerate(sides.items()):
@@ -1323,7 +1253,13 @@ class QueryEngine:
     # -- dispatcher ------------------------------------------------------
 
     def _dispatch_loop(self) -> None:
-        """The persistent scheduler: owns the pool until told to stop."""
+        """The persistent scheduler: owns the pool until told to stop.
+
+        Invariant: an unfinished task is in ``pending``, or in exactly
+        one in-flight batch — never both and never two.  A reply, a
+        deadline or a worker death therefore concerns one batch and the
+        task it is running; nothing else resolves that task meanwhile.
+        """
         pending: List[_Task] = []
         inflight: Dict[_WorkerHandle, _Batch] = {}
         state = {"stop": False, "draining": False}
@@ -1346,7 +1282,6 @@ class QueryEngine:
                     self._shed_overloaded(pending, now)
                     self._observe_mode()
                     self._fill_workers(pending, inflight, now)
-                    self._launch_hedges(inflight, self._clock())
                 self._pool_busy = len(inflight)
                 self._obs_tick(self._clock())
                 timeout = self._wait_timeout(
@@ -1370,7 +1305,6 @@ class QueryEngine:
                     self._drain_wakeup()
                 self._collect_replies(ready, pending, inflight)
                 self._enforce_deadlines(pending, inflight)
-                self._cancel_raced(pending, inflight)
         except Exception as error:  # pragma: no cover - defensive
             failure = ZenServiceError(
                 f"dispatcher thread failed: {type(error).__name__}: {error}"
@@ -1433,25 +1367,9 @@ class QueryEngine:
         self, pending, inflight, now, draining=False
     ) -> Optional[float]:
         timeouts: List[float] = []
-        hedge_delay = (
-            self._hedge_tracker.delay()
-            if self._brownout.mode != BROWNOUT
-            else None
-        )
         for batch in inflight.values():
             if batch.deadline is not None:
                 timeouts.append(batch.deadline - now)
-            if (
-                hedge_delay is not None
-                and not batch.hedge
-                and not batch.exhausted
-                and not batch.current.hedged
-                and self._hedge_wanted(batch.current)
-            ):
-                # Wake when the current task crosses the hedge delay.
-                timeouts.append(
-                    batch.current.submitted_at + hedge_delay - now
-                )
         ready_pending = False
         for task in pending:
             if task.done:
@@ -1757,7 +1675,6 @@ class QueryEngine:
                 "max_batch_size": self.max_batch_size,
                 "crash_loop_threshold": self.crash_loop_threshold,
                 "cache_capacity": self.cache_capacity,
-                "hedge_enabled": self.hedge_enabled,
                 "shed_threshold": self.shed_threshold,
             },
             "overload": self.overload_stats(),
@@ -1766,143 +1683,6 @@ class QueryEngine:
             "breakers": self.breaker_snapshots(),
             "worker_pids": self.worker_pids(),
         }
-
-    # -- hedged requests -------------------------------------------------
-
-    def _hedge_wanted(self, task) -> bool:
-        """Policy: is this task eligible for a tail-latency duplicate?"""
-        wanted = (
-            task.spec.hedge
-            if task.spec.hedge is not None
-            else self.hedge_enabled
-        )
-        # Race-group siblings already run redundantly; hedging them
-        # would double-book workers for no extra information.
-        return wanted and task.group is None
-
-    def _launch_hedges(self, inflight, now) -> None:
-        """Duplicate slow in-flight tasks onto idle workers.
-
-        A hedge is a single-task batch marked ``hedge=True`` whose task
-        is *also* the current task of a primary batch; the first ok
-        reply wins, every other outcome of the hedge lane is discarded
-        (no breaker charge, no retry consumption).  Suppressed in
-        brownout — spare capacity belongs to the queue then.
-        """
-        if self._brownout.mode == BROWNOUT:
-            return
-        delay = self._hedge_tracker.delay()
-        if delay is None:
-            return
-        idle = [
-            h
-            for h in self._workers
-            if h not in inflight
-        ]
-        if not idle:
-            return
-        for handle, batch in list(inflight.items()):
-            if not idle:
-                return
-            if batch.hedge or batch.exhausted:
-                continue
-            task = batch.current
-            if task.done or task.hedged or not self._hedge_wanted(task):
-                continue
-            if now - task.submitted_at < delay:
-                continue
-            hedge_handle = idle.pop()
-            self._launch_hedge(hedge_handle, task, inflight, now)
-
-    def _launch_hedge(self, handle, task, inflight, now) -> None:
-        try:
-            handle.ensure()
-        except Exception:  # pragma: no cover - spawn failure
-            return
-        spec = task.spec.with_backend(task.backend)
-        if TRACER.enabled:
-            spec = spec.with_trace(True)
-        remaining = (
-            None
-            if task.deadline_at is None
-            else task.deadline_at - now
-        )
-        if remaining is not None or spec.deadline_s is not None:
-            spec = clamp_spec_deadline(spec, remaining)
-        self._seq += 1
-        batch = _Batch(self._seq, [task], hedge=True)
-        timeout = self._attempt_timeout(task, spec, now)
-        batch.deadline = None if timeout is None else now + timeout
-        try:
-            handle.conn.send(
-                (
-                    "batch",
-                    batch.seq,
-                    self._epoch,
-                    (spec,),
-                    (task.deadline_at,),
-                )
-            )
-        except (OSError, ValueError):
-            handle.kill()
-            return
-        task.hedged = True
-        inflight[handle] = batch
-        self._hedges["launched"] += 1
-        METRICS.counter("service.hedge.launched").inc()
-        if TRACER.enabled:
-            TRACER.record(
-                "service.hedge.launch",
-                TRACER.now_wall(),
-                0.0,
-                {
-                    "backend": task.backend,
-                    "primary_elapsed_s": round(now - task.submitted_at, 4),
-                },
-                parent=task.trace_parent,
-            )
-        self._recorder.record_event(
-            "hedge_launch",
-            backend=task.backend,
-            label=task.spec.label,
-        )
-
-    def _settle_hedge(
-        self, task, winner_batch, pending, inflight, now
-    ) -> None:
-        """First reply won; cancel the losing lane and charge telemetry.
-
-        The loser's worker is killed (its answer is no longer wanted
-        and may be arbitrarily slow — that is why the hedge existed);
-        batch-mates queued behind a losing primary are requeued
-        uncharged, exactly like any other worker loss.
-        """
-        won = winner_batch.hedge
-        self._hedges["won" if won else "lost"] += 1
-        METRICS.counter(
-            "service.hedge.won" if won else "service.hedge.lost"
-        ).inc()
-        if TRACER.enabled:
-            TRACER.record(
-                "service.hedge.won" if won else "service.hedge.lost",
-                TRACER.now_wall(),
-                0.0,
-                {"backend": task.backend},
-                parent=task.trace_parent,
-            )
-        self._recorder.record_event(
-            "hedge_won" if won else "hedge_lost",
-            backend=task.backend,
-            label=task.spec.label,
-        )
-        for handle, other in list(inflight.items()):
-            if other is winner_batch or other.exhausted:
-                continue
-            if other.current is not task:
-                continue
-            del inflight[handle]
-            handle.kill()
-            self._requeue_rest(other, pending, now)
 
     # -- worker filling (sticky + batching) ------------------------------
 
@@ -1936,8 +1716,8 @@ class QueryEngine:
         Sticky rule: a worker takes its own tasks freely but steals a
         foreign task only when that task's sticky worker is busy —
         otherwise the warm worker gets first refusal on its ref.
-        Race-group siblings never share a batch (they must run in
-        parallel workers).
+        The two sides of a differential group never share a batch
+        (they must run in parallel workers).
 
         Scheduling order is priority-major (interactive before batch
         before fuzz), FIFO within a class — the stable sort preserves
@@ -1957,7 +1737,7 @@ class QueryEngine:
                 continue
             if task.ready_at > now:
                 continue
-            if task.group is not None and id(task.group) in groups:
+            if task.group in groups:
                 continue
             if brownout and self._brownout_cold_shed(task):
                 pending.remove(task)
@@ -1980,7 +1760,7 @@ class QueryEngine:
                 continue  # finished in place (shed-out or crash loop)
             chosen.append((task, backend))
             if task.group is not None:
-                groups.add(id(task.group))
+                groups.add(task.group)
         return chosen
 
     def _brownout_cold_shed(self, task) -> bool:
@@ -2069,7 +1849,7 @@ class QueryEngine:
         chosen = live
         handle.ensure()
         brownout = self._brownout.mode == BROWNOUT
-        budget_factor = self.brownout_budget_factor if brownout else 1.0
+        budget_factor = BROWNOUT_BUDGET_FACTOR if brownout else 1.0
         specs = []
         deadlines = []
         for task, backend in chosen:
@@ -2217,8 +1997,6 @@ class QueryEngine:
     def _requeue_rest(self, batch, pending, now) -> None:
         """Return a dead batch's not-yet-run tasks to the queue, uncharged."""
         for task in batch.tasks[batch.next_index + 1:]:
-            if task.done:
-                continue
             task.ready_at = now
             pending.append(task)
 
@@ -2226,24 +2004,6 @@ class QueryEngine:
         self, batch, handle, status, info, pending, inflight, now
     ) -> None:
         task = batch.current
-        if task.done:
-            # Resolved elsewhere (race sibling cancelled it, the other
-            # hedge lane answered, or the deadline expired); the worker
-            # ran it anyway — discard, keep the batch moving.
-            self._advance_batch(batch, handle, inflight, now)
-            return
-        if batch.hedge and status != "ok":
-            # The hedge lane only ever *wins*; every failure there is
-            # discarded — no breaker charge, no retry consumption, the
-            # primary dispatch still owns the task's fate.
-            self._hedges["failed"] += 1
-            METRICS.counter("service.hedge.failed").inc()
-            if status == "oom":
-                del inflight[handle]
-                handle.kill()
-            else:
-                self._advance_batch(batch, handle, inflight, now)
-            return
         backend = task.backend
         breaker = self._breakers[backend]
         elapsed = float(info.get("elapsed_s", now - task.submitted_at))
@@ -2264,7 +2024,6 @@ class QueryEngine:
             breaker.record_success()
             self._crash_counts.pop(task.ref_key, None)
             self._absorb_cache_info(handle, info)
-            self._hedge_tracker.observe(elapsed)
             if info.get("cache_hit") is not None:
                 self._warm_refs.add(task.ref_key)
             task.attempts.append(
@@ -2276,7 +2035,6 @@ class QueryEngine:
                     elapsed_s=elapsed,
                     queue_wait_s=task.queue_wait_s,
                     breaker_state=breaker.state,
-                    hedged=batch.hedge,
                 )
             )
             profile = None
@@ -2309,7 +2067,6 @@ class QueryEngine:
                 batch_size=task.batch_size,
                 priority=task.spec.priority,
                 queue_wait_s=task.total_queue_wait_s,
-                hedged=batch.hedge,
             )
             self._complete(task, now)
             try:
@@ -2317,8 +2074,6 @@ class QueryEngine:
             except Exception:  # pragma: no cover - already resolved
                 pass
             self._advance_batch(batch, handle, inflight, now)
-            if task.hedged:
-                self._settle_hedge(task, batch, pending, inflight, now)
             return
         if status == "oom":
             # Even a survived MemoryError leaves allocator state
@@ -2417,16 +2172,8 @@ class QueryEngine:
             del inflight[handle]
             pid = handle.pid
             handle.kill()
-            if batch.hedge:
-                # A timed-out hedge lane is discarded: the primary
-                # dispatch still owns the task and its deadline.
-                self._hedges["failed"] += 1
-                METRICS.counter("service.hedge.failed").inc()
-                continue
             task = batch.current
             self._requeue_rest(batch, pending, now)
-            if task.done:
-                continue  # cancelled task wedged the worker; no charge
             if (
                 task.deadline_at is not None
                 and now >= task.deadline_at - 1e-9
@@ -2456,52 +2203,6 @@ class QueryEngine:
                 retryable=True,
             )
 
-    def _cancel_raced(self, pending, inflight) -> None:
-        """In race mode, cancel siblings once one task has an answer."""
-        groups: Dict[int, Dict[str, Any]] = {}
-        for task in list(pending):
-            if task.group is not None and task.group.get("race"):
-                groups[id(task.group)] = task.group
-        for batch in inflight.values():
-            for task in batch.tasks:
-                if task.group is not None and task.group.get("race"):
-                    groups[id(task.group)] = task.group
-        if not groups:
-            return
-        now = self._clock()
-        for group in groups.values():
-            if not any(t.result is not None for t in group["tasks"]):
-                continue
-            for task in group["tasks"]:
-                if task.done:
-                    continue
-                for handle, batch in list(inflight.items()):
-                    if batch.current is task:
-                        del inflight[handle]
-                        handle.kill()
-                        self._requeue_rest(batch, pending, now)
-                if task in pending:
-                    pending.remove(task)
-                task.attempts.append(
-                    AttemptRecord(
-                        backend=task.backend,
-                        attempt=task.attempt + 1,
-                        worker_pid=None,
-                        outcome="cancelled",
-                        error="cancelled: sibling answered first (race mode)",
-                    )
-                )
-                task.error = ZenQueryFailed(
-                    "cancelled: sibling answered first (race mode)",
-                    attempts=task.attempts,
-                    label=task.spec.label,
-                )
-                self._complete(task, now)
-                try:
-                    task.future.set_exception(task.error)
-                except Exception:  # pragma: no cover - already resolved
-                    pass
-
     # -- outcome handling ------------------------------------------------
 
     def _on_worker_death(self, handle, pending, inflight, now) -> None:
@@ -2514,16 +2215,8 @@ class QueryEngine:
             detail = f"exited with status {exitcode}"
         if batch is None:
             return
-        if batch.hedge:
-            # A dead hedge lane never charges the task, the breaker, or
-            # the builder's crash count — the primary dispatch lives.
-            self._hedges["failed"] += 1
-            METRICS.counter("service.hedge.failed").inc()
-            return
         task = batch.current
         self._requeue_rest(batch, pending, now)
-        if task.done:
-            return
         self._crash_counts[task.ref_key] = (
             self._crash_counts.get(task.ref_key, 0) + 1
         )
@@ -2539,7 +2232,7 @@ class QueryEngine:
         )
 
     def _backoff_delay(self, attempt: int) -> float:
-        base = self.backoff_base_s * (self.backoff_factor ** (attempt - 1))
+        base = self.backoff_base_s * (BACKOFF_FACTOR ** (attempt - 1))
         return min(self.backoff_max_s, base) + self._rng.uniform(
             0.0, self.jitter_s
         )

@@ -16,12 +16,11 @@ run of a spec before shipping it to the pool.
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
 from ..core.budget import Budget, start_meter
-from ..core.function import DEFAULT_MAX_LIST_LENGTH, ZenFunction
+from ..core.function import DEFAULT_MAX_LIST_LENGTH, ZenFunction, resolve_ref
 from ..errors import ZenTypeError
 from ..telemetry.spans import TRACER
 from .admission import PRIORITIES
@@ -43,33 +42,6 @@ QUERY_KINDS = (
 )
 
 _SERVICE_BACKENDS = ("sat", "bdd")
-
-
-def resolve_ref(ref: Any) -> Any:
-    """Resolve a ``"module:attribute"`` string to the named object.
-
-    Non-string references (already-resolved callables) pass through
-    untouched.  Dotted attribute paths after the colon are followed.
-    """
-    if not isinstance(ref, str):
-        return ref
-    module_name, _, attr_path = ref.partition(":")
-    if not module_name or not attr_path:
-        raise ZenTypeError(
-            f"expected a 'module:attribute' reference, got {ref!r}"
-        )
-    try:
-        target = importlib.import_module(module_name)
-    except ImportError as error:
-        raise ZenTypeError(
-            f"cannot import module {module_name!r} for {ref!r}: {error}"
-        ) from error
-    for part in attr_path.split("."):
-        try:
-            target = getattr(target, part)
-        except AttributeError as error:
-            raise ZenTypeError(f"cannot resolve {ref!r}: {error}") from error
-    return target
 
 
 @dataclass(frozen=True)
@@ -118,8 +90,6 @@ class QuerySpec:
       solve all decrement one budget.  Distinct from ``timeout_s``
       (the hard per-attempt kill).  Expiry raises
       :class:`~repro.errors.ZenQueryTimeout` with the attempt history.
-    * ``hedge`` — per-query override of the engine's tail-latency
-      hedging (None = use the engine default).
     """
 
     builder: Any
@@ -140,7 +110,6 @@ class QuerySpec:
     use_cache: bool = True
     priority: str = "interactive"
     deadline_s: Optional[float] = None
-    hedge: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.kind not in QUERY_KINDS:
@@ -174,10 +143,6 @@ class QuerySpec:
             raise ZenTypeError(
                 "QuerySpec.deadline_s must be positive, got "
                 f"{self.deadline_s!r}"
-            )
-        if self.hedge is not None and not isinstance(self.hedge, bool):
-            raise ZenTypeError(
-                f"QuerySpec.hedge must be True/False/None, got {self.hedge!r}"
             )
 
     def with_backend(self, backend: str) -> "QuerySpec":

@@ -1,8 +1,8 @@
 """Unit tests for the overload-protection policy objects.
 
 Everything here is deterministic and in-process: the admission
-semaphore, the brownout hysteresis machine, the hedge-delay tracker,
-and the deadline-clamping helper run against injected fake clocks —
+semaphore, the brownout hysteresis machine and the deadline-clamping
+helper run against injected fake clocks —
 no worker pool, no sleeps longer than a condition-variable poll.
 """
 
@@ -17,7 +17,6 @@ from repro.service import (
     PRIORITIES,
     AdmissionController,
     BrownoutController,
-    HedgeTracker,
     clamp_spec_deadline,
 )
 from repro.service.spec import MIN_REMAINING_S, Budget, QuerySpec
@@ -292,73 +291,6 @@ class TestBrownoutController:
             BrownoutController(window_s=0.0)
 
 
-# -- HedgeTracker -------------------------------------------------------
-
-
-class TestHedgeTracker:
-    def test_disarmed_until_min_samples(self):
-        tracker = HedgeTracker(min_samples=5)
-        for i in range(4):
-            tracker.observe(0.1)
-        assert tracker.delay() is None
-        tracker.observe(0.1)
-        assert tracker.delay() is not None
-
-    def test_delay_is_quantile_times_factor(self):
-        tracker = HedgeTracker(quantile=0.95, factor=2.0, min_samples=10)
-        for i in range(100):
-            tracker.observe(i / 1000.0)  # 0..99 ms
-        p95 = tracker.percentile()
-        assert p95 == pytest.approx(0.094, abs=0.002)
-        assert tracker.delay() == pytest.approx(p95 * 2.0)
-
-    def test_fixed_delay_overrides_tracker(self):
-        tracker = HedgeTracker(min_samples=10, fixed_delay_s=0.25)
-        assert tracker.delay() == 0.25  # armed with zero samples
-
-    def test_min_delay_floor(self):
-        tracker = HedgeTracker(min_samples=1, min_delay_s=0.01)
-        tracker.observe(0.0001)
-        assert tracker.delay() == 0.01
-
-    def test_negative_samples_ignored(self):
-        tracker = HedgeTracker(min_samples=1)
-        tracker.observe(-1.0)
-        assert len(tracker) == 0
-
-    def test_counter_protocol_snapshot(self):
-        tracker = HedgeTracker(min_samples=2, maxlen=4)
-        assert tracker.snapshot()["armed"] == 0.0
-        for _ in range(6):
-            tracker.observe(0.1)
-        snap = tracker.snapshot()
-        assert snap["observed"] == 6.0  # monotone, unlike the window
-        assert snap["samples"] == 4.0
-        assert snap["armed"] == 1.0
-        assert snap["delay_s"] > 0.0
-        diff = tracker.delta({"observed": 2.0}, snap)
-        assert diff["observed"] == 4.0
-        tracker.reset_counters()
-        assert tracker.snapshot()["observed"] == 0.0
-
-    def test_bounded_window(self):
-        tracker = HedgeTracker(min_samples=1, maxlen=10)
-        for _ in range(20):
-            tracker.observe(1.0)
-        for _ in range(10):
-            tracker.observe(0.001)
-        # The slow epoch has been fully evicted.
-        assert tracker.percentile() == pytest.approx(0.001)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            HedgeTracker(quantile=0.0)
-        with pytest.raises(ValueError):
-            HedgeTracker(factor=0.0)
-        with pytest.raises(ValueError):
-            HedgeTracker(min_samples=0)
-
-
 # -- clamp_spec_deadline ------------------------------------------------
 
 
@@ -410,7 +342,6 @@ class TestSpecOverloadFields:
         spec = QuerySpec(builder="m:b")
         assert spec.priority == "interactive"
         assert spec.deadline_s is None
-        assert spec.hedge is None
 
     def test_priority_validated(self):
         from repro.errors import ZenTypeError
@@ -425,9 +356,3 @@ class TestSpecOverloadFields:
             QuerySpec(builder="m:b", deadline_s=0.0)
         with pytest.raises(ZenTypeError):
             QuerySpec(builder="m:b", deadline_s=-1.0)
-
-    def test_hedge_validated(self):
-        from repro.errors import ZenTypeError
-
-        with pytest.raises(ZenTypeError):
-            QuerySpec(builder="m:b", hedge="yes")

@@ -24,7 +24,7 @@ from repro.compose import (
     run_composed,
     simulate,
 )
-from repro.errors import ZenComposeError, ZenServiceError
+from repro.errors import ZenComposeError, ZenServiceError, ZenTypeError
 from repro.fuzz import FarmConfig, replay_artifact, run_farm
 from repro.workloads import chain_query, chain_topology
 
@@ -196,6 +196,18 @@ class TestShardFailure:
         assert excinfo.value.shard_id
         assert excinfo.value.causes
         assert isinstance(excinfo.value.causes[0], ZenServiceError)
+
+    def test_misspelt_budget_key_raises_before_any_dispatch(self):
+        """`{"deadline": …}` for `deadline_s` used to build an all-None
+        Budget: every shard and the fallback ran unbounded."""
+        topo = filter_chain(3)
+        query = chain_query(3)
+        engine = _LostShardEngine()
+        with pytest.raises(ZenTypeError, match="deadline"):
+            run_composed(topo, query, engine, budget={"deadline": 0.01})
+        assert engine.submitted == []
+        with pytest.raises(ZenTypeError, match="deadline"):
+            monolithic_verdict(topo, query, budget={"deadline": 0.01})
 
     def test_plan_covers_every_device(self):
         topo = filter_chain(4)

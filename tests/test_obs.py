@@ -419,10 +419,6 @@ def _sample_status() -> EngineStatus:
         },
         cache={"hits": 10, "misses": 2, "evictions": 0, "hit_rate": 0.833},
         breakers={"sat": "closed", "bdd": "open"},
-        hedge={
-            "enabled": True, "launched": 4, "won": 3, "lost": 1,
-            "win_rate": 0.75, "delay_s": 0.05,
-        },
         slo=[{
             "name": "p99", "kind": "latency", "objective": 0.5,
             "burn_fast": 3.1, "burn_slow": 2.4, "burning": True,
@@ -456,7 +452,6 @@ class TestEngineStatusData:
         assert "bdd=open" in text
         assert "hit-rate 0.833" in text
         assert "BURNING" in text
-        assert "win_rate=0.75" in text
 
 
 # ---------------------------------------------------------------------------

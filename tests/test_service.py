@@ -140,6 +140,21 @@ class TestQuerySpec:
         with pytest.raises(ZenTypeError):
             ZenFunction.from_ref("no.such.module:thing")
 
+    def test_from_ref_and_resolve_ref_are_one_walk(self):
+        from repro.service.spec import resolve_ref
+
+        assert resolve_ref(EQ)().find() == ZenFunction.from_ref(EQ).find()
+        for bad in (
+            "tests.service_faults",
+            "no.such.module:thing",
+            "tests.service_faults:eq_model.nope",
+        ):
+            with pytest.raises(ZenTypeError) as direct:
+                resolve_ref(bad)
+            with pytest.raises(ZenTypeError) as wrapped:
+                ZenFunction.from_ref(bad)
+            assert str(direct.value) == str(wrapped.value)
+
     def test_input_suite_survives_pickling(self):
         suite = InputSuite([1, 2], truncated=True, goals_explored=3,
                            goals_total=9)
@@ -564,21 +579,6 @@ class TestDifferentialOracle:
     def test_both_sides_failing_raises_query_failed(self, engine):
         with pytest.raises(ZenQueryFailed):
             engine.run_differential(QuerySpec(builder=CRASH, timeout_s=10))
-
-    def test_race_mode_returns_first_sound_answer(self, engine):
-        result = engine.run_differential(
-            {
-                "sat": QuerySpec(builder=EQ),
-                "bdd": QuerySpec(builder=HANG, timeout_s=15),
-            },
-            race=True,
-        )
-        assert result.answer == MAGIC
-        assert result.backend == "sat"
-        assert result.agreed is None
-        assert any(a.outcome == "cancelled" for a in result.attempts)
-        # The cancelled hanging worker was killed and replaced.
-        assert engine.run(QuerySpec(builder=EQ)).answer == MAGIC
 
     def test_rejects_non_query_kinds(self, engine):
         with pytest.raises(ZenTypeError):
