@@ -8,7 +8,7 @@ calls.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..bdd import FALSE, TRUE, Bdd
 from ..telemetry.spans import span
@@ -43,6 +43,7 @@ class BddBackend:
     def __init__(self, manager: Optional[Bdd] = None) -> None:
         self._manager = manager if manager is not None else Bdd()
         self._var_names: Dict[int, str] = {}
+        self._literals: Dict[Bit, Tuple[int, bool]] = {}
 
     @property
     def manager(self) -> Bdd:
@@ -91,6 +92,45 @@ class BddBackend:
 
     def ite(self, c: Bit, t: Bit, e: Bit) -> Bit:
         return self._manager.ite(c, t, e)
+
+    def and_many(self, bits: Sequence[Bit]) -> Bit:
+        """Conjunction scheduled from the deepest variables up.
+
+        Operands that are all literals become one ``cube`` (a single
+        path, no apply traversal).  Otherwise the operand whose top
+        variable is deepest goes first, so each ``and_`` walks only the
+        operand it adds instead of the relation built so far.
+        """
+        manager = self._manager
+        operands = [bit for bit in bits if bit != TRUE]
+        if FALSE in operands:
+            return FALSE
+        literal_of = self._literals
+        literals: Dict[int, bool] = {}
+        for bit in operands:
+            literal = literal_of.get(bit) or self._literal(bit)
+            if literal is None:
+                break
+            level, positive = literal
+            if literals.setdefault(level, positive) != positive:
+                return FALSE  # x and not x
+        else:
+            return manager.cube(literals)
+        operands.sort(key=manager.level_of, reverse=True)
+        result = TRUE
+        for bit in operands:
+            result = self.and_(bit, result)
+        return result
+
+    def _literal(self, bit: Bit) -> Optional[Tuple[int, bool]]:
+        """(variable, polarity) if the node is a literal, remembered so
+        the bits of an input are looked at once, not at every rule."""
+        manager = self._manager
+        high = manager.high(bit)
+        if high > TRUE or manager.low(bit) > TRUE:
+            return None
+        literal = self._literals[bit] = (manager.level_of(bit), high == TRUE)
+        return literal
 
     def is_true(self, a: Bit) -> bool:
         return a == TRUE

@@ -100,10 +100,7 @@ def mul(backend: BoolBackend, a, b) -> List[Bit]:
 
 def equal(backend: BoolBackend, a, b) -> Bit:
     """Vector equality."""
-    result = backend.true()
-    for x, y in zip(a, b):
-        result = backend.and_(result, backend.iff(x, y))
-    return result
+    return backend.and_many([backend.iff(x, y) for x, y in zip(a, b)])
 
 
 def unsigned_less(backend: BoolBackend, a, b) -> Bit:
@@ -131,6 +128,45 @@ def less(backend: BoolBackend, a, b, signed: bool) -> Bit:
 def less_equal(backend: BoolBackend, a, b, signed: bool) -> Bit:
     """a <= b."""
     return backend.not_(less(backend, b, a, signed))
+
+
+# Circuits with one operand a Python int: the constant selects, per bit,
+# which gate to emit, and is never expanded into constant bits.  Negative
+# values read as two's complement (``>>`` on a Python int is arithmetic).
+
+
+def and_const(backend: BoolBackend, a, value: int) -> List[Bit]:
+    """Pointwise AND with a constant: a mask selects bits."""
+    false = backend.false()
+    return [x if (value >> i) & 1 else false for i, x in enumerate(a)]
+
+
+def equal_const(backend: BoolBackend, a, value: int) -> Bit:
+    """Equality with a constant: one conjunction of literals."""
+    return backend.and_many(
+        [x if (value >> i) & 1 else backend.not_(x) for i, x in enumerate(a)]
+    )
+
+
+def greater_const(
+    backend: BoolBackend, a, value: int, signed: bool, or_equal: bool
+) -> Bit:
+    """a > value (a >= value with `or_equal`), one gate per bit.
+
+    Ripples up from the LSB: where the constant's bit is clear a set
+    bit of `a` decides "greater" and a clear one defers to the lower
+    bits; where it is set, a clear bit decides "not greater".  Only the
+    verdict on equal vectors tells the two orders apart.
+    """
+    result = const_bit(backend, or_equal)
+    sign = len(a) - 1 if signed else -1
+    for i, x in enumerate(a):
+        bit = (value >> i) & 1
+        if i == sign:  # signed order is unsigned order, sign bits flipped
+            x = backend.not_(x)
+            bit ^= 1
+        result = backend.and_(x, result) if bit else backend.or_(x, result)
+    return result
 
 
 def shift_left_const(backend: BoolBackend, a, amount: int) -> List[Bit]:

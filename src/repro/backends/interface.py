@@ -26,7 +26,13 @@ class Model(Protocol):
 
 
 class BoolBackend(Protocol):
-    """Operations a solver engine must provide to the bitblaster."""
+    """Operations a solver engine must provide to the bitblaster.
+
+    Constants (``true`` / ``false``, recognisable through ``is_true`` /
+    ``is_false``), fresh inputs, the six gates ``and_`` / ``or_`` /
+    ``not_`` / ``xor`` / ``iff`` / ``ite``, the n-ary ``and_many``, and
+    ``solve``.
+    """
 
     def true(self) -> Bit:
         ...
@@ -54,6 +60,16 @@ class BoolBackend(Protocol):
         ...
 
     def ite(self, c: Bit, t: Bit, e: Bit) -> Bit:
+        ...
+
+    def and_many(self, bits: Sequence[Bit]) -> Bit:
+        """Conjunction of any number of bits, in the engine's best order.
+
+        The one n-ary rule of the compiler: vector and structural
+        equality and flattened ``and`` / ``or`` trees all end here, so
+        each engine schedules a conjunction once (the BDD engine from
+        the deepest variables up, the AIG engine as a balanced tree).
+        """
         ...
 
     def is_true(self, a: Bit) -> bool:

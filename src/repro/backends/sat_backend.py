@@ -7,7 +7,7 @@ the CDCL solver.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..aig import FALSE_LIT, TRUE_LIT, Aig, CnfMapping, encode
 from ..telemetry.spans import span
@@ -131,6 +131,9 @@ class SatBackend:
 
     def ite(self, c: Bit, t: Bit, e: Bit) -> Bit:
         return self._aig.ite(c, t, e)
+
+    def and_many(self, bits: Sequence[Bit]) -> Bit:
+        return self._aig.and_many(bits)
 
     def is_true(self, a: Bit) -> bool:
         return a == TRUE_LIT

@@ -12,10 +12,19 @@ symbolic packets — short-circuit to the live branch only.
 
 The evaluator is iterative (explicit work stack) so deep ``if`` chains
 from large ACLs do not overflow the Python call stack.
+
+Three things a hand-written encoder knows are done here once, for every
+engine: an integer constant operand of a mask or comparison stays a
+Python int (the ``*_const`` circuits of :mod:`.bitvector`); a tree of
+``and`` (or ``or``) is conjoined in one ``backend.and_many``; and a
+comparison of an ``if`` chain of constants with a constant is pushed
+into the branches, so the chain merges one bit per ``if`` and the
+integer it would have selected is never built.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ZenEvaluationError
@@ -30,6 +39,30 @@ _REDUCE = 1
 _FORWARD = 2
 _MERGE_IF = 3
 _MERGE_CASE = 4
+_CONJOIN = 5
+_CONSTANT_OP = 6
+
+# Ops with a constant path, keyed to the op that reads the same with the
+# operands swapped (``k < x`` is ``x > k``).
+_SWAPPED = {
+    "band": "band",
+    "eq": "eq",
+    "ne": "ne",
+    "lt": "gt",
+    "le": "ge",
+    "gt": "lt",
+    "ge": "le",
+}
+_TRUE = ex.Constant(True, ty.BOOL)
+_FALSE = ex.Constant(False, ty.BOOL)
+_COMPARE = {
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
+}
 
 
 class SymbolicEvaluator:
@@ -44,6 +77,9 @@ class SymbolicEvaluator:
         self._backend = backend
         self._env = dict(env or {})
         self._memo: Dict[ex.Expr, sv.SymValue] = {}
+        # (if node, comparison, constant) -> the if with the comparison
+        # pushed into its branches; keeps a shared chain shared.
+        self._pushed: Dict[Tuple[ex.If, str, Any], ex.If] = {}
         self._max_list_length = max_list_length
 
     def bind(self, name: str, value: sv.SymValue) -> None:
@@ -82,6 +118,10 @@ class SymbolicEvaluator:
                 continue
             if phase == _EXPAND:
                 self._expand(node, stack)
+            elif phase == _CONJOIN:
+                memo[node] = self._conjoin(node.op, extra)
+            elif phase == _CONSTANT_OP:
+                memo[node] = self._constant_op(*extra)
             elif isinstance(node, ex.If):
                 self._branch_if(node, stack)
             elif isinstance(node, ex.ListCase):
@@ -94,7 +134,16 @@ class SymbolicEvaluator:
 
     def _expand(self, node: ex.Expr, stack: list) -> None:
         memo = self._memo
-        if isinstance(node, ex.Constant):
+        if isinstance(node, ex.Binary):
+            if node.op in ("and", "or"):
+                leaves = self._leaves(node)
+                stack.append((_CONJOIN, node, leaves))
+                for leaf in leaves:
+                    stack.append((_EXPAND, leaf, None))
+                return
+            if node.op in _SWAPPED and self._expand_constant_op(node, stack):
+                return
+        elif isinstance(node, ex.Constant):
             memo[node] = sv.from_constant(self._backend, node.type, node.value)
             return
         if isinstance(node, ex.Var):
@@ -119,6 +168,117 @@ class SymbolicEvaluator:
         stack.append((_REDUCE, node, None))
         for child in node.children:
             stack.append((_EXPAND, child, None))
+
+    def _leaves(self, root: ex.Binary) -> List[ex.Expr]:
+        """Operands of a tree of one logical op, left to right, each once.
+
+        Inner nodes of the tree are not evaluated on their own (one
+        already in the memo counts as a leaf).
+        """
+        memo = self._memo
+        leaves: List[ex.Expr] = []
+        seen = {root}
+        todo = [root.right, root.left]
+        while todo:
+            node = todo.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            if (
+                isinstance(node, ex.Binary)
+                and node.op == root.op
+                and node not in memo
+            ):
+                todo.append(node.right)
+                todo.append(node.left)
+            else:
+                leaves.append(node)
+        return leaves
+
+    def _conjoin(self, op: str, leaves: List[ex.Expr]) -> sv.SymBool:
+        backend = self._backend
+        bits = [self._memo[leaf].bit for leaf in leaves]  # type: ignore[attr-defined]
+        if op == "and":
+            return sv.SymBool(backend.and_many(bits))
+        # De Morgan: one conjunction rule serves both ops.
+        negated = [backend.not_(bit) for bit in bits]
+        return sv.SymBool(backend.not_(backend.and_many(negated)))
+
+    def _expand_constant_op(self, node: ex.Binary, stack: list) -> bool:
+        """Take the constant path if one operand is an integer constant.
+
+        The op is normalised to constant-on-the-right.  A comparison
+        whose other operand is an ``if`` with a constant branch is
+        rewritten (see :meth:`_push_comparison`) instead of evaluated.
+        """
+        op, operand, constant = node.op, node.left, node.right
+        if not isinstance(constant, ex.Constant):
+            if not isinstance(operand, ex.Constant):
+                return False
+            op, operand, constant = _SWAPPED[op], constant, operand
+        integer = isinstance(constant.type, ty.IntType)
+        if (
+            op != "band"
+            and isinstance(operand, ex.If)
+            and (integer or isinstance(constant.type, ty.BoolType))
+            and (
+                isinstance(operand.then, ex.Constant)
+                or isinstance(operand.orelse, ex.Constant)
+            )
+        ):
+            pushed = self._push_comparison(op, operand, constant)
+            self._forward(node, pushed, stack)
+            return True
+        if not integer:
+            return False
+        stack.append((_CONSTANT_OP, node, (op, operand, constant)))
+        stack.append((_EXPAND, operand, None))
+        return True
+
+    def _push_comparison(
+        self, op: str, chain: ex.If, constant: ex.Constant
+    ) -> ex.If:
+        """``If(c, a, e) op k`` as ``If(c, a op k, e op k)``.
+
+        One step only: the evaluator meets the pushed branch when (and
+        if) it expands it, so a 150-deep chain unrolls on the work
+        stack, and a branch under a constant condition is never built.
+        """
+        key = (chain, op, constant.value)
+        pushed = self._pushed.get(key)
+        if pushed is None:
+            compare = _COMPARE[op]
+
+            def push(branch: ex.Expr) -> ex.Expr:
+                if isinstance(branch, ex.Constant):
+                    verdict = compare(branch.value, constant.value)
+                    return _TRUE if verdict else _FALSE
+                return ex.Binary(op, branch, constant)
+
+            pushed = ex.If(chain.cond, push(chain.then), push(chain.orelse))
+            self._pushed[key] = pushed
+        return pushed
+
+    def _constant_op(
+        self, op: str, operand: ex.Expr, constant: ex.Constant
+    ) -> sv.SymValue:
+        """A mask or comparison whose right operand is a Python int."""
+        backend = self._backend
+        value = self._memo[operand]
+        assert isinstance(value, sv.SymInt)
+        int_type = constant.type
+        assert isinstance(int_type, ty.IntType)
+        bits, k, signed = value.bits, constant.value, int_type.signed
+        if op == "band":
+            return sv.SymInt(int_type, bv.and_const(backend, bits, k))
+        if op in ("eq", "ne"):
+            bit = bv.equal_const(backend, bits, k)
+        else:  # a < k is not a >= k, a <= k is not a > k
+            or_equal = op in ("ge", "lt")
+            bit = bv.greater_const(backend, bits, k, signed, or_equal)
+        if op in ("ne", "lt", "le"):
+            bit = backend.not_(bit)
+        return sv.SymBool(bit)
 
     def _branch_if(self, node: ex.If, stack: list) -> None:
         cond = self._memo[node.cond]
@@ -252,10 +412,6 @@ class SymbolicEvaluator:
         left = self._memo[node.left]
         right = self._memo[node.right]
         op = node.op
-        if op in ("and", "or"):
-            assert isinstance(left, sv.SymBool) and isinstance(right, sv.SymBool)
-            fn = backend.and_ if op == "and" else backend.or_
-            return sv.SymBool(fn(left.bit, right.bit))
         if op == "eq":
             return sv.SymBool(sv.equal(backend, left, right))
         if op == "ne":

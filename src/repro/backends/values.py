@@ -344,20 +344,18 @@ def equal(backend: BoolBackend, a: SymValue, b: SymValue) -> Bit:
     if isinstance(a, SymInt):
         return bv.equal(backend, a.bits, b.bits)
     if isinstance(a, SymTuple):
-        return _and_many(
-            backend, [equal(backend, x, y) for x, y in zip(a.items, b.items)]
+        return backend.and_many(
+            [equal(backend, x, y) for x, y in zip(a.items, b.items)]
         )
     if isinstance(a, SymObject):
-        return _and_many(
-            backend,
-            [equal(backend, a.fields[name], b.fields[name]) for name in a.fields],
+        return backend.and_many(
+            [equal(backend, a.fields[name], b.fields[name]) for name in a.fields]
         )
     if isinstance(a, SymOption):
         return _equal_guarded(backend, (a.has, a.val), (b.has, b.val))
     if isinstance(a, SymList):
-        return _and_many(
-            backend,
-            [_equal_guarded(backend, x, y) for x, y in _zip_cells(backend, a, b)],
+        return backend.and_many(
+            [_equal_guarded(backend, x, y) for x, y in _zip_cells(backend, a, b)]
         )
     if isinstance(a, SymMap):
         # Maps compare by representation (entry lists), which matches
@@ -375,20 +373,6 @@ def _equal_guarded(backend: BoolBackend, a, b) -> Bit:
         return same_guard
     payload = backend.or_(backend.not_(ga), equal(backend, va, vb))
     return backend.and_(same_guard, payload)
-
-
-def _and_many(backend: BoolBackend, bits: Sequence[Bit]) -> Bit:
-    """Conjoin per-part results, deepest variables first.
-
-    ``fresh`` allocates later parts at deeper levels, so folding in
-    reverse declaration order lets each ``and_`` touch only the part it
-    adds instead of re-walking the relation built so far (the same
-    rule ``bitvector.equal`` follows for the bits of one integer).
-    """
-    result = backend.true()
-    for bit in reversed(bits):
-        result = backend.and_(bit, result)
-    return result
 
 
 # ----------------------------------------------------------------------

@@ -1335,8 +1335,12 @@ class Bdd:
         Built bottom-up directly with ``_mk`` — a cube is a single
         path, so no apply traversals are needed.
         """
+        order = sorted(literals, reverse=True)
+        if order and not 0 <= order[-1] <= order[0] < self._num_vars:
+            bad = order[0] if order[0] >= self._num_vars else order[-1]
+            raise ZenSolverError(f"unknown BDD variable {bad}")
         result = TRUE
-        for index in sorted(literals, reverse=True):
+        for index in order:
             if literals[index]:
                 result = self._mk(index, FALSE, result)
             else:

@@ -258,30 +258,26 @@ class ZenFunction:
                         evaluator.fresh_input(f"arg{i}", t)
                         for i, t in enumerate(self._arg_types)
                     ]
-                    result_value = evaluator.evaluate(self._body.expr)
                     if predicate is None:
                         if not isinstance(self.return_type, ty.BoolType):
                             raise ZenTypeError(
                                 "find without a predicate needs a "
                                 "boolean-valued function"
                             )
-                        constraint_value = result_value
+                        prop = self._body
                     else:
-                        lifted_args = [
-                            Zen(ex.Lifted(sym, t, evaluator))
-                            for sym, t in zip(sym_args, self._arg_types)
-                        ]
-                        lifted_result = Zen(
-                            ex.Lifted(result_value, self.return_type, evaluator)
-                        )
-                        prop = predicate(*lifted_args, lifted_result)
+                        # Over the body expression, not its evaluated
+                        # value: the evaluator then compiles "body op
+                        # constant" exactly as if the model had folded
+                        # the property in (its memo shares the body).
+                        prop = predicate(*self._arg_vars, self._body)
                         if not isinstance(prop, Zen) or not isinstance(
                             prop.type, ty.BoolType
                         ):
                             raise ZenTypeError(
                                 "find predicate must return Zen<bool>"
                             )
-                        constraint_value = evaluator.evaluate(prop.expr)
+                    constraint_value = evaluator.evaluate(prop.expr)
                 assert isinstance(constraint_value, sv.SymBool)
                 with span("solve"):
                     model = engine.solve(constraint_value.bit)

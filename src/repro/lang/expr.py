@@ -12,38 +12,30 @@ evaluators under :mod:`repro.backends`.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..errors import ZenTypeError
 from . import types as ty
-
-_ids = itertools.count()
 
 
 class Expr:
     """Base class for expression nodes.
 
     Every node exposes ``type`` (its ZenType) and ``children``.
-    Identity-based hashing keeps nodes usable as cache keys even
-    though the Zen wrapper overloads ``==``.
+    Nodes hash and compare by identity (the defaults, deliberately not
+    overridden: evaluators key their memos by node and a Python-level
+    ``__hash__`` would run on every lookup), which keeps them usable as
+    cache keys even though the Zen wrapper overloads ``==``.
     """
 
-    __slots__ = ("type", "_id")
+    __slots__ = ("type",)
 
     def __init__(self, zen_type: ty.ZenType):
         self.type = zen_type
-        self._id = next(_ids)
 
     @property
     def children(self) -> Tuple["Expr", ...]:
         return ()
-
-    def __hash__(self) -> int:
-        return self._id
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
 
 
 class Constant(Expr):

@@ -8,6 +8,8 @@ expressions and inputs through all three.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
 import pytest
@@ -20,6 +22,7 @@ from repro import (
     Int,
     UInt,
     UShort,
+    Zen,
     ZList,
     ZMap,
     ZOption,
@@ -58,6 +61,7 @@ from repro.lang.listops import (
     map_get,
     map_set,
 )
+from tests.test_bitvector import equivalent
 
 
 @register_object
@@ -378,3 +382,316 @@ class TestSymbolicValues:
         bits2 = sv.input_bits(value)
         assert bits1 == bits2
         assert len(bits1) == 16
+
+
+# ---------------------------------------------------------------------------
+# What the compiler knows: constant operands, and comparisons pushed
+# through if-chains with constant branches
+# ---------------------------------------------------------------------------
+
+_CONSTANT_OPS = {
+    "band": operator.and_,
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
+}
+
+
+def _engine(name):
+    return SatBackend() if name == "sat" else BddBackend()
+
+
+def _same_function(backend, a: sv.SymValue, b: sv.SymValue) -> bool:
+    """Bit for bit the same Boolean functions."""
+    bits_a = [a.bit] if isinstance(a, sv.SymBool) else a.bits
+    bits_b = [b.bit] if isinstance(b, sv.SymBool) else b.bits
+    assert len(bits_a) == len(bits_b)
+    return all(equivalent(backend, x, y) for x, y in zip(bits_a, bits_b))
+
+
+def _not_a_constant(evaluator, backend, value, zen_type):
+    """`value` as a node the evaluator cannot see through: what it is
+    compared with takes the general, symbolic-symbolic circuits."""
+    payload = sv.from_constant(backend, zen_type, value)
+    return Zen(ex.Lifted(payload, zen_type, evaluator))
+
+
+def _int_range(int_type):
+    if int_type.signed:
+        return range(-(1 << (int_type.width - 1)), 1 << (int_type.width - 1))
+    return range(1 << int_type.width)
+
+
+def _apply(op, operand, k, constant_left):
+    fn = _CONSTANT_OPS[op]
+    return fn(k, operand) if constant_left else fn(operand, k)
+
+
+class TestConstantOperands:
+    """`x op k` with an ``ex.Constant`` k never expands k into bits; it
+    must still mean what the symbolic-symbolic circuit and Python mean."""
+
+    @pytest.mark.parametrize("backend_name", ["sat", "bdd"])
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_exhaustive_up_to_four_bits(self, backend_name, signed, width):
+        int_type = ty.IntType(width, signed)
+        backend = _engine(backend_name)
+        evaluator = SymbolicEvaluator(backend)
+        x = symbolic(int_type, "x")
+        value = evaluator.fresh_input("x", int_type)
+        compiled = []
+        for op, k, left in itertools.product(
+            _CONSTANT_OPS, _int_range(int_type), (False, True)
+        ):
+            z = _apply(op, x, constant(k, int_type), left)
+            assert isinstance(z.expr, ex.Binary) and z.expr.op == op
+            compiled.append((z, evaluator.evaluate(z.expr)))
+        # Solved last: a SAT model covers the circuit that existed then.
+        for a in _int_range(int_type):
+            model = backend.solve(
+                sv.equal(backend, value, sv.from_constant(backend, int_type, a))
+            )
+            for z, got in compiled:
+                assert decode(model, got) == eval_concrete(z, x=a), (z, a)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        op=st.sampled_from(sorted(_CONSTANT_OPS)),
+        constant_left=st.booleans(),
+        signed=st.booleans(),
+        backend_name=st.sampled_from(["sat", "bdd"]),
+    )
+    def test_constant_path_is_the_general_path(
+        self, data, op, constant_left, signed, backend_name
+    ):
+        int_type = ty.IntType(data.draw(st.integers(1, 16)), signed)
+        values = st.integers(_int_range(int_type)[0], _int_range(int_type)[-1])
+        k, mask, a = data.draw(values), data.draw(values), data.draw(values)
+        backend = _engine(backend_name)
+        evaluator = SymbolicEvaluator(backend)
+        x = symbolic(int_type, "x")
+        value = evaluator.fresh_input("x", int_type)
+        operand = x & mask  # bits partly constant, as a prefix match has them
+        z = _apply(op, operand, constant(k, int_type), constant_left)
+        general = _apply(
+            op,
+            operand,
+            _not_a_constant(evaluator, backend, k, int_type),
+            constant_left,
+        )
+        got = evaluator.evaluate(z.expr)
+        assert _same_function(backend, got, evaluator.evaluate(general.expr))
+        model = backend.solve(
+            sv.equal(backend, value, sv.from_constant(backend, int_type, a))
+        )
+        assert decode(model, got) == eval_concrete(z, x=a)
+
+    @pytest.mark.parametrize("backend_name", ["sat", "bdd"])
+    def test_no_vector_is_built_for_the_constant(self, backend_name, monkeypatch):
+        from repro.backends import bitvector as bv
+
+        built = []
+        original = bv.const_vector
+        monkeypatch.setattr(
+            bv, "const_vector", lambda *args: built.append(args) or original(*args)
+        )
+        backend = _engine(backend_name)
+        evaluator = SymbolicEvaluator(backend)
+        evaluator.fresh_input("x", ty.from_annotation(Int))
+        x = symbolic(Int, "x")
+        for op in _CONSTANT_OPS:
+            for left in (False, True):
+                evaluator.evaluate(_apply(op, x, constant(-7, Int), left).expr)
+        assert built == []
+        evaluator.evaluate((x + 1).expr)  # the spy does see a vector
+        assert len(built) == 1
+
+
+Tiny = ty.IntType(3, False)
+
+
+class TestComparisonPushedThroughIf:
+    """``If(c, Constant a, e) op k`` compiles as ``If(c, a op k, e op k)``."""
+
+    INPUTS = {"c": Bool, "d": Bool, "b": Bool, "y": Tiny}
+
+    def _setup(self, backend_name):
+        backend = _engine(backend_name)
+        evaluator = SymbolicEvaluator(backend)
+        for name, annotation in self.INPUTS.items():
+            evaluator.fresh_input(name, ty.from_annotation(annotation))
+        return backend, evaluator, {
+            name: symbolic(t, name) for name, t in self.INPUTS.items()
+        }
+
+    def _unpushed(self, evaluator, chain):
+        """The chain as an already merged value: nothing to push into."""
+        return Zen(
+            ex.Lifted(evaluator.evaluate(chain.expr), chain.type, evaluator)
+        )
+
+    def _chains(self, v):
+        c, d, b, y = v["c"], v["d"], v["b"], v["y"]
+        k = lambda value: constant(value, Tiny)  # noqa: E731
+        return {
+            "tail-not-constant": if_(c, 3, if_(d, 5, y)),
+            "constant-in-else": if_(c, y + 1, if_(d, y, 6)),
+            "all-constant": if_(c, k(1), if_(d, k(2), if_(b, k(2), k(0)))),
+            "nested-in-then": if_(c, if_(d, k(1), k(2)), k(3)),
+            "nested-both": if_(c, if_(d, 1, y), if_(b, y, 4)),
+        }
+
+    @pytest.mark.parametrize("backend_name", ["sat", "bdd"])
+    def test_pushed_is_the_unpushed_comparison(self, backend_name):
+        backend, evaluator, v = self._setup(backend_name)
+        for name, chain in self._chains(v).items():
+            reference = self._unpushed(evaluator, chain)
+            for op, k, left in itertools.product(
+                ("eq", "ne", "lt", "le", "gt", "ge"), range(8), (False, True)
+            ):
+                pushed = _apply(op, chain, constant(k, Tiny), left)
+                plain = _apply(op, reference, constant(k, Tiny), left)
+                assert _same_function(
+                    backend,
+                    evaluator.evaluate(pushed.expr),
+                    evaluator.evaluate(plain.expr),
+                ), (name, op, k, left)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        which=st.sampled_from(
+            ["tail-not-constant", "constant-in-else", "nested-in-then", "nested-both"]
+        ),
+        op=st.sampled_from(["eq", "ne", "lt", "le", "gt", "ge"]),
+        k=st.integers(0, 7),
+        left=st.booleans(),
+        c=st.booleans(),
+        d=st.booleans(),
+        b=st.booleans(),
+        y=st.integers(0, 7),
+    )
+    def test_agrees_with_the_concrete_evaluator(self, which, op, k, left, c, d, b, y):
+        chain = self._chains(
+            {name: symbolic(t, name) for name, t in self.INPUTS.items()}
+        )[which]
+        check_all_backends(
+            _apply(op, chain, constant(k, Tiny), left),
+            self.INPUTS,
+            {"c": c, "d": d, "b": b, "y": y},
+        )
+
+    @pytest.mark.parametrize("backend_name", ["sat", "bdd"])
+    def test_boolean_chain(self, backend_name):
+        backend, evaluator, v = self._setup(backend_name)
+        chain = if_(v["c"], constant(True, Bool), if_(v["d"], False, v["b"]))
+        reference = self._unpushed(evaluator, chain)
+        for op, k in itertools.product(("eq", "ne"), (False, True)):
+            pushed = _apply(op, chain, constant(k, Bool), False)
+            assert isinstance(pushed.expr.left, ex.If)
+            assert _same_function(
+                backend,
+                evaluator.evaluate(pushed.expr),
+                evaluator.evaluate(_apply(op, reference, k, False).expr),
+            )
+
+    def test_one_chain_two_constants_stays_shared(self):
+        backend, evaluator, v = self._setup("bdd")
+        chain = if_(v["c"], 3, if_(v["d"], 5, if_(v["b"], 3, v["y"])))
+        reference = self._unpushed(evaluator, chain)
+        first, again, other = chain == 3, chain == 3, chain == 5
+        assert first.expr is not again.expr
+        bits = [evaluator.evaluate(z.expr).bit for z in (first, again, other)]
+        assert bits[0] == bits[1] != bits[2]
+        assert bits[0] == evaluator.evaluate((reference == 3).expr).bit
+        assert bits[2] == evaluator.evaluate((reference == 5).expr).bit
+        # One rewritten `if` per (if node, op, constant): the second
+        # `== 3` found the first one's, `== 5` made its own three.
+        assert len(evaluator._pushed) == 6
+
+    @pytest.mark.parametrize("backend_name", ["sat", "bdd"])
+    def test_deep_chain_is_iterative_and_builds_no_register(
+        self, backend_name, monkeypatch
+    ):
+        merged_ints = []
+        original = sv.merge
+
+        def spy(backend, cond, then, orelse):
+            if isinstance(then, sv.SymInt):
+                merged_ints.append(then)
+            return original(backend, cond, then, orelse)
+
+        monkeypatch.setattr(sv, "merge", spy)
+        backend = _engine(backend_name)
+        evaluator = SymbolicEvaluator(backend)
+        evaluator.fresh_input("x", ty.from_annotation(UShort))
+        x = symbolic(UShort, "x")
+        chain = constant(0, UShort)
+        for i in reversed(range(3000)):
+            chain = if_(x == i, constant(i + 1, UShort), chain)
+        found = evaluator.evaluate((chain == 3000).expr)
+        assert merged_ints == []
+        model = backend.solve(found.bit)
+        assert decode(model, evaluator.evaluate(x.expr)) == 2999
+
+    def test_dead_branch_is_never_expanded(self):
+        backend = BddBackend()
+        evaluator = SymbolicEvaluator(backend)
+        unbound = symbolic(Tiny, "never-bound")
+        with pytest.raises(ZenEvaluationError):
+            evaluator.evaluate((unbound == 1).expr)
+        live = if_(constant(True, Bool), constant(1, Tiny), unbound) == 1
+        assert backend.is_true(evaluator.evaluate(live.expr).bit)
+
+
+class TestNaryLogic:
+    """A tree of one logical op is conjoined once, whatever its shape."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.recursive(
+            st.integers(0, 5),
+            lambda sub: st.tuples(st.sampled_from(["and", "or"]), sub, sub),
+            max_leaves=12,
+        ),
+        inputs=st.lists(st.booleans(), min_size=4, max_size=4),
+    )
+    def test_trees_agree_with_the_concrete_evaluator(self, shape, inputs):
+        names = ["p", "q", "r", "s"]
+        vs = [symbolic(Bool, n) for n in names]
+        leaves = vs + [constant(True, Bool), ~vs[0]]
+        shared = {}
+
+        def build(term):
+            if isinstance(term, int):
+                return leaves[term]
+            if term not in shared:  # equal subtrees are one shared node
+                op, left, right = term
+                a, b = build(left), build(right)
+                shared[term] = a & b if op == "and" else a | b
+            return shared[term]
+
+        check_all_backends(
+            build(shape), dict.fromkeys(names, Bool), dict(zip(names, inputs))
+        )
+
+    def test_left_fold_of_a_thousand_conjuncts(self):
+        backend = BddBackend()
+        evaluator = SymbolicEvaluator(backend)
+        evaluator.fresh_input("x", ty.from_annotation(UShort))
+        x = symbolic(UShort, "x")
+        z = x != 0
+        for i in range(1, 1000):
+            z = z & (x != i)
+        found = evaluator.evaluate(z.expr)
+        # Only the root of the tree was evaluated, none of the 998
+        # partial conjunctions under it.
+        inner = z.expr.left
+        assert isinstance(inner, ex.Binary) and inner.op == "and"
+        assert inner not in evaluator._memo
+        model = backend.solve(found.bit)
+        assert decode(model, evaluator.evaluate(x.expr)) >= 1000

@@ -208,6 +208,16 @@ class TestHelpers:
         assert m.evaluate(f, {0: True, 1: False, 2: False})
         assert not m.evaluate(f, {0: True, 1: False, 2: True})
 
+    @pytest.mark.parametrize("literals", [{7: True}, {1: True, 3: False}, {-1: True}])
+    def test_cube_rejects_unknown_variables(self, literals):
+        # Used to leak a bare IndexError from the unique-table lookup
+        # (and to build a node at "level -1" for a negative index).
+        m, vs = make(3)
+        nodes = m.num_nodes
+        with pytest.raises(ZenSolverError, match="unknown BDD variable"):
+            m.cube(literals)
+        assert m.num_nodes == nodes
+
     def test_from_function_majority(self):
         m, vs = make(3)
         f = m.from_function(

@@ -11,8 +11,10 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.backends import BddBackend, SatBackend
+from repro.backends import BddBackend, SatBackend, const_bit
 from repro.backends import bitvector as bv
 
 WIDTH = 4
@@ -181,3 +183,167 @@ class TestConversions:
         backend = SatBackend()
         bits = bv.const_vector(backend, -1, 4)
         assert eval_bits(backend, bits) == 15
+
+
+# ---------------------------------------------------------------------------
+# Circuits with a constant operand, and the one n-ary conjunction
+# ---------------------------------------------------------------------------
+
+
+def signed_value(value: int, width: int) -> int:
+    return value - (1 << width) if value >> (width - 1) else value
+
+
+def partly_constant(backend, width, known_mask, known_bits):
+    """A vector whose bits under `known_mask` are the constants of
+    `known_bits` and whose other bits are fresh inputs."""
+    return [
+        const_bit(backend, bool((known_bits >> i) & 1))
+        if (known_mask >> i) & 1
+        else backend.fresh(f"x{i}")
+        for i in range(width)
+    ]
+
+
+def equivalent(backend, a, b) -> bool:
+    """Same Boolean function (BDD handles are canonical; SAT is asked)."""
+    if isinstance(backend, BddBackend):
+        return a == b
+    return backend.solve(backend.xor(a, b)) is None
+
+
+def value_at(backend, vector, assignment: int, bit) -> bool:
+    """`bit` under the assignment that makes `vector` read `assignment`."""
+    constraint = backend.and_many(
+        [
+            x if (assignment >> i) & 1 else backend.not_(x)
+            for i, x in enumerate(vector)
+        ]
+    )
+    model = backend.solve(constraint)
+    assert model is not None, "the assignment respects the constant bits"
+    return model.value(bit)
+
+
+def constant_and_general(backend, vector, k, signed):
+    """Every constant-operand circuit next to the circuit it stands for
+    and the Python meaning of both (as a function of the vector's value)."""
+    width = len(vector)
+    kv = bv.const_vector(backend, k, width)
+    read = (lambda v: signed_value(v, width)) if signed else (lambda v: v)
+    kr = read(k & ((1 << width) - 1))
+    return {
+        "eq": (
+            bv.equal_const(backend, vector, k),
+            bv.equal(backend, vector, kv),
+            lambda v: read(v) == kr,
+        ),
+        "gt": (
+            bv.greater_const(backend, vector, k, signed, or_equal=False),
+            bv.less(backend, kv, vector, signed),
+            lambda v: read(v) > kr,
+        ),
+        "ge": (
+            bv.greater_const(backend, vector, k, signed, or_equal=True),
+            bv.less_equal(backend, kv, vector, signed),
+            lambda v: read(v) >= kr,
+        ),
+    }
+
+
+class TestConstantOperands:
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_exhaustive_on_constant_vectors(self, backend, width, signed):
+        for a, k in itertools.product(range(1 << width), repeat=2):
+            va = bv.const_vector(backend, a, width)
+            assert eval_bits(backend, bv.and_const(backend, va, k)) == a & k
+            for name, (const, general, meaning) in constant_and_general(
+                backend, va, k, signed
+            ).items():
+                assert eval_bit(backend, const) == meaning(a), (name, a, k)
+                assert eval_bit(backend, general) == meaning(a), (name, a, k)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_exhaustive_on_symbolic_vectors(self, backend, width, signed):
+        vector = partly_constant(backend, width, 0, 0)
+        for k in range(1 << width):
+            circuits = constant_and_general(backend, vector, k, signed)
+            masked = bv.and_const(backend, vector, k)
+            for a in range(1 << width):
+                for name, (const, _, meaning) in circuits.items():
+                    got = value_at(backend, vector, a, const)
+                    assert got == meaning(a), (name, a, k)
+                for i, bit in enumerate(masked):
+                    assert value_at(backend, vector, a, bit) == bool(
+                        ((a & k) >> i) & 1
+                    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), signed=st.booleans(), which=st.sampled_from(["sat", "bdd"]))
+    def test_constant_path_is_the_general_path(self, data, signed, which):
+        backend = SatBackend() if which == "sat" else BddBackend()
+        width = data.draw(st.integers(1, 16))
+        top = (1 << width) - 1
+        known_mask = data.draw(st.integers(0, top))
+        known_bits = data.draw(st.integers(0, top)) & known_mask
+        # Constants arrive as Python ints of either sign.
+        k = data.draw(st.integers(-(1 << (width - 1)) if signed else 0, top))
+        a = (data.draw(st.integers(0, top)) & ~known_mask) | known_bits
+        vector = partly_constant(backend, width, known_mask, known_bits)
+        masked = bv.and_const(backend, vector, k)
+        general = bv.bitwise_and(
+            backend, vector, bv.const_vector(backend, k, width)
+        )
+        assert all(equivalent(backend, x, y) for x, y in zip(masked, general))
+        for name, (const, general, meaning) in constant_and_general(
+            backend, vector, k, signed
+        ).items():
+            assert equivalent(backend, const, general), name
+            assert value_at(backend, vector, a, const) == meaning(a), name
+
+
+class TestAndMany:
+    def test_empty_and_constants(self, backend):
+        x = backend.fresh("x")
+        assert backend.is_true(backend.and_many([]))
+        assert backend.is_true(backend.and_many([backend.true()]))
+        assert backend.and_many([backend.true(), x, backend.true()]) == x
+        assert backend.is_false(backend.and_many([x, backend.false(), x]))
+
+    def test_literal_with_its_negation(self, backend):
+        x, y = backend.fresh("x"), backend.fresh("y")
+        conflict = backend.and_many([x, y, backend.not_(x)])
+        assert backend.solve(conflict) is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), which=st.sampled_from(["sat", "bdd"]))
+    def test_matches_the_left_fold(self, data, which):
+        backend = SatBackend() if which == "sat" else BddBackend()
+        xs = [backend.fresh(f"x{i}") for i in range(5)]
+        pool = (
+            [backend.true(), backend.false()]
+            + xs
+            + [backend.not_(x) for x in xs]
+            + [
+                backend.or_(xs[0], xs[3]),
+                backend.xor(xs[1], xs[4]),
+                backend.and_(xs[2], backend.not_(xs[0])),
+                backend.ite(xs[4], xs[1], xs[2]),
+            ]
+        )
+        # FALSE is drawn rarely, or every long list would be FALSE.
+        picks = data.draw(
+            st.lists(
+                st.one_of(
+                    st.integers(2, len(pool) - 1), st.integers(0, len(pool) - 1)
+                ),
+                max_size=10,
+            )
+        )
+        operands = [pool[i] for i in picks]
+        folded = backend.true()
+        for bit in operands:
+            folded = backend.and_(folded, bit)
+        assert equivalent(backend, backend.and_many(operands), folded)

@@ -342,6 +342,67 @@ class TestBddBudget:
         assert info.value.reason == "deadline"
         assert time.monotonic() - started < 2 * deadline
 
+    def test_cube_build_trips_the_cap_at_the_crossing(self):
+        # An all-literal conjunction is one `cube`: no apply kernel
+        # runs, so only the allocation checkpoint of `_mk` can trip.
+        engine = BddBackend()
+        literals = [engine.fresh(f"x{i}") for i in range(200)]
+        cap = engine.manager.num_nodes + 30
+        engine.set_budget(Budget(max_bdd_nodes=cap))
+        with pytest.raises(ZenBudgetExceeded) as info:
+            engine.and_many(literals)
+        assert info.value.reason == "bdd_nodes"
+        assert engine.manager.num_nodes == cap + 1
+
+    def test_nary_conjunction_trips_the_cap_at_the_crossing(self):
+        engine = BddBackend()
+        xs = [engine.fresh(f"x{i}") for i in range(200)]
+        pairs = [engine.xor(a, b) for a, b in zip(xs[::2], xs[1::2])]
+        cap = engine.manager.num_nodes + 30
+        engine.set_budget(Budget(max_bdd_nodes=cap))
+        with pytest.raises(ZenBudgetExceeded) as info:
+            engine.and_many(pairs)
+        assert info.value.reason == "bdd_nodes"
+        assert engine.manager.num_nodes == cap + 1
+
+    @pytest.mark.parametrize("literal_operands", [True, False])
+    def test_nary_conjunction_honours_the_deadline(self, literal_operands):
+        # The injected clock runs out at its third reading; the manager
+        # reads it at every 256th allocation, cube or kernel alike.
+        engine = BddBackend()
+        xs = [engine.fresh(f"x{i}") for i in range(1200)]
+        if literal_operands:
+            operands = xs
+        else:
+            operands = [engine.xor(a, b) for a, b in zip(xs[::2], xs[1::2])]
+        readings = itertools.count()
+        meter = Budget(deadline_s=2.5).start(clock=lambda: next(readings))
+        engine.set_budget(meter)
+        built = engine.manager.num_nodes
+        with pytest.raises(ZenBudgetExceeded) as info:
+            engine.and_many(operands)
+        assert info.value.reason == "deadline"
+        assert 256 <= engine.manager.num_nodes - built < 1024
+
+    def test_pushed_comparison_trips_the_deadline_mid_chain(self):
+        # `line == last` over an if-chain is 150 Boolean merges; a
+        # deadline that runs out part of the way down must abort the
+        # query, not return a verdict about the rules seen so far.
+        acl = random_acl(150, seed=2020)
+        last = len(acl.rules)
+        f = ZenFunction(lambda h: acl_match_line(acl, h) == last, [Header])
+        unbudgeted = BddBackend()
+        assert f.find(backend=unbudgeted) is not None
+        total = unbudgeted.manager.num_nodes
+        engine = BddBackend()
+        readings = itertools.count()
+        meter = Budget(deadline_s=8.5).start(clock=lambda: next(readings))
+        with pytest.raises(ZenBudgetExceeded) as info:
+            f.find(backend=engine, budget=meter)
+        assert info.value.reason == "deadline"
+        assert 0 < engine.manager.num_nodes < total
+        assert engine.budget is None
+
     def test_set_budget_fails_fast_when_already_over(self):
         manager = Bdd()
         manager.new_vars(16)

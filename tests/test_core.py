@@ -149,6 +149,39 @@ class TestFind:
         assert cex is not None
         assert classifier.evaluate(cex) == 0
 
+    def test_predicate_form_compiles_like_the_folded_form(self):
+        # The predicate is built over the body *expression*, so
+        # "line == last" reaches the compiler as one comparison of an
+        # if-chain with a constant, as it does when the model folds the
+        # property in: same BDD work, to the expansion.
+        from repro.backends import BddBackend
+        from repro.network import Header, acl_match_line
+        from repro.workloads import random_acl
+
+        acl = random_acl(100, seed=11)
+        last = len(acl.rules)
+
+        def expansions(function, predicate):
+            engine = BddBackend()
+            witness = function.find(predicate, backend=engine)
+            return witness, sum(engine.manager.stats().cache_misses.values())
+
+        folded = ZenFunction(lambda h: acl_match_line(acl, h) == last, [Header])
+        plain = ZenFunction(lambda h: acl_match_line(acl, h), [Header])
+        by_fold, folded_count = expansions(folded, None)
+        by_predicate, predicate_count = expansions(
+            plain, lambda h, line: line == last
+        )
+        assert by_fold == by_predicate
+        assert predicate_count == folded_count
+
+    def test_predicate_ignoring_the_result_never_evaluates_the_body(self):
+        from repro.lang import symbolic
+
+        # The body reads a variable no evaluator binds: evaluating it raises.
+        f = ZenFunction(lambda x: x + symbolic(Byte, "unbound"), [Byte])
+        assert f.find(lambda x, out: x == 3, validate=False) == 3
+
     def test_unknown_backend(self, classifier):
         with pytest.raises(ZenTypeError):
             classifier.find(lambda f, r: r == 0, backend="quantum")

@@ -10,6 +10,7 @@ payload with fresh unconstrained inputs, and no observable may notice.
 from __future__ import annotations
 
 import importlib.util
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from repro.aig import Aig
 from repro.analyses import reachable_sets
 from repro.backends import BddBackend, SatBackend, SymbolicEvaluator, decode
 from repro.backends import values as sv
+from repro.baselines.batfish_acl import BatfishAclEncoder
 from repro.core import TransformerContext
 from repro.core import transformers
 from repro.errors import ZenUnsoundResultError
@@ -46,6 +48,7 @@ from repro.network import (
     PERMIT,
     Acl,
     AclRule,
+    Header,
     Network,
     Packet,
     Route,
@@ -306,6 +309,12 @@ _byte = st.deferred(
         st.tuples(st.just("value"), _opt),
         st.tuples(st.just("if"), _bool, _byte, _byte),
         st.tuples(st.just("head-or"), _list, _byte),
+        # if c1 then k1 elif c2 then k2 ... else tail: constant leaves
+        st.tuples(
+            st.just("chain"),
+            st.lists(st.tuples(_bool, st.integers(0, 7)), min_size=1, max_size=3),
+            _byte,
+        ),
     )
 )
 _opt = st.deferred(
@@ -329,6 +338,15 @@ _list = st.deferred(
 _bool = st.deferred(
     lambda: st.one_of(
         st.tuples(st.just("lt"), _byte, _byte),
+        # a comparison with a constant, on either side: over a "chain"
+        # it is pushed into the branches instead of reading the merge
+        st.tuples(
+            st.just("cmp-k"),
+            st.sampled_from(["eq", "ne", "lt", "le", "gt", "ge"]),
+            _byte,
+            st.integers(0, 7),
+            st.booleans(),
+        ),
         st.tuples(st.just("eq"), st.one_of(
             st.tuples(_byte, _byte), st.tuples(_opt, _opt), st.tuples(_list, _list)
         )),
@@ -354,6 +372,15 @@ def _build(term, env):
     if op == "eq":
         a, b = (_build(t, env) for t in args[0])
         return a == b
+    if op == "chain":
+        result = _build(args[1], env)
+        for cond, k in reversed(args[0]):
+            result = if_(_build(cond, env), constant(k, Tiny), result)
+        return result
+    if op == "cmp-k":
+        compare = getattr(operator, args[0])
+        operand, k = _build(args[1], env), constant(args[2], Tiny)
+        return compare(k, operand) if args[3] else compare(operand, k)
     sub = [_build(t, env) for t in args]
     if op == "value":
         return sub[0].value()
@@ -493,6 +520,43 @@ def test_fabric_query_stays_under_the_expansion_ceiling():
     assert len(paths) == 3
     expansions = sum(context.manager.stats().cache_misses.values())
     assert expansions < 120_000
+
+
+def _last_line_query():
+    models = _e2e_models()
+    acl = models.figure10_acl(101, 0, 0, 150)
+    return acl, ZenFunction(models.last_line_model(acl), [Header])
+
+
+def test_acl_query_costs_no_more_than_the_hand_written_encoder():
+    """Fig. 10 left as an inequality: one 150-line `acl_bdd` query was
+    38,577 `and` expansions against the baseline's 18,165 while masks and
+    comparisons were built bit by bit, `and` chains left-folded and the
+    line register merged at every `if`."""
+    acl, function = _last_line_query()
+    engine = BddBackend()
+    assert function.find(backend=engine) is not None
+    zen = sum(engine.manager.stats().cache_misses.values())
+    encoder = BatfishAclEncoder()
+    assert encoder.manager.any_sat(encoder.match_line_bdds(acl)[-1]) is not None
+    baseline = sum(encoder.manager.stats().cache_misses.values())
+    assert zen <= 16_000
+    assert zen <= baseline
+
+
+@pytest.mark.parametrize("make_backend", [BddBackend, SatBackend])
+def test_acl_query_builds_no_constant_vector(make_backend, monkeypatch):
+    """Every mask, prefix, port bound and line number of the query is a
+    constant operand: none of them becomes a bit vector."""
+    from repro.backends import bitvector as bv
+
+    calls = []
+    monkeypatch.setattr(bv, "const_vector", lambda *args: calls.append(args))
+    _, function = _last_line_query()
+    evaluator = SymbolicEvaluator(make_backend())
+    evaluator.fresh_input("arg0", function.arg_types[0])
+    evaluator.evaluate(function.body.expr)
+    assert calls == []
 
 
 def _supports_one_walk_per_root(self, roots):

@@ -346,8 +346,8 @@ def test_pinned_route_map_counts():
         assert function.find(backend=engine, max_list_length=4) is not None
     finally:
         Solver.solve = original
-    assert engine.aig.num_nodes == 3810
-    assert seen == [(1937, 5833, 0)]
+    assert engine.aig.num_nodes == 3466
+    assert seen == [(1608, 4846, 0)]
     assert engine.statistics["conflicts"] == 0
 
 
