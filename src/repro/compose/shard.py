@@ -12,11 +12,18 @@ For each (entry point, exit point) pair the worker computes the
 that headers in the shard's interface assumption arrive at the entry.
 Internally this is a small worklist fixpoint over the shard's own
 devices and links (shards may contain internal loops), built from two
-cached per-device sets:
+families of per-device sets:
 
 * ``IN[d, p]``  — headers admitted by ``acl_in`` at port ``p``;
 * ``PRE[d, q]`` — headers whose *post-NAT* rewrite is forwarded to
   port ``q`` and admitted by ``acl_out`` there.
+
+The first hop through a device builds all of them at once — they are
+the roots of one evaluation of one device model
+(:meth:`~repro.core.transformers.TransformerContext.from_predicates`),
+so the NAT rewrite, the FIB chain and every match condition are
+compiled once per device, not once per port.  A port without an
+ingress ACL admits everything and has no ``IN`` set.
 
 A hop's image of a set ``S`` entering ``p`` and leaving ``q`` is then
 ``S ∩ IN[p] ∩ PRE[q]``, pushed through the device's NAT rewrite when
@@ -38,12 +45,12 @@ and could certify a bogus "unreachable".
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional
 
-from ..core import ZenFunction, start_meter
+from ..core import start_meter
 from ..core.transformers import StateSet, TransformerContext
 from ..core.budget import Budget
-from ..lang import Zen, constant
+from ..lang import Zen
 from ..network import Header, NatRule, Prefix, acl_allows, apply_nat, forward
 from ..telemetry.metrics import METRICS
 from ..telemetry.spans import span
@@ -52,8 +59,16 @@ from .plan import pair_key, point_key
 from .topo import DeviceModel, Point, device_model
 
 
+class _DeviceSets(NamedTuple):
+    """One device's hop sets; see the module docstring."""
+
+    out_ports: List[int]  # ascending, null port excluded
+    admitted: Dict[int, StateSet]  # IN[p], ports with an ingress ACL only
+    pre: Dict[int, StateSet]  # PRE[q], every out port
+
+
 class _ShardModel:
-    """Per-device Zen sets for one shard, cached by (device, port)."""
+    """Per-device Zen sets for one shard, built on a device's first hop."""
 
     def __init__(
         self, context: TransformerContext, header_type, levels, meter
@@ -62,48 +77,49 @@ class _ShardModel:
         self.header_type = header_type
         self.levels = levels
         self.meter = meter
-        self._in: Dict[Point, StateSet] = {}
-        self._pre: Dict[Point, StateSet] = {}
+        self.universe = context.universe(header_type)
+        self._sets: Dict[str, _DeviceSets] = {}
         self.set_ops = 0
 
-    def admitted(self, model: DeviceModel, port: int) -> StateSet:
-        key = (model.name, port)
-        if key not in self._in:
-            acl = model.acl_in.get(port)
-            if acl is None:
-                pred = ZenFunction(
-                    lambda h: constant(True, bool), [Header], name="allow-all"
-                )
-            else:
-                pred = ZenFunction(
-                    lambda h, acl=acl: acl_allows(acl, h),
-                    [Header],
-                    name=f"in:{model.name}:{port}",
-                )
-            self._in[key] = self.context.from_predicate(pred, budget=self.meter)
-        return self._in[key]
+    def sets(self, model: DeviceModel) -> _DeviceSets:
+        """All of the device's ``IN`` and ``PRE`` sets, from one model.
 
-    def pre_exit(self, model: DeviceModel, port: int) -> StateSet:
-        """Headers whose post-NAT form is forwarded to `port` and
-        admitted by its egress ACL."""
-        key = (model.name, port)
-        if key not in self._pre:
+        Every port asks its question of the same NAT rewrite and FIB
+        lookup, so they are the roots of one evaluation: a match
+        condition is built once per rule, not once per rule and port.
+        """
+        built = self._sets.get(model.name)
+        if built is not None:
+            return built
+        in_ports = sorted(model.acl_in)
+        out_ports = sorted(
+            {rule.port for rule in model.fib.rules if rule.port != 0}
+        )
 
-            def pred_fn(h: Zen, model: DeviceModel = model, q: int = port) -> Zen:
-                rewritten = apply_nat(model.nat, h) if model.nat else h
-                cond = forward(model.fib, rewritten) == q
+        def roots(h: Zen) -> List[Zen]:
+            rewritten = apply_nat(model.nat, h) if model.nat else h
+            port = forward(model.fib, rewritten)
+            conds = [acl_allows(model.acl_in[p], h) for p in in_ports]
+            for q in out_ports:
+                cond = port == q
                 acl = model.acl_out.get(q)
                 if acl is not None:
                     cond = cond & acl_allows(acl, rewritten)
-                return cond
+                conds.append(cond)
+            return conds
 
-            pred = ZenFunction(
-                pred_fn, [Header], name=f"pre:{model.name}:{port}"
-            )
-            self._pre[key] = self.context.from_predicate(
-                pred, budget=self.meter
-            )
-        return self._pre[key]
+        built_sets = self.context.from_predicates(
+            roots,
+            self.header_type,
+            name=f"device:{model.name}",
+            budget=self.meter,
+        )
+        built = self._sets[model.name] = _DeviceSets(
+            out_ports,
+            dict(zip(in_ports, built_sets)),
+            dict(zip(out_ports, built_sets[len(in_ports) :])),
+        )
+        return built
 
     def _prefix_literals(self, field: str, prefix: Prefix) -> Dict[int, bool]:
         offset = _OFFSETS[field]
@@ -186,9 +202,11 @@ class _ShardModel:
         if self.meter is not None:
             self.meter.check_deadline()
         self.set_ops += 1
-        passing = arriving.intersect(self.admitted(model, in_port)).intersect(
-            self.pre_exit(model, out_port)
-        )
+        sets = self.sets(model)
+        # A port without an ingress ACL admits everything: nothing to compile.
+        passing = arriving.intersect(
+            sets.admitted.get(in_port, self.universe)
+        ).intersect(sets.pre[out_port])
         if model.nat is None or passing.node == 0:
             return passing
         METRICS.counter("compose.nat_images").inc()
@@ -234,12 +252,6 @@ def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
     model = _ShardModel(context, header_type, levels, meter)
     filters_only = all(m.nat is None for m in models.values())
 
-    def out_ports(name: str) -> List[int]:
-        ports = {
-            rule.port for rule in models[name].fib.rules if rule.port != 0
-        }
-        return sorted(ports)
-
     images: Dict[str, Optional[Cover]] = {}
     exact = True
     rounds = 0
@@ -263,7 +275,7 @@ def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
                 current = arriving[(device, port)]
                 if current.node == 0:
                     continue
-                for q in out_ports(device):
+                for q in model.sets(models[device]).out_ports:
                     image = model.hop_image(models[device], port, q, current)
                     if image.node == 0:
                         continue

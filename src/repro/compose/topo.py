@@ -59,6 +59,19 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _is_port(value: Any, lowest: int = 0) -> bool:
+    """A port number the models can carry: a ``Byte``, never a bool.
+
+    ``forward`` returns ``Zen<byte>`` with 0 as the null port; links
+    and query points name real ports (`lowest` 1).
+    """
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and lowest <= value <= 255
+    )
+
+
 def validate_topology(topo: Any) -> Dict[str, Any]:
     """Shape-check a topology payload; returns it for chaining."""
     _require(isinstance(topo, dict), "topology must be a dict")
@@ -75,9 +88,13 @@ def validate_topology(topo: Any) -> Dict[str, Any]:
         for entry in fib:
             _require(
                 isinstance(entry, (list, tuple))
-                and len(entry) == 2
-                and isinstance(entry[1], int),
+                and len(entry) == 2,
                 f"device {name!r} fib entries must be [[addr, len], port]",
+            )
+            _require(
+                _is_port(entry[1]),
+                f"device {name!r} fib port {entry[1]!r} must be an int in "
+                "0..255 (0 is the null port)",
             )
         for side in ("acl_in", "acl_out"):
             acls = spec.get(side, {})
@@ -89,6 +106,10 @@ def validate_topology(topo: Any) -> Dict[str, Any]:
                 _require(
                     str(port).isdigit() and isinstance(rules, list),
                     f"device {name!r} {side}[{port!r}] malformed",
+                )
+                _require(
+                    _is_port(int(port)),
+                    f"device {name!r} {side} port {port!r} must be in 0..255",
                 )
         nat = spec.get("nat")
         _require(
@@ -107,8 +128,8 @@ def validate_topology(topo: Any) -> Dict[str, Any]:
         for dev, port in ((dev_a, port_a), (dev_b, port_b)):
             _require(dev in devices, f"link references unknown device {dev!r}")
             _require(
-                isinstance(port, int) and port > 0,
-                f"link port {port!r} on {dev!r} must be a positive int",
+                _is_port(port, lowest=1),
+                f"link port {port!r} on {dev!r} must be an int in 1..255",
             )
             _require(
                 (dev, port) not in seen_ends,
@@ -138,9 +159,8 @@ def validate_query(topo: Dict[str, Any], query: Any) -> Dict[str, Any]:
             isinstance(point, (list, tuple))
             and len(point) == 2
             and point[0] in devices
-            and isinstance(point[1], int)
-            and point[1] > 0,
-            f"query {key} must be [known_device, positive_port]",
+            and _is_port(point[1], lowest=1),
+            f"query {key} must be [known_device, port in 1..255]",
         )
     validate_cover(query.get("headers"), "query headers")
     validate_cover(query.get("target"), "query target")

@@ -43,6 +43,7 @@ from ..backends import BddBackend, BddModel, SatBackend, SymbolicEvaluator
 from ..backends import values as sv
 from ..bdd import Bdd
 from ..errors import ZenArityError, ZenTypeError
+from ..lang import expr as ex
 from ..lang import types as ty
 from ..lang import Zen
 from ..telemetry.spans import span
@@ -293,6 +294,12 @@ class TransformerContext:
 
     Sets and transformers only compose within one context.  A default
     module-level context is used when none is supplied.
+
+    Sets come from :meth:`empty_set`, :meth:`universe`,
+    :meth:`singleton`, and from models: :meth:`from_predicates` turns
+    several boolean models of one input into sets with one trace and
+    one evaluation; :meth:`from_predicate` is its one-model case for a
+    ready :class:`~repro.core.function.ZenFunction`.
     """
 
     def __init__(self, max_list_length: int = DEFAULT_MAX_LIST_LENGTH):
@@ -381,20 +388,54 @@ class TransformerContext:
             raise ZenTypeError("from_predicate expects a ZenFunction")
         if len(function.arg_types) != 1:
             raise ZenArityError("set predicates must be unary")
-        if not isinstance(function.return_type, ty.BoolType):
-            raise ZenTypeError("set predicates must return bool")
-        zen_type = function.arg_types[0]
+        # The body ranges over ``Var("arg0")``, the one name
+        # from_predicates binds, so it is that method's one-root case.
+        (only,) = self.from_predicates(
+            lambda _arg: [function.body],
+            function.arg_types[0],
+            name=function.name,
+            budget=budget,
+        )
+        return only
+
+    def from_predicates(
+        self, fn, annotation: Any, name: Optional[str] = None, budget=None
+    ) -> List["StateSet"]:
+        """The sets on which several boolean models of one input are true.
+
+        ``fn`` takes one Zen value of the annotated type and returns a
+        list of Zen bools (the *roots*); the result holds one set per
+        root, in order.  ``fn`` is traced once and all roots are
+        evaluated in one :class:`SymbolicEvaluator` session, so whatever
+        the roots share — a rewritten input, a lookup chain, every
+        condition under them — is built once, and each further root
+        costs only what is its own.  `budget` bounds the whole build.
+        """
+        zen_type = ty.from_annotation(annotation)
         space = self.space(zen_type)
-        with span("stateset.from_predicate", function=function.name), metered(
-            self.manager, budget
-        ):
+        name = name or getattr(fn, "__name__", "<predicates>")
+        roots = fn(Zen(ex.Var("arg0", zen_type)))
+        if not isinstance(roots, (list, tuple)):
+            raise ZenTypeError(
+                f"{name} must return a list of Zen bools, got {roots!r}"
+            )
+        for index, root in enumerate(roots):
+            if not isinstance(root, Zen) or not isinstance(
+                root.type, ty.BoolType
+            ):
+                raise ZenTypeError(
+                    f"set predicates must return bool; root {index} of "
+                    f"{name} is {root!r}"
+                )
+        with span(
+            "stateset.from_predicate", function=name, roots=len(roots)
+        ), metered(self.manager, budget):
             evaluator = SymbolicEvaluator(
                 self.backend, max_list_length=self.max_list_length
             )
             evaluator.bind("arg0", space.value)
-            result = evaluator.evaluate(function.body.expr)
-        assert isinstance(result, sv.SymBool)
-        return StateSet(self, zen_type, result.bit)
+            bits = [evaluator.evaluate(root.expr).bit for root in roots]
+        return [StateSet(self, zen_type, bit) for bit in bits]
 
 
 class StateSet:

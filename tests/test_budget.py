@@ -595,6 +595,188 @@ class TestTransformerAndModelcheckBudget:
         assert report.iterations == 5
 
 
+def _fat_device_spec(seed: int = 12) -> dict:
+    """One device big enough that its set build crosses several of the
+    manager's 256-allocation clock checkpoints: 40 routes over six
+    ports, an ingress ACL and two egress ACLs of 12 random lines."""
+    import random
+
+    rng = random.Random(seed)
+
+    def prefix(lo, hi):
+        length = rng.randint(lo, hi)
+        return [rng.getrandbits(32) & ~((1 << (32 - length)) - 1), length]
+
+    def acl():
+        lines = [
+            {
+                "action": rng.random() < 0.5,
+                "src": prefix(4, 16),
+                "dst": prefix(4, 16),
+                "dst_ports": [rng.randint(0, 999), rng.randint(1000, 65535)],
+                "protocol": rng.choice([None, 6, 17]),
+            }
+            for _ in range(12)
+        ]
+        return lines + [{"action": True, "src": [0, 0], "dst": [0, 0]}]
+
+    fib = [[prefix(6, 24), rng.randint(1, 6)] for _ in range(40)]
+    return {
+        "fib": fib + [[[0, 0], 2]],
+        "acl_in": {"1": acl()},
+        "acl_out": {"2": acl(), "5": acl()},
+    }
+
+
+def _fat_device_roots(h):
+    """The fat device's hop sets as `from_predicates` roots."""
+    from repro.compose.topo import device_model
+    from repro.network import acl_allows, forward
+
+    model = device_model("fat", _fat_device_spec())
+    port = forward(model.fib, h)
+    roots = [acl_allows(model.acl_in[1], h)]
+    for q in range(1, 7):
+        cond = port == q
+        if q in model.acl_out:
+            cond = cond & acl_allows(model.acl_out[q], h)
+        roots.append(cond)
+    return roots
+
+
+def _raised_inside(info, function_name: str) -> bool:
+    return any(entry.name == function_name for entry in info.traceback)
+
+
+class TestBatchedSetBuildBudget:
+    """`from_predicates` and the compose worker's per-device build stay
+    under the budget they are given — caps and deadlines trip *inside*
+    the one evaluation, not only between hops."""
+
+    def _context(self):
+        ctx = TransformerContext()
+        ctx.universe(Header)  # allocate the canonical block up front
+        return ctx
+
+    def _unbudgeted_nodes(self):
+        ctx = self._context()
+        built = ctx.manager.num_nodes
+        ctx.from_predicates(_fat_device_roots, Header)
+        return ctx.manager.num_nodes - built
+
+    def test_node_cap_trips_at_the_crossing(self):
+        total = self._unbudgeted_nodes()
+        ctx = self._context()
+        cap = ctx.manager.num_nodes + total // 2
+        with pytest.raises(ZenBudgetExceeded) as info:
+            ctx.from_predicates(
+                _fat_device_roots, Header, budget=Budget(max_bdd_nodes=cap)
+            )
+        assert info.value.reason == "bdd_nodes"
+        assert ctx.manager.num_nodes == cap + 1
+        assert info.value.stats["bdd_nodes"] == cap + 1
+        assert ctx.manager.budget is None
+        # The manager is consistent: the same build now completes, and
+        # to the same sets a fresh context gives.
+        again = ctx.from_predicates(_fat_device_roots, Header)
+        fresh = self._context().from_predicates(_fat_device_roots, Header)
+        assert [s.count() for s in again] == [s.count() for s in fresh]
+
+    def test_deadline_trips_between_the_first_root_and_the_last(self):
+        total = self._unbudgeted_nodes()
+        first = self._context()
+        base = first.manager.num_nodes
+        first.from_predicates(lambda h: _fat_device_roots(h)[:1], Header)
+        after_first_root = first.manager.num_nodes - base
+        assert after_first_root + 512 < total  # room for a checkpoint
+        ctx = self._context()
+        manager = ctx.manager
+        # The clock passes the deadline once the first root is built; the
+        # manager reads it at its next 256th allocation.
+        meter = Budget(deadline_s=1.0).start(
+            clock=lambda: 2.0 * (manager.num_nodes - base > after_first_root)
+        )
+        with pytest.raises(ZenBudgetExceeded) as info:
+            ctx.from_predicates(_fat_device_roots, Header, budget=meter)
+        assert info.value.reason == "deadline"
+        assert _raised_inside(info, "from_predicates")
+        assert after_first_root < manager.num_nodes - base < total
+        assert info.value.stats["bdd_nodes"] > base
+        assert manager.budget is None
+        assert len(ctx.from_predicates(_fat_device_roots, Header)) == 7
+
+    def _shard_task(self, budget):
+        return {
+            "shard_id": "fat",
+            "devices": {"fat": _fat_device_spec()},
+            "links": [],
+            "entries": [["fat", 1]],
+            "exits": [["fat", q] for q in range(1, 7)],
+            "assumption": None,
+            "budget": budget,
+        }
+
+    def _recorded_contexts(self, monkeypatch):
+        from repro.compose import shard
+
+        contexts = []
+
+        class Recorded(TransformerContext):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                contexts.append(self)
+
+        monkeypatch.setattr(shard, "TransformerContext", Recorded)
+        return contexts
+
+    def test_shard_build_trips_the_node_cap_at_the_crossing(self, monkeypatch):
+        from repro.compose import compute_shard_summary
+
+        contexts = self._recorded_contexts(monkeypatch)
+        summary = compute_shard_summary(self._shard_task(None))
+        assert summary["stats"]["set_ops"] == 6
+        total = contexts.pop().manager.num_nodes
+        cap = total // 2
+        with pytest.raises(ZenBudgetExceeded) as info:
+            compute_shard_summary(self._shard_task({"max_bdd_nodes": cap}))
+        assert info.value.reason == "bdd_nodes"
+        assert _raised_inside(info, "from_predicates")
+        (ctx,) = contexts
+        assert ctx.manager.num_nodes == cap + 1
+        assert info.value.stats["bdd_nodes"] == cap + 1
+        assert ctx.manager.budget is None
+        assert len(ctx.from_predicates(_fat_device_roots, Header)) == 7
+
+    def test_shard_build_trips_an_injected_deadline_mid_device(
+        self, monkeypatch
+    ):
+        from repro.compose import compute_shard_summary, shard
+
+        contexts = self._recorded_contexts(monkeypatch)
+        compute_shard_summary(self._shard_task(None))
+        total = contexts.pop().manager.num_nodes
+
+        def late_once_half_built():
+            return 2.0 * bool(
+                contexts and contexts[0].manager.num_nodes > total // 2
+            )
+
+        monkeypatch.setattr(
+            shard,
+            "start_meter",
+            lambda budget: budget.start(clock=late_once_half_built),
+        )
+        with pytest.raises(ZenBudgetExceeded) as info:
+            compute_shard_summary(self._shard_task({"deadline_s": 1.0}))
+        assert info.value.reason == "deadline"
+        assert _raised_inside(info, "from_predicates")
+        (ctx,) = contexts
+        assert total // 2 < ctx.manager.num_nodes < total
+        assert info.value.stats["bdd_nodes"] > 0
+        assert ctx.manager.budget is None
+        assert len(ctx.from_predicates(_fat_device_roots, Header)) == 7
+
+
 class TestBatfishBudget:
     def _acl(self):
         return Acl.of(

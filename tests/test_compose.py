@@ -13,20 +13,35 @@ verdict, while a killed worker is absorbed by respawn + retry.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 
 import pytest
 
+from repro import ZenFunction
+from repro.backends import bitvector
 from repro.compose import (
     CANARY_DROP_ASSUMPTION,
+    compute_shard_summary,
     monolithic_verdict,
     plan_shards,
     run_composed,
     simulate,
 )
+from repro.compose.shard import _ShardModel
+from repro.compose.topo import device_model
+from repro.core import transformers
+from repro.core.transformers import TransformerContext
 from repro.errors import ZenComposeError, ZenServiceError, ZenTypeError
 from repro.fuzz import FarmConfig, replay_artifact, run_farm
-from repro.workloads import chain_query, chain_topology
+from repro.network import Header, acl_allows, apply_nat, forward
+from repro.workloads import (
+    chain_query,
+    chain_topology,
+    fat_tree,
+    fat_tree_reach_query,
+)
 
 
 def filter_chain(num_devices: int, *, deny_all_at: str | None = None):
@@ -216,6 +231,271 @@ class TestShardFailure:
         for shard in plan.shards:
             planned |= set(shard["devices"])
         assert planned == set(topo["devices"])
+
+
+def seeded_devices(seed: int):
+    """Devices from the fuzz topology grammar (`chain_topology` with NAT
+    and ingress ACLs), each decorated from the same seed with what the
+    grammar never emits: an egress ACL, a null-port rule ahead of the
+    default route, more ports; plus a device with one out port and one
+    with none."""
+    rng = random.Random(seed)
+    topo = chain_topology(
+        4, seed=seed, fib_rules=5, nat_probability=0.7, acl_probability=0.6
+    )
+    devices = topo["devices"]
+    for spec in devices.values():
+        # chain FIBs already repeat ports (2, 2, 3, …, default 2).
+        spec["fib"].insert(
+            rng.randrange(len(spec["fib"])),
+            [[rng.getrandbits(32), rng.randint(4, 20)], 0],
+        )
+        spec["fib"].insert(0, [[rng.getrandbits(32), rng.randint(8, 24)], 7])
+        spec["acl_out"] = {
+            str(rng.choice((2, 3))): [
+                {
+                    "action": False,
+                    "src": [rng.getrandbits(32), rng.randint(1, 12)],
+                    "dst": [0, 0],
+                    "dst_ports": [rng.randint(0, 1000), rng.randint(1000, 65535)],
+                },
+                {"action": True, "src": [0, 0], "dst": [0, 0], "protocol": 6},
+            ]
+        }
+    devices["one_port"] = {
+        "fib": [[[0x0A000000, 8], 4], [[0x0A0A0000, 16], 4]],
+        "acl_in": {"1": [{"action": True, "src": [0, 0], "dst": [0x0A000000, 9]}]},
+    }
+    devices["no_port"] = {
+        "fib": [[[0, 0], 0]],
+        "acl_in": {"1": [{"action": True, "src": [0, 0], "dst": [0, 0]}]},
+    }
+    return {name: device_model(name, spec) for name, spec in devices.items()}
+
+
+def fresh_shard_model():
+    context = TransformerContext()
+    header_type = context.universe(Header).zen_type
+    levels = context.space(header_type).levels
+    return context, _ShardModel(context, header_type, levels, None)
+
+
+def pinned_fabric(mask: int):
+    """The k=4 fat-tree of seed 5 and a query injecting 10.0.0.0/`mask`."""
+    topo = fat_tree(4, seed=5, acl_probability=0.3)
+    query = fat_tree_reach_query("host_0_0_0", "host_3_1_0")
+    query["headers"] = [{"dst_ip": [0x0A000000, mask]}]
+    return topo, query
+
+
+class _Counts:
+    """Evaluator sessions opened and `equal_const` calls made since the
+    last `take()`."""
+
+    def __init__(self, monkeypatch):
+        self.sessions = 0
+        self.equal_const = 0
+        counts = self
+
+        class Session(transformers.SymbolicEvaluator):
+            def __init__(self, *args, **kwargs):
+                counts.sessions += 1
+                super().__init__(*args, **kwargs)
+
+        original = bitvector.equal_const
+
+        def equal_const(*args, **kwargs):
+            counts.equal_const += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(transformers, "SymbolicEvaluator", Session)
+        monkeypatch.setattr(bitvector, "equal_const", equal_const)
+
+    def take(self):
+        taken = (self.sessions, self.equal_const)
+        self.sessions = self.equal_const = 0
+        return taken
+
+
+def match_conditions(model) -> int:
+    """Prefix / protocol equalities the device's hop model states: one
+    per FIB rule, two per NAT rule, two or three per ACL line — for the
+    ACLs a hop can meet (an egress ACL on a port no route uses is never
+    asked about), and none for a device that forwards nowhere."""
+
+    def acl_conditions(acl):
+        return sum(2 + (rule.protocol is not None) for rule in acl.rules)
+
+    out_ports = {rule.port for rule in model.fib.rules} - {0}
+    count = sum(acl_conditions(acl) for acl in model.acl_in.values())
+    if out_ports:
+        count += len(model.fib.rules)
+        count += 2 * len(model.nat.rules) if model.nat else 0
+        count += sum(
+            acl_conditions(acl)
+            for port, acl in model.acl_out.items()
+            if port in out_ports
+        )
+    return count
+
+
+class TestPerDeviceBuild:
+    """A device's IN/PRE sets come from one evaluation of one model."""
+
+    @pytest.mark.parametrize("seed", [3, 24, 77])
+    def test_batched_sets_equal_the_sets_built_one_predicate_at_a_time(
+        self, seed
+    ):
+        for model in seeded_devices(seed).values():
+            context, shard_model = fresh_shard_model()
+            sets = shard_model.sets(model)
+            assert sets.out_ports == sorted(
+                {rule.port for rule in model.fib.rules} - {0}
+            )
+            assert set(sets.pre) == set(sets.out_ports)
+            # Ports without an ingress ACL get no set: hops use the universe.
+            assert set(sets.admitted) == set(model.acl_in)
+            for port, acl in model.acl_in.items():
+                alone = context.from_predicate(
+                    ZenFunction(lambda h, acl=acl: acl_allows(acl, h), [Header])
+                )
+                assert sets.admitted[port].node == alone.node
+
+            def pre_exit(h, q):
+                rewritten = apply_nat(model.nat, h) if model.nat else h
+                cond = forward(model.fib, rewritten) == q
+                acl = model.acl_out.get(q)
+                if acl is not None:
+                    cond = cond & acl_allows(acl, rewritten)
+                return cond
+
+            for q in sets.out_ports:
+                alone = context.from_predicate(
+                    ZenFunction(lambda h, q=q: pre_exit(h, q), [Header])
+                )
+                assert sets.pre[q].node == alone.node
+            assert shard_model.sets(model) is sets  # built once, then kept
+
+    def test_edge_devices(self):
+        models = seeded_devices(3)
+        _, shard_model = fresh_shard_model()
+        one = shard_model.sets(models["one_port"])
+        assert one.out_ports == [4] and not one.pre[4].is_empty()
+        none = shard_model.sets(models["no_port"])
+        assert none.out_ports == [] and none.pre == {}
+        assert none.admitted[1].is_universe()
+
+    def test_one_session_and_one_condition_per_rule_per_device(
+        self, monkeypatch
+    ):
+        topo, query = pinned_fabric(0xFF000000)
+        counts = _Counts(monkeypatch)
+        for shard in plan_shards(topo, query).shards:
+            summary = compute_shard_summary(shard)
+            models = [
+                device_model(name, spec)
+                for name, spec in shard["devices"].items()
+            ]
+            # Every device of these shards is an entry, so all are touched.
+            assert summary["stats"]["devices"] == len(models)
+            assert counts.take() == (
+                len(models),
+                sum(map(match_conditions, models)),
+            )
+
+    @pytest.mark.parametrize("seed", [3, 24, 77])
+    def test_conditions_are_not_multiplied_by_ports(self, monkeypatch, seed):
+        counts = _Counts(monkeypatch)
+        for model in seeded_devices(seed).values():
+            _, shard_model = fresh_shard_model()
+            shard_model.sets(model)
+            assert counts.take() == (1, match_conditions(model))
+
+    def test_pinned_fat_tree_summaries(self):
+        def summaries(mask):
+            topo, query = pinned_fabric(mask)
+            out = {}
+            for shard in plan_shards(topo, query).shards:
+                summary = compute_shard_summary(shard)
+                assert summary["stats"].pop("elapsed_ms") >= 0.0
+                out[shard["shard_id"]] = summary
+            return out
+
+        # The per-port build of the parent commit gives this digest for
+        # the seven summaries of the 10/8 query (images, flags, stats).
+        blob = json.dumps(summaries(0xFF000000), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "497e508fff80076f4b0de4805bd2a03d67052cb134e6abbbeccc5f2fbd588f60"
+        )
+        # And one shard in full, on 10.0.0.0/29: host .2 goes down port
+        # 1, the rest of the /29 up port 3, from each of three entries.
+        down = [{"dst_ip": [0x0A000002, 0xFFFFFFFF]}]
+        up = [
+            {"dst_ip": [0x0A000004, 0xFFFFFFFC]},
+            {"dst_ip": [0x0A000003, 0xFFFFFFFF]},
+            {"dst_ip": [0x0A000000, 0xFFFFFFFE]},
+        ]
+        edge = summaries(0xFFFFFFF8)["shard1"]
+        assert edge == {
+            "shard_id": "shard1",
+            "filters_only": True,
+            "exact": True,
+            "assumption": [{"dst_ip": [0x0A000000, 0xFFFFFFF8]}],
+            "images": {
+                f"edge_0_0:{entry}|edge_0_0:{port}": cover
+                for entry in (1, 3, 4)
+                for port, cover in ((1, down), (3, up))
+            },
+            "stats": {
+                "devices": 1,
+                "entries": 3,
+                "exits": 3,
+                "set_ops": 6,
+                "fixpoint_pops": 3,
+            },
+        }
+
+
+class TestPortValidation:
+    """Ports are checked where the topology enters, not inside a worker."""
+
+    @pytest.mark.parametrize("port", [300, -2, True])
+    @pytest.mark.parametrize("where", ["fib", "link", "acl_in", "acl_out"])
+    def test_unrepresentable_port_is_rejected_up_front(self, where, port):
+        topo = filter_chain(2)
+        if where == "fib":
+            topo["devices"]["d1"]["fib"].insert(0, [[0, 0], port])
+        elif where == "link":
+            topo["links"][0][1] = port
+        else:
+            topo["devices"]["d1"][where] = {
+                port if port is True else str(port): [
+                    {"action": True, "src": [0, 0], "dst": [0, 0]}
+                ]
+            }
+        query = chain_query(2)
+        with pytest.raises(ValueError, match="port|malformed"):
+            plan_shards(topo, query)
+        with pytest.raises(ValueError, match="port|malformed"):
+            run_composed(topo, query, None)
+        with pytest.raises(ValueError, match="port|malformed"):
+            monolithic_verdict(topo, query)
+
+    @pytest.mark.parametrize("port", [300, 0, True])
+    def test_query_points_are_ports_too(self, port):
+        query = chain_query(2)
+        query["sink"] = ["d1", port]
+        with pytest.raises(ValueError, match="sink"):
+            plan_shards(filter_chain(2), query)
+
+    def test_every_byte_is_a_port(self):
+        topo = filter_chain(2)
+        topo["devices"]["d0"]["fib"].insert(0, [[0x0B000000, 8], 255])
+        topo["devices"]["d0"]["fib"].insert(0, [[0x0C000000, 8], 0])
+        topo["devices"]["d0"]["acl_out"] = {
+            "255": [{"action": True, "src": [0, 0], "dst": [0, 0]}]
+        }
+        assert run_composed(topo, chain_query(2), None).reachable is True
 
 
 class TestComposedThroughService:

@@ -341,6 +341,64 @@ class TestTransformers:
         b = ctx.from_predicate(ZenFunction(lambda x: ~(x >= 10), [Byte]))
         assert a.equals(b)
 
+    def test_from_predicates_equals_one_set_per_predicate(self, ctx):
+        # Roots sharing a sub-model (`masked`, an if-chain compared with
+        # several constants) must come out node-identical to the sets
+        # built one predicate at a time in the same context.
+        def roots(x):
+            masked = x & 0x3C
+            none_of = constant(0, Byte)
+            bucket = if_(x < 40, 1, if_(x < 90, 2, if_(masked == 4, 1, none_of)))
+            return [
+                masked == 4,
+                bucket == 1,
+                bucket == 2,
+                (bucket == 0) & (x > 200),
+                constant(True, bool),
+            ]
+
+        batched = ctx.from_predicates(roots, Byte, name="buckets")
+        assert len(batched) == 5
+        for index, one in enumerate(batched):
+            alone = ctx.from_predicate(
+                ZenFunction(lambda x, i=index: roots(x)[i], [Byte])
+            )
+            assert one.node == alone.node
+            assert one.zen_type == alone.zen_type
+        assert batched[4].is_universe()
+        assert batched[1].count() == 40 + sum(
+            1 for x in range(90, 256) if x & 0x3C == 4
+        )
+
+    def test_from_predicates_runs_one_evaluator_session(self, ctx, monkeypatch):
+        from repro.core import transformers
+
+        sessions = []
+
+        class Spy(transformers.SymbolicEvaluator):
+            def __init__(self, *args, **kwargs):
+                sessions.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(transformers, "SymbolicEvaluator", Spy)
+        ctx.from_predicates(lambda x: [x < 3, x < 5, x == 7], Byte)
+        assert len(sessions) == 1
+        ctx.from_predicate(ZenFunction(lambda x: x < 3, [Byte]))
+        assert len(sessions) == 2
+
+    def test_from_predicates_edges(self, ctx):
+        assert ctx.from_predicates(lambda x: [], Byte) == []
+        with pytest.raises(ZenTypeError, match="root 1"):
+            ctx.from_predicates(lambda x: [x < 3, x + 1], Byte)
+        with pytest.raises(ZenTypeError, match="root 0"):
+            ctx.from_predicates(lambda x: [True], Byte)
+        with pytest.raises(ZenTypeError, match="list of Zen bools"):
+            ctx.from_predicates(lambda x: x < 3, Byte)
+        with pytest.raises(ZenTypeError):
+            ctx.from_predicate(ZenFunction(lambda x: x + 1, [Byte]))
+        with pytest.raises(ZenArityError):
+            ctx.from_predicate(ZenFunction(lambda a, b: a < b, [Byte, Byte]))
+
     def test_empty_and_universe(self, ctx):
         assert ctx.empty_set(Byte).is_empty()
         assert ctx.universe(Byte).is_universe()

@@ -3,8 +3,9 @@
 Everything here runs a real :class:`QueryEngine` with real worker
 subprocesses — client deadlines are parent-stamped ``time.monotonic``
 values and CLOCK_MONOTONIC is system-wide on Linux, so injected fake
-clocks would not be comparable in the workers.  Timing assertions use
-generous margins: the CI box may have a single core.
+clocks would not be comparable in the workers (the one test that steps
+an injected clock keeps it ahead of the real one).  Timing assertions
+use generous margins: the CI box may have a single core.
 
 The fast scenarios run in tier-1.  The full storm scenarios (10x
 overload, worker-kill storms, clock-skewed bursts) carry the ``chaos``
@@ -22,12 +23,14 @@ from repro.errors import (
     ZenQueueFull,
     ZenServiceError,
 )
+from repro.obs.recorder import FlightRecorder
 from repro.service import QueryEngine, QuerySpec
 from repro.service.chaos import (
     OverloadScenario,
     inject_worker_fault,
     run_overload,
 )
+from tests.test_admission import FakeClock
 
 SLEEP = "repro.service.chaos:sleep_ms"
 CRASH = "tests.service_faults:crash_model"
@@ -230,23 +233,40 @@ class TestDeadlinePropagation:
             assert time.monotonic() - started < 1.5
 
     def test_no_retry_launched_past_the_deadline(self):
+        # The engine's clock moves only when the test moves it, so which
+        # terminator fires does not depend on how fast this host respawns
+        # a worker.  It runs an hour ahead of CLOCK_MONOTONIC because the
+        # worker compares the shipped deadline with its own real clock.
+        clock = FakeClock(time.monotonic() + 3600.0)
         with QueryEngine(
             pool_size=1,
             retries=5,
             backoff_base_s=0.2,
             jitter_s=0.0,
             max_batch_size=1,
+            clock=clock,
+            recorder=FlightRecorder(),  # not the process-wide one
         ) as engine:
             spec = QuerySpec(builder=CRASH, deadline_s=0.25, timeout_s=5.0)
+            future = engine.submit(spec)
+            # First crash at +0 s: its 0.2 s backoff ends inside the
+            # 0.25 s deadline, so one retry is scheduled.
+            wait_for(
+                lambda: len(engine.recorder.rings()["attempts"]) == 1,
+                timeout_s=30.0,
+            )
+            clock.advance(0.21)
+            # The retry crashes at +0.21 s; the next backoff (0.4 s)
+            # cannot start before the deadline, so none is launched.
             with pytest.raises(ZenQueryTimeout) as excinfo:
-                engine.run(spec)
+                future.result(timeout=30)
             attempts = excinfo.value.attempts
-            # Crash attempts, then a deadline_expired terminator —
-            # never five retries worth of crashes.
-            assert attempts[-1].outcome == "deadline_expired"
+            assert [a.outcome for a in attempts] == [
+                "crash",
+                "crash",
+                "deadline_expired",
+            ]
             assert "retry" in attempts[-1].error
-            crashes = [a for a in attempts if a.outcome == "crash"]
-            assert 1 <= len(crashes) <= 2
 
     def test_deadline_survives_success_untouched(self):
         with QueryEngine(pool_size=1) as engine:
