@@ -1,12 +1,11 @@
 """Binary decision diagram substrate.
 
 Provides the ROBDD manager used by the Zen BDD backend and the state
-set transformer abstraction, plus variable-ordering planning helpers.
+set transformer abstraction, plus the variable allocator.
 """
 
 from .manager import FALSE, TRUE, Bdd, BddStats
-from .ordering import VariableAllocator, plan_order, union_find_interleave_groups
-from .reorder import order_quality, rebuild, sift
+from .ordering import VariableAllocator
 
 __all__ = [
     "Bdd",
@@ -14,9 +13,4 @@ __all__ = [
     "TRUE",
     "FALSE",
     "VariableAllocator",
-    "plan_order",
-    "union_find_interleave_groups",
-    "rebuild",
-    "sift",
-    "order_quality",
 ]

@@ -1347,22 +1347,6 @@ class Bdd:
                 result = self._mk(index, result, FALSE)
         return result
 
-    def from_function(
-        self, fn: Callable[[Dict[int, bool]], bool], variables: Sequence[int]
-    ) -> int:
-        """Build a BDD from a Python truth function (for tests)."""
-        def build(i: int, assignment: Dict[int, bool]) -> int:
-            if i == len(variables):
-                return TRUE if fn(assignment) else FALSE
-            assignment[variables[i]] = False
-            low = build(i + 1, assignment)
-            assignment[variables[i]] = True
-            high = build(i + 1, assignment)
-            del assignment[variables[i]]
-            return self.ite(self.var(variables[i]), high, low)
-
-        return build(0, {})
-
     def clear_cache(self) -> None:
         """Drop the computed caches (unique tables are kept)."""
         self._and_cache.clear()
@@ -1370,31 +1354,3 @@ class Bdd:
         self._ite_cache.clear()
         self._quantify_cache.clear()
         self._subst_cache.clear()
-
-    def to_dot(self, f: int, name: str = "bdd") -> str:
-        """GraphViz DOT rendering of the graph rooted at `f`.
-
-        Complemented edges (only the root and low edges can be) carry
-        a hollow-dot arrowhead; the single terminal is 0.
-        """
-        def edge(source: str, handle: int, style: str = "") -> str:
-            attrs = [style] if style else []
-            if handle & 1:
-                attrs.append("arrowhead=odot")
-            suffix = f" [{', '.join(attrs)}]" if attrs else ""
-            return f"  {source} -> node{handle >> 1}{suffix};"
-
-        lines = [f"digraph {name} {{"]
-        lines.append("  root [shape=point];")
-        lines.append('  node0 [label="0", shape=box];')
-        lines.append(edge("root", f))
-        for index in sorted(self._reachable(f)):
-            lines.append(
-                f'  node{index} [label="x{self._level[index]}", shape=circle];'
-            )
-            lines.append(
-                edge(f"node{index}", self._low[index], "style=dashed")
-            )
-            lines.append(edge(f"node{index}", self._high[index]))
-        lines.append("}")
-        return "\n".join(lines)

@@ -5,17 +5,17 @@ et al. 1994).  The paper's key heuristic: when two multi-bit values are
 compared for (in)equality, their bits must be *interleaved* in the
 order, otherwise the equality BDD is exponential in the bit width.
 
-This module computes variable allocations.  Because the manager's
-levels are append-only, ordering decisions are made *before* variables
-are allocated: callers describe groups of bitvectors and receive the
-level layout to allocate against — exactly how the Zen implementation
-picks an ordering strategy from its alias-style analysis before
-constructing any BDDs.
+This module reserves variable indices.  Because the manager's levels
+are append-only, ordering decisions are made *before* variables are
+allocated: callers ask for sequential or interleaved blocks and
+allocate against them — exactly how the Zen implementation picks an
+ordering strategy from its alias-style analysis before constructing
+any BDDs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import List
 
 from ..errors import ZenSolverError
 
@@ -62,55 +62,3 @@ class VariableAllocator:
             [base + b * group_count + g for b in range(width)]
             for g in range(group_count)
         ]
-
-
-def union_find_interleave_groups(
-    widths: Sequence[int], comparisons: Iterable[Tuple[int, int]]
-) -> List[List[int]]:
-    """Group bitvector ids that must be interleaved together.
-
-    `widths[i]` is the bit width of value `i`; `comparisons` lists
-    pairs of value ids that appear together in a comparison.  Values
-    transitively linked by comparisons are merged into one group (the
-    alias-analysis-style heuristic from the paper).  Returns groups of
-    value ids; singleton groups mean sequential allocation is fine.
-    """
-    parent = list(range(len(widths)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in comparisons:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: Dict[int, List[int]] = {}
-    for i in range(len(widths)):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def plan_order(
-    widths: Sequence[int], comparisons: Iterable[Tuple[int, int]]
-) -> List[List[int]]:
-    """Produce a full variable allocation for a set of bitvectors.
-
-    Returns, for each value id, the list of BDD variable indices for
-    its bits (LSB first).  Values in the same comparison group are
-    interleaved; groups are laid out one after another.
-    """
-    alloc = VariableAllocator()
-    result: List[List[int]] = [[] for _ in widths]
-    for group in union_find_interleave_groups(widths, comparisons):
-        if len(group) == 1:
-            vid = group[0]
-            result[vid] = alloc.sequential(widths[vid])
-            continue
-        width = max(widths[vid] for vid in group)
-        blocks = alloc.interleaved(len(group), width)
-        for vid, block in zip(group, blocks):
-            result[vid] = block[: widths[vid]]
-    return result

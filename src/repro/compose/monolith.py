@@ -171,33 +171,35 @@ def monolithic_verdict(
         )
 
     # Deep if_ chains over 100+ devices stress the recursive symbolic
-    # evaluator; give it headroom rather than fail mid-query.
-    depth_floor = 50_000 + 400 * len(names)
-    if sys.getrecursionlimit() < depth_floor:
-        sys.setrecursionlimit(depth_floor)
-
-    with span("compose.monolith", devices=len(names)) as live:
-        context = TransformerContext()
-        step = ZenFunction(step_fn, [NetState], name="net-step")
-        initial = context.from_predicate(
-            ZenFunction(initial_fn, [NetState], name="net-initial"),
-            budget=budget,
-        )
-        bad = context.from_predicate(
-            ZenFunction(target_fn, [NetState], name="net-delivered"),
-            budget=budget,
-        )
-        report = backward_reachable(
-            step,
-            bad,
-            context=context,
-            max_iterations=max_iterations,
-            budget=budget,
-        )
-        hit = report.reachable.intersect(initial)
-        state = hit.element()
-        live.set("iterations", report.iterations)
-        live.set("reachable", state is not None)
+    # evaluator; give it headroom for this query only — a raised limit
+    # left behind lets later deep recursion overrun the C stack.
+    previous_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(previous_limit, 50_000 + 400 * len(names)))
+    try:
+        with span("compose.monolith", devices=len(names)) as live:
+            context = TransformerContext()
+            step = ZenFunction(step_fn, [NetState], name="net-step")
+            initial = context.from_predicate(
+                ZenFunction(initial_fn, [NetState], name="net-initial"),
+                budget=budget,
+            )
+            bad = context.from_predicate(
+                ZenFunction(target_fn, [NetState], name="net-delivered"),
+                budget=budget,
+            )
+            report = backward_reachable(
+                step,
+                bad,
+                context=context,
+                max_iterations=max_iterations,
+                budget=budget,
+            )
+            hit = report.reachable.intersect(initial)
+            state = hit.element()
+            live.set("iterations", report.iterations)
+            live.set("reachable", state is not None)
+    finally:
+        sys.setrecursionlimit(previous_limit)
 
     witness = None
     if state is not None:

@@ -306,11 +306,6 @@ class TransformerContext:
         self.backend = BddBackend()
         self.max_list_length = max_list_length
         self._spaces: Dict[ty.ZenType, TypeSpace] = {}
-        # First-seen relation layout per (input, output) type pair;
-        # used to express relations in comparable variables.
-        self._relation_spaces: Dict[
-            Tuple[ty.ZenType, ty.ZenType], Tuple[List[int], List[int]]
-        ] = {}
 
     @property
     def manager(self) -> Bdd:
@@ -336,25 +331,6 @@ class TransformerContext:
         space = TypeSpace(zen_type, value, levels)
         self._spaces[zen_type] = space
         return space
-
-    def allocate_relation_block(
-        self, in_width: int, out_width: int
-    ) -> Tuple[List[int], List[int]]:
-        """A fresh block with input/output levels interleaved bitwise."""
-        manager = self.manager
-        base = manager.num_vars
-        manager.new_vars(in_width + out_width)
-        in_levels: List[int] = []
-        out_levels: List[int] = []
-        cursor = base
-        for i in range(max(in_width, out_width)):
-            if i < in_width:
-                in_levels.append(cursor)
-                cursor += 1
-            if i < out_width:
-                out_levels.append(cursor)
-                cursor += 1
-        return in_levels, out_levels
 
     # ------------------------------------------------------------------
     # Set constructors
@@ -682,30 +658,6 @@ class StateSetTransformer:
                 pre, dict(zip(self.in_levels, in_space.levels))
             )
         return StateSet(self.context, self.input_type, result)
-
-    def canonical_relation(self) -> int:
-        """The relation expressed over canonical per-type-pair variables.
-
-        Transformers own private variable blocks, so two relations are
-        only comparable after moving them into a shared layout; the
-        first transformer built for a (input, output) type pair donates
-        its layout.  Because BDDs are canonical, equality of the
-        returned nodes is semantic equivalence of the functions (up to
-        the list-length bound) — the basis of Bonsai-style compression.
-        """
-        key = (self.input_type, self.output_type)
-        registered = self.context._relation_spaces.get(key)
-        if registered is None:
-            self.context._relation_spaces[key] = (
-                list(self.in_levels),
-                list(self.out_levels),
-            )
-            return self.relation
-        reg_in, reg_out = registered
-        mapping = dict(zip(self.in_levels, reg_in))
-        mapping.update(zip(self.out_levels, reg_out))
-        mapping = {a: b for a, b in mapping.items() if a != b}
-        return self.context.manager.permute(self.relation, mapping)
 
     def compose(
         self, other: "StateSetTransformer", budget=None

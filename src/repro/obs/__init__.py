@@ -4,18 +4,14 @@ Builds on :mod:`repro.telemetry` (raw spans/metrics) with the
 *operational* layer: an always-on bounded flight recorder that dumps
 self-contained JSON debug bundles on trigger, a live
 :class:`EngineStatus` snapshot readable from another process, rolling
-log-bucketed latency windows, and declarative SLO specs with
-multi-window burn-rate alerting.
+and log-bucketed latency windows.
 
 Quickstart::
-
-    from repro.obs import FlightRecorder, SLOSpec
 
     engine = QueryEngine(
         pool_size=4,
         bundle_dir="debug-bundles",
         status_file="engine-status.json",
-        slos=[SLOSpec("p99", "latency", objective=0.5)],
     )
     # ... elsewhere:  python -m repro.obs status engine-status.json
 """
@@ -30,7 +26,6 @@ from .recorder import (
     write_bundle,
 )
 from .rolling import LOG_BOUNDS, RollingCounter, RollingHistogram
-from .slo import DEFAULT_SLOS, SLOMonitor, SLOSpec
 from .status import (
     DEFAULT_STATUS_FILE,
     EngineStatus,
@@ -42,7 +37,6 @@ from .status import (
 __all__ = [
     "BUNDLE_KIND",
     "BUNDLE_VERSION",
-    "DEFAULT_SLOS",
     "DEFAULT_STATUS_FILE",
     "EngineStatus",
     "FlightRecorder",
@@ -50,8 +44,6 @@ __all__ = [
     "RECORDER",
     "RollingCounter",
     "RollingHistogram",
-    "SLOMonitor",
-    "SLOSpec",
     "load_bundle",
     "read_status_file",
     "render_bundle",

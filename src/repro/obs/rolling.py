@@ -1,6 +1,6 @@
 """Sliding-window primitives for operational observability.
 
-The live-status and SLO layers need "what happened over the last N
+The live-status layer needs "what happened over the last N
 seconds" views that the cumulative :mod:`repro.telemetry.metrics`
 counters cannot answer.  Both primitives here slice time into a fixed
 number of slots of equal width; observations land in the slot covering

@@ -3,9 +3,9 @@
 :class:`EngineStatus` is a plain-data snapshot of everything an
 operator wants at a glance: pool utilization, per-priority queue
 depths, rolling latency quantiles, cache hit rate, breaker and
-brownout state, SLO burn state, and counter totals.  The
-engine produces one via ``QueryEngine.status()`` and (when configured
-with ``status_file=``) writes it atomically on a cadence so
+brownout state, and counter totals.  The engine produces one via
+``QueryEngine.status()`` and (when configured with ``status_file=``)
+writes it atomically on a cadence so
 ``python -m repro.obs status`` in *another process* can read it.
 """
 
@@ -15,7 +15,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping
 
 __all__ = [
     "DEFAULT_STATUS_FILE",
@@ -42,7 +42,6 @@ class EngineStatus:
     latency_ms: Dict[str, Dict[str, float]] = field(default_factory=dict)
     cache: Dict[str, Any] = field(default_factory=dict)
     breakers: Dict[str, str] = field(default_factory=dict)
-    slo: List[Dict[str, Any]] = field(default_factory=list)
     counters: Dict[str, float] = field(default_factory=dict)
     compose: Dict[str, float] = field(default_factory=dict)
 
@@ -136,15 +135,5 @@ def render_status(status: EngineStatus) -> str:
             f" · escalations {int(compose.get('escalations', 0))}"
             f" · monolith fallbacks"
             f" {int(compose.get('monolith_fallbacks', 0))}"
-        )
-    for slo in status.slo or []:
-        flag = "BURNING" if slo.get("burning") else "ok"
-        fast = slo.get("burn_fast")
-        slow = slo.get("burn_slow")
-        lines.append(
-            f"  slo {slo.get('name'):<16} [{flag}]"
-            f" burn fast={fast if fast is not None else '-'}"
-            f" slow={slow if slow is not None else '-'}"
-            f" alerts={slo.get('alerts', 0)}"
         )
     return "\n".join(lines)

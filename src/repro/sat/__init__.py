@@ -1,4 +1,4 @@
-"""SAT solving substrate: a CDCL solver plus DIMACS utilities.
+"""SAT solving substrate: a CDCL solver.
 
 This package provides the search engine underneath the bitblasting
 ("SMT") backend described in the paper.  It is independent of the Zen
@@ -13,15 +13,10 @@ language layer and usable on its own::
     assert s.solve()
 """
 
-from .dimacs import dimacs_string, load_into_solver, parse_dimacs, write_dimacs
 from .solver import Solver, gate_clauses, luby
 
 __all__ = [
     "Solver",
     "luby",
     "gate_clauses",
-    "parse_dimacs",
-    "write_dimacs",
-    "dimacs_string",
-    "load_into_solver",
 ]

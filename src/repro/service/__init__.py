@@ -11,7 +11,7 @@ BDD backends against each other.
 
 PR 5 adds the warm dispatch path: workers keep an LRU
 :class:`ModelCache` of resolved builders and compiled artifacts
-(epoch-invalidated by the parent), the scheduler routes repeat refs to
+(a respawned worker starts cold), the scheduler routes repeat refs to
 their warm worker (sticky routing), one pipe round-trip batches many
 specs, and :meth:`QueryEngine.submit` / :meth:`QueryEngine.gather`
 plus the async ``run_async``/``run_many_async`` keep thousands of

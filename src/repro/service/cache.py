@@ -11,12 +11,9 @@ state-set transformer with its BDDs) keyed by
 signature is recorded on the entry for observability and differential
 checks.
 
-Invalidation is *epoch-based*: the parent engine owns a monotonically
-increasing epoch, piggybacks it on every batch submission, and can
-push an explicit ``("epoch", n)`` control message; a worker whose
-cache is behind the announced epoch flushes everything before serving
-the next spec.  A respawned worker starts at epoch 0 with an empty
-cache, so it can never serve an entry from a previous life.
+A model reference names its builder, so an entry never goes stale
+while its worker lives; a respawned worker starts with an empty cache,
+so it can never serve an entry from a previous life.
 
 The cache speaks the shared telemetry counter protocol
 (``snapshot()`` / ``reset_counters()`` — see
@@ -28,7 +25,7 @@ carry the numbers back to the parent's metrics registry.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from ..core.function import ZenFunction
 
@@ -58,17 +55,14 @@ def ref_cache_key(spec: Any) -> str:
 class CacheEntry:
     """One warm model: the built function plus compiled artifacts."""
 
-    __slots__ = ("function", "signature", "epoch", "artifacts")
+    __slots__ = ("function", "signature", "artifacts")
 
-    def __init__(self, function: ZenFunction, epoch: int):
+    def __init__(self, function: ZenFunction):
         self.function = function
-        #: Recorded type signature of the built model — part of the
-        #: logical cache identity (a builder whose signature changed
-        #: must come with an epoch bump).
+        #: Recorded type signature of the built model.
         self.signature: Tuple[str, ...] = tuple(
             str(t) for t in function.arg_types
         )
-        self.epoch = epoch
         #: Lazily built per-kind compiled state (e.g. ``"transformer"``
         #: → a built StateSetTransformer whose BDDs live in this
         #: worker's manager).
@@ -89,35 +83,9 @@ class ModelCache:
         self._entries: "OrderedDict[Tuple[str, str], CacheEntry]" = (
             OrderedDict()
         )
-        self._epoch = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    # -- epochs ----------------------------------------------------------
-
-    @property
-    def epoch(self) -> int:
-        return self._epoch
-
-    def bump_epoch(self, epoch: int) -> bool:
-        """Advance to ``epoch``, flushing every entry if it is newer.
-
-        Returns True when a flush happened.  Older announcements are
-        ignored (a stale control message must never resurrect or keep
-        entries the parent already invalidated).
-        """
-        if epoch <= self._epoch:
-            return False
-        self._epoch = epoch
-        self._entries.clear()
-        return True
-
-    def invalidate(self) -> int:
-        """Flush everything and advance the local epoch (in-process use)."""
-        self._epoch += 1
-        self._entries.clear()
-        return self._epoch
 
     # -- lookup ----------------------------------------------------------
 
@@ -141,7 +109,7 @@ class ModelCache:
         function = ZenFunction.from_ref(
             spec.builder, *spec.builder_args, **spec.builder_kwargs
         )
-        entry = CacheEntry(function, self._epoch)
+        entry = CacheEntry(function)
         self._entries[key] = entry
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -157,7 +125,6 @@ class ModelCache:
             "service.cache.miss": self.misses,
             "service.cache.evict": self.evictions,
             "service.cache.size": len(self._entries),
-            "service.cache.epoch": self._epoch,
         }
 
     def reset_counters(self) -> None:

@@ -38,8 +38,7 @@ anti-scale on tiny solves:
 
 * **warm workers** — each worker keeps a
   :class:`~repro.service.cache.ModelCache` of resolved builder refs
-  and compiled artifacts; the engine owns the cache *epoch* and
-  invalidates every worker with :meth:`invalidate_cache`;
+  and compiled artifacts; a respawned worker starts cold;
 * **sticky routing** — a task's builder ref hashes to a preferred
   worker so repeat queries land on a warm cache; idle workers steal
   foreign tasks only when the sticky worker is busy;
@@ -116,7 +115,6 @@ from ..errors import (
 )
 from ..obs.recorder import RECORDER, FlightRecorder
 from ..obs.rolling import LOG_BOUNDS, RollingHistogram
-from ..obs.slo import SLOMonitor, SLOSpec
 from ..obs.status import EngineStatus, write_status_file
 from ..telemetry.metrics import METRICS
 from ..telemetry.profile import QueryProfile, profile_from_spans
@@ -474,7 +472,6 @@ class QueryEngine:
         brownout_window_s: float = 1.0,
         recorder: Optional[FlightRecorder] = None,
         bundle_dir: Optional[str] = None,
-        slos: Optional[Sequence[SLOSpec]] = None,
         status_file: Optional[str] = None,
         status_interval_s: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
@@ -551,7 +548,6 @@ class QueryEngine:
         self._dispatcher: Optional[threading.Thread] = None
         self._wakeup_r, self._wakeup_w = os.pipe()
         # -- warm-dispatch state ----------------------------------------
-        self._epoch = 0
         self._crash_counts: Dict[str, int] = {}
         self._cache_agg = {"hit": 0, "miss": 0, "evict": 0}
         self._worker_cache_snapshots: Dict[int, Dict[str, float]] = {}
@@ -599,7 +595,6 @@ class QueryEngine:
         self._latency_hist = METRICS.histogram(
             "service.latency_s", LOG_BOUNDS
         )
-        self._slo = SLOMonitor(slos) if slos else None
 
     # -- lifecycle -------------------------------------------------------
 
@@ -689,8 +684,7 @@ class QueryEngine:
 
         ``hit``/``miss``/``evict`` are totals observed on successful
         replies; ``hit_rate`` is hits / lookups (0.0 before any
-        lookup); ``epoch`` is the engine's current invalidation epoch;
-        ``workers`` maps pool index → last cache snapshot seen from
+        lookup); ``workers`` maps pool index → last cache snapshot seen from
         that worker.
         """
         lookups = self._cache_agg["hit"] + self._cache_agg["miss"]
@@ -701,7 +695,6 @@ class QueryEngine:
             "hit_rate": (
                 self._cache_agg["hit"] / lookups if lookups else 0.0
             ),
-            "epoch": self._epoch,
             "workers": dict(self._worker_cache_snapshots),
         }
 
@@ -805,7 +798,6 @@ class QueryEngine:
                 name: breaker.state
                 for name, breaker in self._breakers.items()
             },
-            slo=self._slo.state(at) if self._slo is not None else [],
             compose={
                 key[len("compose."):]: float(value)
                 for key, value in METRICS.snapshot().items()
@@ -823,23 +815,6 @@ class QueryEngine:
                 },
             },
         )
-
-    def invalidate_cache(self) -> int:
-        """Advance the cache epoch, flushing every worker's warm cache.
-
-        Idle workers get an explicit ``("epoch", n)`` control message;
-        busy workers pick the epoch up from their next batch header.
-        Returns the new epoch.
-        """
-        self._check_open()
-        with self._cmd_lock:
-            self._epoch += 1
-            epoch = self._epoch
-            dispatcher = self._dispatcher
-            if dispatcher is not None and dispatcher.is_alive():
-                self._commands.append(("epoch", epoch))
-        self._wake()
-        return epoch
 
     # -- public API ------------------------------------------------------
 
@@ -1157,8 +1132,8 @@ class QueryEngine:
         """Feed one finished task to the obs layer (exactly once).
 
         This is the always-on per-query cost of the flight recorder
-        and rolling windows: one deque append, one histogram observe,
-        one SLO sample — measured in bench_micro_bdd's telemetry row.
+        and rolling windows: one deque append and one histogram
+        observe — measured in bench_micro_bdd's telemetry row.
         """
         ok = task.result is not None
         started = (
@@ -1173,8 +1148,6 @@ class QueryEngine:
         self._latency_hist.labels(priority=task.spec.priority).observe(
             latency
         )
-        if self._slo is not None:
-            self._slo.observe(ok, latency, now)
         last = task.attempts[-1] if task.attempts else None
         self._recorder.record_attempt(
             {
@@ -1287,9 +1260,9 @@ class QueryEngine:
                 timeout = self._wait_timeout(
                     pending, inflight, self._clock(), state["draining"]
                 )
-                if self.status_file is not None or self._slo is not None:
-                    # Keep the status file fresh and SLO recovery
-                    # observable even while the pool sits idle.
+                if self.status_file is not None:
+                    # Keep the status file fresh even while the pool
+                    # sits idle.
                     cap = max(0.05, self.status_interval_s)
                     timeout = cap if timeout is None else min(timeout, cap)
                 waitables: List[Any] = [
@@ -1323,15 +1296,6 @@ class QueryEngine:
                 for task in command[1]:
                     task.enqueued_at = now
                     pending.append(task)
-            elif kind == "epoch":
-                epoch = command[1]
-                for handle in self._workers:
-                    if handle.conn is None or not handle.alive:
-                        continue
-                    try:
-                        handle.conn.send(("epoch", epoch))
-                    except (OSError, ValueError):
-                        handle.kill()
             elif kind == "drain":
                 state["draining"] = True
             elif kind == "stop":
@@ -1616,20 +1580,8 @@ class QueryEngine:
     def _obs_tick(self, now: float) -> None:
         """Periodic obs work on the dispatcher thread.
 
-        Evaluates the SLO monitor (burn alerts become structured
-        events and can trigger bundle capture) and refreshes the
-        cross-process status file on its cadence.
+        Refreshes the cross-process status file on its cadence.
         """
-        if self._slo is not None:
-            for event in self._slo.evaluate(now):
-                kind = str(event.pop("kind"))
-                self._recorder.record_event(kind, **event)
-                if kind == "slo_burn":
-                    self._obs_trigger(
-                        "slo_burn",
-                        detail=str(event.get("slo")),
-                        extra={"slo_event": event},
-                    )
         if (
             self.status_file is not None
             and now - self._status_written_at >= self.status_interval_s
@@ -1773,7 +1725,6 @@ class QueryEngine:
         """
         return (
             task.spec.priority != "interactive"
-            and task.spec.use_cache
             and task.spec.kind != "call"
             and task.ref_key not in self._warm_refs
         )
@@ -1914,7 +1865,6 @@ class QueryEngine:
                 (
                     "batch",
                     batch.seq,
-                    self._epoch,
                     tuple(specs),
                     tuple(deadlines),
                 )

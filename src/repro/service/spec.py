@@ -77,10 +77,6 @@ class QuerySpec:
       instrumentation) and ships the serialized span tree back in the
       result payload under ``"spans"``.  The engine sets this
       automatically when the parent's tracer is enabled.
-    * ``use_cache`` — when True (default) a worker may serve the
-      builder resolution from its warm
-      :class:`~repro.service.cache.ModelCache`; set False to force a
-      cold rebuild (differential cold-vs-warm checks).
     * ``priority`` — admission class (``"interactive"`` / ``"batch"``
       / ``"fuzz"``).  Interactive work is never shed and is admitted
       while any queue slot remains; batch and fuzz hit backpressure
@@ -107,7 +103,6 @@ class QuerySpec:
     rss_limit_bytes: Optional[int] = None
     label: str = ""
     trace: bool = False
-    use_cache: bool = True
     priority: str = "interactive"
     deadline_s: Optional[float] = None
 
@@ -220,14 +215,14 @@ def clamp_spec_deadline(
 def _build_function(
     spec: QuerySpec, cache: Optional["ModelCache"]
 ) -> Any:
-    """Resolve the spec's model, via the warm cache when allowed.
+    """Resolve the spec's model, via the warm cache when there is one.
 
     Returns ``(function, hit, entry)`` — ``hit`` is None when the
     cache was not consulted, and ``entry`` is the live
     :class:`~repro.service.cache.CacheEntry` (or None) so kinds with
     compiled artifacts (transformers) can reuse them.
     """
-    if cache is not None and spec.use_cache:
+    if cache is not None:
         return cache.get_function(spec)
     return (
         ZenFunction.from_ref(

@@ -9,10 +9,8 @@ its own* lives here:
 * **the warm model cache** — each worker keeps a process-global
   :class:`~repro.service.cache.ModelCache` of resolved builder refs
   and compiled artifacts, so repeated queries against the same model
-  skip the resolve/rebuild that dominates tiny solves.  The parent
-  piggybacks its cache epoch on every batch and may push an explicit
-  ``("epoch", n)`` control message; either flushes a stale cache, and
-  a respawned worker always starts cold at epoch 0;
+  skip the resolve/rebuild that dominates tiny solves; a respawned
+  worker always starts cold;
 * **RSS cap** — before a task with ``rss_limit_bytes``, the worker
   lowers its ``RLIMIT_AS`` soft limit to (current VM size + cap), so a
   BDD blowup or runaway allocation raises MemoryError inside the
@@ -25,14 +23,13 @@ its own* lives here:
 
 Wire protocol (parent → worker):
 
-* ``("batch", seq, epoch, (spec, ...), (deadline_at, ...))`` — run the
+* ``("batch", seq, (spec, ...), (deadline_at, ...))`` — run the
   specs in order.  ``deadline_at`` is the spec's absolute *client*
   deadline on the shared ``time.monotonic`` clock (``CLOCK_MONOTONIC``
   is system-wide on Linux, so parent-stamped deadlines are directly
   comparable here), or None.  A spec whose deadline already passed
   while queued behind its batch-mates is skipped with an ``"expired"``
   reply instead of burning worker time on an answer nobody waits for;
-* ``("epoch", epoch)`` — flush the model cache if ``epoch`` is newer;
 * ``None`` — shut down.
 
 Worker → parent: one ``(seq, index, status, info)`` tuple per spec,
@@ -278,14 +275,9 @@ def worker_main(conn, config: Optional[Dict[str, Any]] = None) -> None:
             return
         if message is None:
             return
-        kind = message[0]
-        if kind == "epoch":
-            cache.bump_epoch(message[1])
+        if message[0] != "batch":  # pragma: no cover - protocol guard
             continue
-        if kind != "batch":  # pragma: no cover - protocol guard
-            continue
-        _, seq, epoch, specs, deadlines = message
-        cache.bump_epoch(epoch)
+        _, seq, specs, deadlines = message
         for index, spec in enumerate(specs):
             deadline_at = (
                 deadlines[index] if index < len(deadlines) else None

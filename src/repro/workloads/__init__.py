@@ -8,14 +8,11 @@ from .generators import (
     fat_tree_device_names,
     fat_tree_host_address,
     fat_tree_hosts,
-    fat_tree_pod,
     fat_tree_reach_query,
     random_acl,
     random_acl_rule,
-    random_fwd_table,
     random_header,
     random_nat_rule,
-    random_nat_table,
     random_port_range,
     random_prefix,
     random_route_map,
@@ -30,14 +27,11 @@ __all__ = [
     "fat_tree_device_names",
     "fat_tree_host_address",
     "fat_tree_hosts",
-    "fat_tree_pod",
     "fat_tree_reach_query",
     "random_acl",
     "random_acl_rule",
-    "random_fwd_table",
     "random_header",
     "random_nat_rule",
-    "random_nat_table",
     "random_port_range",
     "random_prefix",
     "random_route_map",

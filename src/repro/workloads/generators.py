@@ -20,9 +20,8 @@ import random
 from typing import List, Optional, Tuple
 
 from ..network.acl import Acl, AclRule
-from ..network.fib import FwdRule, FwdTable
 from ..network.ip import Prefix
-from ..network.nat import NatRule, NatTable
+from ..network.nat import NatRule
 from ..network.packet import Header, make_header
 from ..network.routemap import PrefixRange, RouteMap, RouteMapClause
 
@@ -34,13 +33,10 @@ __all__ = [
     "random_acl",
     "random_route_map",
     "random_nat_rule",
-    "random_nat_table",
-    "random_fwd_table",
     "random_header",
     "chain_topology",
     "chain_query",
     "fat_tree",
-    "fat_tree_pod",
     "fat_tree_device",
     "fat_tree_device_names",
     "fat_tree_hosts",
@@ -151,36 +147,6 @@ def random_nat_rule(rng: random.Random) -> NatRule:
         ),
         set_src_port=rng.randint(0, 65535) if rng.random() < 0.25 else None,
         set_dst_port=rng.randint(0, 65535) if rng.random() < 0.25 else None,
-    )
-
-
-def random_nat_table(
-    num_rules: int, seed: int = 0, rng: Optional[random.Random] = None
-) -> NatTable:
-    """A random NAT table with `num_rules` ordered rewrite rules."""
-    rng = resolve_rng(seed, rng)
-    return NatTable.of(
-        f"random-nat-{seed}-{num_rules}",
-        [random_nat_rule(rng) for _ in range(num_rules)],
-    )
-
-
-def random_fwd_table(
-    num_rules: int,
-    seed: int = 0,
-    rng: Optional[random.Random] = None,
-    max_port: int = 4,
-) -> FwdTable:
-    """A random longest-prefix-match forwarding table.
-
-    Ports are drawn from ``1..max_port`` (0 is the null interface).
-    """
-    rng = resolve_rng(seed, rng)
-    return FwdTable.of(
-        [
-            FwdRule(random_prefix(rng, min_len=0, max_len=32), rng.randint(1, max_port))
-            for _ in range(num_rules)
-        ]
     )
 
 
@@ -451,31 +417,6 @@ def fat_tree(
         "links": _fat_tree_links(k, hosts_per_edge),
         "groups": groups,
     }
-
-
-def fat_tree_pod(
-    k: int,
-    pod: int,
-    seed: int = 0,
-    hosts_per_edge: int = 1,
-    acl_probability: float = 0.0,
-) -> dict:
-    """One pod's sub-topology (a per-pod shard builder ref)."""
-    _check_fat_tree_args(k, hosts_per_edge)
-    if not 0 <= pod < k:
-        raise ValueError(f"pod {pod} out of range for k={k}")
-    prefix = (f"agg_{pod}_", f"edge_{pod}_", f"host_{pod}_")
-    devices = {
-        name: fat_tree_device(k, name, seed, hosts_per_edge, acl_probability)
-        for name in fat_tree_device_names(k, hosts_per_edge)
-        if name.startswith(prefix)
-    }
-    links = [
-        link
-        for link in _fat_tree_links(k, hosts_per_edge)
-        if link[0] in devices and link[2] in devices
-    ]
-    return {"devices": devices, "links": links, "groups": {f"pod{pod}": sorted(devices)}}
 
 
 def fat_tree_reach_query(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bdd import FALSE, TRUE, Bdd, VariableAllocator, plan_order
+from repro.bdd import FALSE, TRUE, Bdd, VariableAllocator
 from repro.errors import ZenSolverError
 
 
@@ -218,19 +218,6 @@ class TestHelpers:
             m.cube(literals)
         assert m.num_nodes == nodes
 
-    def test_from_function_majority(self):
-        m, vs = make(3)
-        f = m.from_function(
-            lambda a: sum(a.values()) >= 2, [0, 1, 2]
-        )
-        assert m.sat_count(f) == 4
-
-    def test_to_dot_contains_nodes(self):
-        m, (x, y) = make(2)
-        dot = m.to_dot(m.and_(x, y))
-        assert "digraph" in dot
-        assert "x0" in dot and "x1" in dot
-
     def test_clear_cache_keeps_results_valid(self):
         m, (x, y) = make(2)
         f = m.and_(x, y)
@@ -264,19 +251,6 @@ class TestOrderingSensitivity:
         # Sequential layout blows up: at the boundary between the two
         # blocks the BDD must remember all 2^width values of x.
         assert m.node_count(f) >= 2 ** width
-
-    def test_plan_order_groups_compared_values(self):
-        plan = plan_order([4, 4, 4], [(0, 1)])
-        assert sorted(plan[0] + plan[1]) == list(range(8))
-        # Compared values interleave bit-by-bit.
-        assert plan[0][0] + 1 == plan[1][0] or plan[1][0] + 1 == plan[0][0]
-        # Value 2 is independent and allocated sequentially after.
-        assert plan[2] == [8, 9, 10, 11]
-
-    def test_plan_order_transitive_merge(self):
-        plan = plan_order([2, 2, 2], [(0, 1), (1, 2)])
-        used = sorted(plan[0] + plan[1] + plan[2])
-        assert used == list(range(6))
 
     def test_allocator_shapes(self):
         alloc = VariableAllocator()

@@ -31,10 +31,9 @@ from repro import (
 from repro.backends import BddBackend, SatBackend
 from repro.baselines.batfish_acl import find_packet_matching_last_line
 from repro.bdd import Bdd
-from repro.bdd.reorder import rebuild, sift
 from repro.core.budget import metered, start_meter
 from repro.core.modelcheck import reachable_states
-from repro.errors import ZenSolverError, ZenTypeError
+from repro.errors import ZenTypeError
 from repro.lang import listops
 from repro.lang import types as ty
 from repro.network.acl import Acl, AclRule, acl_match_line
@@ -803,71 +802,6 @@ class TestBatfishBudget:
                 self._acl(), budget=Budget(max_bdd_nodes=110)
             )
         assert info.value.reason == "bdd_nodes"
-
-
-class TestSiftBudget:
-    def _pair_disjunction(self):
-        # (x0&x1)|(x2&x3)|(x4&x5)|(x6&x7): identity order optimal, so
-        # moved-variable candidates allocate past a tight cap.
-        manager = Bdd()
-        manager.new_vars(8)
-        node = 0
-        for i in range(0, 8, 2):
-            node = manager.or_(
-                node, manager.and_(manager.var(i), manager.var(i + 1))
-            )
-        return manager, node
-
-    def test_rebuild_accepts_budget(self):
-        manager, node = self._pair_disjunction()
-        target, root = rebuild(
-            manager, node, list(range(8)), budget=Budget(deadline_s=30)
-        )
-        assert target.node_count(root) == manager.node_count(node)
-
-    def test_sift_degrades_to_best_complete_order(self):
-        manager, node = self._pair_disjunction()
-        new_manager, root, order = sift(
-            manager, node, budget=Budget(max_bdd_nodes=17)
-        )
-        # The anytime result is consistent and only committed moves.
-        assert sorted(order) == list(range(8))
-        assert new_manager.node_count(root) == manager.node_count(node)
-
-    def test_sift_raise_mode_propagates(self):
-        manager, node = self._pair_disjunction()
-        with pytest.raises(ZenBudgetExceeded):
-            sift(
-                manager,
-                node,
-                budget=Budget(max_bdd_nodes=17),
-                on_budget="raise",
-            )
-        # Source manager untouched either way.
-        assert manager.node_count(node) > 0
-
-    def test_sift_impossible_baseline_raises_in_degrade_mode(self):
-        manager, node = self._pair_disjunction()
-        with pytest.raises(ZenBudgetExceeded):
-            sift(manager, node, budget=Budget(max_bdd_nodes=3))
-
-    def test_sift_rejects_bad_mode(self):
-        manager, node = self._pair_disjunction()
-        with pytest.raises(ZenSolverError):
-            sift(manager, node, on_budget="explode")
-
-    def test_sift_unbudgeted_still_optimizes(self):
-        manager = Bdd()
-        manager.new_vars(8)
-        node = 1
-        for i in range(4):
-            node = manager.and_(
-                node, manager.iff(manager.var(i), manager.var(i + 4))
-            )
-        new_manager, root, order = sift(
-            manager, node, budget=Budget(deadline_s=60)
-        )
-        assert new_manager.node_count(root) < manager.node_count(node)
 
 
 class TestHardQuerySmoke:

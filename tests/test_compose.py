@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -33,7 +34,12 @@ from repro.compose.shard import _ShardModel
 from repro.compose.topo import device_model
 from repro.core import transformers
 from repro.core.transformers import TransformerContext
-from repro.errors import ZenComposeError, ZenServiceError, ZenTypeError
+from repro.errors import (
+    ZenBudgetExceeded,
+    ZenComposeError,
+    ZenServiceError,
+    ZenTypeError,
+)
 from repro.fuzz import FarmConfig, replay_artifact, run_farm
 from repro.network import Header, acl_allows, apply_nat, forward
 from repro.workloads import (
@@ -134,6 +140,19 @@ class TestComposedMatchesMonolith:
         assert composed.reachable == mono.reachable
         if composed.witness is not None:
             assert (composed.witness["dst_ip"] & 0xFF000000) == 0x0A000000
+
+    def test_monolith_leaves_the_recursion_limit_alone(self):
+        # The monolith raises the limit for its own deep evaluation
+        # only; a raised limit left behind lets later deep recursion
+        # in the same process overrun the C stack.
+        before = sys.getrecursionlimit()
+        monolithic_verdict(filter_chain(2), chain_query(2))
+        assert sys.getrecursionlimit() == before
+        with pytest.raises(ZenBudgetExceeded):
+            monolithic_verdict(
+                filter_chain(2), chain_query(2), budget={"max_bdd_nodes": 8}
+            )
+        assert sys.getrecursionlimit() == before
 
 
 class TestNatEscalation:

@@ -1,4 +1,4 @@
-"""Tests for the NAT and HTTP firewall / URL forwarding models."""
+"""Tests for the NAT model."""
 
 from __future__ import annotations
 
@@ -6,21 +6,13 @@ import pytest
 
 from repro import ZenFunction
 from repro.network import (
-    GET,
-    POST,
     Header,
-    HttpFirewall,
-    HttpRequest,
-    HttpRule,
     NatRule,
     NatTable,
     Prefix,
     apply_nat,
-    encode_path,
-    http_allows,
     ip_to_int,
     make_header,
-    url_forward,
 )
 
 
@@ -101,99 +93,3 @@ class TestNat:
         )
         assert cex is None
 
-
-FIREWALL = HttpFirewall.of(
-    "api-gw",
-    [
-        HttpRule(False, path_prefix="/admin"),
-        HttpRule(True, methods=(GET,), path_prefix="/api"),
-        HttpRule(True, methods=(GET, POST), path_prefix="/public"),
-    ],
-)
-
-
-class TestHttpFirewall:
-    def run(self, method, path, host=0):
-        f = ZenFunction(
-            lambda r: http_allows(FIREWALL, r), [HttpRequest]
-        )
-        return f.evaluate(
-            HttpRequest(method=method, path=encode_path(path), host_hash=host)
-        )
-
-    def test_admin_blocked(self):
-        assert self.run(GET, "/admin/users") is False
-
-    def test_api_get_allowed(self):
-        assert self.run(GET, "/api/v1/items") is True
-
-    def test_api_post_denied(self):
-        assert self.run(POST, "/api/v1/items") is False
-
-    def test_public_post_allowed(self):
-        assert self.run(POST, "/public/form") is True
-
-    def test_implicit_deny(self):
-        assert self.run(GET, "/other") is False
-
-    def test_prefix_is_not_substring(self):
-        assert self.run(GET, "/x/admin") is False  # implicit deny, not rule 1
-
-    @pytest.mark.parametrize("backend", ["sat"])
-    def test_find_admin_bypass_is_impossible(self, backend):
-        """No allowed request has a path starting with /admin."""
-        from repro.network import path_has_prefix
-
-        f = ZenFunction(lambda r: http_allows(FIREWALL, r), [HttpRequest])
-        witness = f.find(
-            lambda r, ok: ok & path_has_prefix(r.path, "/admin"),
-            backend=backend,
-            max_list_length=8,
-        )
-        assert witness is None
-
-    @pytest.mark.parametrize("backend", ["sat"])
-    def test_find_allowed_post(self, backend):
-        f = ZenFunction(lambda r: http_allows(FIREWALL, r), [HttpRequest])
-        witness = f.find(
-            lambda r, ok: ok & (r.method == POST),
-            backend=backend,
-            max_list_length=8,
-        )
-        assert witness is not None
-        assert bytes(witness.path).startswith(b"/public")
-
-
-class TestUrlForwarding:
-    ROUTES = [("/static", 1), ("/api", 2), ("/", 3)]
-
-    def backend_for(self, path):
-        f = ZenFunction(
-            lambda r: url_forward(self.ROUTES, r), [HttpRequest]
-        )
-        return f.evaluate(
-            HttpRequest(method=GET, path=encode_path(path), host_hash=0)
-        )
-
-    def test_routes(self):
-        assert self.backend_for("/static/app.js") == 1
-        assert self.backend_for("/api/items") == 2
-        assert self.backend_for("/index.html") == 3
-
-    def test_first_prefix_wins(self):
-        # "/" also matches; "/static" must win by order.
-        assert self.backend_for("/static") == 1
-
-    def test_default_for_empty_path(self):
-        assert self.backend_for("") == 0
-
-    @pytest.mark.parametrize("backend", ["sat"])
-    def test_find_request_for_backend(self, backend):
-        f = ZenFunction(
-            lambda r: url_forward(self.ROUTES, r), [HttpRequest]
-        )
-        witness = f.find(
-            lambda r, b: b == 2, backend=backend, max_list_length=6
-        )
-        assert witness is not None
-        assert bytes(witness.path).startswith(b"/api")

@@ -1,7 +1,7 @@
 """Tests for repro.obs: rolling windows, the flight recorder and its
-debug bundles, SLO burn-rate alerting, live engine status (in-process,
-cross-process via status files, and the CLI), and the perf-regression
-sentry in benchmarks/report.py."""
+debug bundles, live engine status (in-process, cross-process via
+status files, and the CLI), and the perf-regression sentry in
+benchmarks/report.py."""
 
 from __future__ import annotations
 
@@ -23,8 +23,6 @@ from repro.obs import (
     FlightRecorder,
     RollingCounter,
     RollingHistogram,
-    SLOMonitor,
-    SLOSpec,
     load_bundle,
     read_status_file,
     render_bundle,
@@ -256,11 +254,11 @@ class TestFlightRecorder:
         recorder = FlightRecorder(capacity=8, cooldown_s=0.0)
         recorder.record_attempt({"spec": "bad", "outcome": "timeout"})
         path = recorder.trigger(
-            "slo_burn", detail="p99", bundle_dir=str(tmp_path),
+            "brownout", detail="p99", bundle_dir=str(tmp_path),
             context={"engine": {"pool_size": 2}},
         )
         text = render_bundle(load_bundle(path))
-        assert "cause=slo_burn" in text
+        assert "cause=brownout" in text
         assert "timeout" in text
         assert "engine" in text
 
@@ -283,114 +281,6 @@ class TestFlightRecorder:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)
-
-
-# ---------------------------------------------------------------------------
-# SLO burn-rate monitor
-# ---------------------------------------------------------------------------
-
-
-class TestSLOSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SLOSpec(name="x", kind="latencyy", objective=1.0)
-        with pytest.raises(ValueError):
-            SLOSpec(name="x", kind="latency", objective=0.0)
-        with pytest.raises(ValueError):
-            SLOSpec(
-                name="x", kind="latency", objective=1.0,
-                budget_fraction=1.5,
-            )
-        with pytest.raises(ValueError):
-            SLOSpec(
-                name="x", kind="latency", objective=1.0,
-                window_s=5.0, fast_window_s=10.0,
-            )
-
-    def test_duplicate_names_rejected(self):
-        spec = SLOSpec(name="same", kind="error_rate", objective=0.1)
-        with pytest.raises(ValueError):
-            SLOMonitor([spec, spec])
-
-
-class TestSLOMonitor:
-    def _latency_spec(self):
-        return SLOSpec(
-            name="p99", kind="latency", objective=0.1,
-            budget_fraction=0.1, window_s=20.0, fast_window_s=4.0,
-            burn_threshold=2.0,
-        )
-
-    def test_latency_burn_fires_once_then_recovers(self):
-        monitor = SLOMonitor([self._latency_spec()])
-        # Every request succeeds but blows the 100ms objective: the
-        # bad fraction is 1.0 against a 0.1 budget -> burn rate 10.
-        for i in range(8):
-            monitor.observe(ok=True, latency_s=0.5, now=100.0 + i * 0.1)
-        events = monitor.evaluate(101.0)
-        assert [e["kind"] for e in events] == ["slo_burn"]
-        assert events[0]["slo"] == "p99"
-        assert events[0]["burn_fast"] >= 2.0
-        # Edge-triggered: still burning, no repeat event.
-        assert monitor.evaluate(101.5) == []
-        # Healthy traffic pushes the bad fraction under budget in both
-        # windows once the bad samples age out of the slow window.
-        for i in range(40):
-            monitor.observe(ok=True, latency_s=0.01, now=130.0 + i * 0.1)
-        events = monitor.evaluate(135.0)
-        assert [e["kind"] for e in events] == ["slo_recovered"]
-        state = monitor.state(135.0)[0]
-        assert state["burning"] is False
-        assert state["alerts"] == 1
-
-    def test_needs_both_windows_burning(self):
-        monitor = SLOMonitor([self._latency_spec()])
-        # Bad samples land only in the slow window: by t=110 they are
-        # outside the 4s fast window, so no alert fires.
-        for i in range(8):
-            monitor.observe(ok=True, latency_s=0.5, now=100.0 + i * 0.1)
-        assert monitor.evaluate(110.0) == []
-
-    def test_error_rate_burn(self):
-        monitor = SLOMonitor([
-            SLOSpec(
-                name="errors", kind="error_rate", objective=0.05,
-                window_s=20.0, fast_window_s=4.0,
-            )
-        ])
-        for i in range(10):
-            monitor.observe(ok=(i % 2 == 0), latency_s=0.01, now=50.0 + i)
-        events = monitor.evaluate(60.0)
-        assert [e["kind"] for e in events] == ["slo_burn"]
-        assert events[0]["slo_kind"] == "error_rate"
-
-    def test_goodput_floor(self):
-        monitor = SLOMonitor([
-            SLOSpec(
-                name="goodput", kind="goodput", objective=10.0,
-                window_s=10.0, fast_window_s=2.0,
-            )
-        ])
-        # No traffic at all: no signal, no alert.
-        assert monitor.evaluate(5.0) == []
-        # One success per second against a 10 qps floor: burn rate 10.
-        for i in range(10):
-            monitor.observe(ok=True, latency_s=0.01, now=100.0 + i)
-        events = monitor.evaluate(109.5)
-        assert [e["kind"] for e in events] == ["slo_burn"]
-
-    def test_snapshot_protocol(self):
-        monitor = SLOMonitor([self._latency_spec()])
-        for i in range(8):
-            monitor.observe(ok=True, latency_s=0.5, now=10.0 + i * 0.1)
-        monitor.evaluate(11.0)
-        assert monitor.snapshot() == {
-            "slo.p99.burning": 1, "slo.p99.alerts": 1,
-        }
-        monitor.reset_counters()
-        assert monitor.snapshot()["slo.p99.alerts"] == 0
-        # Burning is live state, not a counter: reset keeps it.
-        assert monitor.snapshot()["slo.p99.burning"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +309,6 @@ def _sample_status() -> EngineStatus:
         },
         cache={"hits": 10, "misses": 2, "evictions": 0, "hit_rate": 0.833},
         breakers={"sat": "closed", "bdd": "open"},
-        slo=[{
-            "name": "p99", "kind": "latency", "objective": 0.5,
-            "burn_fast": 3.1, "burn_slow": 2.4, "burning": True,
-            "alerts": 2,
-        }],
         counters={"shed_overload": 7.0},
     )
 
@@ -451,7 +336,6 @@ class TestEngineStatusData:
         assert "interactive" in text and "25.60ms" in text
         assert "bdd=open" in text
         assert "hit-rate 0.833" in text
-        assert "BURNING" in text
 
 
 # ---------------------------------------------------------------------------
@@ -505,36 +389,6 @@ class TestEngineObservability:
         proc = _cli(["status", str(tmp_path / "missing.json")])
         assert proc.returncode == 1
         assert "no status file" in proc.stderr
-
-    def test_slo_burn_triggers_event_and_bundle(self, tmp_path):
-        recorder = FlightRecorder(capacity=64, cooldown_s=0.0)
-        slo = SLOSpec(
-            name="errors", kind="error_rate", objective=0.05,
-            window_s=5.0, fast_window_s=0.5, burn_threshold=2.0,
-        )
-        with make_engine(
-            retries=0,
-            recorder=recorder,
-            bundle_dir=str(tmp_path),
-            slos=[slo],
-            status_interval_s=0.05,
-        ) as engine:
-            for _ in range(4):
-                with pytest.raises(ZenQueryFailed):
-                    engine.run(QuerySpec(builder=ERROR), fallback=False)
-            deadline = time.monotonic() + 10.0
-            burn = []
-            while not burn and time.monotonic() < deadline:
-                burn = [
-                    e for e in recorder.rings()["events"]
-                    if e["kind"] == "slo_burn"
-                ]
-                time.sleep(0.02)
-        assert burn, "slo_burn event never reached the recorder"
-        assert burn[0]["slo"] == "errors"
-        bundles = [p for p in engine.debug_bundles()]
-        causes = {load_bundle(p)["cause"] for p in bundles}
-        assert "slo_burn" in causes
 
     def test_manual_trigger_captures_engine_context(self, tmp_path):
         recorder = FlightRecorder(capacity=32, cooldown_s=0.0)

@@ -23,7 +23,6 @@ from repro import (
 )
 from repro.backends import BddBackend, SatBackend
 from repro.bdd import Bdd
-from repro.bdd.reorder import rebuild
 from repro.errors import ZenArityError, ZenSolverError, ZenTypeError
 
 
@@ -135,15 +134,6 @@ class TestExceptionHierarchy:
         manager = Bdd()
         with pytest.raises(ZenSolverError):
             manager.var(3)
-
-    def test_rebuild_rejects_non_permutation(self):
-        manager = Bdd()
-        manager.new_vars(3)
-        node = manager.and_(manager.var(0), manager.var(1))
-        with pytest.raises(ZenSolverError):
-            rebuild(manager, node, [0, 1])  # missing var 2
-        with pytest.raises(ZenSolverError):
-            rebuild(manager, node, [0, 1, 1])
 
     def test_every_robustness_error_catchable_as_zen_error(self):
         f = ZenFunction(lambda a, b: a * b == b * a, [UInt, UInt])

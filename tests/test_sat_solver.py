@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ZenSolverError
-from repro.sat import Solver, dimacs_string, load_into_solver, luby, parse_dimacs
+from repro.sat import Solver, luby
 
 
 def make_solver(num_vars: int) -> Solver:
@@ -246,32 +246,6 @@ class TestLuby:
     def test_luby_prefix(self):
         expected = [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
         assert [luby(i + 1) for i in range(len(expected))] == expected
-
-
-class TestDimacs:
-    def test_roundtrip(self):
-        clauses = [[1, -2], [2, 3], [-1, -3]]
-        text = dimacs_string(3, clauses)
-        num_vars, parsed = parse_dimacs(text)
-        assert num_vars == 3
-        assert parsed == clauses
-
-    def test_parse_with_comments_and_multiline(self):
-        text = "c a comment\np cnf 2 2\n1 -2 0\n2\n0\n"
-        num_vars, clauses = parse_dimacs(text)
-        assert num_vars == 2
-        assert clauses == [[1, -2], [2]]
-
-    def test_load_into_solver(self):
-        s = Solver()
-        assert load_into_solver("p cnf 2 2\n1 0\n-1 2 0\n", s)
-        assert s.solve()
-        assert s.model_value(1)
-        assert s.model_value(2)
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ZenSolverError):
-            parse_dimacs("p dnf 1 1\n")
 
 
 @st.composite
