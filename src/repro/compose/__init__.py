@@ -16,16 +16,16 @@ Public surface:
   (``repro.compose.shard:compute_shard_summary``);
 * :func:`recompose` — the parent-side chaining fixpoint;
 * :func:`monolithic_verdict` — the joint-query oracle/fallback;
-* :func:`simulate` — the concrete single-header reference simulator.
+* :func:`build_network` / :func:`replay` — the payload as one
+  :class:`~repro.network.Network` (the only device model) and one
+  concrete header walked through its Zen hop (the witness check).
 """
 
 from .cubes import (
     Cover,
     cover_node,
     cover_predicate,
-    header_matches,
     node_cover,
-    prefix_cube,
     validate_cover,
 )
 from .driver import (
@@ -42,10 +42,9 @@ from .recompose import (
 )
 from .shard import compute_shard_summary
 from .topo import (
-    device_models,
+    build_network,
     has_nat,
-    link_map,
-    simulate,
+    replay,
     validate_query,
     validate_topology,
 )
@@ -59,21 +58,18 @@ __all__ = [
     "Plan",
     "RecomposeOutcome",
     "SHARD_BUILDER",
+    "build_network",
     "compute_shard_summary",
     "cover_node",
     "cover_predicate",
-    "device_models",
     "has_nat",
-    "header_matches",
-    "link_map",
     "monolithic_verdict",
     "node_cover",
     "plan_shards",
     "point_key",
-    "prefix_cube",
     "recompose",
+    "replay",
     "run_composed",
-    "simulate",
     "validate_cover",
     "validate_query",
     "validate_topology",

@@ -77,13 +77,6 @@ def validate_cover(cover: Any, where: str = "cover") -> Cover:
     return cover
 
 
-def prefix_cube(field: str, address: int, length: int) -> Cube:
-    """A single-field cube matching an address prefix."""
-    width = _field_width(field)
-    mask = ((1 << length) - 1) << (width - length) if length else 0
-    return {field: [address & mask, mask]}
-
-
 # ----------------------------------------------------------------------
 # Cover <-> BDD (any manager, given the header block's levels)
 # ----------------------------------------------------------------------
@@ -177,21 +170,8 @@ def assignment_header(
 
 
 # ----------------------------------------------------------------------
-# Concrete / symbolic membership
+# Symbolic membership
 # ----------------------------------------------------------------------
-
-
-def header_matches(cover: Cover, header: Dict[str, int]) -> bool:
-    """Plain-Python cover membership for a concrete header dict."""
-    if cover is None:
-        return True
-    for cube in cover:
-        if all(
-            (header.get(field, 0) & mask) == (value & mask)
-            for field, (value, mask) in cube.items()
-        ):
-            return True
-    return False
 
 
 def cover_predicate(h: Zen, cover: Cover) -> Zen:

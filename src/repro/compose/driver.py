@@ -17,7 +17,8 @@ The escalation ladder, cheapest first:
    converged arriving sets, and recompose again (bounded rounds);
 3. fall back to the joint monolithic fixpoint
    (:mod:`~repro.compose.monolith`) when summaries overflowed, rounds
-   ran out, or a compositional witness fails concrete replay.
+   ran out, or a compositional witness fails concrete replay through
+   the Zen hop (:func:`~repro.compose.topo.replay`).
 
 A shard whose dispatch fails terminally raises
 :class:`~repro.errors.ZenComposeError` — a missing interface image is
@@ -32,6 +33,7 @@ from typing import Any, Dict, List, Optional
 
 from ..core.budget import Budget
 from ..errors import ZenComposeError, ZenServiceError
+from ..network import Header
 from ..service.spec import QuerySpec
 from ..telemetry.metrics import METRICS
 from ..telemetry.spans import span
@@ -40,7 +42,7 @@ from .monolith import monolithic_verdict
 from .plan import Plan, plan_shards, point_key
 from .recompose import CANARY_DROP_ASSUMPTION, RecomposeOutcome, recompose
 from .shard import compute_shard_summary
-from .topo import has_nat, simulate
+from .topo import build_network, has_nat, replay
 
 #: module:attr builder reference resolved inside service workers.
 SHARD_BUILDER = "repro.compose.shard:compute_shard_summary"
@@ -104,8 +106,6 @@ def _dispatch(
 
 
 def _witness_from_hit(outcome: RecomposeOutcome) -> Optional[Dict[str, int]]:
-    from ..network import Header
-
     manager = outcome.context.manager
     assignment = manager.any_sat(outcome.hit_node)
     if assignment is None:
@@ -237,11 +237,11 @@ def run_composed(
 
         # Reachable and trusted.  For rewrite-free topologies the
         # delivered header *is* the injected header, so replay it
-        # through the concrete simulator as a final cross-check.
+        # through the Zen hop as a final cross-check.
         if not has_nat(topo):
             witness = _witness_from_hit(outcome)
-            replay = simulate(topo, query, witness)
-            if replay["delivered"]:
+            network = build_network(topo, (plan.source, plan.sink))
+            if replay(network, query, Header(**witness)) is not None:
                 return finish(True, witness, False, True)
             METRICS.counter("compose.replay_mismatches").inc()
             mono = _fallback(topo, query, budget, "replay_mismatch")

@@ -3,9 +3,11 @@
 This is both the escalation fallback and the differential oracle for
 the compositional path.  The network is modelled as a single Zen state
 machine over :class:`NetState` — (device, port, alive, header) — whose
-step function implements exactly the hop pipeline documented in
-:mod:`repro.compose.topo`, and reachability is decided by the core
-model checker's *backward* fixpoint from the delivered-set: a packet
+step function states each device's hop with the same
+:mod:`repro.network.device` pieces as the shards and the witness
+replay (the pipeline of :mod:`repro.compose.topo`), and reachability
+is decided by the core model checker's *backward* fixpoint from the
+delivered-set: a packet
 can reach the sink iff the initial set meets the pre-image closure of
 the target, and any element of that intersection is a concrete
 *initial* witness header (forward reachability would only produce the
@@ -19,7 +21,6 @@ devices), which bounds monolithic topologies at
 from __future__ import annotations
 
 import dataclasses
-import sys
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -27,14 +28,13 @@ from ..core import ZenFunction, backward_reachable, start_meter
 from ..core.budget import Budget, BudgetMeter
 from ..core.transformers import TransformerContext
 from ..lang import Byte, Zen, constant, create, if_, register_object
-from ..network import Header, acl_allows, apply_nat, forward
+from ..network import NULL_PORT, Header, forward
+from ..network.device import Device, admits, permits, rewrite
 from ..telemetry.spans import span
 from .cubes import cover_predicate
 from .topo import (
     MAX_MONOLITH_DEVICES,
-    DeviceModel,
-    device_models,
-    link_map,
+    build_network,
     validate_query,
     validate_topology,
 )
@@ -71,8 +71,7 @@ class MonolithResult:
 
 def _device_hop(
     s: Zen,
-    model: DeviceModel,
-    links: Dict[Tuple[str, int], Tuple[str, int]],
+    device: Device,
     index_of: Dict[str, int],
     sink: Tuple[str, int],
 ) -> Zen:
@@ -80,30 +79,28 @@ def _device_hop(
     dead = s.with_field("alive", constant(False, bool))
     h = s.hdr
     admitted = constant(True, bool)
-    for port, acl in sorted(model.acl_in.items()):
-        admitted = if_(s.port == port, acl_allows(acl, h), admitted)
-    h1 = apply_nat(model.nat, h) if model.nat else h
-    q = forward(model.fib, h1)
+    for intf in device.interfaces:
+        if intf.acl_in is not None:
+            admitted = if_(s.port == intf.id, admits(intf, h), admitted)
+    h1 = rewrite(device, h)
+    q = forward(device.fib, h1)
     result = dead  # null port / port absent from the FIB: dropped
     out_ports = sorted(
-        {rule.port for rule in model.fib.rules if rule.port != 0}
+        {rule.port for rule in device.fib.rules if rule.port != NULL_PORT}
     )
     delivered_index = len(index_of)
     for out_port in out_ports:
-        permitted = constant(True, bool)
-        acl = model.acl_out.get(out_port)
-        if acl is not None:
-            permitted = acl_allows(acl, h1)
-        neighbour = links.get((model.name, out_port))
-        if neighbour is not None:
+        intf = device.interface(out_port)
+        permitted = permits(intf, h1)
+        if intf.neighbor is not None:
             landing = create(
                 NetState,
-                device=constant(index_of[neighbour[0]], Byte),
-                port=constant(neighbour[1], Byte),
+                device=constant(index_of[intf.neighbor.device.name], Byte),
+                port=constant(intf.neighbor.id, Byte),
                 alive=constant(True, bool),
                 hdr=h1,
             )
-        elif (model.name, out_port) == sink:
+        elif (device.name, out_port) == sink:
             landing = create(
                 NetState,
                 device=constant(delivered_index, Byte),
@@ -135,8 +132,10 @@ def monolithic_verdict(
     budget = _normalize_budget(budget)
     validate_topology(topo)
     validate_query(topo, query)
-    models = device_models(topo)
-    names = sorted(models)
+    sink = (query["sink"][0], int(query["sink"][1]))
+    source = (query["source"][0], int(query["source"][1]))
+    devices = build_network(topo, (source, sink)).devices
+    names = sorted(devices)
     if len(names) >= MAX_MONOLITH_DEVICES:
         raise ValueError(
             f"monolithic model supports at most {MAX_MONOLITH_DEVICES} "
@@ -144,14 +143,11 @@ def monolithic_verdict(
         )
     index_of = {name: i for i, name in enumerate(names)}
     delivered_index = len(names)
-    links = link_map(topo)
-    sink = (query["sink"][0], int(query["sink"][1]))
-    source = (query["source"][0], int(query["source"][1]))
 
     def step_fn(s: Zen) -> Zen:
         result = s  # dead and delivered states absorb
         for name in names:
-            hop = _device_hop(s, models[name], links, index_of, sink)
+            hop = _device_hop(s, devices[name], index_of, sink)
             result = if_((s.device == index_of[name]) & s.alive, hop, result)
         return result
 
@@ -170,36 +166,28 @@ def monolithic_verdict(
             & cover_predicate(s.hdr, query.get("target"))
         )
 
-    # Deep if_ chains over 100+ devices stress the recursive symbolic
-    # evaluator; give it headroom for this query only — a raised limit
-    # left behind lets later deep recursion overrun the C stack.
-    previous_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(previous_limit, 50_000 + 400 * len(names)))
-    try:
-        with span("compose.monolith", devices=len(names)) as live:
-            context = TransformerContext()
-            step = ZenFunction(step_fn, [NetState], name="net-step")
-            initial = context.from_predicate(
-                ZenFunction(initial_fn, [NetState], name="net-initial"),
-                budget=budget,
-            )
-            bad = context.from_predicate(
-                ZenFunction(target_fn, [NetState], name="net-delivered"),
-                budget=budget,
-            )
-            report = backward_reachable(
-                step,
-                bad,
-                context=context,
-                max_iterations=max_iterations,
-                budget=budget,
-            )
-            hit = report.reachable.intersect(initial)
-            state = hit.element()
-            live.set("iterations", report.iterations)
-            live.set("reachable", state is not None)
-    finally:
-        sys.setrecursionlimit(previous_limit)
+    with span("compose.monolith", devices=len(names)) as live:
+        context = TransformerContext()
+        step = ZenFunction(step_fn, [NetState], name="net-step")
+        initial = context.from_predicate(
+            ZenFunction(initial_fn, [NetState], name="net-initial"),
+            budget=budget,
+        )
+        bad = context.from_predicate(
+            ZenFunction(target_fn, [NetState], name="net-delivered"),
+            budget=budget,
+        )
+        report = backward_reachable(
+            step,
+            bad,
+            context=context,
+            max_iterations=max_iterations,
+            budget=budget,
+        )
+        hit = report.reachable.intersect(initial)
+        state = hit.element()
+        live.set("iterations", report.iterations)
+        live.set("reachable", state is not None)
 
     witness = None
     if state is not None:

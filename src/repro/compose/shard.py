@@ -51,12 +51,13 @@ from ..core import start_meter
 from ..core.transformers import StateSet, TransformerContext
 from ..core.budget import Budget
 from ..lang import Zen
-from ..network import Header, NatRule, Prefix, acl_allows, apply_nat, forward
+from ..network import NULL_PORT, Header, NatRule, Prefix, forward
+from ..network.device import Device, admits, permits, rewrite
 from ..telemetry.metrics import METRICS
 from ..telemetry.spans import span
 from .cubes import _OFFSETS, Cover, cover_node, node_cover, validate_cover
 from .plan import pair_key, point_key
-from .topo import DeviceModel, Point, device_model
+from .topo import Point, build_network
 
 
 class _DeviceSets(NamedTuple):
@@ -81,43 +82,42 @@ class _ShardModel:
         self._sets: Dict[str, _DeviceSets] = {}
         self.set_ops = 0
 
-    def sets(self, model: DeviceModel) -> _DeviceSets:
+    def sets(self, device: Device) -> _DeviceSets:
         """All of the device's ``IN`` and ``PRE`` sets, from one model.
 
         Every port asks its question of the same NAT rewrite and FIB
         lookup, so they are the roots of one evaluation: a match
         condition is built once per rule, not once per rule and port.
         """
-        built = self._sets.get(model.name)
+        built = self._sets.get(device.name)
         if built is not None:
             return built
-        in_ports = sorted(model.acl_in)
+        filtered = [i for i in device.interfaces if i.acl_in is not None]
         out_ports = sorted(
-            {rule.port for rule in model.fib.rules if rule.port != 0}
+            {rule.port for rule in device.fib.rules if rule.port != NULL_PORT}
         )
 
         def roots(h: Zen) -> List[Zen]:
-            rewritten = apply_nat(model.nat, h) if model.nat else h
-            port = forward(model.fib, rewritten)
-            conds = [acl_allows(model.acl_in[p], h) for p in in_ports]
+            rewritten = rewrite(device, h)
+            port = forward(device.fib, rewritten)
+            conds = [admits(intf, h) for intf in filtered]
             for q in out_ports:
-                cond = port == q
-                acl = model.acl_out.get(q)
-                if acl is not None:
-                    cond = cond & acl_allows(acl, rewritten)
+                cond, out = port == q, device.interface(q)
+                if out.acl_out is not None:  # a bare `& True` costs a node
+                    cond = cond & permits(out, rewritten)
                 conds.append(cond)
             return conds
 
         built_sets = self.context.from_predicates(
             roots,
             self.header_type,
-            name=f"device:{model.name}",
+            name=f"device:{device.name}",
             budget=self.meter,
         )
-        built = self._sets[model.name] = _DeviceSets(
+        built = self._sets[device.name] = _DeviceSets(
             out_ports,
-            dict(zip(in_ports, built_sets)),
-            dict(zip(out_ports, built_sets[len(in_ports) :])),
+            {intf.id: s for intf, s in zip(filtered, built_sets)},
+            dict(zip(out_ports, built_sets[len(filtered) :])),
         )
         return built
 
@@ -175,12 +175,12 @@ class _ShardModel:
             result = self._set_field(result, field, literals)
         return result
 
-    def nat_image(self, model: DeviceModel, node: int) -> int:
+    def nat_image(self, device: Device, node: int) -> int:
         """Exact image of a set under the device's NAT table."""
         manager = self.context.manager
         remaining = node
         image = 0
-        for rule in model.nat.rules:
+        for rule in device.nat.rules:
             match = manager.cube(
                 {
                     **self._prefix_literals("src_ip", rule.match_src),
@@ -196,24 +196,24 @@ class _ShardModel:
         return manager.or_(image, remaining)  # unmatched pass unchanged
 
     def hop_image(
-        self, model: DeviceModel, in_port: int, out_port: int, arriving: StateSet
+        self, device: Device, in_port: int, out_port: int, arriving: StateSet
     ) -> StateSet:
         """Image of `arriving` across one device hop (may rewrite)."""
         if self.meter is not None:
             self.meter.check_deadline()
         self.set_ops += 1
-        sets = self.sets(model)
+        sets = self.sets(device)
         # A port without an ingress ACL admits everything: nothing to compile.
         passing = arriving.intersect(
             sets.admitted.get(in_port, self.universe)
         ).intersect(sets.pre[out_port])
-        if model.nat is None or passing.node == 0:
+        if device.nat is None or passing.node == 0:
             return passing
         METRICS.counter("compose.nat_images").inc()
         return StateSet(
             self.context,
             self.header_type,
-            self.nat_image(model, passing.node),
+            self.nat_image(device, passing.node),
         )
 
 
@@ -227,12 +227,9 @@ def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
     """
     started = time.monotonic()
     shard_id = task["shard_id"]
-    models = {
-        name: device_model(name, spec)
-        for name, spec in task["devices"].items()
-    }
     entries: List[Point] = [(d, int(p)) for d, p in task.get("entries", [])]
     exits = {(d, int(p)) for d, p in task.get("exits", [])}
+    network = build_network(task, [*entries, *exits])
     assumption: Cover = validate_cover(task.get("assumption"), "assumption")
     entry_assumptions = task.get("entry_assumptions") or {}
     for key, cover in entry_assumptions.items():
@@ -240,24 +237,20 @@ def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
     max_cubes = int(task.get("max_cubes", 4096))
     meter = start_meter(Budget.from_dict(task.get("budget")))
 
-    internal: Dict[Point, Point] = {}
-    for dev_a, port_a, dev_b, port_b in task.get("links", []):
-        internal[(dev_a, int(port_a))] = (dev_b, int(port_b))
-        internal[(dev_b, int(port_b))] = (dev_a, int(port_a))
-
     context = TransformerContext()
     header_type = context.universe(Header).zen_type
     levels = context.space(header_type).levels
     manager = context.manager
     model = _ShardModel(context, header_type, levels, meter)
-    filters_only = all(m.nat is None for m in models.values())
+    devices = network.devices
+    filters_only = all(d.nat is None for d in devices.values())
 
     images: Dict[str, Optional[Cover]] = {}
     exact = True
     rounds = 0
 
     with span(
-        "compose.shard", shard=shard_id, devices=len(models)
+        "compose.shard", shard=shard_id, devices=len(devices)
     ) as live:
         for entry in entries:
             seed_cover = entry_assumptions.get(point_key(entry), assumption)
@@ -271,21 +264,23 @@ def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
                 if meter is not None:
                     meter.check_deadline()
                 rounds += 1
-                device, port = worklist.pop()
-                current = arriving[(device, port)]
+                name, port = worklist.pop()
+                current = arriving[(name, port)]
                 if current.node == 0:
                     continue
-                for q in model.sets(models[device]).out_ports:
-                    image = model.hop_image(models[device], port, q, current)
+                device = devices[name]
+                for q in model.sets(device).out_ports:
+                    image = model.hop_image(device, port, q, current)
                     if image.node == 0:
                         continue
-                    if (device, q) in exits:
-                        prior = reached_exits.get((device, q))
-                        reached_exits[(device, q)] = (
+                    if (name, q) in exits:
+                        prior = reached_exits.get((name, q))
+                        reached_exits[(name, q)] = (
                             image if prior is None else prior.union(image)
                         )
-                    neighbour = internal.get((device, q))
-                    if neighbour is not None:
+                    linked = device.interface(q).neighbor
+                    if linked is not None:
+                        neighbour = (linked.device.name, linked.id)
                         prior = arriving.get(neighbour)
                         grown = (
                             image if prior is None else prior.union(image)
@@ -310,7 +305,7 @@ def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
         "assumption": assumption,
         "images": images,
         "stats": {
-            "devices": len(models),
+            "devices": len(devices),
             "entries": len(entries),
             "exits": len(exits),
             "set_ops": model.set_ops,

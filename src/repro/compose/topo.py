@@ -1,4 +1,4 @@
-"""Topology payloads: validation, model building, concrete simulation.
+"""Topology payloads: validation, the network they describe, replay.
 
 A compose topology is plain JSON so it can cross process boundaries
 inside a :class:`~repro.service.QuerySpec` payload::
@@ -11,14 +11,14 @@ inside a :class:`~repro.service.QuerySpec` payload::
      "groups": {group_name: [device, ...]}}            # optional
 
 ACL and NAT rules use the same JSON shape as the fuzz farm's scenario
-codecs (the converters here are deliberately standalone so compose
-never imports from :mod:`repro.fuzz` — the fuzz oracle imports compose,
-not the other way round).
+codecs.  :func:`validate_topology` checks every rule where the payload
+enters, so a malformed one never reaches a worker.
 
-Every implementation of the hop semantics — the per-shard Zen model,
-the monolithic product machine, and the concrete simulator below —
-agrees on one pipeline for a packet entering device ``d`` at port
-``p`` with header ``h``:
+There is one device model: :func:`build_network` lifts the payload
+into :mod:`repro.network` devices and interfaces, and the per-shard
+Zen sets, the monolithic product machine and :func:`replay` all state
+a hop with the same pieces of :mod:`repro.network.device`.  A packet
+entering device ``d`` at port ``p`` with header ``h``:
 
 1. ``acl_in[p]`` filters ``h`` (absent ACL admits everything);
 2. the device's NAT table rewrites ``h`` to ``h'``;
@@ -30,18 +30,25 @@ agrees on one pipeline for a packet entering device ``d`` at port
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
+from ..core import ZenFunction
 from ..network import (
-    Acl,
-    AclRule,
+    NULL_PORT,
     FwdRule,
     FwdTable,
-    NatRule,
-    NatTable,
+    Header,
+    Interface,
+    Network,
     Prefix,
+    admits,
+    forward,
+    permits,
+    rewrite,
 )
+from ..network.acl import acl_from_json
+from ..network.nat import nat_from_json
 from .cubes import validate_cover
 
 Point = Tuple[str, int]
@@ -59,16 +66,55 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _is_port(value: Any, lowest: int = 0) -> bool:
-    """A port number the models can carry: a ``Byte``, never a bool.
-
-    ``forward`` returns ``Zen<byte>`` with 0 as the null port; links
-    and query points name real ports (`lowest` 1).
-    """
+def _is_int(value: Any, lowest: int, highest: int) -> bool:
+    """An int in ``[lowest, highest]``, never a bool."""
     return (
         isinstance(value, int)
         and not isinstance(value, bool)
-        and lowest <= value <= 255
+        and lowest <= value <= highest
+    )
+
+
+def _is_port(value: Any, lowest: int = 0) -> bool:
+    """A port the models can carry: ``forward`` returns ``Zen<byte>``
+    with 0 as the null port; links and query points name real ports."""
+    return _is_int(value, lowest, 255)
+
+
+def _is_pair(value: Any, first: int, second: int) -> bool:
+    """``[a, b]`` with ``a`` in 0..`first` and ``b`` in 0..`second`."""
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and _is_int(value[0], 0, first)
+        and _is_int(value[1], 0, second)
+    )
+
+
+_PREFIX = partial(_is_pair, first=0xFFFFFFFF, second=32)  # [addr, len]
+_PORT_RANGE = partial(_is_pair, first=0xFFFF, second=0xFFFF)
+_L4_PORT = partial(_is_int, lowest=0, highest=0xFFFF)
+#: What each optional rule field must hold when it is present.
+_ACL_FIELDS = {
+    "src": _PREFIX,
+    "dst": _PREFIX,
+    "src_ports": _PORT_RANGE,
+    "dst_ports": _PORT_RANGE,
+    "protocol": partial(_is_int, lowest=0, highest=255),
+}
+_NAT_FIELDS = {
+    "match_src": _PREFIX,
+    "match_dst": _PREFIX,
+    "translate_src": _PREFIX,
+    "translate_dst": _PREFIX,
+    "set_src_port": _L4_PORT,
+    "set_dst_port": _L4_PORT,
+}
+
+
+def _rule_ok(rule: Any, fields: Dict[str, Any]) -> bool:
+    return isinstance(rule, dict) and all(
+        rule.get(key) is None or ok(rule[key]) for key, ok in fields.items()
     )
 
 
@@ -88,13 +134,11 @@ def validate_topology(topo: Any) -> Dict[str, Any]:
         for entry in fib:
             _require(
                 isinstance(entry, (list, tuple))
-                and len(entry) == 2,
-                f"device {name!r} fib entries must be [[addr, len], port]",
-            )
-            _require(
-                _is_port(entry[1]),
-                f"device {name!r} fib port {entry[1]!r} must be an int in "
-                "0..255 (0 is the null port)",
+                and len(entry) == 2
+                and _PREFIX(entry[0])
+                and _is_port(entry[1]),
+                f"device {name!r} fib entry {entry!r} must be [[addr, len], "
+                "port], len in 0..32, port in 0..255 (0 is the null port)",
             )
         for side in ("acl_in", "acl_out"):
             acls = spec.get(side, {})
@@ -111,14 +155,28 @@ def validate_topology(topo: Any) -> Dict[str, Any]:
                     _is_port(int(port)),
                     f"device {name!r} {side} port {port!r} must be in 0..255",
                 )
+                for rule in rules:
+                    _require(
+                        _rule_ok(rule, _ACL_FIELDS)
+                        and isinstance(rule.get("action"), bool),
+                        f"device {name!r} {side}[{port}] rule {rule!r} needs "
+                        "a bool action, [addr, len] prefixes, [lo, hi] port "
+                        "ranges in 0..65535 and a protocol in 0..255",
+                    )
         nat = spec.get("nat")
         _require(
             nat is None or isinstance(nat, list),
             f"device {name!r} nat must be a rule list",
         )
+        for rule in nat or []:
+            _require(
+                _rule_ok(rule, _NAT_FIELDS),
+                f"device {name!r} nat rule {rule!r} needs [addr, len] "
+                "prefixes and ports in 0..65535",
+            )
     links = topo.get("links", [])
     _require(isinstance(links, list), "links must be a list")
-    seen_ends: Dict[Point, List[Any]] = {}
+    seen_ends: Dict[Point, Any] = {}
     for link in links:
         _require(
             isinstance(link, (list, tuple)) and len(link) == 4,
@@ -167,245 +225,100 @@ def validate_query(topo: Dict[str, Any], query: Any) -> Dict[str, Any]:
     return query
 
 
-# ----------------------------------------------------------------------
-# JSON -> network models (standalone; keep fuzz out of the import graph)
-# ----------------------------------------------------------------------
-
-
-def _prefix(data: Sequence[int]) -> Prefix:
-    return Prefix(int(data[0]), int(data[1]))
-
-
-def _ports(data: Optional[Sequence[int]]) -> Optional[Tuple[int, int]]:
-    return None if data is None else (int(data[0]), int(data[1]))
-
-
-def acl_from_json(rules: Sequence[Dict[str, Any]], name: str) -> Acl:
-    return Acl.of(
-        name,
-        [
-            AclRule(
-                action=bool(rule["action"]),
-                src=_prefix(rule.get("src", [0, 0])),
-                dst=_prefix(rule.get("dst", [0, 0])),
-                src_ports=_ports(rule.get("src_ports")),
-                dst_ports=_ports(rule.get("dst_ports")),
-                protocol=rule.get("protocol"),
-            )
-            for rule in rules
-        ],
-    )
-
-
-def nat_from_json(rules: Sequence[Dict[str, Any]], name: str) -> NatTable:
-    return NatTable.of(
-        name,
-        [
-            NatRule(
-                match_src=_prefix(rule.get("match_src", [0, 0])),
-                match_dst=_prefix(rule.get("match_dst", [0, 0])),
-                translate_src=(
-                    None
-                    if rule.get("translate_src") is None
-                    else _prefix(rule["translate_src"])
-                ),
-                translate_dst=(
-                    None
-                    if rule.get("translate_dst") is None
-                    else _prefix(rule["translate_dst"])
-                ),
-                set_src_port=rule.get("set_src_port"),
-                set_dst_port=rule.get("set_dst_port"),
-            )
-            for rule in rules
-        ],
-    )
-
-
-def fib_from_json(entries: Sequence[Sequence[Any]]) -> FwdTable:
-    return FwdTable.of(
-        [FwdRule(prefix=_prefix(pfx), port=int(port)) for pfx, port in entries]
-    )
-
-
-@dataclass(frozen=True)
-class DeviceModel:
-    """A device's JSON spec lifted into the network model types."""
-
-    name: str
-    fib: FwdTable
-    acl_in: Dict[int, Acl] = field(default_factory=dict)
-    acl_out: Dict[int, Acl] = field(default_factory=dict)
-    nat: Optional[NatTable] = None
-
-
-def device_model(name: str, spec: Dict[str, Any]) -> DeviceModel:
-    return DeviceModel(
-        name=name,
-        fib=fib_from_json(spec.get("fib", [])),
-        acl_in={
-            int(port): acl_from_json(rules, f"{name}:in:{port}")
-            for port, rules in spec.get("acl_in", {}).items()
-        },
-        acl_out={
-            int(port): acl_from_json(rules, f"{name}:out:{port}")
-            for port, rules in spec.get("acl_out", {}).items()
-        },
-        nat=(
-            None
-            if not spec.get("nat")
-            else nat_from_json(spec["nat"], f"{name}:nat")
-        ),
-    )
-
-
-def device_models(topo: Dict[str, Any]) -> Dict[str, DeviceModel]:
-    return {
-        name: device_model(name, spec)
-        for name, spec in topo["devices"].items()
-    }
-
-
-def link_map(topo: Dict[str, Any]) -> Dict[Point, Point]:
-    """Bidirectional (device, port) -> (device, port) adjacency."""
-    links: Dict[Point, Point] = {}
-    for dev_a, port_a, dev_b, port_b in topo.get("links", []):
-        links[(dev_a, int(port_a))] = (dev_b, int(port_b))
-        links[(dev_b, int(port_b))] = (dev_a, int(port_a))
-    return links
-
-
 def has_nat(topo: Dict[str, Any]) -> bool:
     """Whether any device rewrites headers (affects compose exactness)."""
     return any(spec.get("nat") for spec in topo["devices"].values())
 
 
 # ----------------------------------------------------------------------
-# Concrete simulation (plain Python; the witness-replay ground truth)
+# JSON -> network.Network
 # ----------------------------------------------------------------------
 
 
-def _prefix_matches(pfx: Sequence[int], value: int, width: int = 32) -> bool:
-    address, length = int(pfx[0]), int(pfx[1])
-    mask = ((1 << length) - 1) << (width - length) if length else 0
-    return (value & mask) == (address & mask)
+def build_network(
+    topo: Dict[str, Any], points: Iterable[Sequence[Any]] = ()
+) -> Network:
+    """The payload's devices and links as one :class:`Network`.
 
-
-def _acl_rule_matches(rule: Dict[str, Any], h: Dict[str, int]) -> bool:
-    if not _prefix_matches(rule.get("src", [0, 0]), h["src_ip"]):
-        return False
-    if not _prefix_matches(rule.get("dst", [0, 0]), h["dst_ip"]):
-        return False
-    for key, fld in (("src_ports", "src_port"), ("dst_ports", "dst_port")):
-        ports = rule.get(key)
-        if ports is not None and not ports[0] <= h[fld] <= ports[1]:
-            return False
-    protocol = rule.get("protocol")
-    if protocol is not None and h["protocol"] != protocol:
-        return False
-    return True
-
-
-def acl_allows_concrete(
-    rules: Optional[Sequence[Dict[str, Any]]], h: Dict[str, int]
-) -> bool:
-    if rules is None:
-        return True  # no ACL on this port
-    for rule in rules:
-        if _acl_rule_matches(rule, h):
-            return bool(rule["action"])
-    return False  # implicit deny
-
-
-def _translate(pfx: Sequence[int], value: int) -> int:
-    address, length = int(pfx[0]), int(pfx[1])
-    mask = ((1 << length) - 1) << (32 - length) if length else 0
-    return (value & (mask ^ 0xFFFFFFFF)) | (address & mask)
-
-
-def apply_nat_concrete(
-    rules: Optional[Sequence[Dict[str, Any]]], h: Dict[str, int]
-) -> Dict[str, int]:
-    if not rules:
-        return h
-    for rule in rules:
-        if _prefix_matches(
-            rule.get("match_src", [0, 0]), h["src_ip"]
-        ) and _prefix_matches(rule.get("match_dst", [0, 0]), h["dst_ip"]):
-            out = dict(h)
-            if rule.get("translate_src") is not None:
-                out["src_ip"] = _translate(rule["translate_src"], h["src_ip"])
-            if rule.get("translate_dst") is not None:
-                out["dst_ip"] = _translate(rule["translate_dst"], h["dst_ip"])
-            if rule.get("set_src_port") is not None:
-                out["src_port"] = int(rule["set_src_port"])
-            if rule.get("set_dst_port") is not None:
-                out["dst_port"] = int(rule["set_dst_port"])
-            return out
-    return h
-
-
-def lpm_concrete(fib: Sequence[Sequence[Any]], dst_ip: int) -> int:
-    best_port, best_len = 0, -1
-    for pfx, port in fib:
-        if _prefix_matches(pfx, dst_ip) and int(pfx[1]) > best_len:
-            best_port, best_len = int(port), int(pfx[1])
-    return best_port
-
-
-def simulate(
-    topo: Dict[str, Any],
-    query: Dict[str, Any],
-    header: Dict[str, int],
-    max_hops: Optional[int] = None,
-) -> Dict[str, Any]:
-    """Trace one concrete header through the topology.
-
-    Returns ``{"outcome", "delivered", "path", "header"}`` where
-    outcome is one of ``delivered``, ``filtered_in``, ``filtered_out``,
-    ``no_route``, ``exited``, or ``looped``; path lists the
-    ``[device, in_port]`` hops taken and header is the final
-    (possibly NAT-rewritten) five-tuple.
+    `topo` is a validated topology payload or a shard task (both carry
+    ``devices`` and ``links``).  Each device gets an interface for
+    every port its FIB (bar the null port) or its ACLs name, every
+    linked port, and every port of `points` (the query's source and
+    sink, or a shard's entries and exits) on it.
     """
-    devices = topo["devices"]
-    links = link_map(topo)
-    sink = tuple(query["sink"])
-    device, port = query["source"]
-    h = dict(header)
-    path: List[List[Any]] = []
-    seen = set()
-    limit = max_hops if max_hops is not None else 4 * len(devices) + 8
-
-    def result(outcome: str) -> Dict[str, Any]:
-        return {
-            "outcome": outcome,
-            "delivered": outcome == "delivered",
-            "path": path,
-            "header": h,
+    named = {name: set() for name in topo["devices"]}
+    links = topo.get("links", [])
+    for dev_a, port_a, dev_b, port_b in links:
+        named[dev_a].add(port_a)
+        named[dev_b].add(port_b)
+    for device, port in points:
+        named[device].add(int(port))
+    network = Network()
+    interfaces: Dict[Point, Interface] = {}
+    for name, spec in topo["devices"].items():
+        device = network.add_device(name)
+        device.fib = FwdTable.of(
+            [FwdRule(Prefix(*pfx), port) for pfx, port in spec.get("fib", [])]
+        )
+        if spec.get("nat"):
+            device.nat = nat_from_json(spec["nat"], f"{name}:nat")
+        acls = {
+            (side, int(port)): rules
+            for side in ("acl_in", "acl_out")
+            for port, rules in spec.get(side, {}).items()
         }
+        ports = named[name].union(port for _, port in acls)
+        ports.update(r.port for r in device.fib.rules if r.port != NULL_PORT)
+        for port in sorted(ports):
+            interfaces[(name, port)] = network.add_interface(device, port)
+        for (side, port), rules in acls.items():
+            acl = acl_from_json(rules, f"{name}:{side}:{port}")
+            setattr(interfaces[(name, port)], side, acl)
+    for dev_a, port_a, dev_b, port_b in links:
+        network.link(interfaces[(dev_a, port_a)], interfaces[(dev_b, port_b)])
+    return network
 
-    for _ in range(limit):
-        state = (device, port, tuple(sorted(h.items())))
-        if state in seen:
-            return result("looped")
-        seen.add(state)
-        path.append([device, port])
-        spec = devices[device]
-        if not acl_allows_concrete(spec.get("acl_in", {}).get(str(port)), h):
-            return result("filtered_in")
-        h = apply_nat_concrete(spec.get("nat"), h)
-        out_port = lpm_concrete(spec.get("fib", []), h["dst_ip"])
-        if out_port == 0:
-            return result("no_route")
-        if not acl_allows_concrete(
-            spec.get("acl_out", {}).get(str(out_port)), h
-        ):
-            return result("filtered_out")
-        neighbour = links.get((device, out_port))
-        if neighbour is not None:
-            device, port = neighbour
-            continue
-        if (device, out_port) == sink:
-            return result("delivered")
-        return result("exited")
-    return result("looped")
+
+# ----------------------------------------------------------------------
+# Witness replay: the Zen hop, evaluated concretely
+# ----------------------------------------------------------------------
+
+
+def _evaluate(piece, header: Header) -> Any:
+    return ZenFunction(piece, [Header], name="replay").evaluate(header)
+
+
+def replay(
+    network: Network, query: Dict[str, Any], header: Header
+) -> Optional[Header]:
+    """Walk one concrete header from the query's source to its sink.
+
+    Each device the packet visits evaluates the hop pieces — inbound
+    admit, NAT rewrite, LPM port, outbound permit — concretely with
+    :meth:`~repro.core.ZenFunction.evaluate`: the same Zen the shards
+    and the monolith compile symbolically.  Returns the header
+    delivered at the sink, or None when the packet is dropped, leaves
+    at another port, or loops.
+    """
+    sink = (query["sink"][0], int(query["sink"][1]))
+    source, port = query["source"]
+    intf = network.device(source).interface(int(port))
+    seen = set()
+    for _ in range(4 * len(network.devices) + 8):
+        if (intf.name, header) in seen:
+            return None  # forwarding loop
+        seen.add((intf.name, header))
+        device = intf.device
+        if not _evaluate(lambda h: admits(intf, h), header):
+            return None
+        header = _evaluate(lambda h: rewrite(device, h), header)
+        port = _evaluate(lambda h: forward(device.fib, h), header)
+        if port == NULL_PORT:
+            return None
+        out = device.interface(port)
+        if not _evaluate(lambda h: permits(out, h), header):
+            return None
+        if out.neighbor is None:
+            return header if (device.name, port) == sink else None
+        intf = out.neighbor
+    return None

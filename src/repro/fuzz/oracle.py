@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..core.budget import Budget, start_meter
 from ..errors import (
@@ -366,6 +366,23 @@ def _solve_service(
 # ----------------------------------------------------------------------
 
 
+def topology_replay(
+    topo: Dict[str, Any], query: Dict[str, Any]
+) -> Callable[[Any], bool]:
+    """A topology query's verdict on one header, by Zen hop replay."""
+    from ..compose.topo import build_network, replay
+
+    network = build_network(topo, (query["source"], query["sink"]))
+
+    def verdict(h: Any) -> bool:
+        if not _in_cover(query.get("headers"), h):
+            return False
+        final = replay(network, query, h)
+        return final is not None and _in_cover(query.get("target"), final)
+
+    return verdict
+
+
 def _check_topology(
     data: Dict[str, Any],
     report: OracleReport,
@@ -376,13 +393,13 @@ def _check_topology(
     extra_inputs: Sequence[Tuple[Any, ...]],
     monolith: bool = True,
 ) -> None:
-    """The compose differential: composed vs reference vs simulator vs
+    """The compose differential: composed vs reference vs replay vs
     monolith.
 
     Topology scenarios are not solved through find/verify — the object
     under test is :func:`~repro.compose.driver.run_composed` itself.
     Checks run cheapest-first: the composed verdict, then concrete
-    probes (reference walker against the pipeline simulator, and any
+    probes (reference walker against the Zen hop's concrete replay, and any
     True probe against a composed "unreachable"), then witness replay,
     and only last the budget-capped monolithic fixpoint.  The monolith
     is skipped when ``extra_inputs`` pins a counterexample (shrinking
@@ -390,11 +407,8 @@ def _check_topology(
     the shrinker's hundreds of candidate checks must not each pay a
     joint fixpoint.
     """
-    import dataclasses
-
     from ..compose.driver import run_composed
     from ..compose.monolith import monolithic_verdict
-    from ..compose.topo import simulate
     from ..errors import ZenComposeError
     from ..network.packet import Header
     from .reference import SYSTEM_BUGS
@@ -426,13 +440,7 @@ def _check_topology(
         return
     report.verdicts["composed"] = composed.reachable
 
-    def sim_verdict(h: Header) -> bool:
-        if not _in_cover(query.get("headers"), h):
-            return False
-        replay = simulate(topo, query, dataclasses.asdict(h))
-        if not replay["delivered"]:
-            return False
-        return _in_cover(query.get("target"), Header(**replay["header"]))
+    replay_verdict = topology_replay(topo, query)
 
     rng = random.Random(
         f"repro-fuzz-probe:{data.get('seed')}:{data.get('index')}"
@@ -440,13 +448,13 @@ def _check_topology(
     probes = list(extra_inputs) + reference_inputs(data, rng, count=probe_count)
     for probe in probes:
         ref_says = reference_result(data, probe)
-        sim_says = sim_verdict(probe[0])
+        replay_says = replay_verdict(probe[0])
         report.probes_checked += 1
-        if ref_says != sim_says:
+        if ref_says != replay_says:
             report.ok = False
             report.signature = ("ref_divergence", "probe")
             report.detail = (
-                f"simulator={sim_says} reference={ref_says} on probe "
+                f"replay={replay_says} reference={ref_says} on probe "
                 f"{probe!r}"
             )
             report.counterexample = probe

@@ -39,12 +39,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.function import ZenFunction
 from ..lang import Byte, UShort, Zen, constant, if_
-from ..network.acl import Acl, AclRule, acl_allows, acl_match_line
+from ..network.acl import AclRule, acl_allows, acl_from_json, acl_match_line
 from ..network.device import Device, Interface, forward_along_path
 from ..network.fib import FwdRule, FwdTable
 from ..network.gre import GreTunnel
 from ..network.ip import Prefix
-from ..network.nat import NatRule, NatTable, apply_nat
+from ..network.nat import NatRule, apply_nat, nat_from_json
 from ..network.packet import Header, Packet
 from ..network.routemap import (
     PrefixRange,
@@ -113,16 +113,8 @@ def _prefix_to_json(prefix: Prefix) -> List[int]:
     return [prefix.address, prefix.length]
 
 
-def _prefix_from_json(data: Sequence[int]) -> Prefix:
-    return Prefix(int(data[0]), int(data[1]))
-
-
 def _ports_to_json(ports: Optional[Tuple[int, int]]) -> Optional[List[int]]:
     return None if ports is None else [ports[0], ports[1]]
-
-
-def _ports_from_json(data: Optional[Sequence[int]]) -> Optional[Tuple[int, int]]:
-    return None if data is None else (int(data[0]), int(data[1]))
 
 
 def _acl_rule_to_json(rule: AclRule) -> Dict[str, Any]:
@@ -134,21 +126,6 @@ def _acl_rule_to_json(rule: AclRule) -> Dict[str, Any]:
         "dst_ports": _ports_to_json(rule.dst_ports),
         "protocol": rule.protocol,
     }
-
-
-def _acl_rule_from_json(data: Dict[str, Any]) -> AclRule:
-    return AclRule(
-        action=bool(data["action"]),
-        src=_prefix_from_json(data["src"]),
-        dst=_prefix_from_json(data["dst"]),
-        src_ports=_ports_from_json(data.get("src_ports")),
-        dst_ports=_ports_from_json(data.get("dst_ports")),
-        protocol=data.get("protocol"),
-    )
-
-
-def _acl_from_json(rules: Sequence[Dict[str, Any]], name: str) -> Acl:
-    return Acl.of(name, [_acl_rule_from_json(rule) for rule in rules])
 
 
 def _nat_rule_to_json(rule: NatRule) -> Dict[str, Any]:
@@ -168,25 +145,6 @@ def _nat_rule_to_json(rule: NatRule) -> Dict[str, Any]:
         "set_src_port": rule.set_src_port,
         "set_dst_port": rule.set_dst_port,
     }
-
-
-def _nat_rule_from_json(data: Dict[str, Any]) -> NatRule:
-    return NatRule(
-        match_src=_prefix_from_json(data["match_src"]),
-        match_dst=_prefix_from_json(data["match_dst"]),
-        translate_src=(
-            None
-            if data.get("translate_src") is None
-            else _prefix_from_json(data["translate_src"])
-        ),
-        translate_dst=(
-            None
-            if data.get("translate_dst") is None
-            else _prefix_from_json(data["translate_dst"])
-        ),
-        set_src_port=data.get("set_src_port"),
-        set_dst_port=data.get("set_dst_port"),
-    )
 
 
 def _clause_to_json(clause: RouteMapClause) -> Dict[str, Any]:
@@ -209,7 +167,7 @@ def _clause_from_json(data: Dict[str, Any]) -> RouteMapClause:
     return RouteMapClause(
         action=bool(data["action"]),
         match_prefixes=tuple(
-            PrefixRange(_prefix_from_json(entry[0]), ge=entry[1], le=entry[2])
+            PrefixRange(Prefix(*entry[0]), ge=entry[1], le=entry[2])
             for entry in data.get("match_prefixes", [])
         ),
         match_community=data.get("match_community"),
@@ -239,7 +197,7 @@ def build_scenario_model(data: Dict[str, Any]) -> ZenFunction:
     payload = data["payload"]
     name = scenario_label(data)
     if kind == "acl":
-        acl = _acl_from_json(payload["rules"], name)
+        acl = acl_from_json(payload["rules"], name)
         target = payload["target_line"]
 
         def acl_model(h: Zen) -> Zen:
@@ -247,10 +205,8 @@ def build_scenario_model(data: Dict[str, Any]) -> ZenFunction:
 
         return ZenFunction(acl_model, [Header], name=name)
     if kind == "nat":
-        table = NatTable.of(
-            name, [_nat_rule_from_json(rule) for rule in payload["rules"]]
-        )
-        acl = _acl_from_json(payload["acl"], f"{name}-acl")
+        table = nat_from_json(payload["rules"], name)
+        acl = acl_from_json(payload["acl"], f"{name}-acl")
 
         def nat_model(h: Zen) -> Zen:
             return acl_allows(acl, apply_nat(table, h))
@@ -283,7 +239,10 @@ def build_scenario_model(data: Dict[str, Any]) -> ZenFunction:
 
         return ZenFunction(path_model, [Packet], name=name)
     if kind == "topology":
-        return _build_topology_model(payload, name)
+        raise ValueError(
+            "topology scenarios have no boolean model: compose decides "
+            "them (see repro.fuzz.oracle._check_topology)"
+        )
     # kind == "zen"
     width = payload["width"]
     int_type = Byte if width == 8 else UShort
@@ -306,7 +265,7 @@ def _build_path(payload: Dict[str, Any]) -> List[Interface]:
     for position, desc in enumerate(payload["devices"]):
         fib = FwdTable.of(
             [
-                FwdRule(_prefix_from_json(rule[0]), int(rule[1]))
+                FwdRule(Prefix(*rule[0]), int(rule[1]))
                 for rule in desc["fib"]
             ]
         )
@@ -323,12 +282,12 @@ def _build_path(payload: Dict[str, Any]) -> List[Interface]:
                 acl_in=(
                     None
                     if acl_in is None
-                    else _acl_from_json(acl_in, f"d{position}:{intf_id}-in")
+                    else acl_from_json(acl_in, f"d{position}:{intf_id}-in")
                 ),
                 acl_out=(
                     None
                     if acl_out is None
-                    else _acl_from_json(acl_out, f"d{position}:{intf_id}-out")
+                    else acl_from_json(acl_out, f"d{position}:{intf_id}-out")
                 ),
                 gre_start=(
                     None
@@ -344,59 +303,6 @@ def _build_path(payload: Dict[str, Any]) -> List[Interface]:
             device.interfaces.append(intf)
             path.append(intf)
     return path
-
-
-def _build_topology_model(payload: Dict[str, Any], name: str) -> ZenFunction:
-    """A single boolean Zen model of a whole topology query.
-
-    Unrolls the compose monolith's product machine
-    (:mod:`repro.compose.monolith`) for the simulator's hop bound, so
-    ``evaluate(header)`` decides "does this injected header get
-    delivered on target?" with exactly the hop semantics every other
-    derivation uses.  The oracle only ever evaluates this model
-    concretely (topology scenarios are *decided* by the compose
-    subsystem itself); the unroll shares subterms, and the concrete
-    evaluator memoizes per node, so evaluation stays linear in the
-    expression DAG.
-    """
-    # Imported lazily: compose sits above the service layer, and this
-    # module must stay importable inside bare worker processes.
-    from ..compose.cubes import cover_predicate
-    from ..compose.monolith import NetState, _device_hop
-    from ..compose.topo import device_models, link_map
-    from ..lang import create
-
-    topo, query = payload["topo"], payload["query"]
-    models = device_models(topo)
-    links = link_map(topo)
-    names = sorted(models)
-    index_of = {device: i for i, device in enumerate(names)}
-    sink = (query["sink"][0], int(query["sink"][1]))
-    source = (query["source"][0], int(query["source"][1]))
-    max_hops = 4 * len(names) + 8
-
-    def topology_model(h: Zen) -> Zen:
-        s = create(
-            NetState,
-            hdr=h,
-            device=constant(index_of[source[0]], Byte),
-            port=constant(source[1], Byte),
-            alive=constant(True, bool),
-        )
-        for _ in range(max_hops):
-            step = s  # dead and delivered states absorb
-            for device in names:
-                hop = _device_hop(s, models[device], links, index_of, sink)
-                step = if_((s.device == index_of[device]) & s.alive, hop, step)
-            s = step
-        delivered = (s.device == len(names)) & s.alive
-        return (
-            cover_predicate(h, query.get("headers"))
-            & delivered
-            & cover_predicate(s.hdr, query.get("target"))
-        )
-
-    return ZenFunction(topology_model, [Header], name=name)
 
 
 def _build_int(node: Sequence[Any], args: Tuple[Zen, ...], int_type: Any) -> Zen:

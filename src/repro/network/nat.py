@@ -10,7 +10,7 @@ models through plain function calls (§3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..lang import UInt, UShort, Zen, constant, if_
 from .ip import Prefix
@@ -44,6 +44,32 @@ class NatTable:
     @classmethod
     def of(cls, name: str, rules: Sequence[NatRule]) -> "NatTable":
         return cls(name=name, rules=tuple(rules))
+
+
+def nat_from_json(rules: Sequence[Dict[str, Any]], name: str) -> NatTable:
+    """A NAT table from the JSON rule list fuzz scenarios and compose
+    topologies share: ``{"match_src": [addr, len], "match_dst",
+    "translate_src", "translate_dst", "set_src_port", "set_dst_port"}``.
+    A missing or null match prefix matches every address; a missing or
+    null rewrite leaves its field alone."""
+
+    def prefix(data: Optional[Sequence[int]]) -> Optional[Prefix]:
+        return None if data is None else Prefix(*data)
+
+    return NatTable.of(
+        name,
+        [
+            NatRule(
+                match_src=Prefix(*rule.get("match_src") or (0, 0)),
+                match_dst=Prefix(*rule.get("match_dst") or (0, 0)),
+                translate_src=prefix(rule.get("translate_src")),
+                translate_dst=prefix(rule.get("translate_dst")),
+                set_src_port=rule.get("set_src_port"),
+                set_dst_port=rule.get("set_dst_port"),
+            )
+            for rule in rules
+        ],
+    )
 
 
 # --- the Zen model ----------------------------------------------------

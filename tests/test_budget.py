@@ -629,16 +629,17 @@ def _fat_device_spec(seed: int = 12) -> dict:
 
 def _fat_device_roots(h):
     """The fat device's hop sets as `from_predicates` roots."""
-    from repro.compose.topo import device_model
+    from repro.compose import build_network
     from repro.network import acl_allows, forward
 
-    model = device_model("fat", _fat_device_spec())
-    port = forward(model.fib, h)
-    roots = [acl_allows(model.acl_in[1], h)]
+    device = build_network({"devices": {"fat": _fat_device_spec()}}).device("fat")
+    acl_out = {i.id: i.acl_out for i in device.interfaces if i.acl_out}
+    port = forward(device.fib, h)
+    roots = [acl_allows(device.interface(1).acl_in, h)]
     for q in range(1, 7):
         cond = port == q
-        if q in model.acl_out:
-            cond = cond & acl_allows(model.acl_out[q], h)
+        if q in acl_out:
+            cond = cond & acl_allows(acl_out[q], h)
         roots.append(cond)
     return roots
 

@@ -24,14 +24,13 @@ from repro import ZenFunction
 from repro.backends import bitvector
 from repro.compose import (
     CANARY_DROP_ASSUMPTION,
+    build_network,
     compute_shard_summary,
     monolithic_verdict,
     plan_shards,
     run_composed,
-    simulate,
 )
 from repro.compose.shard import _ShardModel
-from repro.compose.topo import device_model
 from repro.core import transformers
 from repro.core.transformers import TransformerContext
 from repro.errors import (
@@ -40,12 +39,25 @@ from repro.errors import (
     ZenServiceError,
     ZenTypeError,
 )
+from repro.analyses import reachable_sets
+from repro.compose.cubes import cover_predicate
 from repro.fuzz import FarmConfig, replay_artifact, run_farm
-from repro.network import Header, acl_allows, apply_nat, forward
+from repro.fuzz.reference import _walk_topology, reference_inputs
+from repro.network import (
+    Header,
+    Packet,
+    acl_allows,
+    apply_nat,
+    forward,
+    make_packet,
+    simulate,
+)
 from repro.workloads import (
     chain_query,
     chain_topology,
     fat_tree,
+    fat_tree_host_address,
+    fat_tree_hosts,
     fat_tree_reach_query,
 )
 
@@ -114,11 +126,11 @@ class TestComposedMatchesMonolith:
         assert composed.reachable == mono.reachable
         assert not composed.monolith_fallback
         assert composed.shard_count >= 2
-        # Both witnesses are *initial* headers: concrete replay must
-        # deliver each end to end.
+        # Both witnesses are *initial* headers: the fuzz farm's
+        # reference walker must deliver each end to end.
         for witness in (composed.witness, mono.witness):
             assert witness is not None
-            assert simulate(topo, query, witness)["delivered"]
+            assert _walk_topology(topo, query, Header(**witness), None) is not None
 
     def test_unreachable_when_acl_denies(self):
         topo = filter_chain(3, deny_all_at="d1")
@@ -167,15 +179,11 @@ class TestNatEscalation:
         # A rewriting shard taints the first recompose pass; the
         # verdict must have been re-proved under exact assumptions.
         assert composed.escalations >= 1
-        # Concrete confirmation, independent of any symbolic engine.
-        probe = {
-            "dst_ip": 0x0A000001,
-            "src_ip": 1,
-            "dst_port": 80,
-            "src_port": 1234,
-            "protocol": 6,
-        }
-        assert simulate(topo, query, probe)["delivered"]
+        # Concrete confirmation, independent of any Zen model.
+        probe = Header(
+            dst_ip=0x0A000001, src_ip=1, dst_port=80, src_port=1234, protocol=6
+        )
+        assert _walk_topology(topo, query, probe, None) is not None
 
     def test_nat_unreachable_known_truth(self):
         topo, query = nat_chain()
@@ -183,14 +191,10 @@ class TestNatEscalation:
         composed = run_composed(topo, query)
         assert composed.reachable is False
         assert not composed.monolith_fallback
-        probe = {
-            "dst_ip": 0x0B000001,
-            "src_ip": 1,
-            "dst_port": 80,
-            "src_port": 1234,
-            "protocol": 6,
-        }
-        assert not simulate(topo, query, probe)["delivered"]
+        probe = Header(
+            dst_ip=0x0B000001, src_ip=1, dst_port=80, src_port=1234, protocol=6
+        )
+        assert _walk_topology(topo, query, probe, None) is None
 
     def test_nat_target_cover_discriminates(self):
         # Delivered headers sit in 192.168/16: a target cover there is
@@ -289,7 +293,7 @@ def seeded_devices(seed: int):
         "fib": [[[0, 0], 0]],
         "acl_in": {"1": [{"action": True, "src": [0, 0], "dst": [0, 0]}]},
     }
-    return {name: device_model(name, spec) for name, spec in devices.items()}
+    return build_network(topo).devices
 
 
 def fresh_shard_model():
@@ -336,7 +340,16 @@ class _Counts:
         return taken
 
 
-def match_conditions(model) -> int:
+def acls(device, side):
+    """The device's ACLs on one side, by port."""
+    return {
+        intf.id: getattr(intf, side)
+        for intf in device.interfaces
+        if getattr(intf, side) is not None
+    }
+
+
+def match_conditions(device) -> int:
     """Prefix / protocol equalities the device's hop model states: one
     per FIB rule, two per NAT rule, two or three per ACL line — for the
     ACLs a hop can meet (an egress ACL on a port no route uses is never
@@ -345,14 +358,14 @@ def match_conditions(model) -> int:
     def acl_conditions(acl):
         return sum(2 + (rule.protocol is not None) for rule in acl.rules)
 
-    out_ports = {rule.port for rule in model.fib.rules} - {0}
-    count = sum(acl_conditions(acl) for acl in model.acl_in.values())
+    out_ports = {rule.port for rule in device.fib.rules} - {0}
+    count = sum(map(acl_conditions, acls(device, "acl_in").values()))
     if out_ports:
-        count += len(model.fib.rules)
-        count += 2 * len(model.nat.rules) if model.nat else 0
+        count += len(device.fib.rules)
+        count += 2 * len(device.nat.rules) if device.nat else 0
         count += sum(
             acl_conditions(acl)
-            for port, acl in model.acl_out.items()
+            for port, acl in acls(device, "acl_out").items()
             if port in out_ports
         )
     return count
@@ -373,8 +386,8 @@ class TestPerDeviceBuild:
             )
             assert set(sets.pre) == set(sets.out_ports)
             # Ports without an ingress ACL get no set: hops use the universe.
-            assert set(sets.admitted) == set(model.acl_in)
-            for port, acl in model.acl_in.items():
+            assert set(sets.admitted) == set(acls(model, "acl_in"))
+            for port, acl in acls(model, "acl_in").items():
                 alone = context.from_predicate(
                     ZenFunction(lambda h, acl=acl: acl_allows(acl, h), [Header])
                 )
@@ -383,7 +396,7 @@ class TestPerDeviceBuild:
             def pre_exit(h, q):
                 rewritten = apply_nat(model.nat, h) if model.nat else h
                 cond = forward(model.fib, rewritten) == q
-                acl = model.acl_out.get(q)
+                acl = acls(model, "acl_out").get(q)
                 if acl is not None:
                     cond = cond & acl_allows(acl, rewritten)
                 return cond
@@ -411,10 +424,7 @@ class TestPerDeviceBuild:
         counts = _Counts(monkeypatch)
         for shard in plan_shards(topo, query).shards:
             summary = compute_shard_summary(shard)
-            models = [
-                device_model(name, spec)
-                for name, spec in shard["devices"].items()
-            ]
+            models = list(build_network(shard).devices.values())
             # Every device of these shards is an entry, so all are touched.
             assert summary["stats"]["devices"] == len(models)
             assert counts.take() == (
@@ -515,6 +525,222 @@ class TestPortValidation:
             "255": [{"action": True, "src": [0, 0], "dst": [0, 0]}]
         }
         assert run_composed(topo, chain_query(2), None).reachable is True
+
+
+class TestRuleValidation:
+    """Rules are checked where the topology enters: each of these once
+    passed validation and then died inside a shard with a raw error."""
+
+    @pytest.mark.parametrize(
+        "where, rule",
+        [
+            ("fib", [[0x0A000000, 40], 2]),
+            ("fib", [["10.0.0.0", 8], 2]),
+            ("acl_in", {"src": [0, 0], "dst": [0, 0]}),
+            ("acl_in", {"action": True, "dst_ports": [5]}),
+            ("acl_out", {"action": True, "protocol": 300}),
+            ("nat", {"match_dst": [0, 0], "set_dst_port": 70000}),
+        ],
+        ids=[
+            "fib-length-40",
+            "fib-dotted-address",
+            "acl-without-action",
+            "acl-one-port-range",
+            "acl-protocol-300",
+            "nat-port-70000",
+        ],
+    )
+    def test_malformed_rule_is_rejected_up_front(self, where, rule):
+        topo = filter_chain(2)
+        spec = topo["devices"]["d0"]
+        if where == "fib":
+            spec["fib"].insert(0, rule)
+        elif where == "nat":
+            spec["nat"] = [rule]
+        else:
+            spec[where] = {"2": [rule]}
+        query = chain_query(2)
+        for entry in (plan_shards, run_composed, monolithic_verdict):
+            with pytest.raises(ValueError, match="fib entry|rule"):
+                entry(topo, query)
+
+
+def test_shard_summaries_match_the_pinned_digest():
+    """Every shard summary of three k=6 fabrics (five queries each) and
+    of a NAT chain, byte for byte as the shards computed them before
+    compose built its devices as `network.Device`s."""
+    hosts = fat_tree_hosts(6)
+    corpus = [
+        (
+            fat_tree(6, seed=seed, acl_probability=0.3),
+            fat_tree_reach_query(hosts[i], hosts[-1 - 3 * i]),
+        )
+        for seed in (1, 2, 3)
+        for i in range(5)
+    ]
+    corpus.append((chain_topology(6, nat_probability=0.5), chain_query(6)))
+    summaries = []
+    for topo, query in corpus:
+        for shard in plan_shards(topo, query).shards:
+            summary = compute_shard_summary(shard)
+            assert summary["stats"].pop("elapsed_ms") >= 0.0
+            summaries.append(summary)
+    assert len(summaries) == 111
+    blob = json.dumps(summaries, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "00e61e3e10a5cd11037f72d8b25bbfb0bd578642b0d361fdbb60ba1a9064c394"
+    )
+
+
+def host_address(host: str) -> int:
+    _, pod, edge, index = host.split("_")
+    return fat_tree_host_address(int(pod), int(edge), int(index))
+
+
+def blocked_fabric():
+    """The k=4 fat tree with sprinkled ACLs, plus one hand-placed ACL:
+    ``edge_1_0`` refuses to hand ``host_1_0_0`` its own traffic."""
+    topo = fat_tree(4, acl_probability=0.3)
+    topo["devices"]["edge_1_0"]["acl_out"] = {
+        "1": [
+            {"action": False, "dst": [host_address("host_1_0_0"), 32]},
+            {"action": True},
+        ]
+    }
+    return topo
+
+
+def hsa_delivered(topo, source, headers=None):
+    """One HSA exploration of the headers in `headers` (no underlay)
+    entering at `source`; returns whether any of them leaves at a sink
+    point carrying a header in a given cover."""
+    network = build_network(topo, [source])
+    context = TransformerContext()
+    injected = context.from_predicate(
+        ZenFunction(
+            lambda p: ~p.underlay_header.has_value()
+            & cover_predicate(p.overlay_header, headers),
+            [Packet],
+        )
+    )
+    entry = network.device(source[0]).interface(source[1])
+    sets = reachable_sets(network, entry, context, packets=injected)
+
+    def delivers(sink, cover) -> bool:
+        wanted = context.from_predicate(
+            ZenFunction(
+                lambda p: cover_predicate(p.overlay_header, cover), [Packet]
+            )
+        )
+        return any(
+            s.path[-1] == f"{sink[0]}:{sink[1]}"
+            and not s.packets.intersect(wanted).is_empty()
+            for s in sets
+        )
+
+    return delivers
+
+
+def hsa_against_compose(topo, source: str) -> int:
+    """For every other host, one HSA exploration from `source` and
+    `run_composed` agree on its own address (deliverable unless the
+    hand-placed ACL blocks it) and a third host's (never delivered
+    there).  Returns how many own addresses were delivered."""
+    hosts = [h for h in fat_tree_hosts(4) if h != source]
+    delivers = hsa_delivered(topo, (source, 2))
+    delivered = 0
+    for i, sink in enumerate(hosts):
+        third = hosts[(i + 1) % len(hosts)]
+        for address in (host_address(sink), host_address(third)):
+            query = fat_tree_reach_query(source, sink)
+            query["headers"] = [{"dst_ip": [address, 0xFFFFFFFF]}]
+            composed = run_composed(topo, query)
+            assert not composed.monolith_fallback  # the shards decided
+            hsa = delivers((sink, 2), query["headers"])
+            assert hsa == composed.reachable, (sink, hex(address))
+            delivered += composed.reachable
+    return delivered
+
+
+class TestHsaAgreesWithCompose:
+    """One fabric, two analyses: HSA's path sets (Fig. 8) over the
+    `network.Device` model and the composed verdicts must agree."""
+
+    def test_hsa_agrees_with_compose_from_one_host(self):
+        # Six of seven destinations; host_1_0_0 is blocked.
+        assert hsa_against_compose(blocked_fabric(), "host_0_0_0") == 6
+
+    @pytest.mark.fuzz
+    def test_hsa_agrees_with_compose_on_every_host_pair(self):
+        topo = blocked_fabric()
+        for source in fat_tree_hosts(4):
+            expected = 7 if source == "host_1_0_0" else 6
+            assert hsa_against_compose(topo, source) == expected, source
+
+    def test_nat_chain_models_agree(self):
+        """``Device.nat`` in ``fwd_in``: acl_in sees the arriving
+        header, forwarding and acl_out the rewritten one."""
+        topo = {
+            "devices": {
+                "d0": {"fib": [[[0, 0], 2]]},
+                "d1": {
+                    # Only pre-NAT 10/8 comes in; only post-NAT leaves.
+                    "acl_in": {
+                        "1": [
+                            {"action": True, "src": [0, 0], "dst": [0x0A000000, 8]}
+                        ]
+                    },
+                    "nat": [
+                        {
+                            "match_src": [0, 0],
+                            "match_dst": [0x0A000000, 8],
+                            "translate_dst": [0xC0A80000, 16],
+                            "set_dst_port": 8080,
+                        }
+                    ],
+                    "fib": [[[0xC0A80000, 16], 2], [[0, 0], 3]],
+                    "acl_out": {
+                        "2": [
+                            {
+                                "action": True,
+                                "src": [0, 0],
+                                "dst": [0, 0],
+                                "dst_ports": [8080, 8080],
+                            }
+                        ]
+                    },
+                },
+                "d2": {"fib": [[[0xC0A80000, 16], 2], [[0, 0], 3]]},
+            },
+            "links": [["d0", 2, "d1", 1], ["d1", 2, "d2", 1]],
+        }
+        query = chain_query(3, headers=[{"dst_ip": [0x0A000000, 0xFF000000]}])
+        scenario = {"kind": "topology", "payload": {"topo": topo, "query": query}}
+        network = build_network(topo, [query["source"], query["sink"]])
+        entry = network.device("d0").interface(1)
+        probes = [
+            (Header(0x0A000001, 1, 80, 1234, 6),),
+            (Header(0x0B000001, 1, 80, 1234, 6),),
+        ] + reference_inputs(scenario, random.Random(5), count=24)
+        delivered = 0
+        for (h,) in probes:
+            trace = simulate(network, entry, make_packet(h))
+            out = trace.hops[-1].interface_out
+            simulated = (
+                trace.final_packet.overlay_header
+                if trace.outcome == "exited" and out == "d2:2"
+                else None
+            )
+            assert simulated == _walk_topology(topo, query, h, None), h
+            delivered += simulated is not None
+        assert delivered > 0
+        delivers = hsa_delivered(topo, ("d0", 1), query["headers"])
+        post_nat = {"dst_ip": [0xC0A80000, 0xFFFF0000], "dst_port": [8080, 0xFFFF]}
+        pre_nat = {"dst_ip": [0x0A000000, 0xFF000000]}
+        for target, truth in (([post_nat], True), ([pre_nat], False)):
+            query["target"] = target
+            assert run_composed(topo, query).reachable is truth
+            assert delivers(("d2", 2), target) is truth
 
 
 class TestComposedThroughService:

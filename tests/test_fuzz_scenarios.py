@@ -24,7 +24,20 @@ from repro.fuzz import (
     reference_result,
     validate_scenario,
 )
+from repro.fuzz.oracle import topology_replay
 from repro.fuzz.scenario import scenario_label, scenario_rng
+
+
+def concrete_verdict(data):
+    """The scenario's verdict on concrete inputs from the Zen models:
+    its boolean model, or, for a topology (which compose decides and
+    which has no boolean model), the Zen hop's concrete replay."""
+    if data["kind"] == "topology":
+        payload = data["payload"]
+        replay = topology_replay(payload["topo"], payload["query"])
+        return lambda inputs: replay(*inputs)
+    model = build_scenario_model(data)
+    return lambda inputs: bool(model.evaluate(*inputs))
 
 
 class TestGeneratorDeterminism:
@@ -127,20 +140,26 @@ class TestModelAgainstReference:
         probe_rng = random.Random(f"test-probes:{kind}")
         for index in range(8):
             data = generator.scenario(index)
-            model = build_scenario_model(data)
+            verdict = concrete_verdict(data)
             for inputs in reference_inputs(data, probe_rng, count=6):
-                assert bool(model.evaluate(*inputs)) == reference_result(
-                    data, inputs
-                ), (data, inputs)
+                assert verdict(inputs) == reference_result(data, inputs), (
+                    data,
+                    inputs,
+                )
 
     def test_model_builds_from_json_round_trip(self):
         generator = ScenarioGenerator(seed=21)
         for index in range(10):
             data = json.loads(json.dumps(generator.scenario(index)))
-            model = build_scenario_model(data)
+            verdict = concrete_verdict(data)
             probe_rng = random.Random(index)
             inputs = reference_inputs(data, probe_rng, count=1)[0]
-            assert isinstance(bool(model.evaluate(*inputs)), bool)
+            assert isinstance(verdict(inputs), bool)
+
+    def test_topology_has_no_boolean_model(self):
+        data = ScenarioGenerator(seed=0, kinds=("topology",)).scenario(0)
+        with pytest.raises(ValueError, match="compose decides"):
+            build_scenario_model(data)
 
     def test_known_bugs_are_detectable(self):
         # Every canary bug must actually diverge from the correct
