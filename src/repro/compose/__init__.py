@@ -25,7 +25,6 @@ from .cubes import (
     Cover,
     cover_node,
     cover_predicate,
-    node_cover,
     validate_cover,
 )
 from .driver import (
@@ -64,7 +63,6 @@ __all__ = [
     "cover_predicate",
     "has_nat",
     "monolithic_verdict",
-    "node_cover",
     "plan_shards",
     "point_key",
     "recompose",

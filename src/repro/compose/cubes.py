@@ -1,28 +1,25 @@
-"""Portable header-set summaries: cube covers over the five-tuple.
+"""Portable header sets over the five-tuple: node tables and cube covers.
 
 A shard worker computes interface images as BDDs over *its own*
-manager; the recomposer combines them in the parent process over a
-different manager.  The picklable interchange format is a **cube
-cover**: a list of ternary cubes, each a dict mapping header field
-names to ``[value, mask]`` pairs (bits where ``mask`` is 1 must equal
-``value``).  ``None`` denotes the universe and ``[]`` the empty set.
+manager; the recomposer combines them in the parent over another.
+They cross as a **node table** (:meth:`~repro.bdd.Bdd.export_table`,
+bound to the header block by :func:`header_table` / :func:`header_sets`):
+the BDD itself, exact and linear in its size, one table shared by
+every set of a summary or task.  A **cube cover** is the form a human
+writes and reads — the query's ``headers`` and ``target``: a list of
+cubes, each mapping header field names to ``[value, mask]`` pairs
+(bits where ``mask`` is 1 must equal ``value``); ``None`` denotes the
+universe and ``[]`` the empty set.
 
-Pass sets produced by prefix-based forwarding, ACLs, and prefix NAT
-are unions of such cubes, so covers stay small in practice;
-:func:`node_cover` enumerates the BDD's 1-paths under an explicit
-bound and reports overflow (``None``) instead of silently truncating —
-a truncated cover would be an under-approximation and unsound for
-unreachability verdicts.
-
-The slot layout mirrors the canonical transformer block for
+A slot is a bit's position in the canonical transformer block for
 :class:`~repro.network.packet.Header`: fields in declaration order,
-bits most-significant first — so a cover converts to/from any
+bits most-significant first — so both forms convert to/from any
 context's header space without renaming.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..lang import Zen, constant
 
@@ -68,7 +65,9 @@ def validate_cover(cover: Any, where: str = "cover") -> Cover:
             if (
                 not isinstance(pair, (list, tuple))
                 or len(pair) != 2
-                or not all(isinstance(v, int) for v in pair)
+                or not all(
+                    isinstance(v, int) and not isinstance(v, bool) for v in pair
+                )
             ):
                 raise ValueError(f"{where}[{i}].{field} must be [value, mask]")
             limit = 1 << width
@@ -78,7 +77,7 @@ def validate_cover(cover: Any, where: str = "cover") -> Cover:
 
 
 # ----------------------------------------------------------------------
-# Cover <-> BDD (any manager, given the header block's levels)
+# Covers and node tables <-> BDD (any manager, given the header levels)
 # ----------------------------------------------------------------------
 
 
@@ -103,49 +102,18 @@ def cover_node(manager, levels: Sequence[int], cover: Cover) -> int:
     )
 
 
-def node_cover(
-    manager, levels: Sequence[int], node: int, max_cubes: int = 4096
-) -> Cover:
-    """Enumerate a header-set BDD as a cube cover.
+def header_table(
+    manager, levels: Sequence[int], nodes: Sequence[int]
+) -> Tuple[List[int], List[int]]:
+    """One shared node table for header sets, and a reference per set."""
+    return manager.export_table(nodes, levels[0], HEADER_BITS)
 
-    Walks the 1-paths of `node`; returns ``None`` on overflow (more
-    than `max_cubes` paths) — the caller must then treat the summary
-    as unknown rather than use a partial cover.
-    """
-    if node == 0:
-        return []
-    slot_of = {level: slot for slot, level in enumerate(levels)}
-    cubes: List[Cube] = []
-    stack: List[tuple] = [(node, ())]
-    while stack:
-        current, literals = stack.pop()
-        if current == 0:
-            continue
-        if current == 1:
-            if len(cubes) >= max_cubes:
-                return None
-            cube: Cube = {}
-            for level, value in literals:
-                slot = slot_of.get(level)
-                if slot is None:
-                    raise ValueError(
-                        f"set depends on level {level} outside the header block"
-                    )
-                for field, width in FIELDS:
-                    offset = _OFFSETS[field]
-                    if offset <= slot < offset + width:
-                        bit = width - 1 - (slot - offset)
-                        pair = cube.setdefault(field, [0, 0])
-                        pair[1] |= 1 << bit
-                        if value:
-                            pair[0] |= 1 << bit
-                        break
-            cubes.append(cube)
-            continue
-        level = manager.level_of(current)
-        stack.append((manager.low(current), literals + ((level, False),)))
-        stack.append((manager.high(current), literals + ((level, True),)))
-    return cubes
+
+def header_sets(
+    manager, levels: Sequence[int], table: Sequence[int], refs: Sequence[int]
+) -> List[int]:
+    """The header sets a :func:`header_table` table references."""
+    return manager.import_table(table, refs, levels[0], HEADER_BITS)
 
 
 def assignment_header(

@@ -14,11 +14,12 @@ The escalation ladder, cheapest first:
 2. if a shard's assumption failed to discharge, or a rewriting shard's
    over-approximation taints a "reachable" verdict, re-dispatch just
    those shards with *exact* per-entry assumptions taken from the
-   converged arriving sets, and recompose again (bounded rounds);
+   converged arriving sets — shipped to the worker as one node table
+   per task — and recompose again (bounded rounds);
 3. fall back to the joint monolithic fixpoint
-   (:mod:`~repro.compose.monolith`) when summaries overflowed, rounds
-   ran out, or a compositional witness fails concrete replay through
-   the Zen hop (:func:`~repro.compose.topo.replay`).
+   (:mod:`~repro.compose.monolith`) when rounds ran out, or a
+   compositional witness fails concrete replay through the Zen hop
+   (:func:`~repro.compose.topo.replay`).
 
 A shard whose dispatch fails terminally raises
 :class:`~repro.errors.ZenComposeError` — a missing interface image is
@@ -37,7 +38,7 @@ from ..network import Header
 from ..service.spec import QuerySpec
 from ..telemetry.metrics import METRICS
 from ..telemetry.spans import span
-from .cubes import assignment_header, Cover
+from .cubes import assignment_header, header_table
 from .monolith import monolithic_verdict
 from .plan import Plan, plan_shards, point_key
 from .recompose import CANARY_DROP_ASSUMPTION, RecomposeOutcome, recompose
@@ -106,14 +107,21 @@ def _dispatch(
 
 
 def _witness_from_hit(outcome: RecomposeOutcome) -> Optional[Dict[str, int]]:
-    manager = outcome.context.manager
-    assignment = manager.any_sat(outcome.hit_node)
+    assignment = outcome.context.manager.any_sat(outcome.hit_node)
     if assignment is None:
         return None
-    levels = outcome.context.space(
-        outcome.context.universe(Header).zen_type
-    ).levels
-    return assignment_header(assignment, levels)
+    return assignment_header(assignment, outcome.levels)
+
+
+def _exact_entries(
+    outcome: RecomposeOutcome, task: Dict[str, Any]
+) -> Dict[str, Any]:
+    """`task` with its entries' converged arriving sets as assumptions."""
+    keys = [point_key((device, int(port))) for device, port in task["entries"]]
+    arriving = [outcome.arriving.get(key, 0) for key in keys]
+    manager = outcome.context.manager
+    table, refs = header_table(manager, outcome.levels, arriving)
+    return {**task, "table": table, "entry_assumptions": dict(zip(keys, refs))}
 
 
 def _fallback(
@@ -133,7 +141,6 @@ def run_composed(
     engine=None,
     *,
     budget: Optional[Dict[str, Any]] = None,
-    max_cubes: int = 4096,
     max_escalations: int = DEFAULT_MAX_ESCALATIONS,
     timeout_s: Optional[float] = None,
     bug: Optional[str] = None,
@@ -152,7 +159,7 @@ def run_composed(
     canary = bug == CANARY_DROP_ASSUMPTION
     METRICS.counter("compose.queries").inc()
     with span("compose.query", mode=query.get("mode", "reach")) as live:
-        plan = plan_shards(topo, query, max_cubes=max_cubes, budget=budget)
+        plan = plan_shards(topo, query, budget=budget)
         live.set("shards", len(plan.shards))
         summaries = {
             s["shard_id"]: s
@@ -165,7 +172,7 @@ def run_composed(
             recompose_started = time.monotonic()
             outcome = recompose(plan, summaries, bug=bug)
             recompose_s += time.monotonic() - recompose_started
-            if canary or outcome.overflow or outcome.trusted:
+            if canary or outcome.trusted:
                 break
             if escalations >= max_escalations:
                 break
@@ -178,25 +185,9 @@ def run_composed(
                 break
             escalations += 1
             METRICS.counter("compose.escalations").inc()
-            retasks = []
-            overflowed = False
-            for sid in sorted(needs):
-                task = dict(plan.shard(sid))
-                exact_entries: Dict[str, Cover] = {}
-                for device, port in task["entries"]:
-                    key = point_key((device, int(port)))
-                    cover = outcome.arriving_cover(key, max_cubes)
-                    if cover is None:
-                        overflowed = True
-                        break
-                    exact_entries[key] = cover
-                if overflowed:
-                    break
-                task["entry_assumptions"] = exact_entries
-                retasks.append(task)
-            if overflowed:
-                outcome.overflow = True
-                break
+            retasks = [
+                _exact_entries(outcome, plan.shard(sid)) for sid in sorted(needs)
+            ]
             for summary in _dispatch(retasks, engine, timeout_s):
                 summaries[summary["shard_id"]] = summary
 
@@ -227,9 +218,8 @@ def run_composed(
             # Buggy path under test: trust the fixpoint blindly.
             return finish(outcome.hit_node != 0, None, False, False)
 
-        if outcome.overflow or not outcome.trusted:
-            reason = "overflow" if outcome.overflow else "escalation_exhausted"
-            mono = _fallback(topo, query, budget, reason)
+        if not outcome.trusted:
+            mono = _fallback(topo, query, budget, "escalation_exhausted")
             return finish(mono.reachable, mono.witness, True, True)
 
         if outcome.hit_node == 0:

@@ -29,8 +29,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from .cubes import Cover
 from .topo import Point, has_nat, validate_query, validate_topology
 
-DEFAULT_MAX_CUBES = 4096
-
 
 def point_key(point: Point) -> str:
     return f"{point[0]}:{point[1]}"
@@ -92,7 +90,6 @@ def _bfs_layers(
 def plan_shards(
     topo: Dict[str, Any],
     query: Dict[str, Any],
-    max_cubes: int = DEFAULT_MAX_CUBES,
     budget: Optional[Dict[str, Any]] = None,
 ) -> Plan:
     """Decompose `query` over `topo` into per-layer shard tasks."""
@@ -157,7 +154,6 @@ def plan_shards(
                 "entries": sorted([d, p] for d, p in entries[sid]),
                 "exits": sorted([d, p] for d, p in exits[sid]),
                 "assumption": assumption,
-                "max_cubes": max_cubes,
                 "budget": budget,
             }
         )

@@ -22,9 +22,11 @@ sets):
   *equals* that assumption (escalation re-dispatches converge towards
   this), otherwise an over-approximation — sound for "unreachable",
   *tainted* for "reachable".
-* **Overflow** — an image reported as ``None`` (cube-cover overflow in
-  the worker) makes the whole recomposition unknown; the driver falls
-  back to the monolithic fixpoint.
+
+Each summary's sets arrive as references into its one node table
+(:func:`~repro.compose.cubes.header_sets`), imported once per summary
+before the fixpoint starts; every image is exact, so no summary is
+ever "unknown".
 
 The injectable canary bug ``compose-drop-assumption`` (see
 ``repro.fuzz``) lives here: it skips discharge and treats rewriting
@@ -36,12 +38,12 @@ to catch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.transformers import TransformerContext
 from ..network import Header
 from ..telemetry.spans import span
-from .cubes import Cover, cover_node, node_cover
+from .cubes import cover_node, header_sets
 from .plan import Plan, parse_point, point_key
 
 #: Canary bug id: drop interface-assumption discharge in the recomposer.
@@ -54,29 +56,18 @@ class RecomposeOutcome:
 
     hit_node: int  # delivered ∩ target, in `context`
     context: TransformerContext
+    levels: List[int]  # the context's header block
     tainted_shards: Set[str] = field(default_factory=set)
     assumption_failures: Set[str] = field(default_factory=set)
-    overflow: bool = False
     iterations: int = 0
     arriving: Dict[str, int] = field(default_factory=dict)
 
     @property
     def trusted(self) -> bool:
         """Whether the verdict needs no escalation in either direction."""
-        if self.overflow or self.assumption_failures:
+        if self.assumption_failures:
             return False
         return self.hit_node == 0 or not self.tainted_shards
-
-    def arriving_cover(self, entry_key: str, max_cubes: int = 4096) -> Cover:
-        levels = self.context.space(
-            self.context.universe(Header).zen_type
-        ).levels
-        return node_cover(
-            self.context.manager,
-            levels,
-            self.arriving.get(entry_key, 0),
-            max_cubes,
-        )
 
 
 def recompose(
@@ -94,32 +85,29 @@ def recompose(
     manager = context.manager
     canary = bug == CANARY_DROP_ASSUMPTION
 
-    # Pre-render assumption and image nodes once per summary.
+    # Import each summary's node table once: its assumption ("" below),
+    # per-entry assumptions, and images indexed by entry for the worklist.
     assumption_nodes: Dict[str, Dict[str, int]] = {}
-    image_nodes: Dict[str, Optional[int]] = {}
-    overflow = False
+    images_of_entry: Dict[str, List[Tuple[str, int]]] = {}
     for sid, summary in summaries.items():
-        per_entry: Dict[str, int] = {}
-        base = summary.get("assumption")
-        for key, cover in (summary.get("entry_assumptions") or {}).items():
-            per_entry[key] = cover_node(manager, levels, cover)
-        per_entry[""] = 1 if base is None else cover_node(manager, levels, base)
-        assumption_nodes[sid] = per_entry
-        for pair, cover in summary["images"].items():
-            if cover is None:
-                overflow = True
-                image_nodes[pair] = None
-            else:
-                image_nodes[pair] = cover_node(manager, levels, cover)
-
-    # Index images by their entry point for the worklist.
-    images_of_entry: Dict[str, List[str]] = {}
-    for pair in image_nodes:
-        entry_key = pair.split("|", 1)[0]
-        images_of_entry.setdefault(entry_key, []).append(pair)
+        echoed = summary.get("entry_assumptions") or {}
+        images = summary["images"]
+        nodes = iter(
+            header_sets(
+                manager,
+                levels,
+                summary["table"],
+                [summary["assumption"], *echoed.values(), *images.values()],
+            )
+        )
+        per_entry = assumption_nodes[sid] = {"": next(nodes)}
+        per_entry.update(zip(echoed, nodes))
+        for pair, image in zip(images, nodes):
+            entry_key, exit_key = pair.split("|", 1)
+            images_of_entry.setdefault(entry_key, []).append((exit_key, image))
 
     sink_key = point_key(plan.sink)
-    outcome = RecomposeOutcome(0, context, overflow=overflow)
+    outcome = RecomposeOutcome(0, context, levels)
     arriving: Dict[str, int] = {
         point_key(plan.source): cover_node(manager, levels, plan.headers)
     }
@@ -140,17 +128,13 @@ def recompose(
                 continue
             summary = summaries[sid]
             exact_summary = summary.get("filters_only") or canary
-            for pair in images_of_entry.get(entry_key, ()):
-                image = image_nodes[pair]
-                if image is None:
-                    continue  # overflow already flagged
+            for exit_key, image in images_of_entry.get(entry_key, ()):
                 if exact_summary:
                     flowed = manager.and_(current, image)
                 else:
                     flowed = image  # whole-assumption image; judged below
                 if flowed == 0:
                     continue
-                exit_key = pair.split("|", 1)[1]
                 if exit_key == sink_key:
                     delivered = manager.or_(delivered, flowed)
                     continue
@@ -169,19 +153,14 @@ def recompose(
                 sid = shard_at(entry_key)
                 if final == 0 or sid is None:
                     continue
-                summary = summaries[sid]
                 per_entry = assumption_nodes[sid]
                 assumed = per_entry.get(entry_key, per_entry[""])
                 if manager.diff(final, assumed) != 0:
                     outcome.assumption_failures.add(sid)
-                if not summary.get("filters_only"):
-                    exact_here = (
-                        summary.get("assumption_exact")
-                        and entry_key in per_entry
-                        and final == assumed
-                    )
-                    if not exact_here:
-                        outcome.tainted_shards.add(sid)
+                # Exact when summarised under exactly this arriving set.
+                exact_here = entry_key in per_entry and final == assumed
+                if not (summaries[sid].get("filters_only") or exact_here):
+                    outcome.tainted_shards.add(sid)
 
         target_node = cover_node(manager, levels, plan.target)
         outcome.hit_node = manager.and_(delivered, target_node)

@@ -37,15 +37,16 @@ Devices without NAT never rewrite, so their images are plain
 intersections and the summary is marked ``filters_only`` — the
 recomposer exploits that for exactness.
 
-Image covers that exceed ``max_cubes`` are reported as ``None``
-(unknown), never truncated: a partial cover would under-approximate
-and could certify a bogus "unreachable".
+The summary ships its sets as BDDs: every image and assumption is a
+reference into **one** node table, written in one walk
+(:func:`~repro.compose.cubes.header_table`), exact and linear in the
+BDD's size — an image is never "unknown", however many paths it has.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, NamedTuple, Optional
+from typing import Any, Dict, List, NamedTuple
 
 from ..core import start_meter
 from ..core.transformers import StateSet, TransformerContext
@@ -55,7 +56,7 @@ from ..network import NULL_PORT, Header, NatRule, Prefix, forward
 from ..network.device import Device, admits, permits, rewrite
 from ..telemetry.metrics import METRICS
 from ..telemetry.spans import span
-from .cubes import _OFFSETS, Cover, cover_node, node_cover, validate_cover
+from .cubes import _OFFSETS, cover_node, header_sets, header_table, validate_cover
 from .plan import pair_key, point_key
 from .topo import Point, build_network
 
@@ -221,41 +222,40 @@ def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
     """Compute one shard's interface image summary (worker entry).
 
     `task` is a shard dict from :func:`~repro.compose.plan.plan_shards`,
-    optionally with per-entry exact assumptions under
-    ``entry_assumptions`` (escalation re-dispatch).  Returns a plain
-    dict; see the module docstring for semantics.
+    optionally with per-entry exact assumptions (escalation
+    re-dispatch): ``entry_assumptions`` maps an entry point key to a
+    reference into the task's node ``table``.  Returns a plain dict;
+    see the module docstring for semantics.
     """
     started = time.monotonic()
     shard_id = task["shard_id"]
     entries: List[Point] = [(d, int(p)) for d, p in task.get("entries", [])]
     exits = {(d, int(p)) for d, p in task.get("exits", [])}
     network = build_network(task, [*entries, *exits])
-    assumption: Cover = validate_cover(task.get("assumption"), "assumption")
-    entry_assumptions = task.get("entry_assumptions") or {}
-    for key, cover in entry_assumptions.items():
-        validate_cover(cover, f"entry_assumptions[{key}]")
-    max_cubes = int(task.get("max_cubes", 4096))
+    assumption = validate_cover(task.get("assumption"), "assumption")
     meter = start_meter(Budget.from_dict(task.get("budget")))
 
     context = TransformerContext()
     header_type = context.universe(Header).zen_type
     levels = context.space(header_type).levels
     manager = context.manager
+    given = task.get("entry_assumptions") or {}
+    nodes = header_sets(manager, levels, task.get("table", []), [*given.values()])
+    entry_nodes = dict(zip(given, nodes))
+    base = cover_node(manager, levels, assumption)
     model = _ShardModel(context, header_type, levels, meter)
     devices = network.devices
     filters_only = all(d.nat is None for d in devices.values())
 
-    images: Dict[str, Optional[Cover]] = {}
-    exact = True
+    images: Dict[str, int] = {}
     rounds = 0
 
     with span(
         "compose.shard", shard=shard_id, devices=len(devices)
     ) as live:
         for entry in entries:
-            seed_cover = entry_assumptions.get(point_key(entry), assumption)
             seed = StateSet(
-                context, header_type, cover_node(manager, levels, seed_cover)
+                context, header_type, entry_nodes.get(point_key(entry), base)
             )
             arriving: Dict[Point, StateSet] = {entry: seed}
             reached_exits: Dict[Point, StateSet] = {}
@@ -290,20 +290,19 @@ def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
                             if neighbour not in worklist:
                                 worklist.append(neighbour)
             for exit_point, reached in reached_exits.items():
-                cover = node_cover(manager, levels, reached.node, max_cubes)
-                if cover is None:
-                    exact = False
-                images[pair_key(entry, exit_point)] = cover
+                images[pair_key(entry, exit_point)] = reached.node
         live.set("entries", len(entries))
         live.set("images", len(images))
-        live.set("exact", exact)
 
+    table, refs = header_table(
+        manager, levels, [base, *entry_nodes.values(), *images.values()]
+    )
     summary: Dict[str, Any] = {
         "shard_id": shard_id,
         "filters_only": filters_only,
-        "exact": exact,
-        "assumption": assumption,
-        "images": images,
+        "table": table,
+        "assumption": refs[0],
+        "images": dict(zip(images, refs[1 + len(entry_nodes) :])),
         "stats": {
             "devices": len(devices),
             "entries": len(entries),
@@ -313,7 +312,6 @@ def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
             "elapsed_ms": (time.monotonic() - started) * 1000.0,
         },
     }
-    if entry_assumptions:
-        summary["entry_assumptions"] = dict(entry_assumptions)
-        summary["assumption_exact"] = True
+    if entry_nodes:
+        summary["entry_assumptions"] = dict(zip(entry_nodes, refs[1:]))
     return summary

@@ -12,6 +12,10 @@ Complement-edge properties are checked against a truth-table oracle
 functions have equal handles after every op, and the public cofactor
 accessors are semantic.
 
+Node tables (the compose wire format) round-trip into a second manager
+whose header block sits at another level, re-export identically, and
+reject every malformed row with ``ValueError``.
+
 Regression tests pin the iterative kernels' immunity to Python's
 recursion limit on deep (5000-level) chain BDDs, the one-op image path
 in the transformer, and the compile/statistics caches.
@@ -27,12 +31,7 @@ import pytest
 from repro import Byte, ZenFunction
 from repro.backends import SatBackend
 from repro.bdd import FALSE, TRUE, Bdd, BddStats
-from repro.compose.cubes import (
-    HEADER_BITS,
-    _cube_literals,
-    cover_node,
-    node_cover,
-)
+from repro.compose.cubes import HEADER_BITS
 from repro.core.compilation import compile_function
 from repro.core.transformers import TransformerContext
 from repro.sat import Solver
@@ -41,12 +40,14 @@ NUM_VARS = 8
 NUM_CASES = 60
 
 
-def random_formula(manager: Bdd, rng: random.Random, depth: int = 3) -> int:
+def random_formula(
+    manager: Bdd, rng: random.Random, depth: int = 3, levels=range(NUM_VARS)
+) -> int:
     if depth == 0:
-        index = rng.randrange(NUM_VARS)
+        index = rng.choice(levels)
         return manager.var(index) if rng.random() < 0.5 else manager.nvar(index)
-    left = random_formula(manager, rng, depth - 1)
-    right = random_formula(manager, rng, depth - 1)
+    left = random_formula(manager, rng, depth - 1, levels)
+    right = random_formula(manager, rng, depth - 1, levels)
     op = rng.randrange(4)
     if op == 0:
         return manager.and_(left, right)
@@ -258,24 +259,74 @@ class TestComplementEdges:
                 witness = manager.any_sat(node)
                 assert manager.evaluate(node, witness)
 
-    def test_cube_enumeration_equals_iter_sat(self):
-        # compose.cubes walks low()/high()/level_of() itself; on a
-        # complemented root it must see the same 1-paths as iter_sat.
-        manager = Bdd()
-        levels = list(range(HEADER_BITS))
-        manager.new_vars(HEADER_BITS)
+
+class TestNodeTable:
+    """The compose wire format: header sets as one shared node table."""
+
+    def test_table_round_trips_across_managers(self):
+        source = Bdd()
+        source.new_vars(HEADER_BITS)
         rng = random.Random(56)
+        roots = []
         for _ in range(20):
-            f = random_formula(manager, rng)
-            for node in (f, manager.not_(f)):
-                cover = node_cover(manager, levels, node)
-                assert {
-                    frozenset(_cube_literals(cube, levels).items())
-                    for cube in cover
-                } == {
-                    frozenset(path.items()) for path in manager.iter_sat(node)
-                }
-                assert cover_node(manager, levels, cover) == node
+            f = random_formula(source, rng, depth=4, levels=range(HEADER_BITS))
+            roots += [f, source.not_(f)]
+        roots += [FALSE, TRUE]
+        table, refs = source.export_table(roots, 0, HEADER_BITS)
+        # Shared nodes are written once: one row per distinct node.
+        reachable = {index for root in roots for index in source._reachable(root)}
+        assert len(table) == 3 * len(reachable)
+
+        target = Bdd()
+        target.new_vars(7)  # the header block starts at another level
+        target.new_vars(HEADER_BITS)
+        imported = target.import_table(table, refs, 7, HEADER_BITS)
+        assert imported[-2:] == [FALSE, TRUE]
+        for _ in range(64):
+            bits = [rng.random() < 0.5 for _ in range(HEADER_BITS)]
+            here = dict(enumerate(bits))
+            there = {7 + slot: bit for slot, bit in here.items()}
+            for root, node in zip(roots, imported):
+                assert source.evaluate(root, here) == target.evaluate(node, there)
+        # Canonical: the imported sets export to the identical table.
+        assert target.export_table(imported, 7, HEADER_BITS) == (table, refs)
+
+    @pytest.mark.parametrize(
+        "table, refs, message",
+        [
+            ([0, 0, 4], [2], "earlier row"),  # row 1 names row 2
+            ([5, 0, 1, 5, 0, 2], [4], "below"),  # child at its parent's slot
+            ([HEADER_BITS, 0, 1], [2], "outside the block"),
+            ([-1, 0, 1], [2], "outside the block"),
+            ([3, 0, 1], [4], "outside the table"),
+            ([3, 0, 1, 2], [2], "whole"),
+        ],
+        ids=[
+            "forward-child",
+            "child-slot-not-below",
+            "slot-past-block",
+            "negative-slot",
+            "root-out-of-range",
+            "partial-row",
+        ],
+    )
+    def test_malformed_table_raises(self, table, refs, message):
+        manager = Bdd()
+        manager.new_vars(HEADER_BITS)
+        with pytest.raises(ValueError, match=message):
+            manager.import_table(table, refs, 0, HEADER_BITS)
+
+    def test_table_export_rejects_levels_outside_the_block(self):
+        manager = Bdd()
+        manager.new_vars(HEADER_BITS + 2)
+        inside = manager.var(1)
+        outside = manager.and_(inside, manager.var(HEADER_BITS + 1))
+        table, _ = manager.export_table([inside], 1, HEADER_BITS)
+        assert table[0] == 0  # level 1 is the block's slot 0
+        with pytest.raises(ValueError, match="outside the block"):
+            manager.export_table([outside], 1, HEADER_BITS)
+        with pytest.raises(ValueError, match="outside the block"):
+            manager.export_table([manager.var(0)], 1, HEADER_BITS)
 
 
 class TestBalancedReduction:

@@ -40,7 +40,7 @@ from repro.errors import (
     ZenTypeError,
 )
 from repro.analyses import reachable_sets
-from repro.compose.cubes import cover_predicate
+from repro.compose.cubes import cover_node, cover_predicate, header_sets
 from repro.fuzz import FarmConfig, replay_artifact, run_farm
 from repro.fuzz.reference import _walk_topology, reference_inputs
 from repro.network import (
@@ -152,6 +152,44 @@ class TestComposedMatchesMonolith:
         assert composed.reachable == mono.reachable
         if composed.witness is not None:
             assert (composed.witness["dst_ip"] & 0xFF000000) == 0x0A000000
+
+    def test_large_exit_image_needs_no_fallback(self):
+        # Port-range ACLs make d2's exit image a BDD of 91 nodes but more
+        # than 4,096 paths: as a cube cover it was "unknown" and sent
+        # this rewrite-free query to the monolith.
+        topo = chain_topology(3, seed=7)
+        topo["devices"]["d1"]["acl_in"] = {
+            "1": [
+                {
+                    "action": True,
+                    "src": [0, 0],
+                    "dst": [0, 0],
+                    "src_ports": [1, 65534],
+                    "dst_ports": [1, 65534],
+                    "protocol": 6,
+                }
+            ]
+        }
+        topo["devices"]["d2"]["acl_in"] = {
+            "1": [
+                {"action": False, "src": [0x0B000001, 32], "dst": [0, 0]},
+                {
+                    "action": True,
+                    "src": [0, 0],
+                    "dst": [0, 0],
+                    "src_ports": [3, 65531],
+                    "dst_ports": [5, 65529],
+                },
+            ]
+        }
+        query = chain_query(3)
+        composed = run_composed(topo, query)
+        assert composed.monolith_fallback is False
+        assert composed.escalations == 0
+        assert composed.reachable is True
+        # The reference walker delivers the witness; the monolith agrees.
+        assert _walk_topology(topo, query, Header(**composed.witness), None)
+        assert monolithic_verdict(topo, query).reachable is True
 
     def test_monolith_leaves_the_recursion_limit_alone(self):
         # The monolith raises the limit for its own deep evaluation
@@ -450,31 +488,46 @@ class TestPerDeviceBuild:
                 out[shard["shard_id"]] = summary
             return out
 
-        # The per-port build of the parent commit gives this digest for
-        # the seven summaries of the 10/8 query (images, flags, stats).
+        # The seven summaries of the 10/8 query (node table, references,
+        # flags, stats).  Every image decodes to the node of the cube
+        # cover its shard shipped before summaries carried tables.
         blob = json.dumps(summaries(0xFF000000), sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == (
-            "497e508fff80076f4b0de4805bd2a03d67052cb134e6abbbeccc5f2fbd588f60"
+            "39f452088e5a30a5490d1e4b37fbb1ca00745b5fed4b274c2008e4e45abdf5fc"
         )
         # And one shard in full, on 10.0.0.0/29: host .2 goes down port
         # 1, the rest of the /29 up port 3, from each of three entries.
+        assumption = [{"dst_ip": [0x0A000000, 0xFFFFFFF8]}]
         down = [{"dst_ip": [0x0A000002, 0xFFFFFFFF]}]
         up = [
             {"dst_ip": [0x0A000004, 0xFFFFFFFC]},
             {"dst_ip": [0x0A000003, 0xFFFFFFFF]},
             {"dst_ip": [0x0A000000, 0xFFFFFFFE]},
         ]
+        expected = {
+            f"edge_0_0:{entry}|edge_0_0:{port}": cover
+            for entry in (1, 3, 4)
+            for port, cover in ((1, down), (3, up))
+        }
         edge = summaries(0xFFFFFFF8)["shard1"]
+        context = TransformerContext()
+        levels = context.space(context.universe(Header).zen_type).levels
+        manager = context.manager
+        images = edge.pop("images")
+        assert sorted(images) == sorted(expected)
+        decoded = header_sets(
+            manager,
+            levels,
+            edge.pop("table"),
+            [edge.pop("assumption"), *(images[pair] for pair in expected)],
+        )
+        assert decoded == [
+            cover_node(manager, levels, cover)
+            for cover in (assumption, *expected.values())
+        ]
         assert edge == {
             "shard_id": "shard1",
             "filters_only": True,
-            "exact": True,
-            "assumption": [{"dst_ip": [0x0A000000, 0xFFFFFFF8]}],
-            "images": {
-                f"edge_0_0:{entry}|edge_0_0:{port}": cover
-                for entry in (1, 3, 4)
-                for port, cover in ((1, down), (3, up))
-            },
             "stats": {
                 "devices": 1,
                 "entries": 3,
@@ -516,6 +569,15 @@ class TestPortValidation:
         query["sink"] = ["d1", port]
         with pytest.raises(ValueError, match="sink"):
             plan_shards(filter_chain(2), query)
+
+    @pytest.mark.parametrize(
+        "pair", [[True, 1], [1, True]], ids=["bool-value", "bool-mask"]
+    )
+    def test_boolean_header_bits_are_rejected(self, pair):
+        query = chain_query(2, headers=[{"dst_ip": pair}])
+        for entry in (plan_shards, run_composed, monolithic_verdict):
+            with pytest.raises(ValueError, match="value, mask"):
+                entry(filter_chain(2), query)
 
     def test_every_byte_is_a_port(self):
         topo = filter_chain(2)
@@ -567,8 +629,10 @@ class TestRuleValidation:
 
 def test_shard_summaries_match_the_pinned_digest():
     """Every shard summary of three k=6 fabrics (five queries each) and
-    of a NAT chain, byte for byte as the shards computed them before
-    compose built its devices as `network.Device`s."""
+    of a NAT chain, byte for byte.  The digest was re-pinned when
+    summaries began to carry node tables, after every image and
+    assumption was checked to decode to the node of the cube cover
+    the shard shipped before."""
     hosts = fat_tree_hosts(6)
     corpus = [
         (
@@ -588,7 +652,7 @@ def test_shard_summaries_match_the_pinned_digest():
     assert len(summaries) == 111
     blob = json.dumps(summaries, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == (
-        "00e61e3e10a5cd11037f72d8b25bbfb0bd578642b0d361fdbb60ba1a9064c394"
+        "79aacc9e45ab46a1f33fe53e0d8c4ade568887450db553738874a941e0795883"
     )
 
 
