@@ -13,8 +13,7 @@ of pool capacity and records, per overload factor:
   tail latency divided by the unloaded baseline;
 * ``shed_fraction`` / ``reject_fraction`` — how much admitted work
   was load-shed and how many arrivals were fast-rejected at the door
-  (structured backpressure, never hangs);
-* ``brownout`` entry/recovery and ``recovery_s``.
+  (structured backpressure, never hangs).
 
 Emits ``BENCH_overload.json`` in the shared ``BENCH_*.json`` schema
 (``benchmarks/report.py --check-bench`` validates it).
@@ -41,7 +40,6 @@ def storm_row(overload: float, quick: bool, bundle_dir=None) -> dict:
         interactive_fraction=0.05,
         batch_fraction=0.55,
         queue_depth=32 if quick else 64,
-        brownout_window_s=0.5,
         baseline_queries=15 if quick else 30,
         seed=7,
     )
@@ -61,9 +59,6 @@ def storm_row(overload: float, quick: bool, bundle_dir=None) -> dict:
         "shed_fraction": report["shed_fraction"],
         "reject_fraction": report["reject_fraction"],
         "interactive_p99_ratio": report["interactive_p99_ratio"],
-        "brownout_entered": report["brownout_entered"],
-        "recovered": report["recovered"],
-        "recovery_s": report["recovery_s"],
         "deadline_expired": report["deadline_expired"],
         "worker_restarts": report["worker_restarts"],
     }
@@ -88,8 +83,8 @@ def main() -> None:
         "--bundle-dir",
         type=Path,
         default=None,
-        help="capture flight-recorder debug bundles (brownout entry, "
-        "breaker trips, ...) into this directory during the storms",
+        help="capture flight-recorder debug bundles (breaker trips, "
+        "crash loops, ...) into this directory during the storms",
     )
     args = parser.parse_args()
     if not args.out.parent.is_dir():
@@ -112,8 +107,7 @@ def main() -> None:
 
     print(
         f"{'scenario':>16} {'pool':>5} {'goodput':>8} {'shed%':>6}"
-        f" {'rej%':>6} {'i_p99':>8} {'ratio':>6} {'brownout':>9}"
-        f" {'recov_s':>8}"
+        f" {'rej%':>6} {'i_p99':>8} {'ratio':>6}"
     )
     for row in results:
         interactive = row["priorities"]["interactive"]
@@ -124,8 +118,6 @@ def main() -> None:
             f" {row['reject_fraction'] * 100:>6.1f}"
             f" {interactive['p99_ms']:>8.1f}"
             f" {row['interactive_p99_ratio']:>6.2f}"
-            f" {str(row['brownout_entered']):>9}"
-            f" {str(row['recovery_s']):>8}"
         )
     print(f"\nwrote {args.out}")
 

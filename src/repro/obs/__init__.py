@@ -25,7 +25,7 @@ from .recorder import (
     render_bundle,
     write_bundle,
 )
-from .rolling import LOG_BOUNDS, RollingCounter, RollingHistogram
+from .rolling import LOG_BOUNDS, RollingHistogram
 from .status import (
     DEFAULT_STATUS_FILE,
     EngineStatus,
@@ -42,7 +42,6 @@ __all__ = [
     "FlightRecorder",
     "LOG_BOUNDS",
     "RECORDER",
-    "RollingCounter",
     "RollingHistogram",
     "load_bundle",
     "read_status_file",

@@ -6,7 +6,7 @@ defaults to ``$REPRO_STATUS_FILE`` or ``engine-status.json``.
 
 ``python -m repro.obs show <bundle>`` — inspect a flight-recorder
 debug bundle captured on a trigger (crash loop, breaker open, backend
-disagreement, brownout).
+disagreement, fuzz finding).
 """
 
 from __future__ import annotations

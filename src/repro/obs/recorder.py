@@ -5,7 +5,7 @@ events in fixed-size ring buffers (``collections.deque`` with
 ``maxlen``) so the steady-state cost of being always-on is one deque
 append per record — no allocation growth, no I/O.  When something goes
 wrong (worker crash-loop, breaker opening, backend disagreement,
-brownout entry, fuzz finding) the owner calls
+fuzz finding) the owner calls
 :meth:`FlightRecorder.trigger` and the recorder freezes everything it
 knows into a self-contained JSON *debug bundle* — the operational
 analogue of the fuzz farm's repro artifacts.

@@ -1,13 +1,13 @@
-"""Sliding-window primitives for operational observability.
+"""Sliding-window latency histogram for operational observability.
 
 The live-status layer needs "what happened over the last N
 seconds" views that the cumulative :mod:`repro.telemetry.metrics`
-counters cannot answer.  Both primitives here slice time into a fixed
-number of slots of equal width; observations land in the slot covering
-``now`` and slots older than the window are pruned lazily on the next
-touch.  Everything is O(slots) at worst and allocation-free on the hot
-path, so the engine's dispatcher thread can afford one observation per
-completed task.
+counters cannot answer.  :class:`RollingHistogram` slices time into a
+fixed number of slots of equal width; observations land in the slot
+covering ``now`` and slots older than the window are pruned lazily on
+the next touch.  Everything is O(slots) at worst and allocation-free
+on the hot path, so the engine's dispatcher thread can afford one
+observation per completed task.
 
 All timestamps are caller-supplied (monotonic seconds by convention)
 so tests can drive the windows with a fake clock.
@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["LOG_BOUNDS", "RollingCounter", "RollingHistogram"]
+__all__ = ["LOG_BOUNDS", "RollingHistogram"]
 
 # Log-spaced latency bucket upper bounds, in seconds: 100us .. ~104s,
 # doubling each step.  21 buckets cover every latency this service can
@@ -27,7 +27,7 @@ LOG_BOUNDS: Tuple[float, ...] = tuple(1e-4 * 2.0**i for i in range(21))
 
 
 class _Slots:
-    """Shared slot bookkeeping: maps absolute time onto slot indices."""
+    """Slot bookkeeping: maps absolute time onto slot indices."""
 
     def __init__(self, window_s: float, slots: int) -> None:
         if window_s <= 0:
@@ -45,45 +45,6 @@ class _Slots:
         """Absolute slot indices still inside the window at ``now``."""
         current = self.index(now)
         return range(current - self.slots + 1, current + 1)
-
-
-class RollingCounter:
-    """Count of events inside a sliding window."""
-
-    __slots__ = ("_spec", "_counts", "_lock")
-
-    def __init__(self, window_s: float = 60.0, slots: int = 12) -> None:
-        self._spec = _Slots(window_s, slots)
-        self._counts: Dict[int, float] = {}
-        self._lock = threading.Lock()
-
-    @property
-    def window_s(self) -> float:
-        return self._spec.window_s
-
-    def add(self, now: float, amount: float = 1.0) -> None:
-        idx = self._spec.index(now)
-        with self._lock:
-            self._counts[idx] = self._counts.get(idx, 0.0) + amount
-            self._prune(idx)
-
-    def total(self, now: float) -> float:
-        live = self._spec.live(now)
-        with self._lock:
-            self._prune(live.stop - 1)
-            return sum(
-                count for idx, count in self._counts.items() if idx in live
-            )
-
-    def rate(self, now: float) -> float:
-        """Events per second over the window."""
-        return self.total(now) / self._spec.window_s
-
-    def _prune(self, current: int) -> None:
-        floor = current - self._spec.slots + 1
-        if len(self._counts) > 2 * self._spec.slots:
-            for idx in [i for i in self._counts if i < floor]:
-                del self._counts[idx]
 
 
 class RollingHistogram:

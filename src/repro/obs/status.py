@@ -2,8 +2,8 @@
 
 :class:`EngineStatus` is a plain-data snapshot of everything an
 operator wants at a glance: pool utilization, per-priority queue
-depths, rolling latency quantiles, cache hit rate, breaker and
-brownout state, and counter totals.  The engine produces one via
+depths, rolling latency quantiles, cache hit rate, breaker state,
+and counter totals.  The engine produces one via
 ``QueryEngine.status()`` and (when configured with ``status_file=``)
 writes it atomically on a cadence so
 ``python -m repro.obs status`` in *another process* can read it.
@@ -37,7 +37,6 @@ class EngineStatus:
     pool_size: int
     pool_busy: int
     workers: List[int] = field(default_factory=list)
-    mode: str = "normal"
     queue: Dict[str, Any] = field(default_factory=dict)
     latency_ms: Dict[str, Dict[str, float]] = field(default_factory=dict)
     cache: Dict[str, Any] = field(default_factory=dict)
@@ -81,10 +80,7 @@ def render_status(status: EngineStatus) -> str:
     now = time.time()
     age = max(0.0, now - status.generated_unix)
     lines = []
-    lines.append(
-        f"engine pid {status.pid} · mode={status.mode}"
-        f" · snapshot {age:.1f}s old"
-    )
+    lines.append(f"engine pid {status.pid} · snapshot {age:.1f}s old")
     busy_frac = (
         status.pool_busy / status.pool_size if status.pool_size else 0.0
     )

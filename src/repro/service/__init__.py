@@ -20,8 +20,7 @@ queries in flight from one caller.
 PR 7 adds overload protection: bounded per-priority admission
 (:class:`AdmissionController`, ``ZenQueueFull`` backpressure),
 utilization-triggered load shedding (``shed_overload`` outcomes),
-client-deadline propagation (``QuerySpec.deadline_s``), hysteretic
-brownout degradation (:class:`BrownoutController`), a deterministic
+client-deadline propagation (``QuerySpec.deadline_s``), a deterministic
 :meth:`QueryEngine.shutdown` drain, and the :mod:`repro.service.chaos`
 fault-injection harness.
 
@@ -39,13 +38,7 @@ Public surface:
   what the worker itself calls).
 """
 
-from .admission import (
-    BROWNOUT,
-    NORMAL,
-    PRIORITIES,
-    AdmissionController,
-    BrownoutController,
-)
+from .admission import PRIORITIES, AdmissionController
 from .breaker import CLOSED, HALF_OPEN, OPEN, BreakerTransition, CircuitBreaker
 from .cache import CacheEntry, ModelCache, ref_cache_key
 from .engine import AttemptRecord, QueryEngine, ServiceResult
@@ -67,9 +60,6 @@ __all__ = [
     "resolve_ref",
     "run_spec",
     "AdmissionController",
-    "BrownoutController",
     "PRIORITIES",
-    "NORMAL",
-    "BROWNOUT",
     "clamp_spec_deadline",
 ]

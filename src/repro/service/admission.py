@@ -1,35 +1,25 @@
-"""Admission control and brownout hysteresis policy.
+"""Admission control: the decision half of overload protection.
 
-This module holds the *decision* half of the engine's overload
-protection; the dispatcher in :mod:`repro.service.engine` holds the
-*mechanism* half (actually shedding queued tasks, shrinking
-ladders).  Splitting them keeps every policy deterministic
-and unit-testable with an injected clock — no subprocesses needed.
+The dispatcher in :mod:`repro.service.engine` holds the *mechanism*
+half (actually shedding queued tasks).  Splitting them keeps the
+policy deterministic and unit-testable with an injected clock — no
+subprocesses needed.
 
-Two cooperating pieces:
-
-* :class:`AdmissionController` — a bounded counting semaphore with
-  per-priority headroom.  ``interactive`` may fill the whole queue;
-  ``batch`` stops being admitted at ``shed_threshold`` of the depth;
-  ``fuzz`` stops one shed-band earlier still.  The staggered limits
-  mean low-priority traffic experiences backpressure *before* the
-  queue is full, so there is always reserved headroom for interactive
-  work — the classic priority-admission design from overload-tolerant
-  RPC systems.
-
-* :class:`BrownoutController` — a two-state (``normal``/``brownout``)
-  hysteresis machine.  Entry is edge-triggered by stress (utilization
-  at/above ``enter_utilization``, or any shed event); exit requires
-  utilization at/below ``exit_utilization`` *continuously* for a full
-  ``window_s`` since the last stress signal, so a sawtoothing queue
-  cannot flap the mode.
+:class:`AdmissionController` is a bounded counting semaphore with
+per-priority headroom.  ``interactive`` may fill the whole queue;
+``batch`` stops being admitted at ``shed_threshold`` of the depth;
+``fuzz`` stops one shed-band earlier still.  The staggered limits
+mean low-priority traffic experiences backpressure *before* the queue
+is full, so there is always reserved headroom for interactive work —
+the classic priority-admission design from overload-tolerant RPC
+systems.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..errors import ZenQueueFull
 
@@ -37,18 +27,12 @@ __all__ = [
     "PRIORITIES",
     "PRIORITY_RANK",
     "AdmissionController",
-    "BrownoutController",
-    "NORMAL",
-    "BROWNOUT",
 ]
 
 #: Priority classes, highest first.  Rank 0 is never shed and never
 #: refused admission while any slot remains.
 PRIORITIES: Tuple[str, ...] = ("interactive", "batch", "fuzz")
 PRIORITY_RANK: Dict[str, int] = {p: i for i, p in enumerate(PRIORITIES)}
-
-NORMAL = "normal"
-BROWNOUT = "brownout"
 
 
 class AdmissionController:
@@ -244,124 +228,3 @@ class AdmissionController:
             if self._counts.get(priority, 0) > 0:
                 self._counts[priority] -= 1
             self._cond.notify_all()
-
-
-class BrownoutController:
-    """Hysteretic normal/brownout mode machine.
-
-    ``observe(utilization, sheds)`` is called from the dispatcher loop
-    (and opportunistically from stat readers); it returns the current
-    mode.  Stress — utilization at/above ``enter_utilization`` or a
-    positive shed count — flips the mode to brownout immediately and
-    re-arms the recovery window.  Recovery back to normal requires
-    utilization at/below ``exit_utilization`` and a full ``window_s``
-    of continuous calm since the last stress signal.
-    """
-
-    def __init__(
-        self,
-        enter_utilization: float = 0.75,
-        exit_utilization: float = 0.5,
-        window_s: float = 1.0,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if not 0.0 < enter_utilization <= 1.0:
-            raise ValueError(
-                "enter_utilization must be in (0, 1], got "
-                f"{enter_utilization!r}"
-            )
-        if not 0.0 <= exit_utilization <= enter_utilization:
-            raise ValueError(
-                "exit_utilization must be in [0, enter_utilization], "
-                f"got {exit_utilization!r}"
-            )
-        if window_s <= 0:
-            raise ValueError(f"window_s must be > 0, got {window_s!r}")
-        self.enter_utilization = enter_utilization
-        self.exit_utilization = exit_utilization
-        self.window_s = window_s
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._mode = NORMAL
-        self._last_stress = -float("inf")
-        self._entered = 0
-        self._exited = 0
-        #: (at, from_mode, to_mode, reason) transition log.
-        self.transitions: List[Tuple[float, str, str, str]] = []
-
-    @property
-    def mode(self) -> str:
-        with self._lock:
-            return self._mode
-
-    def observe(self, utilization: float, sheds: int = 0) -> str:
-        """Feed one stress sample; returns the (possibly new) mode."""
-        now = self._clock()
-        with self._lock:
-            stressed = sheds > 0 or utilization >= self.enter_utilization
-            if stressed:
-                self._last_stress = now
-                if self._mode == NORMAL:
-                    reason = (
-                        f"shed x{sheds}"
-                        if sheds > 0
-                        else f"utilization {utilization:.2f}"
-                    )
-                    self._mode = BROWNOUT
-                    self._entered += 1
-                    self.transitions.append(
-                        (now, NORMAL, BROWNOUT, reason)
-                    )
-            elif (
-                self._mode == BROWNOUT
-                and utilization <= self.exit_utilization
-                and now - self._last_stress >= self.window_s
-            ):
-                self._mode = NORMAL
-                self._exited += 1
-                self.transitions.append(
-                    (
-                        now,
-                        BROWNOUT,
-                        NORMAL,
-                        f"calm {now - self._last_stress:.2f}s",
-                    )
-                )
-            return self._mode
-
-    def detail(self) -> Dict[str, object]:
-        """Rich nested view for ``overload_stats()`` and status pages."""
-        with self._lock:
-            return {
-                "mode": self._mode,
-                "enter_utilization": self.enter_utilization,
-                "exit_utilization": self.exit_utilization,
-                "window_s": self.window_s,
-                "transitions": [
-                    {"at": at, "from": frm, "to": to, "reason": reason}
-                    for at, frm, to, reason in self.transitions
-                ],
-            }
-
-    # Shared counter protocol.
-    def snapshot(self) -> Dict[str, float]:
-        with self._lock:
-            return {
-                "browned_out": float(self._mode == BROWNOUT),
-                "entered": float(self._entered),
-                "exited": float(self._exited),
-            }
-
-    def delta(
-        self, before: Dict[str, float], after: Dict[str, float]
-    ) -> Dict[str, float]:
-        return {
-            key: after.get(key, 0.0) - before.get(key, 0.0)
-            for key in set(before) | set(after)
-        }
-
-    def reset_counters(self) -> None:
-        with self._lock:
-            self._entered = 0
-            self._exited = 0
-

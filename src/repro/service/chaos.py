@@ -13,7 +13,8 @@ Two halves:
   :func:`run_overload` (a full arrival storm at a chosen multiple of
   pool capacity, with optional worker faults and clock-skewed
   deadlines, measuring goodput, per-priority latency percentiles,
-  shed/reject fractions, and brownout recovery).
+  shed/reject fractions, and the admission state left after the
+  drain).
 
 The storm driver is what the acceptance tests and
 ``benchmarks/bench_overload.py`` share: one code path produces both
@@ -171,7 +172,6 @@ class OverloadScenario:
     batch_fraction: float = 0.52
     queue_depth: int = 64
     shed_threshold: float = 0.85
-    brownout_window_s: float = 0.5
     max_batch_size: int = 1
     retries: int = 1
     fault_rate: float = 0.0
@@ -210,11 +210,14 @@ def run_overload(
     pool, (2) submit the storm open-loop at ``arrival_qps`` for
     ``duration_s`` (fast-reject submissions, so a full queue shows up
     as ``rejected``, never as a hang), (3) wait for every admitted
-    future, (4) watch the brownout controller recover.
+    future and read the admission state it left behind.
 
     The report's per-priority sections count submitted / completed /
     shed / rejected / expired / failed and give client-side latency
     percentiles (submit→resolve, milliseconds) for completions.
+    ``queue_depth`` and ``in_flight`` are the admission counts after
+    the drain.  Every storm future has resolved by then, so a nonzero
+    count is a leaked slot — or a stall/oom fault still running.
     """
     kwargs: Dict[str, Any] = dict(
         pool_size=scenario.pool_size,
@@ -222,7 +225,6 @@ def run_overload(
         max_batch_size=scenario.max_batch_size,
         max_queue_depth=scenario.queue_depth,
         shed_threshold=scenario.shed_threshold,
-        brownout_window_s=scenario.brownout_window_s,
         default_timeout_s=10.0,
         # Storm crashes are injected, not systemic: keep the breaker
         # out of the way so the measured behaviour is admission's.
@@ -275,7 +277,6 @@ def run_overload(
             for p in ("interactive", "batch", "fuzz")
         }
         futures = []
-        brownout_seen = False
         rate = scenario.arrival_qps()
         start = time.monotonic()
         submitted = 0
@@ -330,10 +331,7 @@ def run_overload(
                 inject_worker_fault(
                     engine, rng.choice(list(scenario.fault_kinds)), rng
                 )
-            if engine.mode == "brownout":
-                brownout_seen = True
             time.sleep(0.005)
-        storm_end = time.monotonic()
 
         # -- phase 3: drain --------------------------------------------
         wait_futures(
@@ -354,16 +352,6 @@ def run_overload(
             else:
                 counts[priority]["failed"] += 1
         drained = time.monotonic()
-
-        # -- phase 4: recovery -----------------------------------------
-        recovery_s = None
-        recovery_limit = scenario.brownout_window_s * 4 + 1.0
-        while time.monotonic() - drained < recovery_limit:
-            if engine.mode == "normal":
-                recovery_s = time.monotonic() - storm_end
-                break
-            time.sleep(0.02)
-
         overload_stats = engine.overload_stats()
         restarts = engine.total_restarts()
 
@@ -410,12 +398,8 @@ def run_overload(
                 else 0.0,
                 2,
             ),
-            "brownout_entered": brownout_seen
-            or overload_stats["brownout"]["transitions"] != [],
-            "recovered": recovery_s is not None,
-            "recovery_s": (
-                round(recovery_s, 3) if recovery_s is not None else None
-            ),
+            "queue_depth": overload_stats["queue_depth"],
+            "in_flight": overload_stats["admission"]["in_flight"],
             "worker_restarts": restarts,
             "shed_overload": overload_stats["shed_overload"],
             "deadline_expired": overload_stats["deadline_expired"],

@@ -75,13 +75,7 @@ The engine degrades *predictably* instead of queueing unboundedly:
   decrement it.  Tasks that expire in the queue fail without burning
   a worker; a retry that cannot finish inside the remaining deadline
   is never launched; batched specs that expired behind a slow
-  batch-mate are skipped by the worker itself;
-* **brownout mode** — sustained stress (shedding, or utilization at
-  the brownout threshold) flips the engine into a degraded mode:
-  fallback ladders shrink to one rung, cooperative budgets halve
-  (``BROWNOUT_BUDGET_FACTOR``), and non-interactive cold-cache work
-  is shed (the warm fast path stays open).  Recovery
-  is hysteretic (:class:`~repro.service.admission.BrownoutController`).
+  batch-mate are skipped by the worker itself.
 
 Every result carries its full attempt history — worker pids, attempt
 counts, backoff delays, breaker states, cache hits, batch sizes — for
@@ -114,19 +108,12 @@ from ..errors import (
     ZenTypeError,
 )
 from ..obs.recorder import RECORDER, FlightRecorder
-from ..obs.rolling import LOG_BOUNDS, RollingHistogram
+from ..obs.rolling import RollingHistogram
 from ..obs.status import EngineStatus, write_status_file
 from ..telemetry.metrics import METRICS
 from ..telemetry.profile import QueryProfile, profile_from_spans
 from ..telemetry.spans import TRACER, Span, span
-from .admission import (
-    BROWNOUT,
-    NORMAL,
-    PRIORITIES,
-    PRIORITY_RANK,
-    AdmissionController,
-    BrownoutController,
-)
+from .admission import PRIORITIES, PRIORITY_RANK, AdmissionController
 from .breaker import OPEN as BREAKER_OPEN
 from .breaker import CircuitBreaker
 from .cache import ref_cache_key
@@ -154,9 +141,6 @@ _QUEUE_WAIT_SPAN_FLOOR_S = 0.005
 #: Retry backoff grows by this factor per attempt (from
 #: ``backoff_base_s``, capped at ``backoff_max_s``).
 BACKOFF_FACTOR = 2.0
-
-#: In brownout, cooperative budgets shrink to this share.
-BROWNOUT_BUDGET_FACTOR = 0.5
 
 #: Span of the per-priority rolling latency windows in ``status()``.
 LATENCY_WINDOW_S = 60.0
@@ -469,7 +453,6 @@ class QueryEngine:
         cache_capacity: int = 32,
         max_queue_depth: Optional[int] = 10_000,
         shed_threshold: float = 0.9,
-        brownout_window_s: float = 1.0,
         recorder: Optional[FlightRecorder] = None,
         bundle_dir: Optional[str] = None,
         status_file: Optional[str] = None,
@@ -565,19 +548,10 @@ class QueryEngine:
             shed_threshold=shed_threshold,
             clock=clock,
         )
-        self._brownout = BrownoutController(
-            window_s=brownout_window_s, clock=clock
-        )
         self._shed_count = 0
-        self._observed_sheds = 0
-        self._observed_mode = NORMAL
         self._expired_count = 0
         self._cancelled_count = 0
         self._shutdown_failed_count = 0
-        #: Builder refs known warm in at least one worker (from ok
-        #: replies whose cache was consulted) — the brownout fast path
-        #: keeps serving these while cold builds are shed.
-        self._warm_refs: set = set()
         # -- operational observability (repro.obs) -----------------------
         if status_interval_s <= 0:
             raise ZenTypeError(
@@ -592,9 +566,6 @@ class QueryEngine:
         self._latency_windows = {
             p: RollingHistogram(LATENCY_WINDOW_S) for p in PRIORITIES
         }
-        self._latency_hist = METRICS.histogram(
-            "service.latency_s", LOG_BOUNDS
-        )
 
     # -- lifecycle -------------------------------------------------------
 
@@ -712,31 +683,19 @@ class QueryEngine:
             "crash_loops": dict(self._crash_counts),
         }
 
-    @property
-    def mode(self) -> str:
-        """Current degradation mode: ``"normal"`` or ``"brownout"``.
-
-        Reading the property feeds the brownout controller a fresh
-        utilization sample, so recovery is observable even while the
-        dispatcher sits idle between bursts.
-        """
-        return self._brownout.observe(self._admission.utilization(), 0)
-
     def _absorb_overload_metrics(self) -> None:
-        """Fold the admission/brownout silos into METRICS.
+        """Fold the admission silo into METRICS.
 
-        Both speak the shared ``snapshot()`` counter protocol, so
-        their state shows up in ``METRICS.snapshot()`` (and therefore
-        in flight-recorder bundles) under stable gauge names.
+        It speaks the shared ``snapshot()`` counter protocol, so its
+        state shows up in ``METRICS.snapshot()`` (and therefore in
+        flight-recorder bundles) under stable gauge names.
         """
         METRICS.absorb("service.admission", self._admission)
-        METRICS.absorb("service.brownout", self._brownout)
 
     def overload_stats(self) -> Dict[str, Any]:
-        """Admission, shedding, deadline, and brownout counters."""
+        """Admission, shedding, and deadline counters."""
         self._absorb_overload_metrics()
         return {
-            "mode": self.mode,
             "queue_depth": self._admission.depth(),
             "utilization": self._admission.utilization(),
             "shed_threshold": self.shed_threshold,
@@ -745,8 +704,9 @@ class QueryEngine:
             "deadline_expired": self._expired_count,
             "cancelled": self._cancelled_count,
             "engine_shutdown": self._shutdown_failed_count,
-            "brownout": self._brownout.detail(),
-            # Forced wart: benchmarks/e2e/workloads.py (frozen) reads it.
+            # Forced warts: benchmarks/e2e/workloads.py (frozen) reads
+            # both keys; neither mechanism exists any more.
+            "brownout": {"transitions": []},
             "hedge": {"launched": 0},
         }
 
@@ -776,7 +736,6 @@ class QueryEngine:
             pool_size=self.pool_size,
             pool_busy=self._pool_busy,
             workers=[p for p in self.worker_pids() if p is not None],
-            mode=self.mode,
             queue={
                 "depth": admission["depth"],
                 "max_depth": admission["max_depth"],
@@ -1097,11 +1056,6 @@ class QueryEngine:
     def _ladder(self, spec: QuerySpec, fallback: bool) -> List[str]:
         if not fallback:
             return [spec.backend]
-        if self._brownout.mode == BROWNOUT:
-            # Brownout: no fallback ladder — a failing query fails
-            # fast on its preferred backend instead of occupying
-            # workers for every rung while the queue burns.
-            return [spec.backend]
         ladder = [spec.backend]
         ladder.extend(b for b in self.backends if b != spec.backend)
         return ladder
@@ -1134,20 +1088,14 @@ class QueryEngine:
         This is the always-on per-query cost of the flight recorder
         and rolling windows: one deque append and one histogram
         observe — measured in bench_micro_bdd's telemetry row.
+        Latency runs from the dispatcher's intake, so the queue wait
+        before the first dispatch counts like every later one.
         """
         ok = task.result is not None
-        started = (
-            task.started_at
-            if task.started_at is not None
-            else (task.enqueued_at or now)
-        )
-        latency = max(0.0, now - started)
+        latency = max(0.0, now - (task.enqueued_at or now))
         window = self._latency_windows.get(task.spec.priority)
         if window is not None:
             window.observe(now, latency)
-        self._latency_hist.labels(priority=task.spec.priority).observe(
-            latency
-        )
         last = task.attempts[-1] if task.attempts else None
         self._recorder.record_attempt(
             {
@@ -1253,7 +1201,6 @@ class QueryEngine:
                         return  # drained; close() stops the workers
                 else:
                     self._shed_overloaded(pending, now)
-                    self._observe_mode()
                     self._fill_workers(pending, inflight, now)
                 self._pool_busy = len(inflight)
                 self._obs_tick(self._clock())
@@ -1344,10 +1291,6 @@ class QueryEngine:
                 timeouts.append(task.ready_at - now)
             else:
                 ready_pending = True
-        if self._brownout.mode == BROWNOUT:
-            # Tick often enough that hysteretic recovery is observed
-            # within (a fraction of) one window even with no traffic.
-            timeouts.append(max(0.05, self._brownout.window_s * 0.25))
         if draining and inflight:
             timeouts.append(0.1)
         if timeouts:
@@ -1487,7 +1430,7 @@ class QueryEngine:
             pending.remove(task)
             self._shed_task(task, now)
 
-    def _shed_task(self, task, now, reason="queue overloaded") -> None:
+    def _shed_task(self, task, now) -> None:
         """Resolve a task as shed_overload (structured, never retried)."""
         self._shed_count += 1
         METRICS.counter("service.shed.overload").inc()
@@ -1499,7 +1442,6 @@ class QueryEngine:
                 0.0,
                 {
                     "priority": task.spec.priority,
-                    "reason": reason,
                     "utilization": round(utilization, 3),
                 },
                 parent=task.trace_parent,
@@ -1507,7 +1449,6 @@ class QueryEngine:
         self._recorder.record_event(
             "shed",
             priority=task.spec.priority,
-            reason=reason,
             utilization=round(utilization, 3),
         )
         task.attempts.append(
@@ -1518,14 +1459,14 @@ class QueryEngine:
                 outcome="shed_overload",
                 error_type="ZenOverloadShed",
                 error=(
-                    f"{reason} (utilization {utilization:.0%}); "
+                    f"queue overloaded (utilization {utilization:.0%}); "
                     f"{task.spec.priority} task shed"
                 ),
                 queue_wait_s=task.total_queue_wait_s,
             )
         )
         task.error = ZenOverloadShed(
-            f"query shed under overload: {reason} "
+            "query shed under overload: queue overloaded "
             f"(priority {task.spec.priority!r}, "
             f"utilization {utilization:.0%})",
             attempts=task.attempts,
@@ -1536,44 +1477,6 @@ class QueryEngine:
             task.future.set_exception(task.error)
         except Exception:  # pragma: no cover - already resolved
             pass
-
-    def _observe_mode(self) -> str:
-        """Feed the brownout controller one dispatch-loop sample."""
-        sheds = self._shed_count - self._observed_sheds
-        self._observed_sheds = self._shed_count
-        utilization = self._admission.utilization()
-        mode = self._brownout.observe(utilization, sheds)
-        # Compare against the last mode *this* loop acted on, not the
-        # controller's pre-observe state: the ``mode`` property also
-        # feeds the controller, so a status() or chaos-harness read
-        # from another thread can consume the raw transition edge.
-        if mode != self._observed_mode:
-            self._observed_mode = mode
-            METRICS.counter(f"service.brownout.{mode}").inc()
-            edge = "enter" if mode == BROWNOUT else "exit"
-            if TRACER.enabled:
-                TRACER.record(
-                    f"service.brownout.{edge}",
-                    TRACER.now_wall(),
-                    0.0,
-                    {
-                        "utilization": round(utilization, 3),
-                        "sheds": sheds,
-                    },
-                )
-            self._recorder.record_event(
-                f"brownout_{edge}",
-                utilization=round(utilization, 3),
-                sheds=sheds,
-            )
-            if mode == BROWNOUT:
-                self._obs_trigger(
-                    "brownout",
-                    detail=(
-                        f"utilization={utilization:.2f} sheds={sheds}"
-                    ),
-                )
-        return mode
 
     # -- operational observability (repro.obs) ---------------------------
 
@@ -1677,7 +1580,6 @@ class QueryEngine:
         """
         chosen: List[Tuple[_Task, str]] = []
         groups: set = set()
-        brownout = self._brownout.mode == BROWNOUT
         ordered = sorted(
             pending, key=lambda t: PRIORITY_RANK.get(t.spec.priority, 1)
         )
@@ -1691,17 +1593,6 @@ class QueryEngine:
                 continue
             if task.group in groups:
                 continue
-            if brownout and self._brownout_cold_shed(task):
-                pending.remove(task)
-                self._shed_task(
-                    task,
-                    now,
-                    reason=(
-                        "brownout fast path: cold-model build for a "
-                        "non-interactive query"
-                    ),
-                )
-                continue
             if task.sticky_index != handle.index:
                 sticky_handle = self._workers[task.sticky_index]
                 if sticky_handle not in inflight:
@@ -1714,20 +1605,6 @@ class QueryEngine:
             if task.group is not None:
                 groups.add(task.group)
         return chosen
-
-    def _brownout_cold_shed(self, task) -> bool:
-        """In brownout, only cache-hittable non-interactive work runs.
-
-        A non-interactive query whose builder has never been seen warm
-        in any worker would pay the full cold build under overload —
-        shed it; warm refs (and everything interactive, and kinds that
-        never touch the cache) keep flowing.
-        """
-        return (
-            task.spec.priority != "interactive"
-            and task.spec.kind != "call"
-            and task.ref_key not in self._warm_refs
-        )
 
     def _resolve_rung(self, task: _Task, now: float) -> Optional[str]:
         """Advance the task past shed rungs; None = finished in place."""
@@ -1799,8 +1676,6 @@ class QueryEngine:
             return True
         chosen = live
         handle.ensure()
-        brownout = self._brownout.mode == BROWNOUT
-        budget_factor = BROWNOUT_BUDGET_FACTOR if brownout else 1.0
         specs = []
         deadlines = []
         for task, backend in chosen:
@@ -1811,17 +1686,9 @@ class QueryEngine:
                 spec = spec.with_trace(True)
             # Deadline propagation: the spec that ships carries only
             # what is left of the client deadline — in both the hard
-            # timeout and the cooperative budget.  Brownout shrinks
-            # the cooperative budget even without a client deadline.
-            remaining = (
-                None
-                if task.deadline_at is None
-                else task.deadline_at - now
-            )
-            if remaining is not None or brownout:
-                spec = clamp_spec_deadline(
-                    spec, remaining, budget_factor=budget_factor
-                )
+            # timeout and the cooperative budget.
+            if task.deadline_at is not None:
+                spec = clamp_spec_deadline(spec, task.deadline_at - now)
             specs.append(spec)
             deadlines.append(task.deadline_at)
         self._seq += 1
@@ -1974,8 +1841,6 @@ class QueryEngine:
             breaker.record_success()
             self._crash_counts.pop(task.ref_key, None)
             self._absorb_cache_info(handle, info)
-            if info.get("cache_hit") is not None:
-                self._warm_refs.add(task.ref_key)
             task.attempts.append(
                 AttemptRecord(
                     backend=backend,

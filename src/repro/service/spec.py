@@ -159,11 +159,7 @@ class QuerySpec:
 MIN_REMAINING_S = 1e-3
 
 
-def clamp_spec_deadline(
-    spec: QuerySpec,
-    remaining_s: Optional[float],
-    budget_factor: float = 1.0,
-) -> QuerySpec:
+def clamp_spec_deadline(spec: QuerySpec, remaining_s: float) -> QuerySpec:
     """Shrink a spec's limits to a remaining client deadline.
 
     Deadline *propagation*: the engine computes how much of the
@@ -172,29 +168,8 @@ def clamp_spec_deadline(
     to it — the hard per-attempt ``timeout_s`` and the cooperative
     :class:`~repro.core.budget.Budget` deadline (attached fresh when
     the spec carries none, so even a budget-less spec stops
-    cooperatively before the hard kill).  ``budget_factor`` < 1
-    additionally shrinks the *cooperative* deadline (brownout mode);
-    the hard timeout is left at the remaining deadline so well-behaved
-    queries fail soft, never by the kill path.
-
-    With ``remaining_s=None`` only the brownout shrink applies (and
-    only to a budget the spec already carries).
+    cooperatively before the hard kill).
     """
-    if remaining_s is None:
-        if budget_factor >= 1.0 or spec.budget is None:
-            return spec
-        base = spec.budget
-        if base.deadline_s is None:
-            return spec
-        return replace(
-            spec,
-            budget=replace(
-                base,
-                deadline_s=max(
-                    MIN_REMAINING_S, base.deadline_s * budget_factor
-                ),
-            ),
-        )
     remaining = max(MIN_REMAINING_S, remaining_s)
     timeout = (
         remaining
@@ -202,9 +177,11 @@ def clamp_spec_deadline(
         else min(spec.timeout_s, remaining)
     )
     base = spec.budget if spec.budget is not None else Budget()
-    soft = remaining * max(MIN_REMAINING_S, budget_factor)
-    if base.deadline_s is not None:
-        soft = min(base.deadline_s, soft)
+    soft = (
+        remaining
+        if base.deadline_s is None
+        else min(base.deadline_s, remaining)
+    )
     return replace(
         spec,
         timeout_s=timeout,

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import bisect
 import threading
-from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -167,50 +166,19 @@ class Histogram:
     overflow bucket catches everything above the last edge.  Snapshot
     keys flatten to ``<name>.le_<bound>`` plus ``.count`` and ``.sum``
     so histogram state rides the same flat-dict protocol as counters.
-
-    :meth:`labels` returns a per-label-set child histogram named
-    ``<name>{k=v,...}``.  Distinct label sets are capped at
-    ``max_label_sets`` with least-recently-used eviction (and an
-    eviction counter surfaced in the snapshot), so an unbounded label
-    source — a fuzz campaign generating novel builder refs, say —
-    cannot balloon the registry.
     """
 
-    __slots__ = (
-        "name",
-        "bounds",
-        "_buckets",
-        "_count",
-        "_sum",
-        "_lock",
-        "max_label_sets",
-        "_children",
-        "_label_evictions",
-    )
+    __slots__ = ("name", "bounds", "_buckets", "_count", "_sum", "_lock")
 
-    def __init__(
-        self,
-        name: str,
-        bounds: Sequence[float] = DEFAULT_BOUNDS,
-        max_label_sets: int = 64,
-    ):
+    def __init__(self, name: str, bounds: Sequence[float] = DEFAULT_BOUNDS):
         if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
             raise ValueError("histogram bounds must be strictly increasing")
-        if max_label_sets < 1:
-            raise ValueError(
-                f"max_label_sets must be >= 1, got {max_label_sets!r}"
-            )
         self.name = name
         self.bounds: Tuple[float, ...] = tuple(bounds)
         self._buckets = [0] * (len(self.bounds) + 1)
         self._count = 0
         self._sum = 0.0
         self._lock = threading.Lock()
-        self.max_label_sets = max_label_sets
-        self._children: "OrderedDict[Tuple[Tuple[str, str], ...], Histogram]" = (
-            OrderedDict()
-        )
-        self._label_evictions = 0
 
     def observe(self, value: Number) -> None:
         idx = bisect.bisect_left(self.bounds, value)
@@ -231,35 +199,6 @@ class Histogram:
         with self._lock:
             return list(self._buckets)
 
-    def labels(self, **labels: Any) -> "Histogram":
-        """Get-or-create the child histogram for one label set.
-
-        Children share the parent's bounds and appear in the parent's
-        snapshot as ``<name>{k=v,...}.*`` series.  When the number of
-        distinct label sets exceeds ``max_label_sets`` the least
-        recently used child is evicted (its counts are dropped) and
-        ``<name>.label_evictions`` is incremented.
-        """
-        if not labels:
-            return self
-        key = tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-        with self._lock:
-            child = self._children.get(key)
-            if child is not None:
-                self._children.move_to_end(key)
-                return child
-            rendered = ",".join(f"{k}={v}" for k, v in key)
-            child = Histogram(f"{self.name}{{{rendered}}}", self.bounds)
-            self._children[key] = child
-            while len(self._children) > self.max_label_sets:
-                self._children.popitem(last=False)
-                self._label_evictions += 1
-            return child
-
-    @property
-    def label_evictions(self) -> int:
-        return self._label_evictions
-
     def snapshot(self) -> Dict[str, Number]:
         with self._lock:
             out: Dict[str, Number] = {}
@@ -268,15 +207,6 @@ class Histogram:
             out[f"{self.name}.le_inf"] = self._buckets[-1]
             out[f"{self.name}.count"] = self._count
             out[f"{self.name}.sum"] = self._sum
-            children = list(self._children.values())
-            evictions = self._label_evictions
-        # Children snapshot outside the parent lock: each child has its
-        # own lock and never reaches back into the parent.
-        for child in children:
-            out.update(child.snapshot())
-        if children or evictions:
-            out[f"{self.name}.label_sets"] = len(children)
-            out[f"{self.name}.label_evictions"] = evictions
         return out
 
     def reset_counters(self) -> None:
@@ -284,9 +214,6 @@ class Histogram:
             self._buckets = [0] * (len(self.bounds) + 1)
             self._count = 0
             self._sum = 0.0
-            children = list(self._children.values())
-        for child in children:
-            child.reset_counters()
 
 
 class MetricsRegistry:

@@ -1,9 +1,9 @@
 """Unit tests for the overload-protection policy objects.
 
 Everything here is deterministic and in-process: the admission
-semaphore, the brownout hysteresis machine and the deadline-clamping
-helper run against injected fake clocks —
-no worker pool, no sleeps longer than a condition-variable poll.
+semaphore and the deadline-clamping helper run against injected fake
+clocks — no worker pool, no sleeps longer than a condition-variable
+poll.
 """
 
 import threading
@@ -12,11 +12,8 @@ import pytest
 
 from repro.errors import ZenQueueFull
 from repro.service import (
-    BROWNOUT,
-    NORMAL,
     PRIORITIES,
     AdmissionController,
-    BrownoutController,
     clamp_spec_deadline,
 )
 from repro.service.spec import MIN_REMAINING_S, Budget, QuerySpec
@@ -195,102 +192,6 @@ class TestAdmissionController:
             AdmissionController(shed_threshold=1.5)
 
 
-# -- BrownoutController -------------------------------------------------
-
-
-class TestBrownoutController:
-    def test_enters_on_high_utilization(self):
-        clock = FakeClock()
-        ctl = BrownoutController(
-            enter_utilization=0.75, exit_utilization=0.5, clock=clock
-        )
-        assert ctl.observe(0.5) == NORMAL
-        assert ctl.observe(0.75) == BROWNOUT
-        assert ctl.mode == BROWNOUT
-        assert ctl.transitions[0][1:3] == (NORMAL, BROWNOUT)
-
-    def test_enters_on_shed_even_at_low_utilization(self):
-        ctl = BrownoutController(clock=FakeClock())
-        assert ctl.observe(0.1, sheds=3) == BROWNOUT
-        assert "shed" in ctl.transitions[0][3]
-
-    def test_exit_requires_calm_for_full_window(self):
-        clock = FakeClock()
-        ctl = BrownoutController(
-            enter_utilization=0.75,
-            exit_utilization=0.5,
-            window_s=1.0,
-            clock=clock,
-        )
-        ctl.observe(0.9)
-        clock.advance(0.5)
-        # Calm, but only half a window has elapsed.
-        assert ctl.observe(0.1) == BROWNOUT
-        clock.advance(0.6)
-        assert ctl.observe(0.1) == NORMAL
-        assert ctl.transitions[-1][1:3] == (BROWNOUT, NORMAL)
-
-    def test_stress_rearms_the_recovery_window(self):
-        clock = FakeClock()
-        ctl = BrownoutController(window_s=1.0, clock=clock)
-        ctl.observe(0.9)
-        clock.advance(0.9)
-        ctl.observe(0.9)  # fresh stress just before recovery
-        clock.advance(0.9)
-        assert ctl.observe(0.1) == BROWNOUT
-        clock.advance(0.2)
-        assert ctl.observe(0.1) == NORMAL
-
-    def test_high_utilization_blocks_exit(self):
-        clock = FakeClock()
-        ctl = BrownoutController(
-            enter_utilization=0.75,
-            exit_utilization=0.5,
-            window_s=0.1,
-            clock=clock,
-        )
-        ctl.observe(0.9)
-        clock.advance(10.0)
-        # Utilization between exit and enter: neither stress nor calm.
-        assert ctl.observe(0.6) == BROWNOUT
-        assert ctl.observe(0.5) == NORMAL
-
-    def test_detail_records_transitions(self):
-        clock = FakeClock(now=5.0)
-        ctl = BrownoutController(window_s=0.5, clock=clock)
-        ctl.observe(0.9)
-        snap = ctl.detail()
-        assert snap["mode"] == BROWNOUT
-        assert snap["transitions"][0]["at"] == 5.0
-        assert snap["transitions"][0]["to"] == BROWNOUT
-
-    def test_counter_protocol_snapshot(self):
-        clock = FakeClock(now=5.0)
-        ctl = BrownoutController(window_s=0.5, clock=clock)
-        assert ctl.snapshot() == {
-            "browned_out": 0.0,
-            "entered": 0.0,
-            "exited": 0.0,
-        }
-        ctl.observe(0.9)
-        assert ctl.snapshot()["browned_out"] == 1.0
-        assert ctl.snapshot()["entered"] == 1.0
-        clock.advance(1.0)
-        ctl.observe(0.1)
-        snap = ctl.snapshot()
-        assert snap == {"browned_out": 0.0, "entered": 1.0, "exited": 1.0}
-        ctl.reset_counters()
-        assert ctl.snapshot()["entered"] == 0.0
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            BrownoutController(enter_utilization=0.0)
-        with pytest.raises(ValueError):
-            BrownoutController(enter_utilization=0.5, exit_utilization=0.6)
-        with pytest.raises(ValueError):
-            BrownoutController(window_s=0.0)
-
-
 # -- clamp_spec_deadline ------------------------------------------------
 
 
@@ -311,21 +212,6 @@ class TestClampSpecDeadline:
         spec = QuerySpec(builder="m:b", budget=Budget(deadline_s=0.1))
         clamped = clamp_spec_deadline(spec, 5.0)
         assert clamped.budget.deadline_s == pytest.approx(0.1)
-
-    def test_brownout_factor_shrinks_budget(self):
-        spec = QuerySpec(builder="m:b", timeout_s=10.0)
-        clamped = clamp_spec_deadline(spec, 2.0, budget_factor=0.5)
-        assert clamped.timeout_s == 2.0
-        assert clamped.budget.deadline_s == pytest.approx(1.0)
-
-    def test_no_deadline_no_brownout_is_identity(self):
-        spec = QuerySpec(builder="m:b", timeout_s=3.0)
-        assert clamp_spec_deadline(spec, None) is spec
-
-    def test_brownout_without_deadline_shrinks_existing_budget(self):
-        spec = QuerySpec(builder="m:b", budget=Budget(deadline_s=4.0))
-        clamped = clamp_spec_deadline(spec, None, budget_factor=0.25)
-        assert clamped.budget.deadline_s == pytest.approx(1.0)
 
     def test_expired_remaining_floors_at_minimum(self):
         spec = QuerySpec(builder="m:b", timeout_s=10.0)

@@ -21,7 +21,6 @@ from repro.obs import (
     BUNDLE_VERSION,
     EngineStatus,
     FlightRecorder,
-    RollingCounter,
     RollingHistogram,
     load_bundle,
     read_status_file,
@@ -72,35 +71,6 @@ def make_engine(**overrides) -> QueryEngine:
 # ---------------------------------------------------------------------------
 # Rolling windows
 # ---------------------------------------------------------------------------
-
-
-class TestRollingCounter:
-    def test_counts_inside_the_window(self):
-        counter = RollingCounter(window_s=10.0, slots=10)
-        for t in (100.0, 101.0, 105.0):
-            counter.add(t)
-        assert counter.total(105.0) == 3.0
-        assert counter.rate(105.0) == pytest.approx(0.3)
-
-    def test_old_slots_age_out(self):
-        counter = RollingCounter(window_s=10.0, slots=10)
-        counter.add(100.0)
-        counter.add(109.0)
-        # At t=115 the slot covering t=100 fell off; t=109 remains.
-        assert counter.total(115.0) == 1.0
-        assert counter.total(150.0) == 0.0
-
-    def test_amounts_accumulate(self):
-        counter = RollingCounter(window_s=60.0, slots=6)
-        counter.add(10.0, amount=2.5)
-        counter.add(10.0, amount=0.5)
-        assert counter.total(10.0) == 3.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RollingCounter(window_s=0.0)
-        with pytest.raises(ValueError):
-            RollingCounter(window_s=1.0, slots=0)
 
 
 class TestRollingHistogram:
@@ -166,9 +136,9 @@ class TestFlightRecorder:
 
     def test_events_carry_kind_and_timestamp(self):
         recorder = FlightRecorder(capacity=8)
-        recorder.record_event("brownout_enter", utilization=0.95)
+        recorder.record_event("shed", utilization=0.95)
         (event,) = recorder.rings()["events"]
-        assert event["kind"] == "brownout_enter"
+        assert event["kind"] == "shed"
         assert event["utilization"] == 0.95
         assert event["at_unix"] > 0
 
@@ -219,7 +189,7 @@ class TestFlightRecorder:
             "breaker_open", bundle_dir=str(tmp_path), now=105.0
         )
         other_cause = recorder.trigger(
-            "brownout", bundle_dir=str(tmp_path), now=105.0
+            "crash_loop", bundle_dir=str(tmp_path), now=105.0
         )
         after = recorder.trigger(
             "breaker_open", bundle_dir=str(tmp_path), now=111.0
@@ -254,11 +224,11 @@ class TestFlightRecorder:
         recorder = FlightRecorder(capacity=8, cooldown_s=0.0)
         recorder.record_attempt({"spec": "bad", "outcome": "timeout"})
         path = recorder.trigger(
-            "brownout", detail="p99", bundle_dir=str(tmp_path),
+            "crash_loop", detail="p99", bundle_dir=str(tmp_path),
             context={"engine": {"pool_size": 2}},
         )
         text = render_bundle(load_bundle(path))
-        assert "cause=brownout" in text
+        assert "cause=crash_loop" in text
         assert "timeout" in text
         assert "engine" in text
 
@@ -295,7 +265,6 @@ def _sample_status() -> EngineStatus:
         pool_size=4,
         pool_busy=3,
         workers=[101, 102, 103, 104],
-        mode="brownout",
         queue={
             "depth": 5, "max_depth": 64, "utilization": 0.078,
             "in_flight": {"interactive": 1, "batch": 4, "fuzz": 0},
@@ -324,14 +293,15 @@ class TestEngineStatusData:
     def test_from_dict_ignores_unknown_keys(self):
         data = _sample_status().as_dict()
         data["added_in_a_future_version"] = {"x": 1}
+        data["mode"] = "normal"  # written before the field was removed
         status = EngineStatus.from_dict(data)
         assert status.pid == 4242
         assert not hasattr(status, "added_in_a_future_version")
+        assert not hasattr(status, "mode")
 
     def test_render_mentions_everything_an_operator_needs(self):
         text = render_status(_sample_status())
         assert "pid 4242" in text
-        assert "mode=brownout" in text
         assert "3/4 busy" in text
         assert "interactive" in text and "25.60ms" in text
         assert "bdd=open" in text
@@ -352,7 +322,6 @@ class TestEngineObservability:
             status = engine.status()
         assert status.pid == os.getpid()
         assert status.pool_size == 2
-        assert status.mode == "normal"
         assert status.queue["max_depth"] > 0
         assert status.latency_ms["interactive"]["count"] >= 3.0
         assert status.latency_ms["interactive"]["p99_ms"] > 0.0

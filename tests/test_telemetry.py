@@ -778,84 +778,6 @@ class TestWarmDispatchMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Labeled histograms: per-label children with bounded cardinality
-# ---------------------------------------------------------------------------
-
-
-class TestHistogramLabels:
-    def test_same_labels_reuse_one_child(self):
-        hist = Histogram("lat", bounds=(1.0, 10.0))
-        a = hist.labels(priority="batch")
-        b = hist.labels(priority="batch")
-        assert a is b
-        assert a.name == "lat{priority=batch}"
-        # Label order never matters: the key is sorted.
-        x = hist.labels(a="1", b="2")
-        y = hist.labels(b="2", a="1")
-        assert x is y
-
-    def test_no_labels_returns_the_parent(self):
-        hist = Histogram("lat", bounds=(1.0,))
-        assert hist.labels() is hist
-
-    def test_children_flatten_into_the_parent_snapshot(self):
-        hist = Histogram("lat", bounds=(1.0, 10.0))
-        hist.observe(0.5)
-        hist.labels(priority="interactive").observe(5.0)
-        snap = hist.snapshot()
-        assert snap["lat.count"] == 1
-        assert snap["lat{priority=interactive}.count"] == 1
-        assert snap["lat{priority=interactive}.le_10"] == 1
-        assert snap["lat.label_sets"] == 1
-        assert snap["lat.label_evictions"] == 0
-
-    def test_unlabeled_snapshot_has_no_label_keys(self):
-        # Existing exact-dict assertions elsewhere rely on this.
-        hist = Histogram("lat", bounds=(1.0,))
-        hist.observe(0.5)
-        assert "lat.label_sets" not in hist.snapshot()
-        assert "lat.label_evictions" not in hist.snapshot()
-
-    def test_cardinality_cap_evicts_least_recently_used(self):
-        hist = Histogram("lat", bounds=(1.0,), max_label_sets=2)
-        first = hist.labels(ref="a")
-        first.observe(0.5)
-        hist.labels(ref="b")
-        # Touch "a" so "b" is the LRU entry when "c" arrives.
-        assert hist.labels(ref="a") is first
-        hist.labels(ref="c")
-        assert hist.label_evictions == 1
-        snap = hist.snapshot()
-        assert "lat{ref=b}.count" not in snap
-        assert snap["lat{ref=a}.count"] == 1
-        assert snap["lat.label_sets"] == 2
-        assert snap["lat.label_evictions"] == 1
-        # A fresh "b" child starts from zero: its counts were dropped.
-        assert hist.labels(ref="b").count == 0
-        assert hist.label_evictions == 2
-
-    def test_unbounded_label_source_stays_bounded(self):
-        hist = Histogram("lat", bounds=(1.0,), max_label_sets=8)
-        for i in range(100):
-            hist.labels(ref=f"fuzz-{i}").observe(0.5)
-        snap = hist.snapshot()
-        assert snap["lat.label_sets"] == 8
-        assert snap["lat.label_evictions"] == 92
-
-    def test_reset_counters_clears_children_too(self):
-        hist = Histogram("lat", bounds=(1.0,))
-        child = hist.labels(priority="fuzz")
-        child.observe(0.5)
-        hist.reset_counters()
-        assert child.count == 0
-        assert hist.snapshot()["lat{priority=fuzz}.count"] == 0
-
-    def test_max_label_sets_validation(self):
-        with pytest.raises(ValueError):
-            Histogram("lat", bounds=(1.0,), max_label_sets=0)
-
-
-# ---------------------------------------------------------------------------
 # Perfetto export of grafted worker spans under batching
 # ---------------------------------------------------------------------------
 
