@@ -61,7 +61,6 @@ def test_table1_hsa(benchmark, virtual_network):
         return reachable_sets(
             virtual_network.network,
             virtual_network.va_uplink,
-            context=ctx,
             max_depth=8,
             packets=ctx.from_predicate(entry_pred),
         )

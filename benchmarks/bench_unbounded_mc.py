@@ -24,7 +24,7 @@ def test_unbounded_reachability(benchmark, cycle):
         step = ZenFunction(
             lambda x: if_(x >= cycle - 1, 0, x + 1), [Byte]
         )
-        return reachable_states(step, ctx.singleton(Byte, 0), context=ctx)
+        return reachable_states(step, ctx.singleton(Byte, 0))
 
     report = benchmark(run)
     assert report.converged

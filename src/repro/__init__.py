@@ -40,9 +40,7 @@ from .core import (
     TransformerContext,
     ZenFunction,
     compile_function,
-    default_context,
     generate_inputs,
-    reset_default_context,
     solve_with_fallback,
     zen_function,
 )
@@ -131,8 +129,6 @@ __all__ = [
     "StateSet",
     "StateSetTransformer",
     "TransformerContext",
-    "default_context",
-    "reset_default_context",
     "generate_inputs",
     "compile_function",
     "DEFAULT_MAX_LIST_LENGTH",

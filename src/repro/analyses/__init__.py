@@ -14,13 +14,7 @@ the generality claim of the paper:
 
 from .anteater import ReachabilityResult, enumerate_paths, find_reachable_packet, verify_isolation
 from .atomic_predicates import atom_count, atomic_predicates, predicate_as_atoms
-from .bonsai import (
-    compress_devices,
-    compress_interfaces,
-    compression_ratio,
-    device_signature,
-    interface_signature,
-)
+from .bonsai import compress_devices, compress_interfaces, compression_ratio
 from .hsa import PathSet, hsa_explore, reachable_between, reachable_sets
 from .minesweeper import BgpEdge, BgpNetwork
 from .shapeshifter import (
@@ -49,8 +43,6 @@ __all__ = [
     "compress_interfaces",
     "compress_devices",
     "compression_ratio",
-    "interface_signature",
-    "device_signature",
     "AbstractControlPlane",
     "abstract_join",
     "abstract_transfer",

@@ -19,7 +19,6 @@ from ..core import (
     StateSet,
     TransformerContext,
     ZenFunction,
-    default_context,
     metered,
     start_meter,
 )
@@ -41,9 +40,10 @@ def atomic_predicates(
     `budget` bounds the whole refinement (predicate compilation *and*
     the set algebra, which is where adversarial families blow up);
     exhaustion raises :class:`~repro.errors.ZenBudgetExceeded`.
+    Without a `context` the atoms get a fresh one.
     """
     if context is None:
-        context = default_context()
+        context = TransformerContext()
     meter = start_meter(budget)
     atoms = [context.universe(annotation)]
     for predicate in predicates:
@@ -64,17 +64,16 @@ def atomic_predicates(
 def predicate_as_atoms(
     predicate: ZenFunction,
     atoms: Sequence[StateSet],
-    context: Optional[TransformerContext] = None,
     budget=None,
 ) -> Set[int]:
     """Express a predicate as the set of atom indices it covers.
 
     Raises if the predicate is not a union of the given atoms (i.e.
     the atoms were computed for a different predicate family).
-    `budget` bounds the compilation and the coverage check.
+    `budget` bounds the compilation and the coverage check.  The
+    predicate is compiled in the atoms' context.
     """
-    if context is None:
-        context = default_context()
+    context = atoms[0].context if atoms else TransformerContext()
     meter = start_meter(budget)
     pred_set = context.from_predicate(predicate, budget=meter)
     covered: Set[int] = set()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core import TransformerContext, ZenFunction, default_context
+from ..core import TransformerContext, ZenFunction
 from ..network.device import Device, Interface, fwd_in, fwd_out
 from ..network.packet import Packet
 from ..network.topology import Network
@@ -43,7 +43,7 @@ def interface_invariant(
 ) -> Tuple[Tuple[int, int], Tuple[int, int]]:
     """Cheap behavioral fingerprint of an interface (in, out)."""
     if context is None:
-        context = default_context()
+        context = TransformerContext()
     in_fn = ZenFunction(
         lambda p: fwd_in(intf, p), [Packet], name=f"sig-in:{intf.name}"
     )
@@ -93,7 +93,7 @@ def compress_interfaces(
 ) -> List[List[Interface]]:
     """Group all interfaces into behavioral equivalence classes."""
     if context is None:
-        context = default_context()
+        context = TransformerContext()
     return _partition(
         network.interfaces(),
         lambda i: interface_invariant(i, context),
@@ -106,7 +106,7 @@ def device_invariant(
 ) -> Tuple:
     """Order-independent fingerprint of a device's interfaces."""
     if context is None:
-        context = default_context()
+        context = TransformerContext()
     return tuple(
         sorted(interface_invariant(i, context) for i in device.interfaces)
     )
@@ -132,7 +132,7 @@ def compress_devices(
 ) -> List[List[Device]]:
     """Group devices into behavioral equivalence classes."""
     if context is None:
-        context = default_context()
+        context = TransformerContext()
     return _partition(
         list(network.devices.values()),
         lambda d: device_invariant(d, context),
@@ -150,7 +150,3 @@ def compression_ratio(
     classes = compress_devices(network, context)
     return len(classes) / len(devices)
 
-
-# Backwards-compatible aliases (the exact-signature API).
-interface_signature = interface_invariant
-device_signature = device_invariant

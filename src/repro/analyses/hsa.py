@@ -14,11 +14,12 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core import (
     StateSet,
+    StateSetTransformer,
     TransformerContext,
     ZenFunction,
-    default_context,
     start_meter,
 )
+from ..errors import ZenTypeError
 from ..lang import ZOption
 from ..network.device import Interface, fwd_in, fwd_out
 from ..network.packet import Packet
@@ -48,67 +49,48 @@ class _TransformerCache:
     lives under a single deadline/node cap.
     """
 
+    _MODELS = {"in": fwd_in, "out": fwd_out}
+
     def __init__(self, context: TransformerContext, meter=None):
         self.context = context
         self.meter = meter
-        self._in: Dict[int, object] = {}
-        self._out: Dict[int, object] = {}
+        self._hops: Dict[Tuple[str, int], StateSetTransformer] = {}
         self._some: Optional[StateSet] = None
-        self._value: Optional[object] = None
+        self._value: Optional[StateSetTransformer] = None
 
-    def _option_machinery(self):
+    def _transformer(self, fn: ZenFunction) -> StateSetTransformer:
+        return fn.transformer(self.context, budget=self.meter)
+
+    def push(self, hop: str, intf: Interface, packets: StateSet) -> StateSet:
+        """The packets `intf`'s "in" or "out" model passes on."""
+        key = (hop, id(intf))
+        if key not in self._hops:
+            model = self._MODELS[hop]
+            self._hops[key] = self._transformer(
+                ZenFunction(
+                    lambda p: model(intf, p),
+                    [Packet],
+                    name=f"{hop}:{intf.name}",
+                )
+            )
         if self._value is None:
-            has_fn = ZenFunction(
-                lambda o: o.has_value(), [ZOption[Packet]], name="has_value"
+            options = [ZOption[Packet]]
+            self._some = self.context.from_predicate(
+                ZenFunction(lambda o: o.has_value(), options, name="has_value"),
+                budget=self.meter,
             )
-            self._some = self.context.from_predicate(has_fn, budget=self.meter)
-            value_fn = ZenFunction(
-                lambda o: o.value(), [ZOption[Packet]], name="value"
+            self._value = self._transformer(
+                ZenFunction(lambda o: o.value(), options, name="value")
             )
-            self._value = value_fn.transformer(self.context, budget=self.meter)
-        return self._some, self._value
-
-    def _survivors(self, transformer) -> "callable":
-        """Set[Packet] -> Set[Packet] through an Option-returning model."""
-        some_set, value_t = self._option_machinery()
-
-        def push(packets: StateSet) -> StateSet:
-            options = transformer.transform_forward(packets, budget=self.meter)
-            return value_t.transform_forward(
-                options.intersect(some_set), budget=self.meter
-            )
-
-        return push
-
-    def inbound(self, intf: Interface):
-        key = id(intf)
-        if key not in self._in:
-            fn = ZenFunction(
-                lambda p, i=intf: fwd_in(i, p), [Packet], name=f"in:{intf.name}"
-            )
-            self._in[key] = self._survivors(
-                fn.transformer(self.context, budget=self.meter)
-            )
-        return self._in[key]
-
-    def outbound(self, intf: Interface):
-        key = id(intf)
-        if key not in self._out:
-            fn = ZenFunction(
-                lambda p, i=intf: fwd_out(i, p),
-                [Packet],
-                name=f"out:{intf.name}",
-            )
-            self._out[key] = self._survivors(
-                fn.transformer(self.context, budget=self.meter)
-            )
-        return self._out[key]
+        options = self._hops[key].transform_forward(packets, budget=self.meter)
+        return self._value.transform_forward(
+            options.intersect(self._some), budget=self.meter
+        )
 
 
 def hsa_explore(
     entry: Interface,
     packets: StateSet,
-    context: Optional[TransformerContext] = None,
     max_depth: int = 16,
     budget=None,
 ) -> Iterator[PathSet]:
@@ -117,28 +99,27 @@ def hsa_explore(
     Yields a :class:`PathSet` whenever a (non-empty) set of packets
     stops moving: it is dropped at the current device, or it leaves the
     network through an unlinked interface.  This is the algorithm of
-    Figure 8, with transformers computing the per-hop packet sets.
+    Figure 8, with transformers computing the per-hop packet sets, in
+    the context of `packets`.
 
     `budget` (a :class:`~repro.core.budget.Budget` or running meter)
     governs the *entire* exploration — every transformer build and
     per-hop set operation charges one shared meter — raising
     :class:`~repro.errors.ZenBudgetExceeded` on exhaustion.
     """
-    if context is None:
-        context = default_context()
-    cache = _TransformerCache(context, meter=start_meter(budget))
+    cache = _TransformerCache(packets.context, meter=start_meter(budget))
     queue: List[Tuple[Tuple[str, ...], Interface, StateSet, int]] = [
         ((entry.name,), entry, packets, 0)
     ]
     while queue:
         path, intf, current, depth = queue.pop(0)
-        in_set = cache.inbound(intf)(current)
+        in_set = cache.push("in", intf, current)
         if in_set.is_empty():
             yield PathSet(path, current, status="dropped_in")
             continue
         forwarded = False
         for out_intf in intf.device.interfaces:
-            out_set = cache.outbound(out_intf)(in_set)
+            out_set = cache.push("out", out_intf, in_set)
             if out_set.is_empty():
                 continue
             forwarded = True
@@ -173,13 +154,17 @@ def reachable_sets(
     ports between headers), pass a constrained entry set — fully
     symbolic correlated fields are the classic worst case for BDD
     packet sets.  `budget` bounds the whole exploration.
+
+    The sets live in `packets`' context when `packets` is given (a
+    different `context` raises :class:`~repro.errors.ZenTypeError`),
+    else in `context`, else in a fresh context the answer owns.
     """
-    if context is None:
-        context = default_context()
     if packets is None:
-        packets = context.universe(Packet)
+        packets = (context or TransformerContext()).universe(Packet)
+    elif context is not None and context is not packets.context:
+        raise ZenTypeError("packets belong to a different context")
     return list(
-        hsa_explore(entry, packets, context, max_depth=max_depth, budget=budget)
+        hsa_explore(entry, packets, max_depth=max_depth, budget=budget)
     )
 
 
@@ -192,12 +177,13 @@ def reachable_between(
     budget=None,
 ) -> StateSet:
     """The set of packets that can travel from `entry` out of
-    `exit_intf` along some path.  `budget` bounds the exploration."""
+    `exit_intf` along some path.  `budget` bounds the exploration;
+    without a `context` the answer gets a fresh one."""
     if context is None:
-        context = default_context()
+        context = TransformerContext()
     universe = context.universe(Packet)
     result = context.empty_set(Packet)
-    for path_set in hsa_explore(entry, universe, context, max_depth, budget):
+    for path_set in hsa_explore(entry, universe, max_depth, budget):
         if path_set.status == "stopped" and path_set.path[-1] == exit_intf.name:
             result = result.union(path_set.packets)
     return result

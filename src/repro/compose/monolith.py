@@ -178,11 +178,7 @@ def monolithic_verdict(
             budget=budget,
         )
         report = backward_reachable(
-            step,
-            bad,
-            context=context,
-            max_iterations=max_iterations,
-            budget=budget,
+            step, bad, max_iterations=max_iterations, budget=budget
         )
         hit = report.reachable.intersect(initial)
         state = hit.element()

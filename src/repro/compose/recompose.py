@@ -73,13 +73,11 @@ class RecomposeOutcome:
 def recompose(
     plan: Plan,
     summaries: Dict[str, Dict[str, Any]],
-    context: Optional[TransformerContext] = None,
     bug: Optional[str] = None,
     max_iterations: int = 100_000,
 ) -> RecomposeOutcome:
     """Chain shard summaries along the plan's boundaries to a fixpoint."""
-    if context is None:
-        context = TransformerContext()
+    context = TransformerContext()
     header_type = context.universe(Header).zen_type
     levels = context.space(header_type).levels
     manager = context.manager

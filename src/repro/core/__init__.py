@@ -26,8 +26,6 @@ from .transformers import (
     StateSetTransformer,
     TransformerContext,
     bit_width,
-    default_context,
-    reset_default_context,
 )
 
 __all__ = [
@@ -45,8 +43,6 @@ __all__ = [
     "StateSet",
     "StateSetTransformer",
     "TransformerContext",
-    "default_context",
-    "reset_default_context",
     "bit_width",
     "generate_inputs",
     "compile_function",

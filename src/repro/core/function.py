@@ -354,7 +354,10 @@ class ZenFunction:
     # ------------------------------------------------------------------
 
     def transformer(self, context=None, budget=None):
-        """Build a :class:`StateSetTransformer` for this function."""
+        """Build a :class:`StateSetTransformer` for this function.
+
+        Without a `context` it owns a fresh one (``t.context``).
+        """
         from .transformers import StateSetTransformer
 
         return StateSetTransformer.build(self, context=context, budget=budget)

@@ -5,6 +5,7 @@ a transition function ``step : S -> S`` it computes the set of states
 reachable from an initial set as a least fixed point of forward images
 (standard symbolic reachability via pre/post image computation), then
 answers invariant and reachability queries without a depth bound.
+Every function works in the context of the state set it is given.
 
 Because BDDs are canonical, fixpoint detection is pointer equality of
 set nodes.
@@ -19,22 +20,20 @@ one per budget checkpoint — so a long-running fixpoint is visible from
 the outside instead of being a telemetry blind spot.
 
 :func:`forward_image` exports the fixpoint's building block on its
-own: one budget-threaded post-image, which is what the compositional
-sharding layer (:mod:`repro.compose`) uses to compute per-device image
-summaries without re-deriving transformer plumbing.
+own: one budget-threaded post-image of a step function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Optional
 
 from ..errors import ZenTypeError
 from ..telemetry.metrics import METRICS
 from ..telemetry.spans import span
 from .budget import metered, start_meter
 from .function import ZenFunction
-from .transformers import StateSet, StateSetTransformer, TransformerContext, default_context
+from .transformers import StateSet
 
 
 @dataclass(frozen=True)
@@ -46,22 +45,15 @@ class ReachabilityReport:
     converged: bool
 
 
-def forward_image(
-    step: ZenFunction,
-    inputs: StateSet,
-    context: Optional[TransformerContext] = None,
-    budget=None,
-) -> StateSet:
+def forward_image(step: ZenFunction, inputs: StateSet, budget=None) -> StateSet:
     """One forward image (post) of `inputs` under `step`.
 
-    The single-application building block of :func:`reachable_states`,
-    exported for per-device image summaries: the compose layer applies
-    it device by device instead of running a joint fixpoint.  `step`
-    may have distinct input/output types (e.g. a header rewrite);
-    `budget` meters the transformer build and the image alike.
+    The single-application building block of :func:`reachable_states`.
+    `step` may have distinct input/output types (e.g. a header
+    rewrite); `budget` meters the transformer build and the image
+    alike.
     """
-    if context is None:
-        context = default_context()
+    context = inputs.context
     meter = start_meter(budget)
     with span("modelcheck.image", step=step.name):
         transformer = step.transformer(context, budget=meter)
@@ -74,12 +66,13 @@ def forward_image(
 def _fixpoint(
     step: ZenFunction,
     seed: StateSet,
-    context: TransformerContext,
     max_iterations: int,
-    meter,
+    budget,
     direction: str,
 ) -> ReachabilityReport:
     """Shared forward/backward fixpoint loop with telemetry."""
+    meter = start_meter(budget)
+    context = seed.context
     transformer = step.transformer(context, budget=meter)
     if transformer.input_type != transformer.output_type:
         raise ZenTypeError(
@@ -126,7 +119,6 @@ def _fixpoint(
 def reachable_states(
     step: ZenFunction,
     initial: StateSet,
-    context: Optional[TransformerContext] = None,
     max_iterations: int = 1000,
     budget=None,
 ) -> ReachabilityReport:
@@ -142,17 +134,13 @@ def reachable_states(
     :class:`~repro.errors.ZenBudgetExceeded` instead of grinding
     through iterations.
     """
-    if context is None:
-        context = default_context()
-    meter = start_meter(budget)
-    return _fixpoint(step, initial, context, max_iterations, meter, "forward")
+    return _fixpoint(step, initial, max_iterations, budget, "forward")
 
 
 def check_invariant(
     step: ZenFunction,
     initial: StateSet,
     invariant: ZenFunction,
-    context: Optional[TransformerContext] = None,
     max_iterations: int = 1000,
     budget=None,
 ) -> Optional[Any]:
@@ -161,17 +149,11 @@ def check_invariant(
     Returns None when the invariant is inductive-reachable-safe, or a
     concrete reachable state violating it.
     """
-    if context is None:
-        context = default_context()
     meter = start_meter(budget)
     report = reachable_states(
-        step,
-        initial,
-        context=context,
-        max_iterations=max_iterations,
-        budget=meter,
+        step, initial, max_iterations=max_iterations, budget=meter
     )
-    good = context.from_predicate(invariant, budget=meter)
+    good = initial.context.from_predicate(invariant, budget=meter)
     bad = report.reachable.difference(good)
     return bad.element()
 
@@ -180,17 +162,12 @@ def can_reach(
     step: ZenFunction,
     initial: StateSet,
     target: StateSet,
-    context: Optional[TransformerContext] = None,
     max_iterations: int = 1000,
     budget=None,
 ) -> Optional[Any]:
     """A reachable state inside `target`, or None if unreachable."""
     report = reachable_states(
-        step,
-        initial,
-        context=context,
-        max_iterations=max_iterations,
-        budget=budget,
+        step, initial, max_iterations=max_iterations, budget=budget
     )
     hit = report.reachable.intersect(target)
     return hit.element()
@@ -199,12 +176,8 @@ def can_reach(
 def backward_reachable(
     step: ZenFunction,
     bad: StateSet,
-    context: Optional[TransformerContext] = None,
     max_iterations: int = 1000,
     budget=None,
 ) -> ReachabilityReport:
     """All states that can eventually reach `bad` (pre-image fixpoint)."""
-    if context is None:
-        context = default_context()
-    meter = start_meter(budget)
-    return _fixpoint(step, bad, context, max_iterations, meter, "backward")
+    return _fixpoint(step, bad, max_iterations, budget, "backward")

@@ -107,41 +107,47 @@ def _aligned_probe_bits(
     ``bit_width(zen_type, max_list_length)`` entries.
     """
     bits: List = []
-
-    def walk(t: ty.ZenType, v: Optional[sv.SymValue]) -> None:
-        if isinstance(t, ty.BoolType):
-            bits.append(v.bit if v is not None else None)
-        elif isinstance(t, ty.IntType):
-            if v is None:
-                bits.extend([None] * t.width)
-            else:
-                bits.extend(reversed(v.bits))  # fresh allocates MSB first
-        elif isinstance(t, ty.TupleType):
-            for i, sub in enumerate(t.elements):
-                walk(sub, v.items[i] if v is not None else None)
-        elif isinstance(t, ty.ObjectType):
-            for name, sub in t.fields.items():
-                walk(sub, v.fields[name] if v is not None else None)
-        elif isinstance(t, ty.OptionType):
-            bits.append(v.has if v is not None else None)
-            walk(t.element, v.val if v is not None else None)
-        elif isinstance(t, ty.ListType):
-            cells = v.cells if v is not None else []
-            for i in range(max_list_length):
-                if i < len(cells):
-                    guard, element = cells[i]
-                    bits.append(guard)
-                    walk(t.element, element)
-                else:
-                    bits.append(None)
-                    walk(t.element, None)
-        elif isinstance(t, ty.MapType):
-            walk(t.adapted(), v.backing if v is not None else None)
-        else:
-            raise ZenTypeError(f"cannot size type {t}")
-
-    walk(zen_type, value)
+    _walk_probe_bits(bits, zen_type, value, max_list_length)
     return bits
+
+
+def _walk_probe_bits(
+    bits: List,
+    t: ty.ZenType,
+    v: Optional[sv.SymValue],
+    max_list_length: int,
+) -> None:
+    """Append the bits of `v`, shaped as type `t`, to `bits`."""
+    if isinstance(t, ty.BoolType):
+        bits.append(v.bit if v is not None else None)
+    elif isinstance(t, ty.IntType):
+        if v is None:
+            bits.extend([None] * t.width)
+        else:
+            bits.extend(reversed(v.bits))  # fresh allocates MSB first
+    elif isinstance(t, ty.TupleType):
+        for i, sub in enumerate(t.elements):
+            item = v.items[i] if v is not None else None
+            _walk_probe_bits(bits, sub, item, max_list_length)
+    elif isinstance(t, ty.ObjectType):
+        for name, sub in t.fields.items():
+            field = v.fields[name] if v is not None else None
+            _walk_probe_bits(bits, sub, field, max_list_length)
+    elif isinstance(t, ty.OptionType):
+        bits.append(v.has if v is not None else None)
+        inner = v.val if v is not None else None
+        _walk_probe_bits(bits, t.element, inner, max_list_length)
+    elif isinstance(t, ty.ListType):
+        cells = v.cells if v is not None else []
+        for i in range(max_list_length):
+            guard, element = cells[i] if i < len(cells) else (None, None)
+            bits.append(guard)
+            _walk_probe_bits(bits, t.element, element, max_list_length)
+    elif isinstance(t, ty.MapType):
+        backing = v.backing if v is not None else None
+        _walk_probe_bits(bits, t.adapted(), backing, max_list_length)
+    else:
+        raise ZenTypeError(f"cannot size type {t}")
 
 
 def _set_bits(mask: int) -> List[int]:
@@ -292,8 +298,10 @@ class TypeSpace:
 class TransformerContext:
     """Shared BDD manager, canonical type spaces, and transformer blocks.
 
-    Sets and transformers only compose within one context.  A default
-    module-level context is used when none is supplied.
+    Sets and transformers only compose within one context, and a set
+    or transformer keeps its context alive: the context belongs to
+    whatever holds its results, and is freed with them.  A caller that
+    supplies no context gets a fresh one.
 
     Sets come from :meth:`empty_set`, :meth:`universe`,
     :meth:`singleton`, and from models: :meth:`from_predicates` turns
@@ -555,6 +563,8 @@ class StateSetTransformer:
     ):
         """Compile a unary ZenFunction into a transformer.
 
+        Without a `context` the transformer gets a fresh one of its
+        own; sets to transform come from ``transformer.context``.
         `budget` bounds the BDD work of building the relation (the
         expensive step for adversarial models); exhaustion raises
         :class:`~repro.errors.ZenBudgetExceeded` and leaves the
@@ -570,7 +580,7 @@ class StateSetTransformer:
                 "transformers require unary functions; tuple the arguments"
             )
         if context is None:
-            context = default_context()
+            context = TransformerContext()
         input_type = function.arg_types[0]
         output_type = function.return_type
         # Canonical spaces exist for both endpoint types (sets live there).
@@ -613,8 +623,15 @@ class StateSetTransformer:
 
     # ------------------------------------------------------------------
 
+    def _check_context(self, states: StateSet) -> None:
+        if states.context is not self.context:
+            raise ZenTypeError(
+                "state set and transformer belong to different contexts"
+            )
+
     def transform_forward(self, input_set: StateSet, budget=None) -> StateSet:
         """Post-image: the set of outputs for the given inputs."""
+        self._check_context(input_set)
         if input_set.zen_type != self.input_type:
             raise ZenTypeError(
                 f"transformer consumes {self.input_type}, got "
@@ -641,6 +658,7 @@ class StateSetTransformer:
 
     def transform_reverse(self, output_set: StateSet, budget=None) -> StateSet:
         """Pre-image: the set of inputs mapping into the output set."""
+        self._check_context(output_set)
         if output_set.zen_type != self.output_type:
             raise ZenTypeError(
                 f"transformer produces {self.output_type}, got "
@@ -694,20 +712,3 @@ class StateSetTransformer:
             other.out_levels,
         )
 
-
-_DEFAULT_CONTEXT: Optional[TransformerContext] = None
-
-
-def default_context() -> TransformerContext:
-    """The process-wide default transformer context."""
-    global _DEFAULT_CONTEXT
-    if _DEFAULT_CONTEXT is None:
-        _DEFAULT_CONTEXT = TransformerContext()
-    return _DEFAULT_CONTEXT
-
-
-def reset_default_context(max_list_length: int = DEFAULT_MAX_LIST_LENGTH):
-    """Replace the default context (mainly for tests and benchmarks)."""
-    global _DEFAULT_CONTEXT
-    _DEFAULT_CONTEXT = TransformerContext(max_list_length=max_list_length)
-    return _DEFAULT_CONTEXT

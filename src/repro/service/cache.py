@@ -64,8 +64,7 @@ class CacheEntry:
             str(t) for t in function.arg_types
         )
         #: Lazily built per-kind compiled state (e.g. ``"transformer"``
-        #: → a built StateSetTransformer whose BDDs live in this
-        #: worker's manager).
+        #: → a built StateSetTransformer that owns its BDD context).
         self.artifacts: Dict[str, Any] = {}
 
 

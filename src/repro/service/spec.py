@@ -296,10 +296,11 @@ def _execute_spec(
             budget=meter,
         )
     elif spec.kind == "transformer":
-        # Transformers hold BDD nodes of a process-local manager —
-        # exactly the compiled state the warm cache is for: the first
-        # build is the expensive, crash/OOM-prone step, repeats reuse
-        # the in-worker BDDs and only re-ship the picklable summary.
+        # A transformer owns a fresh context, so its BDD manager lives
+        # exactly as long as the cache entry that holds it: evicting
+        # the entry frees it.  The first build is the expensive,
+        # crash/OOM-prone step; repeats reuse the in-worker BDDs and
+        # only re-ship the picklable summary.
         transformer = None
         if entry is not None:
             transformer = entry.artifacts.get("transformer")

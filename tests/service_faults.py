@@ -112,6 +112,11 @@ def unpicklable_error_model() -> ZenFunction:
     raise error
 
 
+def xor_model(key: int) -> ZenFunction:
+    """A distinct transformer per key whose relation is the same size."""
+    return ZenFunction(lambda x: x ^ key, [UInt], name=f"xor-{key}")
+
+
 def add_numbers(a: int, b: int) -> int:
     """kind='call' baseline-style check returning plain data."""
     return a + b

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro import ZenFunction
@@ -104,6 +107,39 @@ class TestHsa:
             seen = [h.interface_in for h in trace.hops]
             assert seen[0] == ps.path[0]
 
+    def test_dropped_answer_frees_its_context_without_gc(self, linear_net):
+        net, entry, _ = linear_net
+        gc.disable()
+        try:
+            answer = reachable_sets(net, entry, max_depth=6)
+            context = weakref.ref(answer[0].packets.context)
+            del answer
+            assert context() is None
+        finally:
+            gc.enable()
+
+    def test_default_argument_queries_do_not_grow(self, linear_net):
+        net, entry, _ = linear_net
+        sizes = set()
+        for _ in range(8):
+            answer = reachable_sets(net, entry, max_depth=6)
+            manager = answer[0].packets.context.manager
+            sizes.add((manager.num_vars, manager.num_nodes))
+        assert len(sizes) == 1
+
+    def test_packets_fix_the_context(self, linear_net, ctx):
+        net, entry, _ = linear_net
+        packets = ctx.universe(Packet)
+        answer = reachable_sets(net, entry, max_depth=6, packets=packets)
+        assert all(ps.packets.context is ctx for ps in answer)
+        with pytest.raises(ZenTypeError):
+            reachable_sets(
+                net,
+                entry,
+                context=TransformerContext(max_list_length=1),
+                packets=packets,
+            )
+
     def test_constrained_entry_through_tunnels(self):
         """HSA over the Figure-3 network with a constrained entry set."""
         ctx2 = TransformerContext(max_list_length=1)
@@ -118,7 +154,7 @@ class TestHsa:
         )
         entry_set = ctx2.from_predicate(entry_pred)
         results = list(
-            hsa_explore(vn.va_uplink, entry_set, ctx2, max_depth=8)
+            hsa_explore(vn.va_uplink, entry_set, max_depth=8)
         )
         # With the buggy ACL, the set dies inbound at u2:1.
         dropped = [ps for ps in results if ps.status == "dropped_in"]
@@ -170,7 +206,7 @@ class TestAtomicPredicates:
         p1 = ZenFunction(lambda h: h.dst_port == 80, [Header])
         p2 = ZenFunction(lambda h: h.protocol == 6, [Header])
         atoms = atomic_predicates(Header, [p1, p2], context=ctx)
-        ids = predicate_as_atoms(p1, atoms, context=ctx)
+        ids = predicate_as_atoms(p1, atoms)
         assert 0 < len(ids) < len(atoms)
 
     def test_foreign_predicate_rejected(self, ctx):
@@ -178,7 +214,7 @@ class TestAtomicPredicates:
         atoms = atomic_predicates(Header, [p1], context=ctx)
         p2 = ZenFunction(lambda h: h.protocol == 6, [Header])
         with pytest.raises(ZenTypeError):
-            predicate_as_atoms(p2, atoms, context=ctx)
+            predicate_as_atoms(p2, atoms)
 
 
 class TestAnteater:

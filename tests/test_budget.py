@@ -579,7 +579,7 @@ class TestTransformerAndModelcheckBudget:
         init = ctx.from_predicate(ZenFunction(lambda x: x == 2, [UInt]))
         with pytest.raises(ZenBudgetExceeded):
             reachable_states(
-                hard_step, init, context=ctx,
+                hard_step, init,
                 budget=Budget(max_bdd_nodes=5_000),
             )
 
@@ -588,7 +588,7 @@ class TestTransformerAndModelcheckBudget:
         step = ZenFunction(lambda x: x + 1, [UInt])
         init = ctx.from_predicate(ZenFunction(lambda x: x < 3, [UInt]))
         report = reachable_states(
-            step, init, context=ctx, max_iterations=5,
+            step, init, max_iterations=5,
             budget=Budget(deadline_s=60),
         )
         assert report.iterations == 5

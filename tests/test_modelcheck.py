@@ -9,6 +9,7 @@ from repro.core import (
     backward_reachable,
     can_reach,
     check_invariant,
+    forward_image,
     reachable_states,
 )
 from repro.errors import ZenTypeError
@@ -26,10 +27,25 @@ def counter_mod(n: int) -> ZenFunction:
     )
 
 
+class TestContexts:
+    def test_image_is_taken_in_the_sets_context(self, ctx):
+        image = forward_image(counter_mod(5), ctx.singleton(Byte, 0))
+        assert image.count() == 1 and image.contains(1)
+        assert image.context is ctx
+
+    def test_foreign_set_rejected_by_transformer(self, ctx):
+        transformer = counter_mod(5).transformer(ctx)
+        other = TransformerContext(max_list_length=1)
+        with pytest.raises(ZenTypeError):
+            transformer.transform_forward(other.singleton(Byte, 2))
+        with pytest.raises(ZenTypeError):
+            transformer.transform_reverse(other.singleton(Byte, 2))
+
+
 class TestReachableStates:
     def test_cycle_reaches_exactly_cycle(self, ctx):
         step = counter_mod(5)
-        report = reachable_states(step, ctx.singleton(Byte, 0), context=ctx)
+        report = reachable_states(step, ctx.singleton(Byte, 0))
         assert report.converged
         for value in range(5):
             assert report.reachable.contains(value)
@@ -38,27 +54,27 @@ class TestReachableStates:
 
     def test_from_mid_cycle(self, ctx):
         step = counter_mod(5)
-        report = reachable_states(step, ctx.singleton(Byte, 3), context=ctx)
+        report = reachable_states(step, ctx.singleton(Byte, 3))
         assert report.reachable.count() == 5  # wraps around
 
     def test_outside_cycle_funnels_in(self, ctx):
         step = counter_mod(5)
         # 200 -> 0 (since 200 >= 4) -> cycles.
-        report = reachable_states(step, ctx.singleton(Byte, 200), context=ctx)
+        report = reachable_states(step, ctx.singleton(Byte, 200))
         assert report.reachable.contains(200)
         assert report.reachable.count() == 6
 
     def test_iteration_budget(self, ctx):
         step = ZenFunction(lambda x: x + 1, [Byte])
         report = reachable_states(
-            step, ctx.singleton(Byte, 0), context=ctx, max_iterations=3
+            step, ctx.singleton(Byte, 0), max_iterations=3
         )
         assert not report.converged
 
     def test_requires_endomorphism(self, ctx):
         step = ZenFunction(lambda x: x > 0, [Byte])
         with pytest.raises(ZenTypeError):
-            reachable_states(step, ctx.singleton(Byte, 0), context=ctx)
+            reachable_states(step, ctx.singleton(Byte, 0))
 
 
 class TestInvariants:
@@ -68,7 +84,6 @@ class TestInvariants:
             step,
             ctx.singleton(Byte, 0),
             ZenFunction(lambda x: x < 5, [Byte]),
-            context=ctx,
         )
         assert violation is None
 
@@ -78,7 +93,6 @@ class TestInvariants:
             step,
             ctx.singleton(Byte, 0),
             ZenFunction(lambda x: x < 5, [Byte]),
-            context=ctx,
         )
         assert violation is not None and 5 <= violation < 10
 
@@ -90,7 +104,6 @@ class TestReachQueries:
             step,
             ctx.singleton(Byte, 0),
             ctx.singleton(Byte, 6),
-            context=ctx,
         )
         assert hit == 6
 
@@ -100,13 +113,12 @@ class TestReachQueries:
             step,
             ctx.singleton(Byte, 0),
             ctx.singleton(Byte, 9),
-            context=ctx,
         )
         assert hit is None
 
     def test_backward_reachable(self, ctx):
         step = counter_mod(4)
-        report = backward_reachable(step, ctx.singleton(Byte, 3), context=ctx)
+        report = backward_reachable(step, ctx.singleton(Byte, 3))
         assert report.converged
         # Everything in the cycle can reach 3; so can any byte >= 3
         # (they step to 0 first).
@@ -117,6 +129,6 @@ class TestReachQueries:
         step = counter_mod(6)
         start = ctx.singleton(Byte, 2)
         target = ctx.singleton(Byte, 5)
-        forward_hit = can_reach(step, start, target, context=ctx)
-        back = backward_reachable(step, target, context=ctx)
+        forward_hit = can_reach(step, start, target)
+        back = backward_reachable(step, target)
         assert (forward_hit is not None) == back.reachable.contains(2)

@@ -9,6 +9,8 @@ workers).
 from __future__ import annotations
 
 import asyncio
+import gc
+import weakref
 
 import pytest
 
@@ -101,6 +103,28 @@ class TestModelCache:
         assert first["cache_hit"] is False
         assert second["cache_hit"] is True
         assert second["answer"] == MAGIC
+
+    def test_evicted_transformer_frees_its_context(self):
+        cache = ModelCache(capacity=32)
+        nodes, contexts = set(), []
+        gc.disable()
+        try:
+            for key in range(100):
+                spec = QuerySpec(
+                    builder="tests.service_faults:xor_model",
+                    builder_args=(key,),
+                    kind="transformer",
+                )
+                answer = run_spec(spec, cache=cache)["answer"]
+                nodes.add(answer["manager_nodes"])
+                _, _, entry = cache.get_function(spec)
+                transformer = entry.artifacts["transformer"]
+                contexts.append(weakref.ref(transformer.context))
+            alive = sum(ref() is not None for ref in contexts)
+        finally:
+            gc.enable()
+        assert len(nodes) == 1
+        assert alive <= 32
 
 
 # ---------------------------------------------------------------------------
