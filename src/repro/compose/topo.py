@@ -10,9 +10,11 @@ inside a :class:`~repro.service.QuerySpec` payload::
      "links": [[dev_a, port_a, dev_b, port_b], ...],
      "groups": {group_name: [device, ...]}}            # optional
 
-ACL and NAT rules use the same JSON shape as the fuzz farm's scenario
-codecs.  :func:`validate_topology` checks every rule where the payload
-enters, so a malformed one never reaches a worker.
+A device dict and every rule in it have the one JSON form
+:mod:`repro.network.payload` states (closed dicts, ints never bools,
+``[lo, hi]`` port ranges with ``lo <= hi``, ACL port keys in canonical
+decimal).  :func:`validate_topology` checks every device where the
+payload enters, so a malformed one never reaches a worker.
 
 There is one device model: :func:`build_network` lifts the payload
 into :mod:`repro.network` devices and interfaces, and the per-shard
@@ -30,25 +32,26 @@ entering device ``d`` at port ``p`` with header ``h``:
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..core import ZenFunction
 from ..network import (
     NULL_PORT,
-    FwdRule,
-    FwdTable,
     Header,
     Interface,
     Network,
-    Prefix,
     admits,
     forward,
     permits,
     rewrite,
 )
-from ..network.acl import acl_from_json
-from ..network.nat import nat_from_json
+from ..network.payload import (
+    acl_from_json,
+    check_device,
+    fib_from_json,
+    is_int,
+    nat_from_json,
+)
 from .cubes import validate_cover
 
 Point = Tuple[str, int]
@@ -66,56 +69,10 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _is_int(value: Any, lowest: int, highest: int) -> bool:
-    """An int in ``[lowest, highest]``, never a bool."""
-    return (
-        isinstance(value, int)
-        and not isinstance(value, bool)
-        and lowest <= value <= highest
-    )
-
-
 def _is_port(value: Any, lowest: int = 0) -> bool:
     """A port the models can carry: ``forward`` returns ``Zen<byte>``
     with 0 as the null port; links and query points name real ports."""
-    return _is_int(value, lowest, 255)
-
-
-def _is_pair(value: Any, first: int, second: int) -> bool:
-    """``[a, b]`` with ``a`` in 0..`first` and ``b`` in 0..`second`."""
-    return (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and _is_int(value[0], 0, first)
-        and _is_int(value[1], 0, second)
-    )
-
-
-_PREFIX = partial(_is_pair, first=0xFFFFFFFF, second=32)  # [addr, len]
-_PORT_RANGE = partial(_is_pair, first=0xFFFF, second=0xFFFF)
-_L4_PORT = partial(_is_int, lowest=0, highest=0xFFFF)
-#: What each optional rule field must hold when it is present.
-_ACL_FIELDS = {
-    "src": _PREFIX,
-    "dst": _PREFIX,
-    "src_ports": _PORT_RANGE,
-    "dst_ports": _PORT_RANGE,
-    "protocol": partial(_is_int, lowest=0, highest=255),
-}
-_NAT_FIELDS = {
-    "match_src": _PREFIX,
-    "match_dst": _PREFIX,
-    "translate_src": _PREFIX,
-    "translate_dst": _PREFIX,
-    "set_src_port": _L4_PORT,
-    "set_dst_port": _L4_PORT,
-}
-
-
-def _rule_ok(rule: Any, fields: Dict[str, Any]) -> bool:
-    return isinstance(rule, dict) and all(
-        rule.get(key) is None or ok(rule[key]) for key, ok in fields.items()
-    )
+    return is_int(value, 255, lowest)
 
 
 def validate_topology(topo: Any) -> Dict[str, Any]:
@@ -128,52 +85,7 @@ def validate_topology(topo: Any) -> Dict[str, Any]:
             isinstance(name, str) and name and ":" not in name and "|" not in name,
             f"device name {name!r} must be non-empty without ':' or '|'",
         )
-        _require(isinstance(spec, dict), f"device {name!r} must be a dict")
-        fib = spec.get("fib", [])
-        _require(isinstance(fib, list), f"device {name!r} fib must be a list")
-        for entry in fib:
-            _require(
-                isinstance(entry, (list, tuple))
-                and len(entry) == 2
-                and _PREFIX(entry[0])
-                and _is_port(entry[1]),
-                f"device {name!r} fib entry {entry!r} must be [[addr, len], "
-                "port], len in 0..32, port in 0..255 (0 is the null port)",
-            )
-        for side in ("acl_in", "acl_out"):
-            acls = spec.get(side, {})
-            _require(
-                isinstance(acls, dict),
-                f"device {name!r} {side} must map port -> rules",
-            )
-            for port, rules in acls.items():
-                _require(
-                    str(port).isdigit() and isinstance(rules, list),
-                    f"device {name!r} {side}[{port!r}] malformed",
-                )
-                _require(
-                    _is_port(int(port)),
-                    f"device {name!r} {side} port {port!r} must be in 0..255",
-                )
-                for rule in rules:
-                    _require(
-                        _rule_ok(rule, _ACL_FIELDS)
-                        and isinstance(rule.get("action"), bool),
-                        f"device {name!r} {side}[{port}] rule {rule!r} needs "
-                        "a bool action, [addr, len] prefixes, [lo, hi] port "
-                        "ranges in 0..65535 and a protocol in 0..255",
-                    )
-        nat = spec.get("nat")
-        _require(
-            nat is None or isinstance(nat, list),
-            f"device {name!r} nat must be a rule list",
-        )
-        for rule in nat or []:
-            _require(
-                _rule_ok(rule, _NAT_FIELDS),
-                f"device {name!r} nat rule {rule!r} needs [addr, len] "
-                "prefixes and ports in 0..65535",
-            )
+        check_device(spec, f"devices[{name!r}]")
     links = topo.get("links", [])
     _require(isinstance(links, list), "links must be a list")
     seen_ends: Dict[Point, Any] = {}
@@ -257,9 +169,7 @@ def build_network(
     interfaces: Dict[Point, Interface] = {}
     for name, spec in topo["devices"].items():
         device = network.add_device(name)
-        device.fib = FwdTable.of(
-            [FwdRule(Prefix(*pfx), port) for pfx, port in spec.get("fib", [])]
-        )
+        device.fib = fib_from_json(spec.get("fib", []))
         if spec.get("nat"):
             device.nat = nat_from_json(spec["nat"], f"{name}:nat")
         acls = {

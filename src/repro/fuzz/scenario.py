@@ -39,13 +39,26 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.function import ZenFunction
 from ..lang import Byte, UShort, Zen, constant, if_
-from ..network.acl import AclRule, acl_allows, acl_from_json, acl_match_line
+from ..network.acl import AclRule, acl_allows, acl_match_line
 from ..network.device import Device, Interface, forward_along_path
-from ..network.fib import FwdRule, FwdTable
+from ..network.fib import FwdRule
 from ..network.gre import GreTunnel
 from ..network.ip import Prefix
-from ..network.nat import NatRule, apply_nat, nat_from_json
+from ..network.nat import apply_nat
 from ..network.packet import Header, Packet
+from ..network.payload import (
+    ACL_RULE,
+    CLAUSE,
+    FIB_ENTRY,
+    GRE_ENDPOINT,
+    NAT_RULE,
+    acl_from_json,
+    check_interface,
+    check_list,
+    fib_from_json,
+    interface_from_json,
+    nat_from_json,
+)
 from ..network.routemap import (
     PrefixRange,
     Route,
@@ -55,9 +68,9 @@ from ..network.routemap import (
     route_map_match_line,
 )
 from ..workloads.generators import (
+    maybe_int,
     random_acl_rule,
     random_nat_rule,
-    random_port_range,
     random_prefix,
 )
 
@@ -105,81 +118,6 @@ def prop_never(*args: Zen) -> Zen:
 
 
 # ----------------------------------------------------------------------
-# JSON encoding of model fragments
-# ----------------------------------------------------------------------
-
-
-def _prefix_to_json(prefix: Prefix) -> List[int]:
-    return [prefix.address, prefix.length]
-
-
-def _ports_to_json(ports: Optional[Tuple[int, int]]) -> Optional[List[int]]:
-    return None if ports is None else [ports[0], ports[1]]
-
-
-def _acl_rule_to_json(rule: AclRule) -> Dict[str, Any]:
-    return {
-        "action": rule.action,
-        "src": _prefix_to_json(rule.src),
-        "dst": _prefix_to_json(rule.dst),
-        "src_ports": _ports_to_json(rule.src_ports),
-        "dst_ports": _ports_to_json(rule.dst_ports),
-        "protocol": rule.protocol,
-    }
-
-
-def _nat_rule_to_json(rule: NatRule) -> Dict[str, Any]:
-    return {
-        "match_src": _prefix_to_json(rule.match_src),
-        "match_dst": _prefix_to_json(rule.match_dst),
-        "translate_src": (
-            None
-            if rule.translate_src is None
-            else _prefix_to_json(rule.translate_src)
-        ),
-        "translate_dst": (
-            None
-            if rule.translate_dst is None
-            else _prefix_to_json(rule.translate_dst)
-        ),
-        "set_src_port": rule.set_src_port,
-        "set_dst_port": rule.set_dst_port,
-    }
-
-
-def _clause_to_json(clause: RouteMapClause) -> Dict[str, Any]:
-    return {
-        "action": clause.action,
-        "match_prefixes": [
-            [_prefix_to_json(entry.prefix), entry.ge, entry.le]
-            for entry in clause.match_prefixes
-        ],
-        "match_community": clause.match_community,
-        "match_as_path_contains": clause.match_as_path_contains,
-        "set_local_pref": clause.set_local_pref,
-        "set_med": clause.set_med,
-        "add_community": clause.add_community,
-        "prepend_as": clause.prepend_as,
-    }
-
-
-def _clause_from_json(data: Dict[str, Any]) -> RouteMapClause:
-    return RouteMapClause(
-        action=bool(data["action"]),
-        match_prefixes=tuple(
-            PrefixRange(Prefix(*entry[0]), ge=entry[1], le=entry[2])
-            for entry in data.get("match_prefixes", [])
-        ),
-        match_community=data.get("match_community"),
-        match_as_path_contains=data.get("match_as_path_contains"),
-        set_local_pref=data.get("set_local_pref"),
-        set_med=data.get("set_med"),
-        add_community=data.get("add_community"),
-        prepend_as=data.get("prepend_as"),
-    )
-
-
-# ----------------------------------------------------------------------
 # Model builders (the QuerySpec builder target)
 # ----------------------------------------------------------------------
 
@@ -214,7 +152,7 @@ def build_scenario_model(data: Dict[str, Any]) -> ZenFunction:
         return ZenFunction(nat_model, [Header], name=name)
     if kind == "routemap":
         route_map = RouteMap.of(
-            name, [_clause_from_json(c) for c in payload["clauses"]]
+            name, [CLAUSE.decode(c) for c in payload["clauses"]]
         )
         target = payload["target_line"]
         check_local_pref = payload.get("check_local_pref")
@@ -263,43 +201,11 @@ def _build_path(payload: Dict[str, Any]) -> List[Interface]:
     """
     path: List[Interface] = []
     for position, desc in enumerate(payload["devices"]):
-        fib = FwdTable.of(
-            [
-                FwdRule(Prefix(*rule[0]), int(rule[1]))
-                for rule in desc["fib"]
-            ]
-        )
-        device = Device(name=f"d{position}", fib=fib)
+        device = Device(name=f"d{position}", fib=fib_from_json(desc["fib"]))
         for intf_id, role in ((1, "in"), (2, "out")):
             spec = desc["interfaces"][role]
-            acl_in = spec.get("acl_in")
-            acl_out = spec.get("acl_out")
-            tunnel_start = spec.get("gre_start")
-            tunnel_end = spec.get("gre_end")
-            intf = Interface(
-                id=intf_id,
-                device=device,
-                acl_in=(
-                    None
-                    if acl_in is None
-                    else acl_from_json(acl_in, f"d{position}:{intf_id}-in")
-                ),
-                acl_out=(
-                    None
-                    if acl_out is None
-                    else acl_from_json(acl_out, f"d{position}:{intf_id}-out")
-                ),
-                gre_start=(
-                    None
-                    if tunnel_start is None
-                    else GreTunnel(int(tunnel_start[0]), int(tunnel_start[1]))
-                ),
-                gre_end=(
-                    None
-                    if tunnel_end is None
-                    else GreTunnel(int(tunnel_end[0]), int(tunnel_end[1]))
-                ),
-            )
+            name = f"d{position}:{intf_id}"
+            intf = interface_from_json(spec, intf_id, device, name)
             device.interfaces.append(intf)
             path.append(intf)
     return path
@@ -386,48 +292,15 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(f"invalid scenario: {message}")
 
 
-def _validate_prefix(data: Any, where: str) -> None:
-    _require(
-        isinstance(data, (list, tuple)) and len(data) == 2,
-        f"{where}: prefix must be [address, length]",
-    )
-    _require(
-        isinstance(data[0], int) and 0 <= data[0] <= 0xFFFFFFFF,
-        f"{where}: prefix address out of range",
-    )
-    _require(
-        isinstance(data[1], int) and 0 <= data[1] <= 32,
-        f"{where}: prefix length out of range",
-    )
-
-
-def _validate_ports(data: Any, where: str) -> None:
-    if data is None:
-        return
-    _require(
-        isinstance(data, (list, tuple))
-        and len(data) == 2
-        and all(isinstance(p, int) and 0 <= p <= 0xFFFF for p in data)
-        and data[0] <= data[1],
-        f"{where}: malformed port range",
-    )
-
-
-def _validate_acl_rules(rules: Any, where: str) -> None:
-    _require(isinstance(rules, list) and rules, f"{where}: needs >= 1 rule")
+def _check_acl(rules: Any, where: str) -> None:
+    """An ACL the reference interpreter reads: at least one rule, and
+    ``src``/``dst`` on every rule (it indexes them directly)."""
+    check_list(ACL_RULE, rules, where)
+    _require(rules, f"{where}: needs >= 1 rule")
     for i, rule in enumerate(rules):
-        _require(isinstance(rule, dict), f"{where}[{i}]: rule must be a dict")
         _require(
-            isinstance(rule.get("action"), bool), f"{where}[{i}]: bool action"
-        )
-        _validate_prefix(rule.get("src"), f"{where}[{i}].src")
-        _validate_prefix(rule.get("dst"), f"{where}[{i}].dst")
-        _validate_ports(rule.get("src_ports"), f"{where}[{i}].src_ports")
-        _validate_ports(rule.get("dst_ports"), f"{where}[{i}].dst_ports")
-        proto = rule.get("protocol")
-        _require(
-            proto is None or (isinstance(proto, int) and 0 <= proto <= 255),
-            f"{where}[{i}].protocol out of range",
+            rule.get("src") is not None and rule.get("dst") is not None,
+            f"{where}[{i}]: needs src and dst",
         )
 
 
@@ -529,7 +402,7 @@ def validate_scenario(data: Any) -> Dict[str, Any]:
     payload = data.get("payload")
     _require(isinstance(payload, dict), "payload must be a dict")
     if kind == "acl":
-        _validate_acl_rules(payload.get("rules"), "acl.rules")
+        _check_acl(payload.get("rules"), "acl.rules")
         target = payload.get("target_line")
         _require(
             isinstance(target, int) and 0 <= target <= len(payload["rules"]),
@@ -537,43 +410,18 @@ def validate_scenario(data: Any) -> Dict[str, Any]:
         )
     elif kind == "nat":
         rules = payload.get("rules")
-        _require(isinstance(rules, list), "nat.rules must be a list")
+        check_list(NAT_RULE, rules, "nat.rules")
         for i, rule in enumerate(rules):
-            _require(isinstance(rule, dict), f"nat.rules[{i}] must be a dict")
-            _validate_prefix(rule.get("match_src"), f"nat.rules[{i}].match_src")
-            _validate_prefix(rule.get("match_dst"), f"nat.rules[{i}].match_dst")
-            for key in ("translate_src", "translate_dst"):
-                if rule.get(key) is not None:
-                    _validate_prefix(rule[key], f"nat.rules[{i}].{key}")
-            for key in ("set_src_port", "set_dst_port"):
-                port = rule.get(key)
-                _require(
-                    port is None
-                    or (isinstance(port, int) and 0 <= port <= 0xFFFF),
-                    f"nat.rules[{i}].{key} out of range",
-                )
-        _validate_acl_rules(payload.get("acl"), "nat.acl")
+            _require(
+                rule.get("match_src") is not None
+                and rule.get("match_dst") is not None,
+                f"nat.rules[{i}]: needs match_src and match_dst",
+            )
+        _check_acl(payload.get("acl"), "nat.acl")
     elif kind == "routemap":
         clauses = payload.get("clauses")
-        _require(isinstance(clauses, list) and clauses, "routemap needs clauses")
-        for i, clause in enumerate(clauses):
-            _require(isinstance(clause, dict), f"clauses[{i}] must be a dict")
-            _require(
-                isinstance(clause.get("action"), bool),
-                f"clauses[{i}]: bool action",
-            )
-            for j, entry in enumerate(clause.get("match_prefixes", [])):
-                _require(
-                    isinstance(entry, (list, tuple)) and len(entry) == 3,
-                    f"clauses[{i}].match_prefixes[{j}] malformed",
-                )
-                _validate_prefix(entry[0], f"clauses[{i}].match_prefixes[{j}]")
-                _require(
-                    isinstance(entry[1], int)
-                    and isinstance(entry[2], int)
-                    and 0 <= entry[1] <= entry[2] <= 32,
-                    f"clauses[{i}].match_prefixes[{j}]: bad ge/le",
-                )
+        check_list(CLAUSE, clauses, "routemap.clauses")
+        _require(clauses, "routemap needs clauses")
         target = payload.get("target_line")
         _require(
             isinstance(target, int) and 0 <= target <= len(clauses),
@@ -588,51 +436,33 @@ def validate_scenario(data: Any) -> Dict[str, Any]:
         devices = payload.get("devices")
         _require(isinstance(devices, list) and devices, "path needs devices")
         for i, desc in enumerate(devices):
-            _require(isinstance(desc, dict), f"devices[{i}] must be a dict")
-            fib = desc.get("fib")
-            _require(isinstance(fib, list), f"devices[{i}].fib must be a list")
-            for j, rule in enumerate(fib):
-                _require(
-                    isinstance(rule, (list, tuple)) and len(rule) == 2,
-                    f"devices[{i}].fib[{j}] must be [prefix, port]",
-                )
-                _validate_prefix(rule[0], f"devices[{i}].fib[{j}]")
-                _require(
-                    isinstance(rule[1], int) and 0 <= rule[1] <= 255,
-                    f"devices[{i}].fib[{j}] port out of range",
-                )
-            intfs = desc.get("interfaces")
+            where = f"path.devices[{i}]"
+            _require(isinstance(desc, dict), f"{where} must be a dict")
             _require(
-                isinstance(intfs, dict)
-                and set(intfs) == {"in", "out"},
-                f"devices[{i}].interfaces needs in/out",
+                set(desc) == {"fib", "interfaces"},
+                f"{where}: a path device has the keys fib and interfaces, "
+                f"not {list(desc)}",
+            )
+            check_list(FIB_ENTRY, desc["fib"], f"{where}.fib")
+            intfs = desc["interfaces"]
+            _require(
+                isinstance(intfs, dict) and set(intfs) == {"in", "out"},
+                f"{where}.interfaces needs in/out",
             )
             for role, spec in intfs.items():
-                where = f"devices[{i}].{role}"
-                _require(isinstance(spec, dict), f"{where} must be a dict")
+                at = f"{where}.interfaces.{role}"
+                check_interface(spec, at)
                 for key in ("acl_in", "acl_out"):
                     if spec.get(key) is not None:
-                        _validate_acl_rules(spec[key], f"{where}.{key}")
-                for key in ("gre_start", "gre_end"):
-                    tunnel = spec.get(key)
-                    if tunnel is None:
-                        continue
-                    _require(
-                        isinstance(tunnel, (list, tuple))
-                        and len(tunnel) == 2
-                        and all(
-                            isinstance(ip, int) and 0 <= ip <= 0xFFFFFFFF
-                            for ip in tunnel
-                        ),
-                        f"{where}.{key} malformed",
-                    )
+                        _check_acl(spec[key], f"{at}.{key}")
     elif kind == "topology":
         topo = payload.get("topo")
         query = payload.get("query")
         _require(isinstance(topo, dict), "topology needs a topo dict")
         _require(isinstance(query, dict), "topology needs a query dict")
-        # Compose owns the payload schema; its validators raise the
-        # same ValueError contract the shrinker relies on.
+        # Compose validates topologies and queries (each device through
+        # repro.network.payload); its validators raise the same
+        # ValueError contract the shrinker relies on.
         from ..compose.topo import validate_query, validate_topology
 
         validate_topology(topo)
@@ -720,11 +550,11 @@ class ScenarioGenerator:
     def _gen_acl(self, rng: random.Random) -> Dict[str, Any]:
         num_rules = rng.randint(2, self.limits.max_acl_rules)
         rules = [
-            _acl_rule_to_json(random_acl_rule(rng, min_len=0, max_len=32))
+            ACL_RULE.encode(random_acl_rule(rng, min_len=0, max_len=32))
             for _ in range(num_rules - 1)
         ]
         # Catch-all last line, as in the Figure-10 workload.
-        rules.append(_acl_rule_to_json(AclRule(action=True)))
+        rules.append(ACL_RULE.encode(AclRule(action=True)))
         # Mostly ask about the last line (needs reasoning about every
         # earlier line); sometimes about a random inner line or the
         # no-match case (0), which is unsat against a catch-all.
@@ -739,15 +569,15 @@ class ScenarioGenerator:
 
     def _gen_nat(self, rng: random.Random) -> Dict[str, Any]:
         rules = [
-            _nat_rule_to_json(random_nat_rule(rng))
+            NAT_RULE.encode(random_nat_rule(rng))
             for _ in range(rng.randint(1, self.limits.max_nat_rules))
         ]
         acl = [
-            _acl_rule_to_json(random_acl_rule(rng, min_len=4, max_len=24))
+            ACL_RULE.encode(random_acl_rule(rng, min_len=4, max_len=24))
             for _ in range(rng.randint(1, 4))
         ]
         if rng.random() < 0.7:
-            acl.append(_acl_rule_to_json(AclRule(action=rng.random() < 0.7)))
+            acl.append(ACL_RULE.encode(AclRule(action=rng.random() < 0.7)))
         return {"rules": rules, "acl": acl}
 
     def _gen_routemap(self, rng: random.Random) -> Dict[str, Any]:
@@ -758,41 +588,20 @@ class ScenarioGenerator:
             ge = rng.randint(prefix.length, 32)
             le = rng.randint(ge, 32)
             clauses.append(
-                {
-                    "action": rng.random() < 0.6,
-                    "match_prefixes": [[_prefix_to_json(prefix), ge, le]],
-                    "match_community": (
-                        rng.randint(1, 1 << 16) if rng.random() < 0.3 else None
-                    ),
-                    "match_as_path_contains": (
-                        rng.randint(1, 1 << 14) if rng.random() < 0.2 else None
-                    ),
-                    "set_local_pref": (
-                        rng.randint(0, 400) if rng.random() < 0.5 else None
-                    ),
-                    "set_med": (
-                        rng.randint(0, 100) if rng.random() < 0.3 else None
-                    ),
-                    "add_community": (
-                        rng.randint(1, 1 << 16) if rng.random() < 0.3 else None
-                    ),
-                    "prepend_as": (
-                        rng.randint(1, 1 << 14) if rng.random() < 0.2 else None
-                    ),
-                }
+                CLAUSE.encode(
+                    RouteMapClause(
+                        action=rng.random() < 0.6,
+                        match_prefixes=(PrefixRange(prefix, ge=ge, le=le),),
+                        match_community=maybe_int(rng, 0.3, 1, 1 << 16),
+                        match_as_path_contains=maybe_int(rng, 0.2, 1, 1 << 14),
+                        set_local_pref=maybe_int(rng, 0.5, 0, 400),
+                        set_med=maybe_int(rng, 0.3, 0, 100),
+                        add_community=maybe_int(rng, 0.3, 1, 1 << 16),
+                        prepend_as=maybe_int(rng, 0.2, 1, 1 << 14),
+                    )
+                )
             )
-        clauses.append(
-            {
-                "action": True,
-                "match_prefixes": [],
-                "match_community": None,
-                "match_as_path_contains": None,
-                "set_local_pref": None,
-                "set_med": None,
-                "add_community": None,
-                "prepend_as": None,
-            }
-        )
+        clauses.append(CLAUSE.encode(RouteMapClause(action=True)))
         target = rng.randint(0, num_clauses)
         check_local_pref = None
         if 1 <= target <= num_clauses and rng.random() < 0.4:
@@ -814,11 +623,11 @@ class ScenarioGenerator:
         if rng.random() >= 0.4:
             return None
         rules = [
-            _acl_rule_to_json(random_acl_rule(rng, min_len=0, max_len=16))
+            ACL_RULE.encode(random_acl_rule(rng, min_len=0, max_len=16))
             for _ in range(rng.randint(1, 2))
         ]
         if rng.random() < permissive_bias:
-            rules.append(_acl_rule_to_json(AclRule(action=True)))
+            rules.append(ACL_RULE.encode(AclRule(action=True)))
         return rules
 
     def _gen_path(self, rng: random.Random) -> Dict[str, Any]:
@@ -829,14 +638,10 @@ class ScenarioGenerator:
         target = random_prefix(rng, min_len=8, max_len=24)
         devices = []
         for _ in range(num_devices):
-            fib = [[_prefix_to_json(target), 2]]
+            fib = [FIB_ENTRY.encode(FwdRule(target, 2))]
             for _ in range(rng.randint(0, self.limits.max_fib_rules - 1)):
-                fib.append(
-                    [
-                        _prefix_to_json(random_prefix(rng, min_len=0, max_len=32)),
-                        rng.randint(1, 3),
-                    ]
-                )
+                noise = random_prefix(rng, min_len=0, max_len=32)
+                fib.append(FIB_ENTRY.encode(FwdRule(noise, rng.randint(1, 3))))
             rng.shuffle(fib)
             devices.append(
                 {
@@ -862,14 +667,17 @@ class ScenarioGenerator:
             # interface, decap at device j's in interface.
             i = rng.randint(0, num_devices - 2)
             j = rng.randint(i + 1, num_devices - 1)
-            tunnel = [rng.getrandbits(32), rng.getrandbits(32)]
+            tunnel = GRE_ENDPOINT.encode(
+                GreTunnel(rng.getrandbits(32), rng.getrandbits(32))
+            )
             devices[i]["interfaces"]["out"]["gre_start"] = tunnel
             devices[j]["interfaces"]["in"]["gre_end"] = tunnel
             # The tunneled hops forward on the underlay destination:
             # give them a route for it so encap'd traffic can survive.
             for k in range(i, j + 1):
                 if rng.random() < 0.8:
-                    devices[k]["fib"].append([[tunnel[1], 32], 2])
+                    route = FwdRule(Prefix(tunnel[1], 32), 2)
+                    devices[k]["fib"].append(FIB_ENTRY.encode(route))
         return {"devices": devices}
 
     def _gen_topology(self, rng: random.Random) -> Dict[str, Any]:

@@ -10,7 +10,7 @@ the Figure 10 benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..lang import USHORT, Zen, constant, if_
 from .ip import Prefix
@@ -41,31 +41,6 @@ class Acl:
     @classmethod
     def of(cls, name: str, rules: Sequence[AclRule]) -> "Acl":
         return cls(name=name, rules=tuple(rules))
-
-
-def acl_from_json(rules: Sequence[Dict[str, Any]], name: str) -> Acl:
-    """An ACL from the JSON rule list fuzz scenarios and compose
-    topologies share: ``{"action", "src": [addr, len], "dst",
-    "src_ports": [lo, hi], "dst_ports", "protocol"}``.  A missing or
-    null field matches anything."""
-
-    def ports(data: Optional[Sequence[int]]) -> Optional[Tuple[int, int]]:
-        return None if data is None else (data[0], data[1])
-
-    return Acl.of(
-        name,
-        [
-            AclRule(
-                action=bool(rule["action"]),
-                src=Prefix(*rule.get("src") or (0, 0)),
-                dst=Prefix(*rule.get("dst") or (0, 0)),
-                src_ports=ports(rule.get("src_ports")),
-                dst_ports=ports(rule.get("dst_ports")),
-                protocol=rule.get("protocol"),
-            )
-            for rule in rules
-        ],
-    )
 
 
 # --- the Zen model ----------------------------------------------------

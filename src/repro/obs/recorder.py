@@ -98,21 +98,14 @@ class FlightRecorder:
         with self._lock:
             return list(self._bundle_paths)
 
-    # Shared counter protocol (snapshot/delta/reset_counters).
+    # Shared counter protocol (snapshot/reset_counters; diff two
+    # snapshots with repro.telemetry.delta).
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
             out = {name: self._counts[name] for name in _RING_NAMES}
             out["triggers"] = self._triggers
             out["bundles_written"] = self._bundles_written
             return out
-
-    def delta(
-        self, before: Mapping[str, int], after: Mapping[str, int]
-    ) -> Dict[str, int]:
-        return {
-            key: after.get(key, 0) - before.get(key, 0)
-            for key in set(before) | set(after)
-        }
 
     def reset_counters(self) -> None:
         with self._lock:

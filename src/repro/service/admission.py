@@ -117,8 +117,8 @@ class AdmissionController:
                 "limits": {p: self.limit_for(p) for p in PRIORITIES},
             }
 
-    # Shared counter protocol (snapshot/delta/reset_counters) — flat
-    # numeric view so MetricsRegistry.absorb() and the flight recorder
+    # Shared counter protocol (snapshot/reset_counters; diff two
+    # snapshots with repro.telemetry.delta) — flat numeric view so MetricsRegistry.absorb() and the flight recorder
     # can fold admission state in with every other counter source.
     def snapshot(self) -> Dict[str, float]:
         with self._lock:
@@ -140,14 +140,6 @@ class AdmissionController:
             else:
                 out["utilization"] = 0.0
             return out
-
-    def delta(
-        self, before: Dict[str, float], after: Dict[str, float]
-    ) -> Dict[str, float]:
-        return {
-            key: after.get(key, 0.0) - before.get(key, 0.0)
-            for key in set(before) | set(after)
-        }
 
     def reset_counters(self) -> None:
         with self._lock:

@@ -27,6 +27,7 @@ from ..network.routemap import PrefixRange, RouteMap, RouteMapClause
 
 __all__ = [
     "resolve_rng",
+    "maybe_int",
     "random_prefix",
     "random_port_range",
     "random_acl_rule",
@@ -60,6 +61,13 @@ def random_prefix(rng: random.Random, min_len: int = 8, max_len: int = 32) -> Pr
     length = rng.randint(min_len, max_len)
     address = rng.getrandbits(32)
     return Prefix(address, length)
+
+
+def maybe_int(
+    rng: random.Random, probability: float, low: int, high: int
+) -> Optional[int]:
+    """An int in [low, high] with `probability`, else None."""
+    return rng.randint(low, high) if rng.random() < probability else None
 
 
 def random_port_range(rng: random.Random) -> Optional[Tuple[int, int]]:
@@ -114,16 +122,10 @@ def random_route_map(
             RouteMapClause(
                 action=rng.random() < 0.5,
                 match_prefixes=(PrefixRange(prefix, ge=ge, le=le),),
-                match_community=(
-                    rng.randint(1, 1 << 16) if rng.random() < 0.3 else None
-                ),
-                set_local_pref=(
-                    rng.randint(0, 400) if rng.random() < 0.5 else None
-                ),
-                set_med=rng.randint(0, 100) if rng.random() < 0.3 else None,
-                add_community=(
-                    rng.randint(1, 1 << 16) if rng.random() < 0.3 else None
-                ),
+                match_community=maybe_int(rng, 0.3, 1, 1 << 16),
+                set_local_pref=maybe_int(rng, 0.5, 0, 400),
+                set_med=maybe_int(rng, 0.3, 0, 100),
+                add_community=maybe_int(rng, 0.3, 1, 1 << 16),
             )
         )
     clauses.append(RouteMapClause(action=True))
@@ -145,8 +147,8 @@ def random_nat_rule(rng: random.Random) -> NatRule:
             if rng.random() < 0.5
             else None
         ),
-        set_src_port=rng.randint(0, 65535) if rng.random() < 0.25 else None,
-        set_dst_port=rng.randint(0, 65535) if rng.random() < 0.25 else None,
+        set_src_port=maybe_int(rng, 0.25, 0, 65535),
+        set_dst_port=maybe_int(rng, 0.25, 0, 65535),
     )
 
 
@@ -181,10 +183,6 @@ def _device_rng(seed: int, name: str) -> random.Random:
     return random.Random(f"repro-topo:{seed}:{name}")
 
 
-def _prefix_json(address: int, length: int) -> List[int]:
-    return [address, length]
-
-
 def _sprinkle_acl(rng: random.Random, probability: float) -> Optional[list]:
     """An ACL that denies traffic outside 10/8 but never 10/8 itself.
 
@@ -195,7 +193,7 @@ def _sprinkle_acl(rng: random.Random, probability: float) -> Optional[list]:
         return None
     denied = rng.randint(20, 200) << 24
     return [
-        {"action": False, "src": [0, 0], "dst": _prefix_json(denied, 8)},
+        {"action": False, "src": [0, 0], "dst": [denied, 8]},
         {"action": True, "src": [0, 0], "dst": [0, 0]},
     ]
 
@@ -225,24 +223,17 @@ def chain_topology(
         name = f"d{i}"
         rng = _device_rng(seed, name)
         fib = [
-            [
-                _prefix_json(rng.getrandbits(32), rng.randint(8, 24)),
-                rng.choice((2, 2, 2, 3)),
-            ]
+            [[rng.getrandbits(32), rng.randint(8, 24)], rng.choice((2, 2, 2, 3))]
             for _ in range(max(fib_rules - 1, 0))
         ]
-        fib.append([_prefix_json(0, 0), 2])
+        fib.append([[0, 0], 2])
         desc: dict = {"fib": fib}
         if nat_probability > 0.0 and rng.random() < nat_probability:
             desc["nat"] = [
                 {
-                    "match_src": _prefix_json(0, 0),
-                    "match_dst": _prefix_json(
-                        rng.getrandbits(32), rng.randint(0, 16)
-                    ),
-                    "translate_dst": _prefix_json(
-                        rng.getrandbits(32), rng.randint(8, 24)
-                    ),
+                    "match_src": [0, 0],
+                    "match_dst": [rng.getrandbits(32), rng.randint(0, 16)],
+                    "translate_dst": [rng.getrandbits(32), rng.randint(8, 24)],
                 }
             ]
         acl = _sprinkle_acl(rng, acl_probability)
@@ -326,26 +317,26 @@ def fat_tree_device(
         if not 0 <= c < half * half:
             raise ValueError(f"no such core switch: {name}")
         fib = [
-            [_prefix_json((10 << 24) | (p << 16), 16), p + 1] for p in range(k)
+            [[(10 << 24) | (p << 16), 16], p + 1] for p in range(k)
         ]
     elif name.startswith("agg_"):
         p, a = int(parts[1]), int(parts[2])
         if not (0 <= p < k and 0 <= a < half):
             raise ValueError(f"no such aggregation switch: {name}")
         fib = [
-            [_prefix_json((10 << 24) | (p << 16) | (e << 8), 24), e + 1]
+            [[(10 << 24) | (p << 16) | (e << 8), 24], e + 1]
             for e in range(half)
         ]
-        fib.append([_prefix_json(0, 0), half + 1 + rng.randrange(half)])
+        fib.append([[0, 0], half + 1 + rng.randrange(half)])
     elif name.startswith("edge_"):
         p, e = int(parts[1]), int(parts[2])
         if not (0 <= p < k and 0 <= e < half):
             raise ValueError(f"no such edge switch: {name}")
         fib = [
-            [_prefix_json(fat_tree_host_address(p, e, h), 32), h + 1]
+            [[fat_tree_host_address(p, e, h), 32], h + 1]
             for h in range(hosts_per_edge)
         ]
-        fib.append([_prefix_json(0, 0), half + 1 + rng.randrange(half)])
+        fib.append([[0, 0], half + 1 + rng.randrange(half)])
     elif name.startswith("host_"):
         p, e, h = int(parts[1]), int(parts[2]), int(parts[3])
         if not (0 <= p < k and 0 <= e < half and 0 <= h < hosts_per_edge):
@@ -353,8 +344,8 @@ def fat_tree_device(
         # Port 1 is the uplink; port 2 is unlinked local delivery (the
         # sink boundary reachability queries point at).
         fib = [
-            [_prefix_json(fat_tree_host_address(p, e, h), 32), 2],
-            [_prefix_json(0, 0), 1],
+            [[fat_tree_host_address(p, e, h), 32], 2],
+            [[0, 0], 1],
         ]
     else:
         raise ValueError(f"unknown fat-tree device name: {name}")

@@ -17,6 +17,7 @@ from repro.service import (
     clamp_spec_deadline,
 )
 from repro.service.spec import MIN_REMAINING_S, Budget, QuerySpec
+from repro.telemetry import delta
 
 
 class FakeClock:
@@ -159,7 +160,7 @@ class TestAdmissionController:
         assert all(
             isinstance(v, (int, float)) for v in after.values()
         )
-        diff = ctl.delta(before, after)
+        diff = delta(before, after)
         assert diff["admitted.interactive"] == 1
         # fuzz limit at depth 4 is 3 shared slots: two fuzz admits fit
         # behind the interactive task, the rest are rejected.

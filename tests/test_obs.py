@@ -29,6 +29,7 @@ from repro.obs import (
     write_bundle,
     write_status_file,
 )
+from repro.telemetry import delta
 from tests.service_faults import MAGIC
 
 EQ = "tests.service_faults:eq_model"
@@ -149,7 +150,7 @@ class TestFlightRecorder:
         recorder.record_event("shed")
         recorder.trigger("test")  # no bundle_dir: event only
         after = recorder.snapshot()
-        moved = recorder.delta(before, after)
+        moved = delta(before, after)
         assert moved["spans"] == 1
         assert moved["events"] == 2  # "shed" + the trigger event
         assert moved["triggers"] == 1
