@@ -3,10 +3,11 @@
 Decomposes an end-to-end reachability/invariant query over an
 N-device topology into independent per-shard interface summaries that
 fan out across the :class:`~repro.service.QueryEngine` worker pool,
-then recomposes them by chaining images along the topology and
-discharging the interface assumptions — escalating to exact
-re-summaries, and finally to the joint monolithic fixpoint, only when
-the cheap decomposition cannot certify the verdict.
+then recomposes them by chaining the summaries along the topology and
+discharging the interface assumptions.  A summary is exact for every
+set that can arrive at its shard — a rewriting shard ships guarded
+rewrites, not the image of one assumed set — so every query is one
+dispatch round and one recompose pass.
 
 Public surface:
 
@@ -15,7 +16,8 @@ Public surface:
 * :func:`compute_shard_summary` — the picklable worker entry
   (``repro.compose.shard:compute_shard_summary``);
 * :func:`recompose` — the parent-side chaining fixpoint;
-* :func:`monolithic_verdict` — the joint-query oracle/fallback;
+* :func:`monolithic_verdict` — the joint-query oracle (and the
+  driver's fallback when a witness fails replay);
 * :func:`build_network` / :func:`replay` — the payload as one
   :class:`~repro.network.Network` (the only device model) and one
   concrete header walked through its Zen hop (the witness check).

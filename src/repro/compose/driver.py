@@ -1,4 +1,4 @@
-"""The compose driver: plan, fan out, recompose, escalate.
+"""The compose driver: plan, fan out, recompose.
 
 :func:`run_composed` is the public entry point of the compositional
 sharding subsystem.  It decomposes one end-to-end reachability or
@@ -8,22 +8,22 @@ fanned out across the :class:`~repro.service.QueryEngine` worker pool
 as independent ``kind="call"`` specs, then chains the summaries back
 together (:mod:`~repro.compose.recompose`).
 
-The escalation ladder, cheapest first:
+Every summary is exact for every set inside its shard's assumption,
+so one dispatch round and one recompose pass decide the verdict.  Two
+things remain that are not the verdict itself:
 
-1. recompose with the planner's interface assumptions;
-2. if a shard's assumption failed to discharge, or a rewriting shard's
-   over-approximation taints a "reachable" verdict, re-dispatch just
-   those shards with *exact* per-entry assumptions taken from the
-   converged arriving sets — shipped to the worker as one node table
-   per task — and recompose again (bounded rounds);
-3. fall back to the joint monolithic fixpoint
-   (:mod:`~repro.compose.monolith`) when rounds ran out, or a
-   compositional witness fails concrete replay through the Zen hop
-   (:func:`~repro.compose.topo.replay`).
+* a reachable verdict on a rewrite-free topology carries a witness,
+  which is replayed concretely through the Zen hop
+  (:func:`~repro.compose.topo.replay`); a mismatch falls back to the
+  joint monolithic fixpoint (:mod:`~repro.compose.monolith`) — a
+  safety net, not a rung any workload is meant to reach;
+* an arriving set that escapes its shard's assumption means the
+  planner assumed what it cannot prove, and raises
+  :class:`~repro.errors.ZenComposeError`.
 
 A shard whose dispatch fails terminally raises
-:class:`~repro.errors.ZenComposeError` — a missing interface image is
-a structural failure, never silently skipped.
+:class:`~repro.errors.ZenComposeError` too — a missing interface
+summary is a structural failure, never silently skipped.
 """
 
 from __future__ import annotations
@@ -38,17 +38,15 @@ from ..network import Header
 from ..service.spec import QuerySpec
 from ..telemetry.metrics import METRICS
 from ..telemetry.spans import span
-from .cubes import assignment_header, header_table
+from .cubes import assignment_header
 from .monolith import monolithic_verdict
-from .plan import Plan, plan_shards, point_key
+from .plan import plan_shards
 from .recompose import CANARY_DROP_ASSUMPTION, RecomposeOutcome, recompose
 from .shard import compute_shard_summary
 from .topo import build_network, has_nat, replay
 
 #: module:attr builder reference resolved inside service workers.
 SHARD_BUILDER = "repro.compose.shard:compute_shard_summary"
-
-DEFAULT_MAX_ESCALATIONS = 3
 
 
 @dataclass
@@ -59,13 +57,15 @@ class ComposedResult:
     reachable: bool
     witness: Optional[Dict[str, int]]
     shard_count: int
-    escalations: int
     monolith_fallback: bool
-    exact: bool
     recompose_ms: float
     total_ms: float
     dropped_devices: List[str] = field(default_factory=list)
     summaries: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+
+    #: Re-dispatch rounds; always 0 since summaries are exact for any
+    #: input, kept because benchmark rows record it.
+    escalations = 0
 
     @property
     def holds(self) -> bool:
@@ -113,35 +113,12 @@ def _witness_from_hit(outcome: RecomposeOutcome) -> Optional[Dict[str, int]]:
     return assignment_header(assignment, outcome.levels)
 
 
-def _exact_entries(
-    outcome: RecomposeOutcome, task: Dict[str, Any]
-) -> Dict[str, Any]:
-    """`task` with its entries' converged arriving sets as assumptions."""
-    keys = [point_key((device, int(port))) for device, port in task["entries"]]
-    arriving = [outcome.arriving.get(key, 0) for key in keys]
-    manager = outcome.context.manager
-    table, refs = header_table(manager, outcome.levels, arriving)
-    return {**task, "table": table, "entry_assumptions": dict(zip(keys, refs))}
-
-
-def _fallback(
-    topo: Dict[str, Any],
-    query: Dict[str, Any],
-    budget,
-    reason: str,
-):
-    METRICS.counter("compose.monolith_fallbacks").inc()
-    METRICS.counter(f"compose.fallback.{reason}").inc()
-    return monolithic_verdict(topo, query, budget=budget)
-
-
 def run_composed(
     topo: Dict[str, Any],
     query: Dict[str, Any],
     engine=None,
     *,
     budget: Optional[Dict[str, Any]] = None,
-    max_escalations: int = DEFAULT_MAX_ESCALATIONS,
     timeout_s: Optional[float] = None,
     bug: Optional[str] = None,
 ) -> ComposedResult:
@@ -166,77 +143,49 @@ def run_composed(
             for s in _dispatch(plan.shards, engine, timeout_s)
         }
 
-        escalations = 0
-        recompose_s = 0.0
-        while True:
-            recompose_started = time.monotonic()
-            outcome = recompose(plan, summaries, bug=bug)
-            recompose_s += time.monotonic() - recompose_started
-            if canary or outcome.trusted:
-                break
-            if escalations >= max_escalations:
-                break
-            # Escalate: re-summarise the problem shards under exact
-            # per-entry assumptions from the converged arriving sets.
-            needs = set(outcome.assumption_failures)
-            if outcome.hit_node != 0:
-                needs |= outcome.tainted_shards
-            if not needs:
-                break
-            escalations += 1
-            METRICS.counter("compose.escalations").inc()
-            retasks = [
-                _exact_entries(outcome, plan.shard(sid)) for sid in sorted(needs)
-            ]
-            for summary in _dispatch(retasks, engine, timeout_s):
-                summaries[summary["shard_id"]] = summary
+        recompose_started = time.monotonic()
+        outcome = recompose(plan, summaries, bug=bug)
+        recompose_ms = (time.monotonic() - recompose_started) * 1000.0
+        if not (canary or outcome.trusted):
+            failed = sorted(outcome.assumption_failures)
+            raise ZenComposeError(
+                f"arriving headers escape the interface assumption of "
+                f"{', '.join(failed)}: the planner assumed what it cannot prove",
+                shard_id=failed[0],
+            )
 
         def finish(
             reachable: bool,
             witness: Optional[Dict[str, int]],
             monolith_fallback: bool,
-            exact: bool,
         ) -> ComposedResult:
             live.set("reachable", reachable)
-            live.set("escalations", escalations)
             live.set("monolith_fallback", monolith_fallback)
             return ComposedResult(
                 mode=plan.mode,
                 reachable=reachable,
                 witness=witness,
                 shard_count=len(plan.shards),
-                escalations=escalations,
                 monolith_fallback=monolith_fallback,
-                exact=exact,
-                recompose_ms=recompose_s * 1000.0,
+                recompose_ms=recompose_ms,
                 total_ms=(time.monotonic() - started) * 1000.0,
                 dropped_devices=plan.dropped_devices,
                 summaries=summaries,
             )
 
-        if canary:
-            # Buggy path under test: trust the fixpoint blindly.
-            return finish(outcome.hit_node != 0, None, False, False)
-
-        if not outcome.trusted:
-            mono = _fallback(topo, query, budget, "escalation_exhausted")
-            return finish(mono.reachable, mono.witness, True, True)
-
         if outcome.hit_node == 0:
-            return finish(False, None, False, not outcome.tainted_shards)
-
-        # Reachable and trusted.  For rewrite-free topologies the
-        # delivered header *is* the injected header, so replay it
-        # through the Zen hop as a final cross-check.
-        if not has_nat(topo):
-            witness = _witness_from_hit(outcome)
-            network = build_network(topo, (plan.source, plan.sink))
-            if replay(network, query, Header(**witness)) is not None:
-                return finish(True, witness, False, True)
-            METRICS.counter("compose.replay_mismatches").inc()
-            mono = _fallback(topo, query, budget, "replay_mismatch")
-            return finish(mono.reachable, mono.witness, True, True)
-        # Rewriting topology: the verdict is exact (escalation proved
-        # it) but the delivered header is post-NAT; no initial-header
-        # witness without the joint machine.
-        return finish(True, None, False, True)
+            return finish(False, None, False)
+        if canary or has_nat(topo):
+            # The delivered header is post-NAT: no initial-header witness
+            # without the joint machine.  The canary trusts it blindly.
+            return finish(True, None, False)
+        # Rewrite-free: the delivered header *is* the injected header, so
+        # replay it through the Zen hop as a final cross-check.
+        witness = _witness_from_hit(outcome)
+        network = build_network(topo, (plan.source, plan.sink))
+        if replay(network, query, Header(**witness)) is not None:
+            return finish(True, witness, False)
+        METRICS.counter("compose.replay_mismatches").inc()
+        METRICS.counter("compose.monolith_fallbacks").inc()
+        mono = monolithic_verdict(topo, query, budget=budget)
+        return finish(mono.reachable, mono.witness, True)

@@ -1,7 +1,7 @@
 """The monolithic joint query: one fixpoint over the whole network.
 
-This is both the escalation fallback and the differential oracle for
-the compositional path.  The network is modelled as a single Zen state
+This is the differential oracle for the compositional path, and the
+driver's safety net when a composed witness fails concrete replay.  The network is modelled as a single Zen state
 machine over :class:`NetState` — (device, port, alive, header) — whose
 step function states each device's hop with the same
 :mod:`repro.network.device` pieces as the shards and the witness

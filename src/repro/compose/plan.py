@@ -13,11 +13,14 @@ Assumption policy
 When no device in the topology rewrites headers, every header anywhere
 in the network is one of the originally injected headers, so the
 query's ``headers`` cover is a valid interface assumption for *every*
-shard — workers then restrict their pass-set computation to it, which
-keeps the per-shard BDDs small.  With NAT present the planner makes no
-interface assumption (universe): the first recompose pass
-over-approximates and the driver escalates only the shards whose
-interfaces actually matter.
+shard — workers then restrict their guards to it, which keeps the
+per-shard BDDs small.  With NAT present the planner makes no interface
+assumption (universe); a summary is exact for every arriving set
+either way (:mod:`~repro.compose.shard`), so the assumption only
+bounds the work, never the answer.  It stays because that bound is
+not free to drop: without it, ``compose_fattree``'s recompose went
+0.55 → 2.5–2.8 ms and its pickled summary 1.44 → 2.5 kB (two traced
+pairs), and ``verdict_s_p50`` 0–13 % worse (three alternated pairs).
 """
 
 from __future__ import annotations
@@ -56,12 +59,6 @@ class Plan:
     headers: Cover
     target: Cover
     dropped_devices: List[str] = field(default_factory=list)
-
-    def shard(self, shard_id: str) -> Dict[str, Any]:
-        for task in self.shards:
-            if task["shard_id"] == shard_id:
-                return task
-        raise KeyError(shard_id)
 
 
 def _bfs_layers(

@@ -1,49 +1,43 @@
-"""Recomposition: chain shard images and discharge assumptions.
+"""Recomposition: chain shard summaries and discharge assumptions.
 
 The recomposer runs in the parent process over its *own* transformer
 context.  It propagates header sets along the plan's boundary map —
-``arriving[entry] → image → arriving[next entry]`` — to a fixpoint,
-then intersects what reached the sink with the query target.
+``arriving[entry] → flows → arriving[next entry]`` — to a fixpoint,
+then intersects what reached the sink with the query target.  A set
+``S`` arriving at an entry leaves at an exit as the union of that
+pair's flows ``∃X. (S ∧ G) ∧ P`` (:mod:`~repro.compose.shard`): one
+``and_exists`` per flow, exact for any ``S`` inside the shard's
+assumption, so one pass decides the verdict in both directions.
 
-Assume-guarantee bookkeeping is judged against the *converged*
-arriving sets (judging mid-fixpoint would never stabilise under
-escalation, because intermediate worklist pops see partially-grown
-sets):
-
-* **Discharge** — every entry's final arriving set must be contained
-  in the assumption its shard was summarised under; a violation means
-  the images say nothing about the uncovered headers and the verdict
-  cannot be trusted in *either* direction.  The driver escalates such
-  shards with exact entry assumptions.
-* **Exactness** — a ``filters_only`` shard never rewrites headers, so
-  its true image of ``S`` is ``S ∩ image(assumption)`` and the chained
-  set stays exact.  A rewriting shard's image is the image of its
-  whole assumption: exact precisely when the converged arriving set
-  *equals* that assumption (escalation re-dispatches converge towards
-  this), otherwise an over-approximation — sound for "unreachable",
-  *tainted* for "reachable".
+**Discharge** is judged against the *converged* arriving sets: every
+entry's final arriving set must be contained in the assumption its
+shard was summarised under.  The planner only assumes what it can
+prove (the query's ``headers`` when nothing rewrites, the universe
+otherwise), so a violation is a planner bug; the outcome is then not
+``trusted`` and the driver raises.
 
 Each summary's sets arrive as references into its one node table
 (:func:`~repro.compose.cubes.header_sets`), imported once per summary
-before the fixpoint starts; every image is exact, so no summary is
-ever "unknown".
+before the fixpoint starts.
 
 The injectable canary bug ``compose-drop-assumption`` (see
-``repro.fuzz``) lives here: it skips discharge and treats rewriting
-shards as filters, which silently corrupts verdicts on NAT topologies
-— exactly the class of unsoundness the differential fuzz farm exists
-to catch.
+``repro.fuzz``) lives here: it skips discharge and chains every flow
+as a filter, ``S ∧ G ∧ P``, forgetting that the pinned bits were
+overwritten — which silently corrupts verdicts on NAT topologies,
+exactly the class of unsoundness the differential fuzz farm exists to
+catch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.transformers import TransformerContext
 from ..network import Header
 from ..telemetry.spans import span
-from .cubes import cover_node, header_sets
+from .cubes import Cube, cover_node, cube_literals, header_sets
 from .plan import Plan, parse_point, point_key
 
 #: Canary bug id: drop interface-assumption discharge in the recomposer.
@@ -57,17 +51,13 @@ class RecomposeOutcome:
     hit_node: int  # delivered ∩ target, in `context`
     context: TransformerContext
     levels: List[int]  # the context's header block
-    tainted_shards: Set[str] = field(default_factory=set)
     assumption_failures: Set[str] = field(default_factory=set)
     iterations: int = 0
-    arriving: Dict[str, int] = field(default_factory=dict)
 
     @property
     def trusted(self) -> bool:
-        """Whether the verdict needs no escalation in either direction."""
-        if self.assumption_failures:
-            return False
-        return self.hit_node == 0 or not self.tainted_shards
+        """Whether every arriving set discharged its shard's assumption."""
+        return not self.assumption_failures
 
 
 def recompose(
@@ -83,26 +73,27 @@ def recompose(
     manager = context.manager
     canary = bug == CANARY_DROP_ASSUMPTION
 
-    # Import each summary's node table once: its assumption ("" below),
-    # per-entry assumptions, and images indexed by entry for the worklist.
-    assumption_nodes: Dict[str, Dict[str, int]] = {}
-    images_of_entry: Dict[str, List[Tuple[str, int]]] = {}
+    # Import each summary's node table once: its assumption, and the
+    # flows ``(guard, pins)`` of every pair indexed by entry for the
+    # worklist.
+    assumptions: Dict[str, int] = {}
+    flows_of_entry: Dict[str, List[Tuple[str, List[Tuple[int, Cube]]]]] = {}
     for sid, summary in summaries.items():
-        echoed = summary.get("entry_assumptions") or {}
         images = summary["images"]
-        nodes = iter(
-            header_sets(
-                manager,
-                levels,
-                summary["table"],
-                [summary["assumption"], *echoed.values(), *images.values()],
-            )
+        flat = [flow for flows in images.values() for flow in flows]
+        nodes = header_sets(
+            manager,
+            levels,
+            summary["table"],
+            [summary["assumption"], *(ref for ref, _ in flat)],
         )
-        per_entry = assumption_nodes[sid] = {"": next(nodes)}
-        per_entry.update(zip(echoed, nodes))
-        for pair, image in zip(images, nodes):
+        assumptions[sid] = nodes[0]
+        imported = iter(zip(nodes[1:], (pins for _, pins in flat)))
+        for pair, flows in images.items():
             entry_key, exit_key = pair.split("|", 1)
-            images_of_entry.setdefault(entry_key, []).append((exit_key, image))
+            flows_of_entry.setdefault(entry_key, []).append(
+                (exit_key, list(islice(imported, len(flows))))
+            )
 
     sink_key = point_key(plan.sink)
     outcome = RecomposeOutcome(0, context, levels)
@@ -121,16 +112,18 @@ def recompose(
             outcome.iterations += 1
             entry_key = worklist.pop()
             current = arriving.get(entry_key, 0)
-            sid = shard_at(entry_key)
-            if current == 0 or sid is None:
+            if current == 0 or shard_at(entry_key) is None:
                 continue
-            summary = summaries[sid]
-            exact_summary = summary.get("filters_only") or canary
-            for exit_key, image in images_of_entry.get(entry_key, ()):
-                if exact_summary:
-                    flowed = manager.and_(current, image)
-                else:
-                    flowed = image  # whole-assumption image; judged below
+            for exit_key, flows in flows_of_entry.get(entry_key, ()):
+                flowed = 0
+                for guard, pins in flows:
+                    pinned = cube_literals(pins, levels)
+                    if canary:
+                        image = manager.and_(current, guard)
+                    else:
+                        image = manager.and_exists(current, guard, pinned)
+                    image = manager.and_(image, manager.cube(pinned))
+                    flowed = manager.or_(flowed, image)
                 if flowed == 0:
                     continue
                 if exit_key == sink_key:
@@ -145,26 +138,16 @@ def recompose(
                     if next_entry not in worklist:
                         worklist.append(next_entry)
 
-        # Judge discharge and exactness against the converged sets.
+        # Judge discharge against the converged sets.
         if not canary:
             for entry_key, final in arriving.items():
                 sid = shard_at(entry_key)
-                if final == 0 or sid is None:
-                    continue
-                per_entry = assumption_nodes[sid]
-                assumed = per_entry.get(entry_key, per_entry[""])
-                if manager.diff(final, assumed) != 0:
+                if sid is not None and manager.diff(final, assumptions[sid]):
                     outcome.assumption_failures.add(sid)
-                # Exact when summarised under exactly this arriving set.
-                exact_here = entry_key in per_entry and final == assumed
-                if not (summaries[sid].get("filters_only") or exact_here):
-                    outcome.tainted_shards.add(sid)
 
         target_node = cover_node(manager, levels, plan.target)
         outcome.hit_node = manager.and_(delivered, target_node)
-        outcome.arriving = arriving
         live.set("iterations", outcome.iterations)
-        live.set("tainted", len(outcome.tainted_shards))
         live.set("assumption_failures", len(outcome.assumption_failures))
         live.set("hit", outcome.hit_node != 0)
     return outcome

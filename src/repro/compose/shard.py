@@ -1,4 +1,4 @@
-"""Shard workers: per-shard interface image summaries.
+"""Shard workers: per-shard interface summaries, exact for any input.
 
 :func:`compute_shard_summary` is the compose fan-out's worker entry
 point.  It is addressed by the service layer as the ``module:attr``
@@ -7,12 +7,29 @@ one plain-JSON shard task (from :func:`~repro.compose.plan.plan_shards`)
 and returns a plain-JSON summary — nothing symbolic crosses the
 process boundary.
 
-For each (entry point, exit point) pair the worker computes the
-*image*: the set of headers that can leave the shard at the exit given
-that headers in the shard's interface assumption arrive at the entry.
+A device in this model only ever *pins* header bits: a NAT rule
+replaces the network bits of an address with a prefix's, or sets a
+port to a constant, for packets that matched its prefixes.  So a
+header anywhere inside a shard is the header ``e`` that entered it
+with some bits ``X`` overwritten by a cube of literals ``P``, and the
+set of headers that leaves the shard from an input set ``S`` is a
+union of *flows*
+
+    ``∃X. (S ∧ G) ∧ P``
+
+where the *guard* ``G`` is a set of entry headers and ``P`` the pins
+(``X`` is the bits ``P`` pins).  For each (entry point, exit point)
+pair the summary lists its flows; the recomposer applies them to
+whatever set actually arrives, so a summary is exact for every input
+inside the shard's interface assumption — it describes the interface,
+not one query.  A device without NAT never pins, so a filter shard has
+one flow per pair, with no pins, and its guard is the image of the
+assumption.
+
 Internally this is a small worklist fixpoint over the shard's own
-devices and links (shards may contain internal loops), built from two
-families of per-device sets:
+devices and links (shards may contain internal loops) that carries
+``{pins → guard}`` per point, built from two families of per-device
+sets over the header *entering* the device:
 
 * ``IN[d, p]``  — headers admitted by ``acl_in`` at port ``p``;
 * ``PRE[d, q]`` — headers whose *post-NAT* rewrite is forwarded to
@@ -25,40 +42,92 @@ so the NAT rewrite, the FIB chain and every match condition are
 compiled once per device, not once per port.  A port without an
 ingress ACL admits everything and has no ``IN`` set.
 
-A hop's image of a set ``S`` entering ``p`` and leaving ``q`` is then
-``S ∩ IN[p] ∩ PRE[q]``, pushed through the device's NAT rewrite when
-it has one.  Prefix NAT replaces network bits and keeps host bits, so
-its exact image is existential quantification of the replaced bits
-followed by pinning them — orders of magnitude cheaper than building
-the rewrite's full transition relation
-(:func:`~repro.core.forward_image` does that for arbitrary step
-functions; the monolithic fallback still uses that general path).
-Devices without NAT never rewrite, so their images are plain
-intersections and the summary is marked ``filters_only`` — the
-recomposer exploits that for exactness.
+A hop of flow ``(P, G)`` entering ``p`` and leaving ``q`` restricts
+``IN[p] ∧ PRE[q]`` by ``P`` (the device sees ``e`` with ``P`` written
+over it) and ANDs it into ``G``.  A NAT device then splits the flow
+first-match over its rules: each rule is one ``(match cube, pins)``
+pair (:func:`nat_cubes`), adds its match (restricted by ``P``) to the
+guard and writes its pins over ``P``; what no rule matches keeps ``P``.
 
-The summary ships its sets as BDDs: every image and assumption is a
-reference into **one** node table, written in one walk
+The summary ships its guards as BDDs: the assumption and every guard
+are references into **one** node table, written in one walk
 (:func:`~repro.compose.cubes.header_table`), exact and linear in the
-BDD's size — an image is never "unknown", however many paths it has.
+BDD's size; pins ship as one cube of the cover form.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, NamedTuple
+from typing import Any, Dict, List, NamedTuple, Tuple
 
 from ..core import start_meter
 from ..core.transformers import StateSet, TransformerContext
 from ..core.budget import Budget
 from ..lang import Zen
-from ..network import NULL_PORT, Header, NatRule, Prefix, forward
+from ..network import NULL_PORT, Header, NatRule, forward
 from ..network.device import Device, admits, permits, rewrite
-from ..telemetry.metrics import METRICS
 from ..telemetry.spans import span
-from .cubes import _OFFSETS, cover_node, header_sets, header_table, validate_cover
-from .plan import pair_key, point_key
+from .cubes import Cube, cover_node, cube_literals, header_table, validate_cover
+from .plan import pair_key
 from .topo import Point, build_network
+
+#: A cube as sorted ``(field, value, mask)`` triples: hashable, canonical.
+Pins = Tuple[Tuple[str, int, int], ...]
+#: The flows at one point: pins written so far → guard on entry headers.
+Flows = Dict[Pins, int]
+
+
+def _pins(cube: Cube) -> Pins:
+    return tuple(sorted((f, value, mask) for f, (value, mask) in cube.items()))
+
+
+def _cube(pins: Pins) -> Cube:
+    return {field: [value, mask] for field, value, mask in pins}
+
+
+def _override(pins: Pins, cube: Cube) -> Pins:
+    """`pins` with `cube`'s literals written over them."""
+    merged = _cube(pins)
+    for field, (value, mask) in cube.items():
+        old_value, old_mask = merged.get(field, (0, 0))
+        merged[field] = [old_value & ~mask | value, old_mask | mask]
+    return _pins(merged)
+
+
+def _merge(manager, into: Flows, flows: Flows) -> bool:
+    """Union `flows` into `into`; whether any guard grew."""
+    grew = False
+    for pins, guard in flows.items():
+        prior = into.get(pins, 0)
+        grown = manager.or_(prior, guard)
+        if grown != prior:
+            into[pins] = grown
+            grew = True
+    return grew
+
+
+def nat_cubes(rule: NatRule) -> Tuple[Cube, Cube]:
+    """One NAT rule as ``(match cube, pins)``: what it matches and what
+    it writes.  A prefix translation pins the network bits and keeps
+    the host bits; a port rewrite pins the whole port."""
+    match = {
+        "src_ip": [rule.match_src.address, rule.match_src.mask],
+        "dst_ip": [rule.match_dst.address, rule.match_dst.mask],
+    }
+    pins: Cube = {}
+    for field, prefix in (
+        ("src_ip", rule.translate_src),
+        ("dst_ip", rule.translate_dst),
+    ):
+        if prefix is not None:
+            pins[field] = [prefix.address, prefix.mask]
+    for field, port in (
+        ("src_port", rule.set_src_port),
+        ("dst_port", rule.set_dst_port),
+    ):
+        if port is not None:
+            pins[field] = [port, 0xFFFF]
+    return match, pins
 
 
 class _DeviceSets(NamedTuple):
@@ -79,8 +148,8 @@ class _ShardModel:
         self.header_type = header_type
         self.levels = levels
         self.meter = meter
-        self.universe = context.universe(header_type)
         self._sets: Dict[str, _DeviceSets] = {}
+        self._nat: Dict[str, List[Tuple[int, Cube]]] = {}
         self.set_ops = 0
 
     def sets(self, device: Device) -> _DeviceSets:
@@ -122,110 +191,58 @@ class _ShardModel:
         )
         return built
 
-    def _prefix_literals(self, field: str, prefix: Prefix) -> Dict[int, bool]:
-        offset = _OFFSETS[field]
-        return {
-            self.levels[offset + slot]: bool(
-                prefix.address & (1 << (31 - slot))
-            )
-            for slot in range(prefix.length)
-        }
+    def nat_rules(self, device: Device) -> List[Tuple[int, Cube]]:
+        """The device's NAT table as ``(match node, pins)`` pairs."""
+        built = self._nat.get(device.name)
+        if built is None:
+            manager = self.context.manager
+            built = self._nat[device.name] = [
+                (manager.cube(cube_literals(match, self.levels)), pins)
+                for match, pins in map(nat_cubes, device.nat.rules)
+            ]
+        return built
 
-    def _set_field(
-        self, node: int, field: str, literals: Dict[int, bool]
-    ) -> int:
-        """Forget the given bits of a field, then pin them to `literals`."""
-        manager = self.context.manager
-        freed = manager.exists(node, literals.keys())
-        return manager.and_(freed, manager.cube(literals))
-
-    def _rule_image(self, node: int, rule: NatRule) -> int:
-        """Exact image of one NAT rule's rewrite on a matched set.
-
-        A prefix rewrite replaces the network bits and keeps host
-        bits, so the image is existential quantification of the
-        replaced bits followed by pinning them — no transition
-        relation needed.
-        """
-        result = node
-        if rule.translate_src is not None:
-            result = self._set_field(
-                result,
-                "src_ip",
-                self._prefix_literals("src_ip", rule.translate_src),
-            )
-        if rule.translate_dst is not None:
-            result = self._set_field(
-                result,
-                "dst_ip",
-                self._prefix_literals("dst_ip", rule.translate_dst),
-            )
-        for value, field, width in (
-            (rule.set_src_port, "src_port", 16),
-            (rule.set_dst_port, "dst_port", 16),
-        ):
-            if value is None:
-                continue
-            offset = _OFFSETS[field]
-            literals = {
-                self.levels[offset + slot]: bool(
-                    value & (1 << (width - 1 - slot))
-                )
-                for slot in range(width)
-            }
-            result = self._set_field(result, field, literals)
-        return result
-
-    def nat_image(self, device: Device, node: int) -> int:
-        """Exact image of a set under the device's NAT table."""
-        manager = self.context.manager
-        remaining = node
-        image = 0
-        for rule in device.nat.rules:
-            match = manager.cube(
-                {
-                    **self._prefix_literals("src_ip", rule.match_src),
-                    **self._prefix_literals("dst_ip", rule.match_dst),
-                }
-            )
-            hit = manager.and_(remaining, match)
-            remaining = manager.diff(remaining, match)
-            if hit != 0:
-                image = manager.or_(image, self._rule_image(hit, rule))
-            if remaining == 0:
-                break
-        return manager.or_(image, remaining)  # unmatched pass unchanged
-
-    def hop_image(
-        self, device: Device, in_port: int, out_port: int, arriving: StateSet
-    ) -> StateSet:
-        """Image of `arriving` across one device hop (may rewrite)."""
+    def hop(
+        self, device: Device, in_port: int, out_port: int, pins: Pins, guard: int
+    ) -> Flows:
+        """The flows that flow ``(pins, guard)`` becomes across one hop."""
         if self.meter is not None:
             self.meter.check_deadline()
         self.set_ops += 1
+        manager = self.context.manager
         sets = self.sets(device)
+        literals = cube_literals(_cube(pins), self.levels)
+        passing = guard
         # A port without an ingress ACL admits everything: nothing to compile.
-        passing = arriving.intersect(
-            sets.admitted.get(in_port, self.universe)
-        ).intersect(sets.pre[out_port])
-        if device.nat is None or passing.node == 0:
-            return passing
-        METRICS.counter("compose.nat_images").inc()
-        return StateSet(
-            self.context,
-            self.header_type,
-            self.nat_image(device, passing.node),
-        )
+        if in_port in sets.admitted:
+            admitted = manager.restrict(sets.admitted[in_port].node, literals)
+            passing = manager.and_(passing, admitted)
+        pre = manager.restrict(sets.pre[out_port].node, literals)
+        passing = manager.and_(passing, pre)
+        if device.nat is None or passing == 0:
+            return {pins: passing} if passing else {}
+        flows: Flows = {}
+        for match, written in self.nat_rules(device):
+            match = manager.restrict(match, literals)
+            hit = manager.and_(passing, match)
+            passing = manager.diff(passing, match)
+            if hit != 0:
+                _merge(manager, flows, {_override(pins, written): hit})
+            if passing == 0:
+                break
+        else:  # what no rule matches passes unchanged
+            _merge(manager, flows, {pins: passing})
+        return flows
 
 
 def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Compute one shard's interface image summary (worker entry).
+    """Compute one shard's interface summary (worker entry).
 
-    `task` is a shard dict from :func:`~repro.compose.plan.plan_shards`,
-    optionally with per-entry exact assumptions (escalation
-    re-dispatch): ``entry_assumptions`` maps an entry point key to a
-    reference into the task's node ``table``.  Returns a plain dict;
-    see the module docstring for semantics.
+    `task` is a shard dict from :func:`~repro.compose.plan.plan_shards`.
+    Returns a plain dict: ``table`` (one node table), ``assumption`` (a
+    reference into it) and ``images``, which maps each ``entry|exit``
+    pair key to its flows ``[[guard_ref, pins], ...]``; see the module
+    docstring for what they mean.
     """
     started = time.monotonic()
     shard_id = task["shard_id"]
@@ -239,70 +256,61 @@ def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
     header_type = context.universe(Header).zen_type
     levels = context.space(header_type).levels
     manager = context.manager
-    given = task.get("entry_assumptions") or {}
-    nodes = header_sets(manager, levels, task.get("table", []), [*given.values()])
-    entry_nodes = dict(zip(given, nodes))
     base = cover_node(manager, levels, assumption)
     model = _ShardModel(context, header_type, levels, meter)
     devices = network.devices
-    filters_only = all(d.nat is None for d in devices.values())
 
-    images: Dict[str, int] = {}
+    images: Dict[str, Flows] = {}
     rounds = 0
 
     with span(
         "compose.shard", shard=shard_id, devices=len(devices)
     ) as live:
         for entry in entries:
-            seed = StateSet(
-                context, header_type, entry_nodes.get(point_key(entry), base)
-            )
-            arriving: Dict[Point, StateSet] = {entry: seed}
-            reached_exits: Dict[Point, StateSet] = {}
+            arriving: Dict[Point, Flows] = {entry: {(): base} if base else {}}
+            reached_exits: Dict[Point, Flows] = {}
             worklist: List[Point] = [entry]
             while worklist:
                 if meter is not None:
                     meter.check_deadline()
                 rounds += 1
                 name, port = worklist.pop()
-                current = arriving[(name, port)]
-                if current.node == 0:
+                current = list(arriving[(name, port)].items())
+                if not current:
                     continue
                 device = devices[name]
                 for q in model.sets(device).out_ports:
-                    image = model.hop_image(device, port, q, current)
-                    if image.node == 0:
-                        continue
-                    if (name, q) in exits:
-                        prior = reached_exits.get((name, q))
-                        reached_exits[(name, q)] = (
-                            image if prior is None else prior.union(image)
-                        )
-                    linked = device.interface(q).neighbor
-                    if linked is not None:
-                        neighbour = (linked.device.name, linked.id)
-                        prior = arriving.get(neighbour)
-                        grown = (
-                            image if prior is None else prior.union(image)
-                        )
-                        if prior is None or not grown.equals(prior):
-                            arriving[neighbour] = grown
-                            if neighbour not in worklist:
+                    for pins, guard in current:
+                        flows = model.hop(device, port, q, pins, guard)
+                        if not flows:
+                            continue
+                        if (name, q) in exits:
+                            reached = reached_exits.setdefault((name, q), {})
+                            _merge(manager, reached, flows)
+                        linked = device.interface(q).neighbor
+                        if linked is not None:
+                            neighbour = (linked.device.name, linked.id)
+                            into = arriving.setdefault(neighbour, {})
+                            grew = _merge(manager, into, flows)
+                            if grew and neighbour not in worklist:
                                 worklist.append(neighbour)
             for exit_point, reached in reached_exits.items():
-                images[pair_key(entry, exit_point)] = reached.node
+                images[pair_key(entry, exit_point)] = reached
         live.set("entries", len(entries))
         live.set("images", len(images))
 
-    table, refs = header_table(
-        manager, levels, [base, *entry_nodes.values(), *images.values()]
-    )
-    summary: Dict[str, Any] = {
+    ordered = {pair: sorted(flows.items()) for pair, flows in images.items()}
+    guards = [guard for flows in ordered.values() for _, guard in flows]
+    table, refs = header_table(manager, levels, [base, *guards])
+    guard_refs = iter(refs[1:])
+    return {
         "shard_id": shard_id,
-        "filters_only": filters_only,
         "table": table,
         "assumption": refs[0],
-        "images": dict(zip(images, refs[1 + len(entry_nodes) :])),
+        "images": {
+            pair: [[next(guard_refs), _cube(pins)] for pins, _ in flows]
+            for pair, flows in ordered.items()
+        },
         "stats": {
             "devices": len(devices),
             "entries": len(entries),
@@ -312,6 +320,3 @@ def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
             "elapsed_ms": (time.monotonic() - started) * 1000.0,
         },
     }
-    if entry_nodes:
-        summary["entry_assumptions"] = dict(zip(entry_nodes, refs[1:]))
-    return summary

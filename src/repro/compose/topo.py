@@ -10,11 +10,20 @@ inside a :class:`~repro.service.QuerySpec` payload::
      "links": [[dev_a, port_a, dev_b, port_b], ...],
      "groups": {group_name: [device, ...]}}            # optional
 
-A device dict and every rule in it have the one JSON form
-:mod:`repro.network.payload` states (closed dicts, ints never bools,
-``[lo, hi]`` port ranges with ``lo <= hi``, ACL port keys in canonical
-decimal).  :func:`validate_topology` checks every device where the
-payload enters, so a malformed one never reaches a worker.
+and a query names two points and two cube covers
+(:mod:`~repro.compose.cubes`; a missing cover is the universe)::
+
+    {"mode": "reach" | "invariant", "source": [device, port],
+     "sink": [device, port], "headers": cover, "target": cover}
+
+Both dicts are closed: an unknown key is an error (a misspelt
+``headers`` would otherwise inject every header, a misspelt ``links``
+drop every link).  A device dict and every rule in it have the one
+JSON form :mod:`repro.network.payload` states (closed dicts, ints
+never bools, ``[lo, hi]`` port ranges with ``lo <= hi``, ACL port
+keys in canonical decimal).  :func:`validate_topology` checks every
+device where the payload enters, so a malformed one never reaches a
+worker.
 
 There is one device model: :func:`build_network` lifts the payload
 into :mod:`repro.network` devices and interfaces, and the per-shard
@@ -48,6 +57,7 @@ from ..network import (
 from ..network.payload import (
     acl_from_json,
     check_device,
+    check_keys,
     fib_from_json,
     is_int,
     nat_from_json,
@@ -77,7 +87,7 @@ def _is_port(value: Any, lowest: int = 0) -> bool:
 
 def validate_topology(topo: Any) -> Dict[str, Any]:
     """Shape-check a topology payload; returns it for chaining."""
-    _require(isinstance(topo, dict), "topology must be a dict")
+    check_keys(topo, ("devices", "links", "groups"), "topology", "topology")
     devices = topo.get("devices")
     _require(isinstance(devices, dict) and devices, "topology needs devices")
     for name, spec in devices.items():
@@ -119,7 +129,8 @@ def validate_topology(topo: Any) -> Dict[str, Any]:
 
 def validate_query(topo: Dict[str, Any], query: Any) -> Dict[str, Any]:
     """Shape-check a query payload against its topology."""
-    _require(isinstance(query, dict), "query must be a dict")
+    keys = ("mode", "source", "sink", "headers", "target")
+    check_keys(query, keys, "query", "query")
     mode = query.get("mode", "reach")
     _require(mode in ("reach", "invariant"), f"unknown query mode {mode!r}")
     devices = topo["devices"]

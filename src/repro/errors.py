@@ -204,15 +204,18 @@ class ZenBackendDisagreement(ZenServiceError):
 
 
 class ZenComposeError(ZenServiceError):
-    """A compositional query lost a shard it cannot recompose without.
+    """A compositional query lost a shard, or a shard's assumption.
 
     The compose driver fans per-shard summary tasks out through the
     query engine; when a shard's dispatch fails terminally (worker
     crash after retries, hard timeout, queue rejection) the
-    recomposition is missing an interface image and *must not* fall
-    back to guessing.  The failure is structural and carries
-    ``shard_id`` plus the underlying per-shard errors so callers can
-    re-dispatch or escalate to the monolithic query deliberately.
+    recomposition is missing an interface summary and *must not* fall
+    back to guessing.  The same error reports an arriving set that
+    escapes a shard's interface assumption — a planner bug, since the
+    planner only assumes what it can prove.  The failure is structural
+    and carries ``shard_id`` plus the underlying per-shard errors (if
+    any) so callers can re-dispatch or ask the monolithic query
+    deliberately.
     """
 
     def __init__(self, message, shard_id="", causes=()):

@@ -465,7 +465,7 @@ def _check_topology(
             report.detail = (
                 f"composed verdict is unreachable but {probe!r} is "
                 f"delivered per both concrete interpreters "
-                f"(mode={composed.mode}, escalations={composed.escalations})"
+                f"(mode={composed.mode}, shards={composed.shard_count})"
             )
             report.counterexample = probe
             return
@@ -510,7 +510,7 @@ def _check_topology(
         report.detail = (
             f"composed={composed.reachable} monolith={mono.reachable} "
             f"(fallback={composed.monolith_fallback}, "
-            f"escalations={composed.escalations})"
+            f"shards={composed.shard_count})"
         )
 
 

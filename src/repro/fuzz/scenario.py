@@ -43,7 +43,7 @@ from ..network.acl import AclRule, acl_allows, acl_match_line
 from ..network.device import Device, Interface, forward_along_path
 from ..network.fib import FwdRule
 from ..network.gre import GreTunnel
-from ..network.ip import Prefix
+from ..network.ip import MAX_IP, Prefix
 from ..network.nat import apply_nat
 from ..network.packet import Header, Packet
 from ..network.payload import (
@@ -57,6 +57,7 @@ from ..network.payload import (
     check_list,
     fib_from_json,
     interface_from_json,
+    is_int,
     nat_from_json,
 )
 from ..network.routemap import (
@@ -313,17 +314,13 @@ def _validate_int_ast(node: Any, num_vars: int, width: int, depth: int) -> None:
     op = node[0]
     if op == "var":
         _require(
-            len(node) == 2
-            and isinstance(node[1], int)
-            and 0 <= node[1] < num_vars,
+            len(node) == 2 and is_int(node[1], num_vars - 1),
             "zen var index out of range",
         )
         return
     if op == "const":
         _require(
-            len(node) == 2
-            and isinstance(node[1], int)
-            and 0 <= node[1] < (1 << width),
+            len(node) == 2 and is_int(node[1], (1 << width) - 1),
             "zen const out of range",
         )
         return
@@ -385,11 +382,7 @@ def validate_scenario(data: Any) -> Dict[str, Any]:
     kind = data.get("kind")
     _require(kind in SCENARIO_KINDS, f"unknown kind {kind!r}")
     _require(data.get("query") in ("find", "verify"), "bad query kind")
-    _require(
-        isinstance(data.get("max_list_length"), int)
-        and 1 <= data["max_list_length"] <= 8,
-        "bad max_list_length",
-    )
+    _require(is_int(data.get("max_list_length"), 8, 1), "bad max_list_length")
     # Unknown bug names would silently behave as "no bug" in the
     # reference interpreter; reject them instead.
     from .reference import KNOWN_BUGS, SYSTEM_BUGS
@@ -403,9 +396,8 @@ def validate_scenario(data: Any) -> Dict[str, Any]:
     _require(isinstance(payload, dict), "payload must be a dict")
     if kind == "acl":
         _check_acl(payload.get("rules"), "acl.rules")
-        target = payload.get("target_line")
         _require(
-            isinstance(target, int) and 0 <= target <= len(payload["rules"]),
+            is_int(payload.get("target_line"), len(payload["rules"])),
             "acl.target_line out of range",
         )
     elif kind == "nat":
@@ -422,14 +414,13 @@ def validate_scenario(data: Any) -> Dict[str, Any]:
         clauses = payload.get("clauses")
         check_list(CLAUSE, clauses, "routemap.clauses")
         _require(clauses, "routemap needs clauses")
-        target = payload.get("target_line")
         _require(
-            isinstance(target, int) and 0 <= target <= len(clauses),
+            is_int(payload.get("target_line"), len(clauses)),
             "routemap.target_line out of range",
         )
         check = payload.get("check_local_pref")
         _require(
-            check is None or (isinstance(check, int) and check >= 0),
+            check is None or is_int(check, MAX_IP),  # a UInt local pref
             "routemap.check_local_pref out of range",
         )
     elif kind == "path":
@@ -473,13 +464,10 @@ def validate_scenario(data: Any) -> Dict[str, Any]:
         )
     else:  # kind == "zen"
         width = payload.get("width")
-        _require(width in (8, 16), "zen.width must be 8 or 16")
-        _validate_int_vars = payload.get("vars")
-        _require(
-            isinstance(_validate_int_vars, int) and 1 <= _validate_int_vars <= 2,
-            "zen.vars must be 1 or 2",
-        )
-        _validate_bool_ast(payload.get("ast"), _validate_int_vars, width, 0)
+        _require(is_int(width, 16) and width in (8, 16), "zen.width must be 8 or 16")
+        num_vars = payload.get("vars")
+        _require(is_int(num_vars, 2, 1), "zen.vars must be 1 or 2")
+        _validate_bool_ast(payload.get("ast"), num_vars, width, 0)
     return data
 
 
@@ -686,10 +674,12 @@ class ScenarioGenerator:
         Reuses the workload chain builder (the compose payload format's
         canonical generator) with a scenario-derived seed, so the
         emitted JSON is exactly what :func:`repro.compose.run_composed`
-        consumes.  Queries often pin ``dst_ip`` — a constrained header
-        cover is what makes assume-guarantee discharge (and the
-        ``compose-drop-assumption`` canary) actually bite on rewriting
-        chains.
+        consumes.  Queries often pin ``dst_ip``: a constrained header
+        cover is what makes the recomposer's quantification of a NAT
+        flow's rewritten bits matter, so the ``compose-drop-assumption``
+        canary, which chains a flow without it, actually bites on
+        rewriting chains.  The farm draws two to four devices; longer
+        rewriting chains get their oracle from HSA in the compose tests.
         """
         from ..workloads.generators import chain_query, chain_topology
 

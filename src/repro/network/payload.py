@@ -169,7 +169,7 @@ PREFIX_LIST = Shape(
 )
 
 
-def _check_keys(
+def check_keys(
     data: Any, keys: Collection[str], where: str, noun: str
 ) -> None:
     """`data` is a dict whose keys all come from `keys`."""
@@ -190,7 +190,7 @@ class Record:
     required: Tuple[str, ...] = ()
 
     def check(self, data: Any, where: str) -> None:
-        _check_keys(data, self.fields, where, self.noun)
+        check_keys(data, self.fields, where, self.noun)
         for key, shape in self.fields.items():
             if data.get(key) is not None:
                 shape.check(data[key], f"{where}.{key}", f"{self.noun} {key}")
@@ -297,7 +297,7 @@ def check_device(spec: Any, where: str) -> None:
     ACLs; ``nat`` may also be null.  An ACL port key is written in
     canonical decimal, so two keys never name one port.
     """
-    _check_keys(spec, ("fib", "acl_in", "acl_out", "nat"), where, "device")
+    check_keys(spec, ("fib", "acl_in", "acl_out", "nat"), where, "device")
     check_list(FIB_ENTRY, spec.get("fib", []), f"{where}.fib")
     for side in ("acl_in", "acl_out"):
         acls = spec.get(side, {})
@@ -324,7 +324,7 @@ def check_interface(spec: Any, where: str) -> None:
     "gre_start": [src_ip, dst_ip], "gre_end"}``; a missing or null
     key means no ACL or no tunnel."""
     keys = ("acl_in", "acl_out", "gre_start", "gre_end")
-    _check_keys(spec, keys, where, "interface")
+    check_keys(spec, keys, where, "interface")
     for key in ("acl_in", "acl_out"):
         if spec.get(key) is not None:
             check_list(ACL_RULE, spec[key], f"{where}.{key}")

@@ -3,9 +3,9 @@
 The differential tests are the heart: on small hand-built chains the
 composed verdict must equal the monolithic fixpoint's for reachable,
 unreachable, and counterexample cases.  NAT topologies get
-known-truth checks instead (the joint fixpoint's transition relation
-blows up under rewrites — that asymmetry is the whole point of the
-subsystem) plus the escalation-path assertions.  Structural-failure
+known-truth and HSA checks instead (the joint fixpoint's transition
+relation blows up under rewrites — that asymmetry is the whole point of
+the subsystem), each answered in one dispatch round.  Structural-failure
 and chaos tests pin down the service contract: a lost shard raises
 :class:`~repro.errors.ZenComposeError`, never a silently wrong
 verdict, while a killed worker is absorbed by respawn + retry.
@@ -30,6 +30,7 @@ from repro.compose import (
     plan_shards,
     run_composed,
 )
+from repro.compose import driver
 from repro.compose.shard import _ShardModel
 from repro.core import transformers
 from repro.core.transformers import TransformerContext
@@ -111,6 +112,32 @@ def nat_chain():
         "target": None,
     }
     return topo, query
+
+
+@pytest.fixture
+def one_round(monkeypatch):
+    """Record every shard summary the driver computes and make the
+    monolith raise.  ``one_round(topo, query)`` then checks that the
+    queries since its last call summarised each planned shard once."""
+    summarised = []
+
+    def summarise(task):
+        summarised.append(task["shard_id"])
+        return compute_shard_summary(task)
+
+    def no_monolith(*args, **kwargs):
+        raise AssertionError("the composed query fell back to the monolith")
+
+    monkeypatch.setattr(driver, "compute_shard_summary", summarise)
+    monkeypatch.setattr(driver, "monolithic_verdict", no_monolith)
+
+    def check(topo, query) -> bool:
+        planned = [task["shard_id"] for task in plan_shards(topo, query).shards]
+        assert sorted(summarised) == sorted(planned)
+        summarised.clear()
+        return True
+
+    return check
 
 
 class TestComposedMatchesMonolith:
@@ -206,17 +233,19 @@ class TestComposedMatchesMonolith:
 
 
 class TestNatEscalation:
-    """Rewriting shards: known-truth verdicts via the escalation path."""
+    """Rewriting shards: known-truth verdicts, each from one dispatch
+    round — a rewriting shard's summary is exact for any arriving set,
+    so there is nothing left to escalate."""
 
-    def test_nat_reachable_known_truth(self):
+    def test_nat_reachable_known_truth(self, one_round):
         topo, query = nat_chain()
         composed = run_composed(topo, query)
         assert composed.reachable is True
         assert not composed.monolith_fallback
-        assert composed.exact
-        # A rewriting shard taints the first recompose pass; the
-        # verdict must have been re-proved under exact assumptions.
-        assert composed.escalations >= 1
+        # A rewriting shard's summary is exact for any arriving set:
+        # one dispatch round decides, nothing is re-proved.
+        assert composed.escalations == 0
+        assert one_round(topo, query)
         # Concrete confirmation, independent of any Zen model.
         probe = Header(
             dst_ip=0x0A000001, src_ip=1, dst_port=80, src_port=1234, protocol=6
@@ -242,6 +271,21 @@ class TestNatEscalation:
         assert run_composed(topo, query).reachable is True
         query["target"] = [{"dst_ip": [0x0A000000, 0xFF000000]}]
         assert run_composed(topo, query).reachable is False
+
+    def test_every_nat_chain_is_one_round(self, one_round):
+        topo, query = nat_chain()
+        for pinned in (0x0A000000, 0x0B000000):
+            for target in (None, 0xC0A80000, 0x0A000000):
+                asked = {
+                    **query,
+                    "headers": [{"dst_ip": [pinned, 0xFF000000]}],
+                    "target": target and [{"dst_ip": [target, 0xFFFF0000]}],
+                }
+                run_composed(topo, asked)
+                assert one_round(topo, asked)
+        topo, query = chain_topology(6, nat_probability=0.5), chain_query(6)
+        run_composed(topo, query)
+        assert one_round(topo, query)
 
 
 class _LostShardEngine:
@@ -292,6 +336,20 @@ class TestShardFailure:
         for shard in plan.shards:
             planned |= set(shard["devices"])
         assert planned == set(topo["devices"])
+
+    def test_undischarged_assumption_raises(self, monkeypatch):
+        # The planner only assumes what it can prove, so an arriving set
+        # that escapes a shard's assumption is a planner bug: it raises,
+        # it is never escalated or answered.
+        def planner(topo, query, budget=None):
+            plan = plan_shards(topo, query, budget=budget)
+            plan.shards[1]["assumption"] = [{"dst_ip": [0x0B000000, 0xFF000000]}]
+            return plan
+
+        monkeypatch.setattr(driver, "plan_shards", planner)
+        with pytest.raises(ZenComposeError, match="assumption") as caught:
+            run_composed(filter_chain(3), chain_query(3))
+        assert caught.value.shard_id == "shard1"
 
 
 def seeded_devices(seed: int):
@@ -489,11 +547,11 @@ class TestPerDeviceBuild:
             return out
 
         # The seven summaries of the 10/8 query (node table, references,
-        # flags, stats).  Every image decodes to the node of the cube
+        # flows, stats).  Every guard decodes to the node of the cube
         # cover its shard shipped before summaries carried tables.
         blob = json.dumps(summaries(0xFF000000), sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == (
-            "39f452088e5a30a5490d1e4b37fbb1ca00745b5fed4b274c2008e4e45abdf5fc"
+            "caaf66ac960770f58cfd493d13f8c1f8e3aa2364e5083082a7e56d584f1d0f17"
         )
         # And one shard in full, on 10.0.0.0/29: host .2 goes down port
         # 1, the rest of the /29 up port 3, from each of three entries.
@@ -515,11 +573,14 @@ class TestPerDeviceBuild:
         manager = context.manager
         images = edge.pop("images")
         assert sorted(images) == sorted(expected)
+        # A filter shard pins nothing: one flow per pair, its guard the image.
+        assert all(len(images[pair]) == 1 for pair in expected)
+        assert all(images[pair][0][1] == {} for pair in expected)
         decoded = header_sets(
             manager,
             levels,
             edge.pop("table"),
-            [edge.pop("assumption"), *(images[pair] for pair in expected)],
+            [edge.pop("assumption"), *(images[pair][0][0] for pair in expected)],
         )
         assert decoded == [
             cover_node(manager, levels, cover)
@@ -527,7 +588,6 @@ class TestPerDeviceBuild:
         ]
         assert edge == {
             "shard_id": "shard1",
-            "filters_only": True,
             "stats": {
                 "devices": 1,
                 "entries": 3,
@@ -632,7 +692,9 @@ def test_shard_summaries_match_the_pinned_digest():
     of a NAT chain, byte for byte.  The digest was re-pinned when
     summaries began to carry node tables, after every image and
     assumption was checked to decode to the node of the cube cover
-    the shard shipped before."""
+    the shard shipped before; and again when summaries began to ship
+    flows, after every fat-tree table and reference was checked equal
+    to the filter images before (only the NAT chain's content moved)."""
     hosts = fat_tree_hosts(6)
     corpus = [
         (
@@ -652,7 +714,7 @@ def test_shard_summaries_match_the_pinned_digest():
     assert len(summaries) == 111
     blob = json.dumps(summaries, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == (
-        "79aacc9e45ab46a1f33fe53e0d8c4ade568887450db553738874a941e0795883"
+        "cd21c60a60253f414899f1270062874c41dc8cc2aa36d301d0f36ab303f0de1c"
     )
 
 
@@ -805,6 +867,72 @@ class TestHsaAgreesWithCompose:
             query["target"] = target
             assert run_composed(topo, query).reachable is truth
             assert delivers(("d2", 2), target) is truth
+
+
+def long_nat_chain(num_devices: int, seed: int):
+    return chain_topology(
+        num_devices, seed, nat_probability=0.8, acl_probability=0.3
+    )
+
+
+def nat_targets(topo):
+    """No target, then each NAT rule's match and translate prefix."""
+    targets = [None]
+    for spec in topo["devices"].values():
+        for rule in spec.get("nat") or []:
+            for address, length in (rule["match_dst"], rule["translate_dst"]):
+                mask = 0xFFFFFFFF ^ (0xFFFFFFFF >> length)
+                cover = [{"dst_ip": [address & mask, mask]}]
+                if cover not in targets:
+                    targets.append(cover)
+    return targets
+
+
+def hsa_against_nat_chain(num_devices: int, seed: int) -> int:
+    """One HSA exploration of a long NAT chain and `run_composed` agree
+    on every target of :func:`nat_targets`; returns how many."""
+    topo = long_nat_chain(num_devices, seed)
+    query = chain_query(num_devices)
+    delivers = hsa_delivered(topo, tuple(query["source"]))
+    targets = nat_targets(topo)
+    for target in targets:
+        query["target"] = target
+        composed = run_composed(topo, query)
+        assert not composed.monolith_fallback
+        assert delivers(tuple(query["sink"]), target) == composed.reachable, (
+            num_devices,
+            seed,
+            target,
+        )
+    return len(targets)
+
+
+class TestLongNatChains:
+    """Chains of five to eight devices, most of them rewriting: once the
+    escalation ladder ran out of rounds on 28 of the 60 below and sent
+    them to a monolith that ran out of memory.  Exact summaries answer
+    each in one dispatch round."""
+
+    def test_every_long_chain_is_one_round(self, one_round):
+        for num_devices in range(4, 9):
+            for seed in range(12):
+                topo = long_nat_chain(num_devices, seed)
+                query = chain_query(num_devices)
+                assert run_composed(topo, query).escalations == 0
+                assert one_round(topo, query)
+
+    @pytest.mark.parametrize("num_devices, seed", [(5, 2), (6, 3)])
+    def test_hsa_agrees_on_a_chain_the_ladder_gave_up_on(self, num_devices, seed):
+        assert hsa_against_nat_chain(num_devices, seed) > 1
+
+    @pytest.mark.fuzz
+    def test_hsa_agrees_with_compose_on_long_nat_chains(self):
+        # A fixed sweep plus one fresh seed every run.
+        chains = [(n, seed) for n in range(5, 8) for seed in range(4)]
+        fresh = random.SystemRandom()
+        chains.append((fresh.randrange(5, 8), fresh.randrange(4, 1 << 32)))
+        for num_devices, seed in chains:
+            assert hsa_against_nat_chain(num_devices, seed) >= 1
 
 
 class TestComposedThroughService:

@@ -125,6 +125,39 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_scenario(data)
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("zen", "ast", ["eq", ["var", True], ["const", 0]]),
+            ("zen", "ast", ["eq", ["var", 0], ["const", True]]),
+            ("zen", "vars", True),
+            ("acl", "target_line", True),
+            ("routemap", "target_line", True),
+            ("routemap", "check_local_pref", True),
+            ("routemap", "check_local_pref", 1 << 32),
+            ("acl", "max_list_length", True),
+        ],
+        ids=[
+            "bool-var-index",
+            "bool-const",
+            "bool-vars",
+            "bool-acl-target-line",
+            "bool-routemap-target-line",
+            "bool-local-pref",
+            "local-pref-2**32",
+            "bool-max-list-length",
+        ],
+    )
+    def test_ints_are_never_bools_or_out_of_range(self, kind, field, value):
+        data = ScenarioGenerator(seed=0, kinds=(kind,)).scenario(0)
+        if kind == "zen":  # two variables, so index True (1) is in range
+            data["payload"].update(vars=2, ast=["eq", ["var", 0], ["const", 0]])
+        where = data if field == "max_list_length" else data["payload"]
+        validate_scenario(data)
+        where[field] = value
+        with pytest.raises(ValueError):
+            validate_scenario(data)
+
     def test_rejects_malformed_ast(self):
         generator = ScenarioGenerator(seed=0, kinds=("zen",))
         data = generator.scenario(0)

@@ -181,6 +181,29 @@ class TestClosedDicts:
         with pytest.raises(ValueError, match=names):
             validate_topology(topo)
 
+    def test_misspelt_query_key_is_an_error_not_the_universe(self):
+        # d1 denies 11/8, so 11.0.0.1 is never delivered; spelt `header`,
+        # the cover was ignored and every header was injected instead.
+        topo = chain_topology(2)
+        deny = {"action": False, "dst": [ip_to_int("11.0.0.0"), 8]}
+        topo["devices"]["d1"]["acl_in"] = {"1": [deny, {"action": True}]}
+        assert run_composed(topo, eleven_query(), None).reachable is False
+        query = eleven_query()
+        query["header"] = query.pop("headers")
+        for entry in (plan_shards, run_composed, monolithic_verdict):
+            with pytest.raises(ValueError, match="unknown query key 'header'"):
+                entry(topo, query)
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [("topology", "linkz"), ("topology", "group"), ("query", "targets")],
+    )
+    def test_topology_and_query_reject_unknown_keys(self, payload, key):
+        topo, query = chain_topology(2), chain_query(2)
+        (topo if payload == "topology" else query)[key] = []
+        with pytest.raises(ValueError, match=f"unknown {payload} key '{key}'"):
+            plan_shards(topo, query)
+
     def test_scenario_rejects_an_unknown_clause_key(self):
         data = ScenarioGenerator(seed=0, kinds=("routemap",)).scenario(0)
         data["payload"]["clauses"][0]["set_medd"] = 5
