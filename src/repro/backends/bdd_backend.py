@@ -50,6 +50,10 @@ class BddBackend:
         """The underlying BDD manager."""
         return self._manager
 
+    def snapshot(self) -> dict:
+        """The manager's flat counter snapshot (shared counter protocol)."""
+        return self._manager.snapshot()
+
     def set_budget(self, budget) -> None:
         """Install (or clear) a budget meter on the manager.
 

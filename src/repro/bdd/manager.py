@@ -52,7 +52,8 @@ wide packet types can never hit the interpreter's recursion limit:
 
 Public ops resolve terminal, identical and complementary operands
 before any bookkeeping; only calls that reach a kernel are counted in
-:class:`BddStats` and traced (one span per public op).
+:class:`BddStats`.  The manager opens no trace spans: a phase span
+(compile, one transformer image) reads these counters at its end.
 
 The manager deliberately exposes levels == variable indices: variable
 ``i`` sits at level ``i`` in the order.  Callers that need a specific
@@ -66,7 +67,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ZenSolverError
-from ..telemetry.spans import TRACER
 
 FALSE = 0
 TRUE = 1
@@ -242,7 +242,7 @@ class Bdd:
         self._node_cap = _KEY if cap is None else cap
 
     # ------------------------------------------------------------------
-    # Statistics and tracing
+    # Statistics
     # ------------------------------------------------------------------
 
     def stats(self) -> BddStats:
@@ -270,23 +270,7 @@ class Bdd:
         """Count one public op that reached its kernel, and run it."""
         calls = self._stats.calls
         calls[op] = calls.get(op, 0) + 1
-        if TRACER.enabled:
-            return self._traced(op, kernel, *args)
         return kernel(*args)
-
-    def _traced(self, op: str, kernel: Callable[..., int], *args) -> int:
-        """Run a kernel under a ``bdd.<op>`` span.
-
-        Kernels call only other kernels, never public ops, so a span
-        is always an outermost op (a transformer image is one
-        ``and_exists`` span, not one per inner conjunction).
-        """
-        live = TRACER.begin("bdd." + op)
-        try:
-            return kernel(*args)
-        finally:
-            live.attrs["nodes"] = len(self._level)
-            TRACER.finish(live)
 
     def _count_cache(self, op: str, hits: int, misses: int) -> None:
         st = self._stats
@@ -398,8 +382,6 @@ class Bdd:
             return FALSE
         calls = self._stats.calls
         calls["and"] = calls.get("and", 0) + 1
-        if TRACER.enabled:
-            return self._traced("and", self._and, f, g)
         return self._and(f, g)
 
     def or_(self, f: int, g: int) -> int:
@@ -414,8 +396,6 @@ class Bdd:
             return TRUE
         calls = self._stats.calls
         calls["or"] = calls.get("or", 0) + 1
-        if TRACER.enabled:
-            return self._traced("or", self._and, f ^ 1, g ^ 1) ^ 1
         return self._and(f ^ 1, g ^ 1) ^ 1
 
     def xor(self, f: int, g: int) -> int:
@@ -433,8 +413,6 @@ class Bdd:
             return f ^ flip
         calls = self._stats.calls
         calls["xor"] = calls.get("xor", 0) + 1
-        if TRACER.enabled:
-            return self._traced("xor", self._xor, f, g) ^ flip
         return self._xor(f, g) ^ flip
 
     def iff(self, f: int, g: int) -> int:
@@ -457,8 +435,6 @@ class Bdd:
             return g
         calls = self._stats.calls
         calls["ite"] = calls.get("ite", 0) + 1
-        if TRACER.enabled:
-            return self._traced("ite", self._ite, f, g, h)
         return self._ite(f, g, h)
 
     def _conj(self, f: int, g: int) -> int:
@@ -1034,7 +1010,7 @@ class Bdd:
 
         The defining operation of transformer image computation
         ("conjoin the relation, then existentially quantify"), as one
-        public op: one call count, one span per image.
+        public op: one call count per image.
         """
         level_set = frozenset(variables)
         return self._run("and_exists", self._relprod, f, g, level_set)

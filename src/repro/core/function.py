@@ -253,7 +253,7 @@ class ZenFunction:
                 evaluator = SymbolicEvaluator(
                     engine, max_list_length=max_list_length
                 )
-                with span("compile.flatten"):
+                with span("compile.flatten", counters=engine):
                     sym_args = [
                         evaluator.fresh_input(f"arg{i}", t)
                         for i, t in enumerate(self._arg_types)
@@ -279,7 +279,7 @@ class ZenFunction:
                             )
                     constraint_value = evaluator.evaluate(prop.expr)
                 assert isinstance(constraint_value, sv.SymBool)
-                with span("solve"):
+                with span("solve", counters=engine):
                     model = engine.solve(constraint_value.bit)
             finally:
                 if meter is not None:

@@ -55,7 +55,7 @@ def forward_image(step: ZenFunction, inputs: StateSet, budget=None) -> StateSet:
     """
     context = inputs.context
     meter = start_meter(budget)
-    with span("modelcheck.image", step=step.name):
+    with span("modelcheck.image", counters=context.manager, step=step.name):
         transformer = step.transformer(context, budget=meter)
         with metered(context.manager, meter):
             image = transformer.transform_forward(inputs, budget=meter)

@@ -96,7 +96,7 @@ def generate_inputs(
         backend.set_budget(meter)
     with span("query.generate_inputs", function=function.name) as sp:
         evaluator = _TracingEvaluator(backend, max_list_length=max_list_length)
-        with span("compile.flatten"):
+        with span("compile.flatten", counters=backend):
             sym_args = [
                 evaluator.fresh_input(f"arg{i}", t)
                 for i, t in enumerate(function.arg_types)

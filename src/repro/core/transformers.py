@@ -596,9 +596,9 @@ class StateSetTransformer:
         manager.new_vars(len(in_slots) + len(out_slots))
         in_levels = [base + s for s in in_slots]
         out_levels = [base + s for s in out_slots]
-        with span("transformer.build", function=function.name), metered(
-            manager, budget
-        ):
+        with span(
+            "transformer.build", counters=manager, function=function.name
+        ), metered(manager, budget):
             in_value = sv.fresh(
                 _SequenceBackend(context.backend, in_levels),
                 input_type,
@@ -640,7 +640,9 @@ class StateSetTransformer:
         manager = self.context.manager
         in_space = self.context.space(self.input_type)
         out_space = self.context.space(self.output_type)
-        with span("transformer.forward"), metered(manager, budget):
+        with span("transformer.forward", counters=manager), metered(
+            manager, budget
+        ):
             # Canonical -> private input variables (runtime substitution).
             shifted = manager.rename(
                 input_set.node, dict(zip(in_space.levels, self.in_levels))
@@ -667,7 +669,9 @@ class StateSetTransformer:
         manager = self.context.manager
         in_space = self.context.space(self.input_type)
         out_space = self.context.space(self.output_type)
-        with span("transformer.reverse"), metered(manager, budget):
+        with span("transformer.reverse", counters=manager), metered(
+            manager, budget
+        ):
             shifted = manager.permute(
                 output_set.node, dict(zip(out_space.levels, self.out_levels))
             )
@@ -695,7 +699,9 @@ class StateSetTransformer:
         base = manager.num_vars
         manager.new_vars(len(self.out_levels))
         aux_levels = list(range(base, base + len(self.out_levels)))
-        with span("transformer.compose"), metered(manager, budget):
+        with span("transformer.compose", counters=manager), metered(
+            manager, budget
+        ):
             left = manager.permute(
                 self.relation, dict(zip(self.out_levels, aux_levels))
             )

@@ -75,7 +75,11 @@ def _prefix_mask(length: int) -> int:
     return (_IP_MASK << (32 - length)) & _IP_MASK if length else 0
 
 
-def _in_prefix(ip: int, prefix: Sequence[int]) -> bool:
+def _in_prefix(ip: int, prefix: Optional[Sequence[int]]) -> bool:
+    """Whether ``ip`` lies in ``prefix``; a missing prefix (None) is the
+    payload schema's wildcard and matches every address."""
+    if prefix is None:
+        return True
     mask = _prefix_mask(prefix[1])
     return (ip & mask) == (prefix[0] & mask)
 
@@ -86,9 +90,9 @@ def _in_prefix(ip: int, prefix: Sequence[int]) -> bool:
 
 
 def _acl_rule_matches(rule: Dict[str, Any], h: Header) -> bool:
-    if not _in_prefix(h.src_ip, rule["src"]):
+    if not _in_prefix(h.src_ip, rule.get("src")):
         return False
-    if not _in_prefix(h.dst_ip, rule["dst"]):
+    if not _in_prefix(h.dst_ip, rule.get("dst")):
         return False
     ports = rule.get("src_ports")
     if ports is not None and not ports[0] <= h.src_port <= ports[1]:
@@ -136,8 +140,8 @@ def _translate(prefix: Sequence[int], ip: int) -> int:
 
 def _apply_nat(rules: Sequence[Dict[str, Any]], h: Header) -> Header:
     for rule in rules:
-        if _in_prefix(h.src_ip, rule["match_src"]) and _in_prefix(
-            h.dst_ip, rule["match_dst"]
+        if _in_prefix(h.src_ip, rule.get("match_src")) and _in_prefix(
+            h.dst_ip, rule.get("match_dst")
         ):
             src_ip, dst_ip = h.src_ip, h.dst_ip
             src_port, dst_port = h.src_port, h.dst_port

@@ -294,15 +294,10 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _check_acl(rules: Any, where: str) -> None:
-    """An ACL the reference interpreter reads: at least one rule, and
-    ``src``/``dst`` on every rule (it indexes them directly)."""
+    """An ACL of at least one rule; a missing or null ``src``/``dst``
+    is a wildcard, as everywhere in the payload schema."""
     check_list(ACL_RULE, rules, where)
     _require(rules, f"{where}: needs >= 1 rule")
-    for i, rule in enumerate(rules):
-        _require(
-            rule.get("src") is not None and rule.get("dst") is not None,
-            f"{where}[{i}]: needs src and dst",
-        )
 
 
 def _validate_int_ast(node: Any, num_vars: int, width: int, depth: int) -> None:
@@ -401,14 +396,7 @@ def validate_scenario(data: Any) -> Dict[str, Any]:
             "acl.target_line out of range",
         )
     elif kind == "nat":
-        rules = payload.get("rules")
-        check_list(NAT_RULE, rules, "nat.rules")
-        for i, rule in enumerate(rules):
-            _require(
-                rule.get("match_src") is not None
-                and rule.get("match_dst") is not None,
-                f"nat.rules[{i}]: needs match_src and match_dst",
-            )
+        check_list(NAT_RULE, payload.get("rules"), "nat.rules")
         _check_acl(payload.get("acl"), "nat.acl")
     elif kind == "routemap":
         clauses = payload.get("clauses")

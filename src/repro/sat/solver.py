@@ -22,12 +22,10 @@ assignment are indexed by literal: ``_assigns[l]`` is 1 (true), 0
 from __future__ import annotations
 
 import heapq
-from time import perf_counter
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 from ..errors import ZenSolverError
-from ..telemetry.metrics import delta as _stats_delta
-from ..telemetry.spans import TRACER
+from ..telemetry.spans import TRACER, span
 
 _UNASSIGNED = -1
 _FALSE = 0
@@ -135,10 +133,6 @@ class Solver:
         # Cooperative resource governance (duck-typed BudgetMeter; the
         # solver never imports repro.core.budget).
         self._meter = None
-        # Per-phase wall accounting (propagate/analyze/decide), active
-        # only while a traced solve is running; None keeps the search
-        # loop's cost at one identity check per phase call.
-        self._phase_time = None
         # Set by iter_models: True when the limit cut enumeration off
         # while more models existed, False when enumeration was
         # exhaustive, None before any enumeration finished.
@@ -372,37 +366,23 @@ class Solver:
         assume = [self._internal(lit) for lit in assumptions]
         restarts = 0
         self._meter = meter
-        solve_span = None
-        before = None
-        if TRACER.enabled:
-            solve_span = TRACER.begin("sat.solve")
-            before = self.snapshot()
-            self._phase_time = {"propagate": 0.0, "analyze": 0.0, "decide": 0.0}
-        try:
-            while True:
-                if meter is not None:
-                    meter.check_deadline()
-                self._num_assumed_levels = 0
-                self._next_assumption = 0
-                status = self._search(100 * luby(restarts + 1), assume)
-                if status is not None:
-                    if solve_span is not None:
-                        solve_span.attrs["result"] = (
-                            "sat" if status else "unsat"
-                        )
-                    return status
-                restarts += 1
+        with span("sat.solve", counters=self) as live:
+            try:
+                while True:
+                    if meter is not None:
+                        meter.check_deadline()
+                    self._num_assumed_levels = 0
+                    self._next_assumption = 0
+                    status = self._search(100 * luby(restarts + 1), assume)
+                    if status is not None:
+                        live.set("result", "sat" if status else "unsat")
+                        return status
+                    restarts += 1
+                    self._cancel_until(0)
+            finally:
+                self._meter = None
                 self._cancel_until(0)
-        finally:
-            self._meter = None
-            self._cancel_until(0)
-            if solve_span is not None:
-                solve_span.attrs["restarts"] = restarts
-                solve_span.attrs.update(_stats_delta(before, self.snapshot()))
-                for phase, secs in self._phase_time.items():
-                    solve_span.attrs[f"{phase}_s"] = round(secs, 6)
-                self._phase_time = None
-                TRACER.finish(solve_span)
+                live.set("restarts", restarts)
 
     def model_value(self, var: int) -> bool:
         """Return the value of a variable in the most recent model."""
@@ -770,14 +750,8 @@ class Solver:
         """
         conflicts_here = 0
         meter = self._meter
-        phase_time = self._phase_time
         while True:
-            if phase_time is None:
-                conflict = self._propagate()
-            else:
-                t0 = perf_counter()
-                conflict = self._propagate()
-                phase_time["propagate"] += perf_counter() - t0
+            conflict = self._propagate()
             if conflict is not None:
                 self._conflicts += 1
                 conflicts_here += 1
@@ -791,12 +765,7 @@ class Solver:
                     # The conflict only depends on assumptions.
                     self._extract_failed(assumptions)
                     return False
-                if phase_time is None:
-                    learned, bt_level = self._analyze(conflict)
-                else:
-                    t0 = perf_counter()
-                    learned, bt_level = self._analyze(conflict)
-                    phase_time["analyze"] += perf_counter() - t0
+                learned, bt_level = self._analyze(conflict)
                 bt_level = max(bt_level, self._num_assumed_levels)
                 if len(learned) == 1:
                     self._cancel_until(0)
@@ -831,12 +800,7 @@ class Solver:
                 self._num_assumed_levels = len(self._trail_lim)
                 self._enqueue(ilit, None)
                 continue
-            if phase_time is None:
-                v = self._decide()
-            else:
-                t0 = perf_counter()
-                v = self._decide()
-                phase_time["decide"] += perf_counter() - t0
+            v = self._decide()
             if v == 0:
                 # Indexed by variable: the values of the positive literals.
                 self._model = self._assigns[::2]

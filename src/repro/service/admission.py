@@ -117,36 +117,6 @@ class AdmissionController:
                 "limits": {p: self.limit_for(p) for p in PRIORITIES},
             }
 
-    # Shared counter protocol (snapshot/reset_counters; diff two
-    # snapshots with repro.telemetry.delta) — flat numeric view so MetricsRegistry.absorb() and the flight recorder
-    # can fold admission state in with every other counter source.
-    def snapshot(self) -> Dict[str, float]:
-        with self._lock:
-            out: Dict[str, float] = {
-                "depth": float(sum(self._counts.values())),
-            }
-            for priority in PRIORITIES:
-                out[f"in_flight.{priority}"] = float(
-                    self._counts[priority]
-                )
-                out[f"admitted.{priority}"] = float(
-                    self.admitted[priority]
-                )
-                out[f"rejected.{priority}"] = float(
-                    self.rejected[priority]
-                )
-            if self.max_depth:
-                out["utilization"] = out["depth"] / self.max_depth
-            else:
-                out["utilization"] = 0.0
-            return out
-
-    def reset_counters(self) -> None:
-        with self._lock:
-            for priority in PRIORITIES:
-                self.admitted[priority] = 0
-                self.rejected[priority] = 0
-
     # -- admission -------------------------------------------------------
 
     def _admit_locked(self, priority: str) -> bool:

@@ -19,7 +19,7 @@ The cache speaks the shared telemetry counter protocol
 (``snapshot()`` / ``reset_counters()`` — see
 :mod:`repro.telemetry.metrics`): hits, misses, and evictions are
 exposed as ``service.cache.{hit,miss,evict}`` so worker replies can
-carry the numbers back to the parent's metrics registry.
+carry the numbers back to the parent's ``QueryEngine.cache_stats()``.
 """
 
 from __future__ import annotations

@@ -132,9 +132,6 @@ _CONFIG_ERRORS = frozenset(
 #: these are retried (with backoff) on the same backend.
 _RETRYABLE = frozenset({"crash", "timeout", "oom"})
 
-#: Bucket edges of the ``service.batch.size`` histogram.
-BATCH_SIZE_BOUNDS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64)
-
 #: Queue waits shorter than this don't earn a span (scheduler noise).
 _QUEUE_WAIT_SPAN_FLOOR_S = 0.005
 
@@ -538,9 +535,6 @@ class QueryEngine:
         self._batched_tasks = 0
         self._sticky_hits = 0
         self._steals = 0
-        self._batch_hist = METRICS.histogram(
-            "service.batch.size", BATCH_SIZE_BOUNDS
-        )
         # -- overload-protection state ----------------------------------
         self.shed_threshold = shed_threshold
         self._admission = AdmissionController(
@@ -683,18 +677,8 @@ class QueryEngine:
             "crash_loops": dict(self._crash_counts),
         }
 
-    def _absorb_overload_metrics(self) -> None:
-        """Fold the admission silo into METRICS.
-
-        It speaks the shared ``snapshot()`` counter protocol, so its
-        state shows up in ``METRICS.snapshot()`` (and therefore in
-        flight-recorder bundles) under stable gauge names.
-        """
-        METRICS.absorb("service.admission", self._admission)
-
     def overload_stats(self) -> Dict[str, Any]:
         """Admission, shedding, and deadline counters."""
-        self._absorb_overload_metrics()
         return {
             "queue_depth": self._admission.depth(),
             "utilization": self._admission.utilization(),
@@ -729,7 +713,6 @@ class QueryEngine:
         at = now if now is not None else self._clock()
         admission = self._admission.detail()
         cache = self.cache_stats()
-        self._absorb_overload_metrics()
         return EngineStatus(
             generated_unix=time.time(),
             pid=os.getpid(),
@@ -1036,7 +1019,6 @@ class QueryEngine:
                 abort=lambda: self._closed or self._draining,
             )
         except ZenServiceError:
-            METRICS.counter("service.admission.reject").inc()
             self._recorder.record_event(
                 "admission_reject", priority=spec.priority,
                 label=spec.label,
@@ -1325,7 +1307,6 @@ class QueryEngine:
         record and the admission slot need completing.
         """
         self._cancelled_count += 1
-        METRICS.counter("service.cancelled").inc()
         task.attempts.append(
             AttemptRecord(
                 backend=task.backend,
@@ -1340,7 +1321,6 @@ class QueryEngine:
     def _expire_task(self, task, now, where, pid=None) -> None:
         """Resolve a task as deadline_expired (no retry, no breaker)."""
         self._expired_count += 1
-        METRICS.counter("service.deadline.expired").inc()
         task.attempts.append(
             AttemptRecord(
                 backend=task.backend,
@@ -1433,7 +1413,6 @@ class QueryEngine:
     def _shed_task(self, task, now) -> None:
         """Resolve a task as shed_overload (structured, never retried)."""
         self._shed_count += 1
-        METRICS.counter("service.shed.overload").inc()
         utilization = self._admission.utilization()
         if TRACER.enabled:
             TRACER.record(
@@ -1742,7 +1721,6 @@ class QueryEngine:
         inflight[handle] = batch
         self._batches += 1
         self._batched_tasks += size
-        self._batch_hist.observe(size)
         return True
 
     def _timeout_for(self, spec: QuerySpec) -> Optional[float]:
@@ -1970,11 +1948,9 @@ class QueryEngine:
         if hit is not None:
             key = "hit" if hit else "miss"
             self._cache_agg[key] += 1
-            METRICS.counter(f"service.cache.{key}").inc()
         evicted = info.get("cache_evicted", 0)
         if evicted:
             self._cache_agg["evict"] += evicted
-            METRICS.counter("service.cache.evict").inc(evicted)
         snapshot = info.get("cache_stats")
         if snapshot:
             self._worker_cache_snapshots[handle.index] = snapshot

@@ -30,11 +30,9 @@ from .spans import (
 from .metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     METRICS,
     delta,
-    numeric_snapshot,
 )
 from .export import (
     span_events,
@@ -57,11 +55,9 @@ __all__ = [
     # metrics
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "METRICS",
     "delta",
-    "numeric_snapshot",
     # export
     "span_events",
     "write_jsonl",

@@ -20,6 +20,7 @@ tests and programmatic inspection.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from typing import Any, Dict, IO, Iterable, Iterator, List, Union
 
@@ -100,9 +101,10 @@ def chrome_trace_events(roots: Iterable[SpanLike]) -> List[Dict[str, Any]]:
     origin = min(event["start"] for event in flat)
     pids = sorted({int(event["pid"]) for event in flat})
     events: List[Dict[str, Any]] = []
-    # The smallest pid in a merged trace is the parent/coordinator in
-    # every supported topology (fork order); label the rest as workers.
-    parent_pid = pids[0]
+    # The exporting process is the parent/coordinator when it traced
+    # anything; otherwise fall back to the smallest pid (fork order,
+    # unless pids wrapped).  Label the rest as workers.
+    parent_pid = os.getpid() if os.getpid() in pids else pids[0]
     for pid in pids:
         name = "parent" if pid == parent_pid else f"worker-{pid}"
         events.append(

@@ -14,6 +14,11 @@ Design notes
   attribute; instrumented hot paths guard on it with one attribute
   read and branch.  :meth:`Tracer.span` returns a shared no-op
   context manager when disabled — no Span allocation, no clock read.
+* **Spans per phase, counters at phase end.**  A span times a phase
+  (compile, solve, one image), never a single kernel op.  What the
+  ops inside a phase did is read off a counter source instead:
+  ``span(name, counters=src)`` snapshots ``src`` on entry and exit
+  and files the nonzero delta as the span's attributes.
 * **Monotonic timings, wall-clock placement.**  Durations come from
   ``perf_counter`` (immune to clock steps); each span also records a
   wall-clock start (epoch seconds, derived from per-process anchors
@@ -36,6 +41,8 @@ import os
 import threading
 from time import perf_counter, time as wall_time
 from typing import Any, Dict, Iterator, List, Optional
+
+from .metrics import delta
 
 __all__ = [
     "Span",
@@ -161,20 +168,31 @@ _NOOP = _NoopSpan()
 
 
 class _SpanHandle:
-    """Context manager binding one live span to a tracer."""
+    """Context manager binding one live span to a tracer.
 
-    __slots__ = ("_tracer", "_span")
+    With a counter source (anything with ``snapshot()``), the source
+    is read once on entry and once on exit, and every counter that
+    moved lands in the span's attributes.
+    """
 
-    def __init__(self, tracer: "Tracer", live: Span):
+    __slots__ = ("_tracer", "_span", "_counters", "_before")
+
+    def __init__(self, tracer: "Tracer", live: Span, counters: Any = None):
         self._tracer = tracer
         self._span = live
+        self._counters = counters
+        self._before = None if counters is None else counters.snapshot()
 
     def __enter__(self) -> Span:
         return self._span
 
     def __exit__(self, exc_type, exc_value, tb) -> bool:
+        attrs = self._span.attrs
         if exc_type is not None:
-            self._span.attrs.setdefault("error", exc_type.__name__)
+            attrs.setdefault("error", exc_type.__name__)
+        if self._counters is not None:
+            moved = delta(self._before, self._counters.snapshot())
+            attrs.update((key, value) for key, value in moved.items() if value)
         self._tracer.finish(self._span)
         return False
 
@@ -299,20 +317,23 @@ class Tracer:
                 self._roots.append(live)
         return live
 
-    def span(self, name: str, **attrs: Any):
-        """Context manager for one traced region::
+    def span(self, name: str, counters: Any = None, **attrs: Any):
+        """Context manager for one traced phase::
 
-            with TRACER.span("compile", backend="sat") as sp:
+            with TRACER.span("compile", counters=manager, backend="sat") as sp:
                 ...
                 sp.set("bits", n)
 
-        Returns a shared no-op object when tracing is disabled, so the
-        guard costs one attribute read and no allocation beyond the
-        call itself.
+        ``counters`` is an optional counter source (any object with
+        ``snapshot()``); the phase's nonzero counter delta becomes
+        span attributes.  Returns a shared no-op object when tracing
+        is disabled — before the source is touched — so the guard
+        costs one attribute read and no allocation beyond the call
+        itself.
         """
         if not self.enabled:
             return _NOOP
-        return _SpanHandle(self, self.begin(name, attrs))
+        return _SpanHandle(self, self.begin(name, attrs), counters)
 
     # -- recording & adoption -------------------------------------------
 
@@ -378,11 +399,11 @@ class Tracer:
 TRACER = Tracer()
 
 
-def span(name: str, **attrs: Any):
-    """Module-level shorthand for ``TRACER.span(name, **attrs)``."""
+def span(name: str, counters: Any = None, **attrs: Any):
+    """Module-level shorthand for ``TRACER.span(name, counters, **attrs)``."""
     if not TRACER.enabled:
         return _NOOP
-    return TRACER.span(name, **attrs)
+    return TRACER.span(name, counters, **attrs)
 
 
 def enable_tracing() -> Tracer:

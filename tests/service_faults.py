@@ -83,6 +83,22 @@ def flaky_crash_model(flag_path: str) -> ZenFunction:
     return eq_model()
 
 
+def wait_for_file(flag_path: str, cap_s: float = 30.0) -> bool:
+    """kind='call' target: hold the worker until `flag_path` exists.
+
+    The test creates the file once everything it wants queued behind
+    this call is queued, so no sleep has to be long enough.  Returns
+    False after `cap_s` without the file, so a broken test cannot
+    wedge the worker.
+    """
+    deadline = time.monotonic() + cap_s
+    while not os.path.exists(flag_path):
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
 def error_model() -> ZenFunction:
     """Raises a benign in-worker exception (no crash, no hang).
 

@@ -150,39 +150,20 @@ class TestAdmissionController:
 
     def test_counter_protocol_snapshot(self):
         ctl = AdmissionController(max_depth=4)
-        before = ctl.snapshot()
+        before = ctl.detail()
         ctl.try_admit("interactive")
         ctl.try_admit("fuzz")
         for _ in range(5):
             ctl.try_admit("fuzz")  # over the fuzz limit: rejected
-        after = ctl.snapshot()
-        # Flat numeric dict — the shared counter protocol.
-        assert all(
-            isinstance(v, (int, float)) for v in after.values()
-        )
-        diff = delta(before, after)
-        assert diff["admitted.interactive"] == 1
+        after = ctl.detail()
+        admitted = delta(before["admitted"], after["admitted"])
+        rejected = delta(before["rejected"], after["rejected"])
+        assert admitted["interactive"] == 1
         # fuzz limit at depth 4 is 3 shared slots: two fuzz admits fit
         # behind the interactive task, the rest are rejected.
-        assert diff["admitted.fuzz"] == 2
-        assert diff["rejected.fuzz"] == 4
-        ctl.reset_counters()
-        reset = ctl.snapshot()
-        assert reset["admitted.interactive"] == 0
-        assert reset["rejected.fuzz"] == 0
-        # In-flight occupancy is state, not a counter: it survives.
-        assert reset["depth"] == 3
-
-    def test_absorbs_into_metrics_registry(self):
-        from repro.telemetry.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        ctl = AdmissionController(max_depth=4)
-        ctl.try_admit("batch")
-        registry.absorb("service.admission", ctl)
-        snap = registry.snapshot()
-        assert snap["service.admission.admitted.batch"] == 1
-        assert snap["service.admission.depth"] == 1
+        assert admitted["fuzz"] == 2
+        assert rejected["fuzz"] == 4
+        assert after["depth"] == 3
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from repro.fuzz import (
     reference_result,
     validate_scenario,
 )
-from repro.fuzz.oracle import topology_replay
+from repro.fuzz.oracle import check_scenario, topology_replay
 from repro.fuzz.scenario import scenario_label, scenario_rng
 
 
@@ -214,3 +214,66 @@ class TestModelAgainstReference:
                 if diverged:
                     break
             assert diverged, f"bug {bug!r} never diverged"
+
+
+def wildcard_scenario(kind):
+    """A generated scenario rewritten to use the schema's wildcards: a
+    missing or null match prefix, which matches every address."""
+    data = ScenarioGenerator(seed=13, kinds=(kind,)).scenario(0)
+    payload = data["payload"]
+    if kind == "acl":
+        payload["rules"][0]["src"] = None
+        payload["rules"][-1] = {"action": True}
+    elif kind == "nat":
+        del payload["rules"][0]["match_src"]
+        payload["rules"][1]["match_dst"] = None
+        payload["acl"][-1] = {"action": True}
+    else:
+        # [0, 0] and a wildcard mean the same, so the verdict must not
+        # move; only the spelling does.
+        for device in payload["topo"]["devices"].values():
+            rules = [r for acl in device.get("acl_in", {}).values() for r in acl]
+            for rule in rules:
+                if rule["src"] == [0, 0]:
+                    del rule["src"]
+                if rule["dst"] == [0, 0]:
+                    rule["dst"] = None
+            for rule in device.get("nat") or ():
+                if rule["match_src"] == [0, 0]:
+                    rule["match_src"] = None
+    return data
+
+
+class TestWildcardRules:
+    """A missing or null match prefix is a wildcard in the payload
+    schema; the reference interpreter reads it the same way."""
+
+    def test_reference_reads_missing_prefixes_as_wildcards(self):
+        from repro.fuzz.reference import _acl_allows, _apply_nat
+        from repro.network import Header
+
+        h = Header(dst_ip=1, src_ip=2, dst_port=3, src_port=4, protocol=6)
+        assert _acl_allows([{"action": True}], h, None)
+        assert _acl_allows([{"action": True, "src": None}], h, None)
+        assert _apply_nat([{"set_dst_port": 80}], h).dst_port == 80
+
+    @pytest.mark.parametrize("kind", ["acl", "nat", "topology"])
+    def test_oracle_agrees_on_wildcard_rules(self, kind):
+        data = wildcard_scenario(kind)
+        validate_scenario(data)
+        report = check_scenario(data, monolith=False)
+        assert report.ok, report.detail
+        verdict = concrete_verdict(data)
+        probe_rng = random.Random(f"wildcards:{kind}")
+        for inputs in reference_inputs(data, probe_rng, count=12):
+            assert verdict(inputs) == reference_result(data, inputs), inputs
+
+    def test_topology_wildcards_keep_the_verdict(self):
+        spelled = ScenarioGenerator(seed=13, kinds=("topology",)).scenario(0)
+        data = wildcard_scenario("topology")
+        assert data != spelled
+        probe_rng = random.Random("wildcards:same")
+        for inputs in reference_inputs(spelled, probe_rng, count=24):
+            assert reference_result(data, inputs) == reference_result(
+                spelled, inputs
+            )
