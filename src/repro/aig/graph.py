@@ -231,24 +231,6 @@ class Aig:
             if self._fanin[node] is None
         ]
 
-    def supports(self, roots: Sequence[int]) -> List[int]:
-        """The support of every root, from one pass over their shared cone.
-
-        Each support is an int bitmask over :attr:`inputs` (bit ``k``
-        set: the root depends on the ``k``-th input created).  A node's
-        mask is the union of its fanins' masks, so many roots cost one
-        bottom-up sweep instead of one cone walk each.
-        """
-        index = {lit >> 1: k for k, lit in enumerate(self._inputs)}
-        masks = {0: 0}
-        for node in self.cone(roots):
-            pair = self._fanin[node]
-            if pair is None:
-                masks[node] = 1 << index[node]
-            else:
-                masks[node] = masks[pair[0] >> 1] | masks[pair[1] >> 1]
-        return [masks[lit >> 1] for lit in roots]
-
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------

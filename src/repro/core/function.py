@@ -29,7 +29,12 @@ from ..backends import (
     decode,
 )
 from ..backends import values as sv
-from ..errors import ZenArityError, ZenTypeError, ZenUnsoundResultError
+from ..errors import (
+    ZenArityError,
+    ZenDepthError,
+    ZenTypeError,
+    ZenUnsoundResultError,
+)
 from ..lang import Zen, constant, types as ty
 from ..lang import expr as ex
 from ..telemetry.spans import span
@@ -111,7 +116,12 @@ class ZenFunction:
         self._arg_vars = [
             Zen(ex.Var(f"arg{i}", t)) for i, t in enumerate(self._arg_types)
         ]
-        result = fn(*self._arg_vars)
+        try:
+            result = fn(*self._arg_vars)
+        except RecursionError as error:
+            raise ZenDepthError(
+                f"{self.name} nests too deeply to build: {error}"
+            ) from error
         if not isinstance(result, Zen):
             raise ZenTypeError(
                 f"{self.name} must return a Zen value, got {result!r}"

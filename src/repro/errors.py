@@ -32,7 +32,15 @@ class ZenSolverError(ZenError, RuntimeError):
 
 
 class ZenDepthError(ZenError, ValueError):
-    """A bounded structure (list) exceeded its configured maximum size."""
+    """A model is too deep or too large for a configured bound.
+
+    Raised when a bounded structure (a list) exceeds its maximum size,
+    and when building a model's expression recurses past the
+    interpreter's recursion limit (a very long ACL or route map built
+    as nested ``if``s); the latter names the function and chains the
+    :class:`RecursionError`.  Either way it is the client's model, not
+    the engine, that is at fault.
+    """
 
 
 class ZenBudgetExceeded(ZenError, TimeoutError):

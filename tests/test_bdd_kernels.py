@@ -504,29 +504,39 @@ class TestStats:
 
 class TestTransformerImageOps:
     def test_forward_image_uses_and_exists(self):
+        """Only general bits take a relational product: ``x + 1`` is
+        one ``and_exists``, a copy/constant-only function is none, and
+        both images equal the relational image over `relation`."""
         context = TransformerContext()
-        f = ZenFunction(lambda x: x + 1, [Byte], name="inc")
-        transformer = f.transformer(context=context)
+        manager = context.manager
         some = context.from_predicate(
             ZenFunction(lambda x: x < 10, [Byte], name="small")
         )
-        manager = context.manager
-        manager.reset_stats()
-        image = transformer.transform_forward(some)
-        stats = manager.stats()
-        # The image is one relational-product op: no separate public
-        # and_/exists calls (each would be its own count and span).
-        assert stats.calls.get("and_exists", 0) == 1
-        assert stats.calls.get("exists", 0) == 0
-        assert stats.calls.get("and", 0) == 0
-        assert not image.is_empty()
+        space = context.space(some.zen_type)
 
-        manager.reset_stats()
-        pre = transformer.transform_reverse(image)
-        stats = manager.stats()
-        assert stats.calls.get("and_exists", 0) == 1
-        assert stats.calls.get("exists", 0) == 0
-        assert not pre.is_empty()
+        def relational(t, states):
+            moved = manager.rename(
+                states.node, dict(zip(space.levels, t.in_levels))
+            )
+            image = manager.and_exists(moved, t.relation, t.in_levels)
+            return manager.permute(
+                image, dict(zip(t.out_levels, space.levels))
+            )
+
+        for fn, products in ((lambda x: x + 1, 1), (lambda x: x & 0xF0, 0)):
+            transformer = ZenFunction(fn, [Byte]).transformer(context)
+            manager.reset_stats()
+            image = transformer.transform_forward(some)
+            stats = manager.stats()
+            assert stats.calls.get("and_exists", 0) == products
+            assert not image.is_empty()
+            assert image.node == relational(transformer, some)
+
+            manager.reset_stats()
+            pre = transformer.transform_reverse(image)
+            stats = manager.stats()
+            assert stats.calls.get("and_exists", 0) == products
+            assert not pre.is_empty() and pre.intersect(some).equals(some)
 
     def test_compose_uses_and_exists(self):
         context = TransformerContext()

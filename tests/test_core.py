@@ -478,3 +478,25 @@ class TestTransformers:
         image = t.transform_forward(context.singleton(Byte, value))
         assert image.element() == f.evaluate(value)
         assert image.count() == 1
+
+
+class TestDeepModels:
+    def test_a_too_deep_model_raises_a_depth_error(self):
+        """A 985-line ACL built as nested ``if``s recurses past the
+        interpreter's limit while tracing; the client gets a
+        :class:`ZenDepthError` naming the function, not a bare
+        ``RecursionError``, and the limit is left as it was."""
+        import sys
+
+        from repro import ZenDepthError
+        from repro.network import Header, acl_allows
+        from repro.workloads import random_acl
+
+        limit = sys.getrecursionlimit()
+        acl = random_acl(985, seed=1)
+        with pytest.raises(ZenDepthError, match="deep_acl") as info:
+            ZenFunction(
+                lambda h: acl_allows(acl, h), [Header], name="deep_acl"
+            )
+        assert isinstance(info.value.__cause__, RecursionError)
+        assert sys.getrecursionlimit() == limit

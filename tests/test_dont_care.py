@@ -32,7 +32,6 @@ from repro import (
     some,
     symbolic,
 )
-from repro.aig import Aig
 from repro.analyses import reachable_sets
 from repro.backends import BddBackend, SatBackend, SymbolicEvaluator, decode
 from repro.backends import values as sv
@@ -559,16 +558,13 @@ def test_acl_query_builds_no_constant_vector(make_backend, monkeypatch):
     assert calls == []
 
 
-def _supports_one_walk_per_root(self, roots):
-    """What the planner did before: one cone walk per output bit."""
-    index = {lit: k for k, lit in enumerate(self.inputs)}
-    return [
-        sum(1 << index[lit] for lit in self.support([root])) for root in roots
-    ]
-
-
 @pytest.mark.parametrize("seed", [7, 41, 2020])
-def test_one_pass_supports_plan_the_same_order(seed, monkeypatch):
+def test_relation_view_is_banded_and_deterministic(seed):
+    """The relation view lays its block out from the BDD supports of the
+    output bits: inputs keep their order and each output follows the
+    input it depends on most, so a fabric hop's relation stays linear
+    in its block, and the same function gets the same relation size in
+    any context (what fingerprints rely on)."""
     models = _e2e_models()
     _, entry = models.build_fabric(models.fabric_description(seed, 0))
     functions = [
@@ -576,8 +572,16 @@ def test_one_pass_supports_plan_the_same_order(seed, monkeypatch):
         ZenFunction(lambda p: fwd_out(entry, p), [Packet]),
         ZenFunction(lambda o: o.value(), [ZOption[Packet]]),
     ]
-    planned = [transformers.plan_transformer_order(f, 1) for f in functions]
-    monkeypatch.setattr(Aig, "supports", _supports_one_walk_per_root)
-    assert planned == [
-        transformers.plan_transformer_order(f, 1) for f in functions
-    ]
+    sizes = []
+    for _ in range(2):
+        context = TransformerContext(max_list_length=1)
+        manager = context.manager
+        row = []
+        for function in functions:
+            t = function.transformer(context)
+            assert t.in_levels == sorted(t.in_levels)
+            block = len(t.in_levels) + len(t.out_levels)
+            assert manager.node_count(t.relation) <= 3 * block
+            row.append(manager.node_count(t.relation))
+        sizes.append(row)
+    assert sizes[0] == sizes[1]
