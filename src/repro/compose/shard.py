@@ -42,6 +42,23 @@ so the NAT rewrite, the FIB chain and every match condition are
 compiled once per device, not once per port.  A port without an
 ingress ACL admits everything and has no ``IN`` set.
 
+Device models outlive the task.  Each thread holds one
+:class:`~repro.core.transformers.TransformerContext` and a memo from a
+device's *configuration* — its FIB, NAT and ACL rules as decoded from
+the payload, never its name — to those sets and its NAT match cubes.
+A task without a budget runs in that context, so a device the thread
+has built before, under any name and in any shard, costs a lookup: no
+trace, no evaluator session.  Nothing built there leaves it: the
+summary is a node table, the same bytes a cold build writes.  The
+context and the memo are dropped together when a task leaves the
+manager above :data:`MAX_HELD_NODES` nodes or the memo above
+:data:`MAX_HELD_DEVICES` devices, and when any exception leaves
+:func:`compute_shard_summary`, so a half-finished build is never
+reused.  A task with a budget runs in a fresh context of its own, as
+it always did: ``max_bdd_nodes`` caps a manager's cumulative
+allocation, which on the held manager would charge the task for its
+predecessors' nodes.
+
 A hop of flow ``(P, G)`` entering ``p`` and leaving ``q`` restricts
 ``IN[p] ∧ PRE[q]`` by ``P`` (the device sees ``e`` with ``P`` written
 over it) and ANDs it into ``G``.  A NAT device then splits the flow
@@ -57,8 +74,9 @@ BDD's size; pins ship as one cube of the cover form.
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import Any, Dict, List, NamedTuple, Tuple
+from typing import Any, Dict, Hashable, List, NamedTuple, Tuple
 
 from ..core import start_meter
 from ..core.transformers import StateSet, TransformerContext
@@ -136,10 +154,30 @@ class _DeviceSets(NamedTuple):
     out_ports: List[int]  # ascending, null port excluded
     admitted: Dict[int, StateSet]  # IN[p], ports with an ingress ACL only
     pre: Dict[int, StateSet]  # PRE[q], every out port
+    nat: List[Tuple[int, Cube]]  # (match node, pins) per NAT rule, in order
+
+
+def _model_key(device: Device) -> Hashable:
+    """What a device's hop sets are built from, and nothing else: its
+    payload as decoded into frozen rules.  The name is not part of it,
+    so two devices with one configuration share one entry."""
+    return (
+        device.fib,
+        None if device.nat is None else device.nat.rules,
+        *(
+            tuple(
+                (intf.id, getattr(intf, side).rules)
+                for intf in device.interfaces
+                if getattr(intf, side) is not None
+            )
+            for side in ("acl_in", "acl_out")
+        ),
+    )
 
 
 class _ShardModel:
-    """Per-device Zen sets for one shard, built on a device's first hop."""
+    """Per-device Zen sets, built on a device's first hop and kept by
+    content: a device built before is looked up, not recompiled."""
 
     def __init__(
         self, context: TransformerContext, header_type, levels, meter
@@ -148,9 +186,15 @@ class _ShardModel:
         self.header_type = header_type
         self.levels = levels
         self.meter = meter
-        self._sets: Dict[str, _DeviceSets] = {}
-        self._nat: Dict[str, List[Tuple[int, Cube]]] = {}
-        self.set_ops = 0
+        self._sets: Dict[Hashable, _DeviceSets] = {}
+        self.builds = 0  # devices built, so entries in the memo
+
+    @classmethod
+    def fresh(cls, meter=None) -> "_ShardModel":
+        """A model over a context of its own."""
+        context = TransformerContext()
+        header_type = context.universe(Header).zen_type
+        return cls(context, header_type, context.space(header_type).levels, meter)
 
     def sets(self, device: Device) -> _DeviceSets:
         """All of the device's ``IN`` and ``PRE`` sets, from one model.
@@ -159,7 +203,8 @@ class _ShardModel:
         lookup, so they are the roots of one evaluation: a match
         condition is built once per rule, not once per rule and port.
         """
-        built = self._sets.get(device.name)
+        key = _model_key(device)
+        built = self._sets.get(key)
         if built is not None:
             return built
         filtered = [i for i in device.interfaces if i.acl_in is not None]
@@ -184,33 +229,29 @@ class _ShardModel:
             name=f"device:{device.name}",
             budget=self.meter,
         )
-        built = self._sets[device.name] = _DeviceSets(
+        manager = self.context.manager
+        rules = device.nat.rules if device.nat is not None else ()
+        nat = [
+            (manager.cube(cube_literals(match, self.levels)), pins)
+            for match, pins in map(nat_cubes, rules)
+        ]
+        self.builds += 1
+        built = self._sets[key] = _DeviceSets(
             out_ports,
             {intf.id: s for intf, s in zip(filtered, built_sets)},
             dict(zip(out_ports, built_sets[len(filtered) :])),
+            nat,
         )
         return built
 
-    def nat_rules(self, device: Device) -> List[Tuple[int, Cube]]:
-        """The device's NAT table as ``(match node, pins)`` pairs."""
-        built = self._nat.get(device.name)
-        if built is None:
-            manager = self.context.manager
-            built = self._nat[device.name] = [
-                (manager.cube(cube_literals(match, self.levels)), pins)
-                for match, pins in map(nat_cubes, device.nat.rules)
-            ]
-        return built
-
     def hop(
-        self, device: Device, in_port: int, out_port: int, pins: Pins, guard: int
+        self, sets: _DeviceSets, in_port: int, out_port: int, pins: Pins, guard: int
     ) -> Flows:
-        """The flows that flow ``(pins, guard)`` becomes across one hop."""
+        """The flows that flow ``(pins, guard)`` becomes across one hop
+        of the device `sets` describes."""
         if self.meter is not None:
             self.meter.check_deadline()
-        self.set_ops += 1
         manager = self.context.manager
-        sets = self.sets(device)
         literals = cube_literals(_cube(pins), self.levels)
         passing = guard
         # A port without an ingress ACL admits everything: nothing to compile.
@@ -219,10 +260,10 @@ class _ShardModel:
             passing = manager.and_(passing, admitted)
         pre = manager.restrict(sets.pre[out_port].node, literals)
         passing = manager.and_(passing, pre)
-        if device.nat is None or passing == 0:
+        if not sets.nat or passing == 0:
             return {pins: passing} if passing else {}
         flows: Flows = {}
-        for match, written in self.nat_rules(device):
+        for match, written in sets.nat:
             match = manager.restrict(match, literals)
             hit = manager.and_(passing, match)
             passing = manager.diff(passing, match)
@@ -235,6 +276,30 @@ class _ShardModel:
         return flows
 
 
+#: A thread's held model is dropped, context and memo together, once a
+#: task leaves its manager above this many nodes or its memo above this
+#: many device models: about 7 MB and 2.3 MB held at most (~350 B a
+#: node, ~4.4 kB a device, caches included; see DESIGN, *Shard
+#: summaries*).
+MAX_HELD_NODES = 20_000
+MAX_HELD_DEVICES = 512
+
+_held = threading.local()
+
+
+def _held_model() -> _ShardModel:
+    """This thread's long-lived model."""
+    model = getattr(_held, "model", None)
+    if model is None:
+        model = _held.model = _ShardModel.fresh()
+    return model
+
+
+def forget_devices() -> None:
+    """Drop this thread's held context and memo of device models."""
+    _held.__dict__.pop("model", None)
+
+
 def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
     """Compute one shard's interface summary (worker entry).
 
@@ -243,7 +308,26 @@ def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
     reference into it) and ``images``, which maps each ``entry|exit``
     pair key to its flows ``[[guard_ref, pins], ...]``; see the module
     docstring for what they mean.
+
+    A task without a budget runs on this thread's held model; one with
+    a budget on a fresh model of its own, so its node cap counts only
+    its own allocation.  Any exception drops the held model.
     """
+    try:
+        summary = _summarise(task)
+    except BaseException:
+        forget_devices()
+        raise
+    model = getattr(_held, "model", None)
+    if model is not None and (
+        model.context.manager.num_nodes > MAX_HELD_NODES
+        or model.builds > MAX_HELD_DEVICES
+    ):
+        forget_devices()
+    return summary
+
+
+def _summarise(task: Dict[str, Any]) -> Dict[str, Any]:
     started = time.monotonic()
     shard_id = task["shard_id"]
     entries: List[Point] = [(d, int(p)) for d, p in task.get("entries", [])]
@@ -251,17 +335,17 @@ def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
     network = build_network(task, [*entries, *exits])
     assumption = validate_cover(task.get("assumption"), "assumption")
     meter = start_meter(Budget.from_dict(task.get("budget")))
-
-    context = TransformerContext()
-    header_type = context.universe(Header).zen_type
-    levels = context.space(header_type).levels
-    manager = context.manager
+    model = _held_model() if meter is None else _ShardModel.fresh(meter)
+    builds = model.builds
+    levels = model.levels
+    manager = model.context.manager
     base = cover_node(manager, levels, assumption)
-    model = _ShardModel(context, header_type, levels, meter)
     devices = network.devices
+    # Each device's sets, looked up by content once per task.
+    visited: Dict[str, _DeviceSets] = {}
 
     images: Dict[str, Flows] = {}
-    rounds = 0
+    rounds = set_ops = 0
 
     with span(
         "compose.shard", shard=shard_id, devices=len(devices)
@@ -279,9 +363,13 @@ def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
                 if not current:
                     continue
                 device = devices[name]
-                for q in model.sets(device).out_ports:
+                sets = visited.get(name)
+                if sets is None:
+                    sets = visited[name] = model.sets(device)
+                for q in sets.out_ports:
                     for pins, guard in current:
-                        flows = model.hop(device, port, q, pins, guard)
+                        set_ops += 1
+                        flows = model.hop(sets, port, q, pins, guard)
                         if not flows:
                             continue
                         if (name, q) in exits:
@@ -296,8 +384,11 @@ def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
                                 worklist.append(neighbour)
             for exit_point, reached in reached_exits.items():
                 images[pair_key(entry, exit_point)] = reached
+        compiled = model.builds - builds
         live.set("entries", len(entries))
         live.set("images", len(images))
+        live.set("devices_compiled", compiled)
+        live.set("devices_reused", len(visited) - compiled)
 
     ordered = {pair: sorted(flows.items()) for pair, flows in images.items()}
     guards = [guard for flows in ordered.values() for _, guard in flows]
@@ -315,7 +406,7 @@ def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
             "devices": len(devices),
             "entries": len(entries),
             "exits": len(exits),
-            "set_ops": model.set_ops,
+            "set_ops": set_ops,
             "fixpoint_pops": rounds,
             "elapsed_ms": (time.monotonic() - started) * 1000.0,
         },

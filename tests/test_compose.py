@@ -31,7 +31,7 @@ from repro.compose import (
     run_composed,
 )
 from repro.compose import driver
-from repro.compose.shard import _ShardModel
+from repro.compose.shard import _ShardModel, forget_devices
 from repro.core import transformers
 from repro.core.transformers import TransformerContext
 from repro.errors import (
@@ -436,6 +436,11 @@ class _Counts:
         return taken
 
 
+def payload(spec) -> str:
+    """A device payload as canonical JSON: equal for equal configurations."""
+    return json.dumps(spec, sort_keys=True)
+
+
 def acls(device, side):
     """The device's ACLs on one side, by port."""
     return {
@@ -517,16 +522,30 @@ class TestPerDeviceBuild:
         self, monkeypatch
     ):
         topo, query = pinned_fabric(0xFF000000)
+        shards = plan_shards(topo, query).shards
         counts = _Counts(monkeypatch)
-        for shard in plan_shards(topo, query).shards:
+        forget_devices()
+        seen = set()
+        for shard in shards:
             summary = compute_shard_summary(shard)
-            models = list(build_network(shard).devices.values())
+            models = build_network(shard).devices
             # Every device of these shards is an entry, so all are touched.
             assert summary["stats"]["devices"] == len(models)
+            # One build per configuration not met before, whatever its name.
+            new = {
+                payload(spec): models[name]
+                for name, spec in shard["devices"].items()
+                if payload(spec) not in seen
+            }
+            seen.update(new)
             assert counts.take() == (
-                len(models),
-                sum(map(match_conditions, models)),
+                len(new),
+                sum(map(match_conditions, new.values())),
             )
+        # Warm, the same shards open no session.
+        for shard in shards:
+            compute_shard_summary(shard)
+        assert counts.take() == (0, 0)
 
     @pytest.mark.parametrize("seed", [3, 24, 77])
     def test_conditions_are_not_multiplied_by_ports(self, monkeypatch, seed):
@@ -535,6 +554,8 @@ class TestPerDeviceBuild:
             _, shard_model = fresh_shard_model()
             shard_model.sets(model)
             assert counts.take() == (1, match_conditions(model))
+            shard_model.sets(model)
+            assert counts.take() == (0, 0)
 
     def test_pinned_fat_tree_summaries(self):
         def summaries(mask):
