@@ -14,11 +14,9 @@ service rows additionally must carry the PR 5 warm-dispatch fields
 (p99, cache hit rate, batch stats) — and the report folds
 ``BENCH_service.json`` into a summary table alongside the live sweeps.
 
-``--check-scaling`` gates on the pool sweeps: service throughput and
-composed-query speedup (``BENCH_compose.json``) must not *decrease*
-as the pool grows (beyond ``--scaling-tolerance``), and the composed
-path must beat the monolith outright at the largest pool.  This is
-the regression the warm-dispatch scheduler exists to prevent — the
+``--check-scaling`` gates on the service pool sweep: throughput must
+not *decrease* as the pool grows (beyond ``--scaling-tolerance``).
+This is the regression the warm-dispatch scheduler exists to prevent — the
 pre-PR-5 pool inverted (pool=4 slower than pool=1) because every
 query paid a fresh round-trip and a cold model build.
 
@@ -88,21 +86,6 @@ OVERLOAD_ROW_SCHEMA = {
 
 OVERLOAD_PRIORITY_KEYS = ("interactive", "batch", "fuzz")
 
-#: Extra fields every row of a ``bench == "compose"`` artifact must
-#: carry since the compositional-sharding PR.
-COMPOSE_ROW_SCHEMA = {
-    "name": str,
-    "devices": int,
-    "pool_size": int,
-    "shards": int,
-    "monolithic_ms": (int, float),
-    "composed_ms": (int, float),
-    "recompose_ms": (int, float),
-    "speedup": (int, float),
-    "agreement": bool,
-    "escalations": int,
-}
-
 #: Provenance a ``bench == "micro_bdd"`` artifact must carry under
 #: ``stamp``: what machine and code produced the numbers.
 STAMP_SCHEMA = {"nproc": int, "cpu_model": str, "git_sha": str}
@@ -165,32 +148,6 @@ def _check_overload_row(i: int, row: dict) -> list:
     return problems
 
 
-def _check_compose_row(i: int, row: dict) -> list:
-    problems = []
-    for key, expected in COMPOSE_ROW_SCHEMA.items():
-        if key not in row:
-            problems.append(f"results[{i}] missing compose key {key!r}")
-        elif expected is bool:
-            if not isinstance(row[key], bool):
-                problems.append(
-                    f"results[{i}].{key} has wrong type "
-                    f"{type(row[key]).__name__}"
-                )
-        elif not isinstance(row[key], expected) or isinstance(
-            row[key], bool
-        ):
-            problems.append(
-                f"results[{i}].{key} has wrong type "
-                f"{type(row[key]).__name__}"
-            )
-    if row.get("agreement") is False:
-        problems.append(
-            f"results[{i}]: composed/monolithic verdicts diverge "
-            f"({row.get('name')}, pool={row.get('pool_size')})"
-        )
-    return problems
-
-
 def _check_stamp(data: dict) -> list:
     stamp = data.get("stamp")
     if not isinstance(stamp, dict):
@@ -235,8 +192,6 @@ def check_bench_file(path: Path) -> list:
                 problems.extend(_check_service_row(i, row))
             elif data.get("bench") == "overload":
                 problems.extend(_check_overload_row(i, row))
-            elif data.get("bench") == "compose":
-                problems.extend(_check_compose_row(i, row))
     return problems
 
 
@@ -282,8 +237,7 @@ def check_scaling(
             f"check-scaling: no {path.name} artifact yet (bootstrap) — "
             "nothing to gate on, passing clean"
         )
-        violations = _check_compose_scaling(root, tolerance, warn_only)
-        return 0 if warn_only else violations
+        return 0
     problems = check_bench_file(path)
     if problems:
         print(f"check-scaling: {path.name} invalid: {'; '.join(problems)}")
@@ -299,8 +253,7 @@ def check_scaling(
     )
     if len(sweep) < 2:
         print("check-scaling: fewer than 2 pool sizes, nothing to check")
-        violations = _check_compose_scaling(root, tolerance, warn_only)
-        return 0 if warn_only else violations
+        return 0
     violations = 0
     best_qps = sweep[0]["throughput_qps"]
     best_pool = sweep[0]["pool_size"]
@@ -330,85 +283,7 @@ def check_scaling(
         )
     else:
         print("check-scaling: throughput is monotone (within tolerance)")
-    violations += _check_compose_scaling(root, tolerance, warn_only)
     return 0 if warn_only else violations
-
-
-def _check_compose_scaling(
-    root: Path, tolerance: float, warn_only: bool
-) -> int:
-    """Gate on BENCH_compose.json speedup scaling with pool size.
-
-    Per topology: the composed-vs-monolith ``speedup`` must stay
-    monotone in pool size within ``tolerance`` (no row falls more than
-    that fraction below the best speedup of any smaller pool — the
-    same best-so-far rule as the service throughput gate), and the
-    largest pool must still beat the monolith outright
-    (``speedup > 1``).  The tolerance matters on starved runners: on a
-    single-core container shard fan-out is CPU-bound and extra workers
-    buy nothing but scheduler noise, so "monotone" there means "flat
-    within jitter"; a genuine dispatch serialization bug still shows
-    up on multi-core CI as a collapse far past the tolerance band.
-    """
-    path = root / "BENCH_compose.json"
-    if not path.is_file():
-        print(
-            f"check-scaling: no {path.name} artifact yet (bootstrap) — "
-            "skipping the compose gate"
-        )
-        return 0
-    problems = check_bench_file(path)
-    if problems:
-        print(f"check-scaling: {path.name} invalid: {'; '.join(problems)}")
-        return 1
-    data = json.loads(path.read_text())
-    by_name: dict = {}
-    for row in data["results"]:
-        by_name.setdefault(row["name"], []).append(row)
-    violations = 0
-    print(
-        f"check-scaling: {path.name} "
-        f"({'quick' if data.get('quick') else 'full'} run, "
-        f"tolerance {tolerance:.0%})"
-    )
-    for name in sorted(by_name):
-        sweep = sorted(by_name[name], key=lambda row: row["pool_size"])
-        best = sweep[0]["speedup"]
-        best_pool = sweep[0]["pool_size"]
-        print(f"  {name}: pool={best_pool} speedup {best:.1f}x (baseline)")
-        for row in sweep[1:]:
-            speedup = row["speedup"]
-            status = "ok"
-            if speedup < best * (1.0 - tolerance):
-                violations += 1
-                status = "WARN" if warn_only else "FAIL"
-            print(
-                f"  {name}: pool={row['pool_size']} speedup "
-                f"{speedup:.1f}x vs best {best:.1f}x "
-                f"(pool={best_pool}) -> {status}"
-            )
-            if speedup > best:
-                best, best_pool = speedup, row["pool_size"]
-        final = sweep[-1]
-        if final["speedup"] <= 1.0:
-            violations += 1
-            print(
-                f"  {name}: pool={final['pool_size']} composed is not "
-                f"beating the monolith (speedup "
-                f"{final['speedup']:.2f}x) -> "
-                f"{'WARN' if warn_only else 'FAIL'}"
-            )
-    if violations:
-        print(
-            f"check-scaling: composed speedup degrades with pool size "
-            f"({violations} violation(s))"
-        )
-    else:
-        print(
-            "check-scaling: composed speedup is monotone "
-            "(within tolerance) and beats the monolith"
-        )
-    return violations
 
 
 # -- perf-regression sentry (--record-history / --check-trend) ----------
@@ -689,37 +564,6 @@ def overload_summary(root: Path = REPO_ROOT) -> None:
         )
 
 
-def compose_summary(root: Path = REPO_ROOT) -> None:
-    """Fold BENCH_compose.json (if present) into the printed report."""
-    path = root / "BENCH_compose.json"
-    if not path.is_file():
-        return
-    problems = check_bench_file(path)
-    if problems:
-        print(f"\n{path.name} present but invalid: {'; '.join(problems)}")
-        return
-    data = json.loads(path.read_text())
-    mode = "quick" if data.get("quick") else "full"
-    print(f"\nCompositional sharding ({path.name}, {mode} run):")
-    print(
-        f"{'topology':>14} {'devices':>8} {'pool':>5} {'shards':>7} "
-        f"{'mono_ms':>9} {'comp_ms':>9} {'speedup':>8} {'esc':>4} "
-        f"{'agree':>6}"
-    )
-    for row in data["results"]:
-        print(
-            f"{row['name']:>14} "
-            f"{row['devices']:>8} "
-            f"{row['pool_size']:>5} "
-            f"{row['shards']:>7} "
-            f"{row['monolithic_ms']:>9.0f} "
-            f"{row['composed_ms']:>9.0f} "
-            f"{row['speedup']:>7.1f}x "
-            f"{row['escalations']:>4} "
-            f"{str(row['agreement']):>6}"
-        )
-
-
 def print_backend_stats(bdd_backend: BddBackend, sat_backend: SatBackend) -> None:
     """Op-level counters accumulated over a series sweep.
 
@@ -821,9 +665,8 @@ def main() -> None:
     parser.add_argument(
         "--check-scaling",
         action="store_true",
-        help="gate on BENCH_service.json throughput and "
-        "BENCH_compose.json speedup being monotone (non-decreasing) "
-        "in pool size and exit",
+        help="gate on BENCH_service.json throughput being monotone "
+        "(non-decreasing) in pool size and exit",
     )
     parser.add_argument(
         "--scaling-tolerance",
@@ -895,7 +738,6 @@ def main() -> None:
     routemap_series(rm_sizes, args.repeats)
     service_summary()
     overload_summary()
-    compose_summary()
 
 
 if __name__ == "__main__":

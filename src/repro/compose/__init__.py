@@ -15,9 +15,9 @@ Public surface:
 * :func:`plan_shards` / :class:`Plan` — the topology partitioner;
 * :func:`compute_shard_summary` — the picklable worker entry
   (``repro.compose.shard:compute_shard_summary``);
-* :func:`recompose` — the parent-side chaining fixpoint;
-* :func:`monolithic_verdict` — the joint-query oracle (and the
-  driver's fallback when a witness fails replay);
+* :func:`recompose` — the parent-side chaining fixpoint, and
+  :func:`walk_back` — its growth records run backwards from the hit
+  to an initial-header witness;
 * :func:`build_network` / :func:`replay` — the payload as one
   :class:`~repro.network.Network` (the only device model) and one
   concrete header walked through its Zen hop (the witness check).
@@ -34,12 +34,12 @@ from .driver import (
     ComposedResult,
     run_composed,
 )
-from .monolith import MonolithResult, NetState, monolithic_verdict
 from .plan import Plan, plan_shards, point_key
 from .recompose import (
     CANARY_DROP_ASSUMPTION,
     RecomposeOutcome,
     recompose,
+    walk_back,
 )
 from .shard import compute_shard_summary
 from .topo import (
@@ -54,8 +54,6 @@ __all__ = [
     "CANARY_DROP_ASSUMPTION",
     "ComposedResult",
     "Cover",
-    "MonolithResult",
-    "NetState",
     "Plan",
     "RecomposeOutcome",
     "SHARD_BUILDER",
@@ -64,7 +62,6 @@ __all__ = [
     "cover_node",
     "cover_predicate",
     "has_nat",
-    "monolithic_verdict",
     "plan_shards",
     "point_key",
     "recompose",
@@ -73,4 +70,5 @@ __all__ = [
     "validate_cover",
     "validate_query",
     "validate_topology",
+    "walk_back",
 ]

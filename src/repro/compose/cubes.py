@@ -139,8 +139,21 @@ def assignment_header(
 
 
 # ----------------------------------------------------------------------
-# Symbolic membership
+# Membership
 # ----------------------------------------------------------------------
+
+
+def in_cover(cover: Cover, header: Any) -> bool:
+    """Whether one concrete header (fields as attributes) is in `cover`."""
+    if cover is None:
+        return True
+    return any(
+        all(
+            getattr(header, name) & mask == value & mask
+            for name, (value, mask) in cube.items()
+        )
+        for cube in cover
+    )
 
 
 def cover_predicate(h: Zen, cover: Cover) -> Zen:

@@ -9,20 +9,22 @@ as independent ``kind="call"`` specs, then chains the summaries back
 together (:mod:`~repro.compose.recompose`).
 
 Every summary is exact for every set inside its shard's assumption,
-so one dispatch round and one recompose pass decide the verdict.  Two
-things remain that are not the verdict itself:
+so one dispatch round and one recompose pass decide the verdict, and
+the same summaries justify it:
 
-* a reachable verdict on a rewrite-free topology carries a witness,
-  which is replayed concretely through the Zen hop
-  (:func:`~repro.compose.topo.replay`); a mismatch falls back to the
-  joint monolithic fixpoint (:mod:`~repro.compose.monolith`) — a
-  safety net, not a rung any workload is meant to reach;
+* a reachable verdict carries a witness, NAT or not: an *initial*
+  header walked back from the hit through the summaries
+  (:func:`~repro.compose.recompose.walk_back`), then replayed
+  concretely through the Zen hop (:func:`~repro.compose.topo.replay`),
+  which must deliver a header inside the query's ``target`` cover.
+  No walk-back header, or a replay that disagrees, raises
+  :class:`~repro.errors.ZenComposeError` — a wrong "reachable" is
+  never returned, and no second engine is asked;
 * an arriving set that escapes its shard's assumption means the
-  planner assumed what it cannot prove, and raises
-  :class:`~repro.errors.ZenComposeError`.
+  planner assumed what it cannot prove, and raises too.
 
 A shard whose dispatch fails terminally raises
-:class:`~repro.errors.ZenComposeError` too — a missing interface
+:class:`~repro.errors.ZenComposeError` as well — a missing interface
 summary is a structural failure, never silently skipped.
 """
 
@@ -38,12 +40,16 @@ from ..network import Header
 from ..service.spec import QuerySpec
 from ..telemetry.metrics import METRICS
 from ..telemetry.spans import span
-from .cubes import assignment_header
-from .monolith import monolithic_verdict
-from .plan import plan_shards
-from .recompose import CANARY_DROP_ASSUMPTION, RecomposeOutcome, recompose
+from .cubes import in_cover
+from .plan import Plan, plan_shards
+from .recompose import (
+    CANARY_DROP_ASSUMPTION,
+    RecomposeOutcome,
+    recompose,
+    walk_back,
+)
 from .shard import compute_shard_summary
-from .topo import build_network, has_nat, replay
+from .topo import build_network, replay
 
 #: module:attr builder reference resolved inside service workers.
 SHARD_BUILDER = "repro.compose.shard:compute_shard_summary"
@@ -57,15 +63,16 @@ class ComposedResult:
     reachable: bool
     witness: Optional[Dict[str, int]]
     shard_count: int
-    monolith_fallback: bool
     recompose_ms: float
     total_ms: float
     dropped_devices: List[str] = field(default_factory=list)
     summaries: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
-    #: Re-dispatch rounds; always 0 since summaries are exact for any
-    #: input, kept because benchmark rows record it.
+    #: Re-dispatch rounds and second-engine answers; always 0 and
+    #: False since summaries are exact for any input and every witness
+    #: comes from them, kept because benchmark rows record them.
     escalations = 0
+    monolith_fallback = False
 
     @property
     def holds(self) -> bool:
@@ -106,11 +113,28 @@ def _dispatch(
     return summaries
 
 
-def _witness_from_hit(outcome: RecomposeOutcome) -> Optional[Dict[str, int]]:
-    assignment = outcome.context.manager.any_sat(outcome.hit_node)
-    if assignment is None:
-        return None
-    return assignment_header(assignment, outcome.levels)
+def _witness(
+    topo: Dict[str, Any],
+    query: Dict[str, Any],
+    plan: Plan,
+    outcome: RecomposeOutcome,
+) -> Dict[str, int]:
+    """The hit's initial header, walked back and replayed concretely."""
+    witness = walk_back(plan, outcome)
+    if witness is None:
+        raise ZenComposeError(
+            "no initial header walks back from the delivered hit: the "
+            "recomposed verdict is not backed by its summaries"
+        )
+    network = build_network(topo, (plan.source, plan.sink))
+    delivered = replay(network, query, Header(**witness))
+    if delivered is None or not in_cover(plan.target, delivered):
+        raise ZenComposeError(
+            f"witness {witness} walks back through the summaries, but "
+            f"its concrete replay delivers {delivered}, not a header in "
+            f"the target"
+        )
+    return witness
 
 
 def run_composed(
@@ -128,7 +152,7 @@ def run_composed(
     :mod:`~repro.compose.topo`.  With an `engine`, shard summaries fan
     out across the worker pool; without one they run in-process.
     `budget` is a plain dict of :class:`~repro.core.Budget` fields
-    threaded into every shard and the fallback.  `bug` injects a known
+    threaded into every shard.  `bug` injects a known
     recomposer bug (fuzz-farm canary) — never set it outside tests.
     """
     started = time.monotonic()
@@ -154,38 +178,16 @@ def run_composed(
                 shard_id=failed[0],
             )
 
-        def finish(
-            reachable: bool,
-            witness: Optional[Dict[str, int]],
-            monolith_fallback: bool,
-        ) -> ComposedResult:
-            live.set("reachable", reachable)
-            live.set("monolith_fallback", monolith_fallback)
-            return ComposedResult(
-                mode=plan.mode,
-                reachable=reachable,
-                witness=witness,
-                shard_count=len(plan.shards),
-                monolith_fallback=monolith_fallback,
-                recompose_ms=recompose_ms,
-                total_ms=(time.monotonic() - started) * 1000.0,
-                dropped_devices=plan.dropped_devices,
-                summaries=summaries,
-            )
-
-        if outcome.hit_node == 0:
-            return finish(False, None, False)
-        if canary or has_nat(topo):
-            # The delivered header is post-NAT: no initial-header witness
-            # without the joint machine.  The canary trusts it blindly.
-            return finish(True, None, False)
-        # Rewrite-free: the delivered header *is* the injected header, so
-        # replay it through the Zen hop as a final cross-check.
-        witness = _witness_from_hit(outcome)
-        network = build_network(topo, (plan.source, plan.sink))
-        if replay(network, query, Header(**witness)) is not None:
-            return finish(True, witness, False)
-        METRICS.counter("compose.replay_mismatches").inc()
-        METRICS.counter("compose.monolith_fallbacks").inc()
-        mono = monolithic_verdict(topo, query, budget=budget)
-        return finish(mono.reachable, mono.witness, True)
+        reachable = outcome.hit_node != 0
+        witness = _witness(topo, query, plan, outcome) if reachable else None
+        live.set("reachable", reachable)
+        return ComposedResult(
+            mode=plan.mode,
+            reachable=reachable,
+            witness=witness,
+            shard_count=len(plan.shards),
+            recompose_ms=recompose_ms,
+            total_ms=(time.monotonic() - started) * 1000.0,
+            dropped_devices=plan.dropped_devices,
+            summaries=summaries,
+        )

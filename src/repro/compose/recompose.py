@@ -20,6 +20,18 @@ Each summary's sets arrive as references into its one node table
 (:func:`~repro.compose.cubes.header_sets`), imported once per summary
 before the fixpoint starts.
 
+**Walk-back.**  The fixpoint records each growth of a point's set — an
+entry's arriving set, or the headers delivered at the sink — stamped
+with the worklist pop that produced it.  :func:`walk_back` runs those
+records backwards from the hit: a flow ``(G, P)`` out of entry ``e``
+takes one header ``t`` to its pre-image ``A ∧ G ∧ restrict(t, P)``
+(``= A ∧ G ∧ ∃X.(t ∧ P)``), where ``A`` is what had arrived at ``e``
+when the growth was popped.  It picks one header per step; that header
+first arrived at a strictly earlier stamp, so the walk ends in the
+source's ``headers`` cover within ``iterations`` steps, with an
+*initial* header the summaries deliver into the target — the same
+quantifier the forward pass uses, run the other way.
+
 The injectable canary bug ``compose-drop-assumption`` (see
 ``repro.fuzz``) lives here: it skips discharge and chains every flow
 as a filter, ``S ∧ G ∧ P``, forgetting that the pinned bits were
@@ -37,11 +49,34 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..core.transformers import TransformerContext
 from ..network import Header
 from ..telemetry.spans import span
-from .cubes import Cube, cover_node, cube_literals, header_sets
+from .cubes import (
+    Cube,
+    assignment_header,
+    cover_node,
+    cube_literals,
+    header_sets,
+)
 from .plan import Plan, parse_point, point_key
 
 #: Canary bug id: drop interface-assumption discharge in the recomposer.
 CANARY_DROP_ASSUMPTION = "compose-drop-assumption"
+
+#: The growth records' key for headers delivered at the sink (never a
+#: point key: device names hold no ``|``).
+DELIVERED = "|delivered"
+
+#: One growth of a point's set: ``(stamp, popped entry, grown set)``.
+#: The source's initial set has stamp 0 and no popped entry.
+Growth = Tuple[int, Optional[str], int]
+Flow = Tuple[int, Cube]
+
+
+def _landing(plan: Plan, exit_key: str) -> Optional[str]:
+    """Where a flow leaving at `exit_key` lands: the sink, the next
+    shard's entry, or (None) outside the analysed region."""
+    if exit_key == point_key(plan.sink):
+        return DELIVERED
+    return plan.boundary.get(exit_key)
 
 
 @dataclass
@@ -53,6 +88,12 @@ class RecomposeOutcome:
     levels: List[int]  # the context's header block
     assumption_failures: Set[str] = field(default_factory=set)
     iterations: int = 0
+    #: Every growth of each point's set, in stamp order.
+    growths: Dict[str, List[Growth]] = field(default_factory=dict)
+    #: Each entry's ``(exit, flows)`` pairs, as imported.
+    flows_of_entry: Dict[str, List[Tuple[str, List[Flow]]]] = field(
+        default_factory=dict
+    )
 
     @property
     def trusted(self) -> bool:
@@ -77,7 +118,8 @@ def recompose(
     # flows ``(guard, pins)`` of every pair indexed by entry for the
     # worklist.
     assumptions: Dict[str, int] = {}
-    flows_of_entry: Dict[str, List[Tuple[str, List[Tuple[int, Cube]]]]] = {}
+    outcome = RecomposeOutcome(0, context, levels)
+    flows_of_entry = outcome.flows_of_entry
     for sid, summary in summaries.items():
         images = summary["images"]
         flat = [flow for flows in images.values() for flow in flows]
@@ -95,13 +137,13 @@ def recompose(
                 (exit_key, list(islice(imported, len(flows))))
             )
 
-    sink_key = point_key(plan.sink)
-    outcome = RecomposeOutcome(0, context, levels)
+    source_key = point_key(plan.source)
     arriving: Dict[str, int] = {
-        point_key(plan.source): cover_node(manager, levels, plan.headers)
+        source_key: cover_node(manager, levels, plan.headers)
     }
-    delivered = 0
-    worklist = [point_key(plan.source)]
+    growths = outcome.growths
+    growths[source_key] = [(0, None, arriving[source_key])]
+    worklist = [source_key]
 
     def shard_at(entry_key: str) -> Optional[str]:
         sid = plan.shard_of.get(parse_point(entry_key)[0])
@@ -124,20 +166,19 @@ def recompose(
                         image = manager.and_exists(current, guard, pinned)
                     image = manager.and_(image, manager.cube(pinned))
                     flowed = manager.or_(flowed, image)
-                if flowed == 0:
-                    continue
-                if exit_key == sink_key:
-                    delivered = manager.or_(delivered, flowed)
-                    continue
-                next_entry = plan.boundary.get(exit_key)
-                if next_entry is None:
-                    continue  # exits the analysed region; drops
-                grown = manager.or_(arriving.get(next_entry, 0), flowed)
-                if grown != arriving.get(next_entry, 0):
-                    arriving[next_entry] = grown
-                    if next_entry not in worklist:
-                        worklist.append(next_entry)
+                landing = _landing(plan, exit_key)
+                if flowed == 0 or landing is None:
+                    continue  # nothing flows, or it leaves the region
+                grown = manager.or_(arriving.get(landing, 0), flowed)
+                if grown != arriving.get(landing, 0):
+                    arriving[landing] = grown
+                    growths.setdefault(landing, []).append(
+                        (outcome.iterations, entry_key, grown)
+                    )
+                    if landing != DELIVERED and landing not in worklist:
+                        worklist.append(landing)
 
+        delivered = arriving.pop(DELIVERED, 0)
         # Judge discharge against the converged sets.
         if not canary:
             for entry_key, final in arriving.items():
@@ -151,3 +192,50 @@ def recompose(
         live.set("assumption_failures", len(outcome.assumption_failures))
         live.set("hit", outcome.hit_node != 0)
     return outcome
+
+
+def walk_back(plan: Plan, outcome: RecomposeOutcome) -> Optional[Dict[str, int]]:
+    """An initial header the summaries deliver into the target.
+
+    Walks the outcome's growth records backwards from ``hit_node``,
+    one header per step (see the module docstring).  Returns None when
+    a step finds no header: the hit is not backed by the flows that
+    produced it.
+    """
+    manager = outcome.context.manager
+    levels = outcome.levels
+
+    def one_header(node: int) -> int:
+        """`{h}` for one header `h` of `node` (free bits 0), else 0."""
+        assignment = manager.any_sat(node)
+        if assignment is None:
+            return 0
+        return manager.cube({lv: assignment.get(lv, False) for lv in levels})
+
+    header = one_header(outcome.hit_node)
+    point = DELIVERED
+    for _ in range(outcome.iterations + 1):
+        first = next(
+            (g for g in outcome.growths.get(point, ()) if manager.and_(g[2], header)),
+            None,
+        )
+        if first is None:
+            return None
+        stamp, popped, _ = first
+        if popped is None:  # in the source's initial set
+            return assignment_header(manager.any_sat(header), levels)
+        arrived = [g[2] for g in outcome.growths.get(popped, ()) if g[0] < stamp]
+        current = arrived[-1] if arrived else 0
+        pre = 0
+        for exit_key, flows in outcome.flows_of_entry.get(popped, ()):
+            if _landing(plan, exit_key) != point:
+                continue
+            for guard, pins in flows:
+                wanted = manager.restrict(header, cube_literals(pins, levels))
+                pre = manager.or_(
+                    pre, manager.and_(manager.and_(wanted, guard), current)
+                )
+        # A flow without pins maps the header to itself: keep it.
+        header = pre if pre == header else one_header(pre)
+        point = popped
+    return None

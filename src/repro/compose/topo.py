@@ -27,9 +27,9 @@ worker.
 
 There is one device model: :func:`build_network` lifts the payload
 into :mod:`repro.network` devices and interfaces, and the per-shard
-Zen sets, the monolithic product machine and :func:`replay` all state
-a hop with the same pieces of :mod:`repro.network.device`.  A packet
-entering device ``d`` at port ``p`` with header ``h``:
+Zen sets and :func:`replay` both state a hop with the same pieces of
+:mod:`repro.network.device`.  A packet entering device ``d`` at port
+``p`` with header ``h``:
 
 1. ``acl_in[p]`` filters ``h`` (absent ACL admits everything);
 2. the device's NAT table rewrites ``h`` to ``h'``;
@@ -65,8 +65,6 @@ from ..network.payload import (
 from .cubes import validate_cover
 
 Point = Tuple[str, int]
-
-MAX_MONOLITH_DEVICES = 254  # device index must fit a Byte with sentinel
 
 
 # ----------------------------------------------------------------------
@@ -217,7 +215,7 @@ def replay(
     Each device the packet visits evaluates the hop pieces — inbound
     admit, NAT rewrite, LPM port, outbound permit — concretely with
     :meth:`~repro.core.ZenFunction.evaluate`: the same Zen the shards
-    and the monolith compile symbolically.  Returns the header
+    compile symbolically.  Returns the header
     delivered at the sink, or None when the packet is dropped, leaves
     at another port, or loops.
     """

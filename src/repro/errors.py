@@ -212,7 +212,8 @@ class ZenBackendDisagreement(ZenServiceError):
 
 
 class ZenComposeError(ZenServiceError):
-    """A compositional query lost a shard, or a shard's assumption.
+    """A compositional query lost a shard, a shard's assumption, or
+    its witness.
 
     The compose driver fans per-shard summary tasks out through the
     query engine; when a shard's dispatch fails terminally (worker
@@ -220,10 +221,11 @@ class ZenComposeError(ZenServiceError):
     recomposition is missing an interface summary and *must not* fall
     back to guessing.  The same error reports an arriving set that
     escapes a shard's interface assumption — a planner bug, since the
-    planner only assumes what it can prove.  The failure is structural
-    and carries ``shard_id`` plus the underlying per-shard errors (if
-    any) so callers can re-dispatch or ask the monolithic query
-    deliberately.
+    planner only assumes what it can prove — and a "reachable" whose
+    walked-back witness is missing or fails concrete replay, which is
+    a summary or recomposer bug.  The failure is structural and
+    carries ``shard_id`` (when one shard is at fault) plus the
+    underlying per-shard errors (if any) so callers can re-dispatch.
     """
 
     def __init__(self, message, shard_id="", causes=()):

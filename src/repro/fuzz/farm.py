@@ -87,13 +87,6 @@ class FarmConfig:
     max_failures: int = 5
     shrink_checks: int = 300
     wall_budget_s: Optional[float] = None
-    #: Run the composed-vs-monolith joint fixpoint on every Nth
-    #: *topology* scenario (0 = never).  The monolith pays a
-    #: multi-second BDD relation floor even on two-device chains, so
-    #: campaigns sample it; every topology scenario still gets the
-    #: cheap arms (composed verdict, probe cross-checks, witness
-    #: replay) unconditionally.
-    monolith_every: int = 3
     #: Inject a worker fault before every Nth service-routed scenario
     #: (0 = never).  Faults are drawn from ``chaos_kinds`` by a
     #: seed-derived RNG; see the module docstring for how verdicts
@@ -175,7 +168,6 @@ def run_farm(
     say = progress or (lambda message: None)
     chaos_rng = random.Random(f"repro-fuzz-chaos:{config.seed}")
     service_index = 0
-    topology_index = 0
     try:
         for index in range(config.count):
             if (
@@ -212,20 +204,12 @@ def run_farm(
                     chaos_active = _inject_chaos(
                         active, config, chaos_rng, result, say
                     )
-            run_monolith = True
-            if data["kind"] == "topology":
-                run_monolith = (
-                    config.monolith_every > 0
-                    and topology_index % config.monolith_every == 0
-                )
-                topology_index += 1
             report = check_scenario(
                 data,
                 engine=active,
                 probe_count=config.probe_count,
                 budget=config.budget,
                 timeout_s=config.timeout_s if use_service else None,
-                monolith=run_monolith,
             )
             if report.failed and chaos_active:
                 # The engine this ran on had a fault injected moments
@@ -236,7 +220,6 @@ def run_farm(
                     data,
                     probe_count=config.probe_count,
                     budget=config.budget,
-                    monolith=run_monolith,
                 )
                 if recheck.failed:
                     report = recheck

@@ -11,8 +11,11 @@ One scenario, four independent derivations of the same semantics:
    from-scratch reimplementation off the JSON payload.
 
 :func:`check_scenario` runs a scenario through all four and folds the
-comparisons into one :class:`OracleReport`.  A failure carries a
-*signature* — a short structural tuple like ``("unsound", "sat")`` or
+comparisons into one :class:`OracleReport`.  A compose *topology*
+scenario has its own arms: the composed verdict, concrete replay and
+the reference walker on probes and on the composed witness, and one
+HSA exploration (:func:`hsa_delivered`) for every "unreachable".  A
+failure carries a *signature* — a short structural tuple like ``("unsound", "sat")`` or
 ``("ref_divergence", "probe")`` — which is what the shrinker preserves
 while minimizing and what artifacts key on.  Budget and hard-timeout
 exhaustion are *explained* outcomes, not failures: a fuzz campaign
@@ -52,6 +55,7 @@ from .scenario import build_scenario_model, prop_never, scenario_label
 __all__ = [
     "OracleReport",
     "check_scenario",
+    "hsa_delivered",
     "make_specs",
     "ORACLE_BACKENDS",
 ]
@@ -174,7 +178,6 @@ def check_scenario(
     budget: Optional[Budget] = None,
     timeout_s: Optional[float] = None,
     extra_inputs: Sequence[Tuple[Any, ...]] = (),
-    monolith: bool = True,
 ) -> OracleReport:
     """Run the full differential oracle over one scenario.
 
@@ -183,11 +186,6 @@ def check_scenario(
     counterexample here, so a candidate scenario keeps "failing" as
     long as that specific input still diverges — without this, each
     shrink step would re-roll the probe stream and lose the failure.
-
-    ``monolith`` gates the joint-fixpoint arm of topology scenarios
-    (it pays a multi-second relation-construction floor even on tiny
-    chains); the farm samples it rather than paying it per scenario.
-    Other kinds ignore the flag.
     """
     report = OracleReport(
         scenario=data, ok=True, mode="service" if engine else "inprocess"
@@ -201,7 +199,6 @@ def check_scenario(
             budget,
             timeout_s,
             extra_inputs,
-            monolith,
         )
         return report
     try:
@@ -383,6 +380,52 @@ def topology_replay(
     return verdict
 
 
+def hsa_delivered(
+    topo: Dict[str, Any], source: Sequence[Any], headers: Any = None
+) -> Callable[[Sequence[Any], Any], bool]:
+    """One HSA exploration of the headers in `headers` (no underlay)
+    entering at `source`; returns whether any of them leaves at a sink
+    point carrying a header in a given cover.
+
+    The path sets come from :func:`~repro.analyses.reachable_sets` over
+    the payload's :class:`~repro.network.Network`: a symbolic engine
+    that shares the device model with compose but none of its
+    planning, summaries or recomposition.
+    """
+    from ..analyses import reachable_sets
+    from ..compose.cubes import cover_predicate
+    from ..compose.topo import build_network
+    from ..core import ZenFunction
+    from ..core.transformers import TransformerContext
+    from ..network import Packet
+
+    network = build_network(topo, [source])
+    context = TransformerContext()
+    injected = context.from_predicate(
+        ZenFunction(
+            lambda p: ~p.underlay_header.has_value()
+            & cover_predicate(p.overlay_header, headers),
+            [Packet],
+        )
+    )
+    entry = network.device(source[0]).interface(source[1])
+    sets = reachable_sets(network, entry, context, packets=injected)
+
+    def delivers(sink: Sequence[Any], cover: Any) -> bool:
+        wanted = context.from_predicate(
+            ZenFunction(
+                lambda p: cover_predicate(p.overlay_header, cover), [Packet]
+            )
+        )
+        return any(
+            s.path[-1] == f"{sink[0]}:{sink[1]}"
+            and not s.packets.intersect(wanted).is_empty()
+            for s in sets
+        )
+
+    return delivers
+
+
 def _check_topology(
     data: Dict[str, Any],
     report: OracleReport,
@@ -391,24 +434,21 @@ def _check_topology(
     budget: Optional[Budget],
     timeout_s: Optional[float],
     extra_inputs: Sequence[Tuple[Any, ...]],
-    monolith: bool = True,
 ) -> None:
-    """The compose differential: composed vs reference vs replay vs
-    monolith.
+    """The compose differential: composed vs reference vs replay vs HSA.
 
     Topology scenarios are not solved through find/verify — the object
     under test is :func:`~repro.compose.driver.run_composed` itself.
     Checks run cheapest-first: the composed verdict, then concrete
-    probes (reference walker against the Zen hop's concrete replay, and any
-    True probe against a composed "unreachable"), then witness replay,
-    and only last the budget-capped monolithic fixpoint.  The monolith
-    is skipped when ``extra_inputs`` pins a counterexample (shrinking
-    and artifact replay): the pinned probe carries the failure, and
-    the shrinker's hundreds of candidate checks must not each pay a
-    joint fixpoint.
+    probes (reference walker against the Zen hop's concrete replay, and
+    any True probe against a composed "unreachable"), then the verdict
+    itself.  A "reachable" must carry a witness the reference walker
+    delivers — the driver already replayed it, so that proves the
+    verdict.  An "unreachable" is judged by one HSA exploration
+    (:func:`hsa_delivered`), which must not deliver any injected
+    header into the target either.
     """
     from ..compose.driver import run_composed
-    from ..compose.monolith import monolithic_verdict
     from ..errors import ZenComposeError
     from ..network.packet import Header
     from .reference import SYSTEM_BUGS
@@ -470,47 +510,29 @@ def _check_topology(
             report.counterexample = probe
             return
 
-    if composed.reachable and composed.witness is not None:
-        witness = (Header(**composed.witness),)
-        report.witnesses["composed"] = witness
-        if not reference_result(data, witness):
+    if composed.reachable:
+        witness = (
+            (Header(**composed.witness),) if composed.witness else None
+        )
+        if witness is None or not reference_result(data, witness):
             report.ok = False
             report.signature = ("ref_divergence", "witness")
             report.detail = (
-                "composed witness rejected by the reference "
-                f"interpreter: {composed.witness!r}"
+                "composed reachable without a witness the reference "
+                f"interpreter delivers: {composed.witness!r}"
             )
             report.counterexample = witness
             return
+        report.witnesses["composed"] = witness
+        return
 
-    if extra_inputs or not monolith:
-        return
-    # The joint fixpoint pays a multi-second relation-construction
-    # floor even on two-device chains, so the scenario deadline (tuned
-    # for solver queries) would always trip: scale it up and rely on
-    # the BDD node cap, which cuts genuine NAT blowups off in seconds.
-    mono_budget = budget
-    if budget is not None and budget.deadline_s is not None:
-        mono_budget = Budget(
-            deadline_s=max(15.0, 5 * budget.deadline_s),
-            max_conflicts=budget.max_conflicts,
-            max_bdd_nodes=budget.max_bdd_nodes or 1_000_000,
-            max_models=budget.max_models,
-        )
-    try:
-        mono = monolithic_verdict(topo, query, budget=mono_budget)
-    except ZenBudgetExceeded as error:
-        report.explained = f"budget:{error.reason or 'exhausted'}"
-        report.verdicts["monolith"] = None
-        return
-    report.verdicts["monolith"] = mono.reachable
-    if mono.reachable != composed.reachable:
+    delivers = hsa_delivered(topo, query["source"], query.get("headers"))
+    report.verdicts["hsa"] = delivers(query["sink"], query.get("target"))
+    if report.verdicts["hsa"]:
         report.ok = False
         report.signature = ("compose_divergence",)
         report.detail = (
-            f"composed={composed.reachable} monolith={mono.reachable} "
-            f"(fallback={composed.monolith_fallback}, "
-            f"shards={composed.shard_count})"
+            f"composed=False hsa=True (shards={composed.shard_count})"
         )
 
 

@@ -666,8 +666,10 @@ class ScenarioGenerator:
         cover is what makes the recomposer's quantification of a NAT
         flow's rewritten bits matter, so the ``compose-drop-assumption``
         canary, which chains a flow without it, actually bites on
-        rewriting chains.  The farm draws two to four devices; longer
-        rewriting chains get their oracle from HSA in the compose tests.
+        rewriting chains.  A target aimed at a NAT prefix makes some
+        verdicts "unreachable", which the oracle's HSA arm judges.  The
+        farm draws two to four devices; longer rewriting chains get the
+        same HSA oracle in the compose tests.
         """
         from ..workloads.generators import chain_query, chain_topology
 
@@ -685,6 +687,22 @@ class ScenarioGenerator:
             query["headers"] = [
                 {"dst_ip": [rng.getrandbits(32) & mask, mask]}
             ]
+        # The last draw, so every field above keeps its value: aim the
+        # target at a NAT rule's match or translate prefix, which the
+        # rewritten headers hit or miss.  Without a target every
+        # verdict is "reachable", and a recomposer that always answers
+        # so would pass.
+        prefixes = [
+            prefix
+            for spec in topo["devices"].values()
+            for rule in spec.get("nat") or []
+            for prefix in (rule.get("match_dst"), rule.get("translate_dst"))
+            if prefix
+        ]
+        if prefixes and rng.random() < 0.7:
+            address, length = rng.choice(prefixes)
+            mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
+            query["target"] = [{"dst_ip": [address & mask, mask]}]
         return {"topo": topo, "query": query}
 
     def _gen_zen(self, rng: random.Random) -> Dict[str, Any]:

@@ -9,8 +9,8 @@ chains them along a path (Figure 7).
 
 The header-level hop pieces — :func:`admits`, :func:`rewrite`,
 :func:`~repro.network.fib.forward` and :func:`permits` — are stated
-once here; the packet models above and the compose subsystem's shard,
-monolith and witness replay all call them.
+once here; the packet models above and the compose subsystem's shard
+summaries and witness replay all call them.
 """
 
 from __future__ import annotations

@@ -128,7 +128,5 @@ def render_status(status: EngineStatus) -> str:
         lines.append(
             f"  compose: queries {int(compose.get('queries', 0))}"
             f" · shards {int(compose.get('shards_dispatched', 0))}"
-            f" · monolith fallbacks"
-            f" {int(compose.get('monolith_fallbacks', 0))}"
         )
     return "\n".join(lines)

@@ -1,12 +1,13 @@
 """Tests for the compositional sharding subsystem.
 
-The differential tests are the heart: on small hand-built chains the
-composed verdict must equal the monolithic fixpoint's for reachable,
-unreachable, and counterexample cases.  NAT topologies get
-known-truth and HSA checks instead (the joint fixpoint's transition
-relation blows up under rewrites — that asymmetry is the whole point of
-the subsystem), each answered in one dispatch round.  Structural-failure
-and chaos tests pin down the service contract: a lost shard raises
+The differential tests are the heart: on small hand-built chains, on
+k=4 fabrics and on long NAT chains the composed verdict must equal one
+HSA exploration's (:func:`repro.fuzz.oracle.hsa_delivered`), and every
+composed "reachable" carries an initial-header witness that the fuzz
+farm's reference walker delivers into the target.  NAT topologies also
+get known-truth checks, each answered in one dispatch round.
+Structural-failure and chaos tests pin down the service contract: a
+lost shard, or a witness that fails replay, raises
 :class:`~repro.errors.ZenComposeError`, never a silently wrong
 verdict, while a killed worker is absorbed by respawn + retry.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import sys
 
 import pytest
 
@@ -26,8 +26,8 @@ from repro.compose import (
     CANARY_DROP_ASSUMPTION,
     build_network,
     compute_shard_summary,
-    monolithic_verdict,
     plan_shards,
+    recompose,
     run_composed,
 )
 from repro.compose import driver
@@ -35,18 +35,16 @@ from repro.compose.shard import _ShardModel, forget_devices
 from repro.core import transformers
 from repro.core.transformers import TransformerContext
 from repro.errors import (
-    ZenBudgetExceeded,
     ZenComposeError,
     ZenServiceError,
     ZenTypeError,
 )
-from repro.analyses import reachable_sets
-from repro.compose.cubes import cover_node, cover_predicate, header_sets
+from repro.compose.cubes import cover_node, header_sets
 from repro.fuzz import FarmConfig, replay_artifact, run_farm
-from repro.fuzz.reference import _walk_topology, reference_inputs
+from repro.fuzz.oracle import hsa_delivered
+from repro.fuzz.reference import _walk_topology, reference_inputs, reference_result
 from repro.network import (
     Header,
-    Packet,
     acl_allows,
     apply_nat,
     forward,
@@ -116,20 +114,16 @@ def nat_chain():
 
 @pytest.fixture
 def one_round(monkeypatch):
-    """Record every shard summary the driver computes and make the
-    monolith raise.  ``one_round(topo, query)`` then checks that the
-    queries since its last call summarised each planned shard once."""
+    """Record every shard summary the driver computes.
+    ``one_round(topo, query)`` then checks that the queries since its
+    last call summarised each planned shard once."""
     summarised = []
 
     def summarise(task):
         summarised.append(task["shard_id"])
         return compute_shard_summary(task)
 
-    def no_monolith(*args, **kwargs):
-        raise AssertionError("the composed query fell back to the monolith")
-
     monkeypatch.setattr(driver, "compute_shard_summary", summarise)
-    monkeypatch.setattr(driver, "monolithic_verdict", no_monolith)
 
     def check(topo, query) -> bool:
         planned = [task["shard_id"] for task in plan_shards(topo, query).shards]
@@ -140,50 +134,61 @@ def one_round(monkeypatch):
     return check
 
 
+def topology_scenario(topo, query):
+    return {"kind": "topology", "payload": {"topo": topo, "query": query}}
+
+
+def delivers_witness(topo, query, witness) -> bool:
+    """The reference walker delivers `witness` into the query's target."""
+    return witness is not None and reference_result(
+        topology_scenario(topo, query), (Header(**witness),)
+    )
+
+
+def differential(topo, query):
+    """The composed verdict, checked against one HSA exploration and the
+    reference walker: a "reachable" witness is delivered, and for an
+    "unreachable" no reference probe is."""
+    composed = run_composed(topo, query)
+    delivers = hsa_delivered(topo, query["source"], query.get("headers"))
+    assert delivers(query["sink"], query.get("target")) is composed.reachable
+    if composed.reachable:
+        assert delivers_witness(topo, query, composed.witness)
+    else:
+        assert composed.witness is None
+        scenario = topology_scenario(topo, query)
+        for probe in reference_inputs(scenario, random.Random(5), count=24):
+            assert not reference_result(scenario, probe), probe
+    return composed
+
+
 class TestComposedMatchesMonolith:
-    """Composed verdict == monolithic fixpoint on rewrite-free chains."""
+    """Composed verdict == HSA and the reference walker on rewrite-free
+    chains: the differential the joint monolithic fixpoint once gave,
+    on the same inputs."""
 
     @pytest.mark.parametrize("num_devices", [2, 3, 4])
     def test_reachable_chain(self, num_devices):
-        topo = filter_chain(num_devices)
-        query = chain_query(num_devices)
-        composed = run_composed(topo, query)
-        mono = monolithic_verdict(topo, query)
+        composed = differential(filter_chain(num_devices), chain_query(num_devices))
         assert composed.reachable is True
-        assert composed.reachable == mono.reachable
-        assert not composed.monolith_fallback
         assert composed.shard_count >= 2
-        # Both witnesses are *initial* headers: the fuzz farm's
-        # reference walker must deliver each end to end.
-        for witness in (composed.witness, mono.witness):
-            assert witness is not None
-            assert _walk_topology(topo, query, Header(**witness), None) is not None
 
     def test_unreachable_when_acl_denies(self):
         topo = filter_chain(3, deny_all_at="d1")
-        query = chain_query(3)
-        composed = run_composed(topo, query)
-        mono = monolithic_verdict(topo, query)
-        assert composed.reachable is False
-        assert mono.reachable is False
-        assert composed.witness is None
-        assert not composed.monolith_fallback
+        assert differential(topo, chain_query(3)).reachable is False
 
     def test_pinned_header_cover(self):
         # Restricting the injected set must not change agreement.
-        topo = filter_chain(2)
         query = chain_query(2)
         query["headers"] = [{"dst_ip": [0x0A000000, 0xFF000000]}]
-        composed = run_composed(topo, query)
-        mono = monolithic_verdict(topo, query)
-        assert composed.reachable == mono.reachable
+        composed = differential(filter_chain(2), query)
         if composed.witness is not None:
             assert (composed.witness["dst_ip"] & 0xFF000000) == 0x0A000000
 
     def test_large_exit_image_needs_no_fallback(self):
         # Port-range ACLs make d2's exit image a BDD of 91 nodes but more
         # than 4,096 paths: as a cube cover it was "unknown" and sent
-        # this rewrite-free query to the monolith.
+        # this rewrite-free query to a second engine.
         topo = chain_topology(3, seed=7)
         topo["devices"]["d1"]["acl_in"] = {
             "1": [
@@ -209,27 +214,46 @@ class TestComposedMatchesMonolith:
                 },
             ]
         }
-        query = chain_query(3)
-        composed = run_composed(topo, query)
-        assert composed.monolith_fallback is False
+        composed = differential(topo, chain_query(3))
         assert composed.escalations == 0
         assert composed.reachable is True
-        # The reference walker delivers the witness; the monolith agrees.
-        assert _walk_topology(topo, query, Header(**composed.witness), None)
-        assert monolithic_verdict(topo, query).reachable is True
 
-    def test_monolith_leaves_the_recursion_limit_alone(self):
-        # The monolith raises the limit for its own deep evaluation
-        # only; a raised limit left behind lets later deep recursion
-        # in the same process overrun the C stack.
-        before = sys.getrecursionlimit()
-        monolithic_verdict(filter_chain(2), chain_query(2))
-        assert sys.getrecursionlimit() == before
-        with pytest.raises(ZenBudgetExceeded):
-            monolithic_verdict(
-                filter_chain(2), chain_query(2), budget={"max_bdd_nodes": 8}
-            )
-        assert sys.getrecursionlimit() == before
+
+class TestWitnessIsChecked:
+    """A "reachable" stands only on a witness walked back through the
+    summaries and replayed concretely; anything else raises."""
+
+    @pytest.mark.parametrize("delivered", ["dropped", "off_target"])
+    def test_replay_mismatch_raises(self, monkeypatch, delivered):
+        topo, query = filter_chain(3), chain_query(3)
+        query["target"] = [{"dst_ip": [0x0A000000, 0xFF000000]}]
+        assert run_composed(topo, query).reachable is True
+        off_target = Header(0x0B000001, 1, 80, 1234, 6)
+        monkeypatch.setattr(
+            driver,
+            "replay",
+            lambda *args: None if delivered == "dropped" else off_target,
+        )
+        with pytest.raises(ZenComposeError, match="replay"):
+            run_composed(topo, query)
+
+    def test_forged_hit_raises_on_an_unreachable_nat_query(self, monkeypatch):
+        # Delivered headers sit in 192.168/16, so a target asking for
+        # pre-NAT 10/8 is unreachable.  A recomposer claiming a hit
+        # there has no flow to walk the hit back through.
+        topo, query = nat_chain()
+        query["target"] = [{"dst_ip": [0x0A000000, 0xFF000000]}]
+        assert run_composed(topo, query).reachable is False
+
+        def forged(plan, summaries, bug=None):
+            outcome = recompose(plan, summaries, bug=bug)
+            manager = outcome.context.manager
+            outcome.hit_node = cover_node(manager, outcome.levels, plan.target)
+            return outcome
+
+        monkeypatch.setattr(driver, "recompose", forged)
+        with pytest.raises(ZenComposeError, match="walks back"):
+            run_composed(topo, query)
 
 
 class TestNatEscalation:
@@ -241,7 +265,7 @@ class TestNatEscalation:
         topo, query = nat_chain()
         composed = run_composed(topo, query)
         assert composed.reachable is True
-        assert not composed.monolith_fallback
+        assert delivers_witness(topo, query, composed.witness)
         # A rewriting shard's summary is exact for any arriving set:
         # one dispatch round decides, nothing is re-proved.
         assert composed.escalations == 0
@@ -257,7 +281,7 @@ class TestNatEscalation:
         query["headers"] = [{"dst_ip": [0x0B000000, 0xFF000000]}]
         composed = run_composed(topo, query)
         assert composed.reachable is False
-        assert not composed.monolith_fallback
+        assert composed.witness is None
         probe = Header(
             dst_ip=0x0B000001, src_ip=1, dst_port=80, src_port=1234, protocol=6
         )
@@ -319,15 +343,13 @@ class TestShardFailure:
 
     def test_misspelt_budget_key_raises_before_any_dispatch(self):
         """`{"deadline": …}` for `deadline_s` used to build an all-None
-        Budget: every shard and the fallback ran unbounded."""
+        Budget: every shard ran unbounded."""
         topo = filter_chain(3)
         query = chain_query(3)
         engine = _LostShardEngine()
         with pytest.raises(ZenTypeError, match="deadline"):
             run_composed(topo, query, engine, budget={"deadline": 0.01})
         assert engine.submitted == []
-        with pytest.raises(ZenTypeError, match="deadline"):
-            monolithic_verdict(topo, query, budget={"deadline": 0.01})
 
     def test_plan_covers_every_device(self):
         topo = filter_chain(4)
@@ -641,8 +663,6 @@ class TestPortValidation:
             plan_shards(topo, query)
         with pytest.raises(ValueError, match="port|malformed"):
             run_composed(topo, query, None)
-        with pytest.raises(ValueError, match="port|malformed"):
-            monolithic_verdict(topo, query)
 
     @pytest.mark.parametrize("port", [300, 0, True])
     def test_query_points_are_ports_too(self, port):
@@ -656,7 +676,7 @@ class TestPortValidation:
     )
     def test_boolean_header_bits_are_rejected(self, pair):
         query = chain_query(2, headers=[{"dst_ip": pair}])
-        for entry in (plan_shards, run_composed, monolithic_verdict):
+        for entry in (plan_shards, run_composed):
             with pytest.raises(ValueError, match="value, mask"):
                 entry(filter_chain(2), query)
 
@@ -703,7 +723,7 @@ class TestRuleValidation:
         else:
             spec[where] = {"2": [rule]}
         query = chain_query(2)
-        for entry in (plan_shards, run_composed, monolithic_verdict):
+        for entry in (plan_shards, run_composed):
             with pytest.raises(ValueError, match="fib entry|rule"):
                 entry(topo, query)
 
@@ -757,37 +777,6 @@ def blocked_fabric():
     return topo
 
 
-def hsa_delivered(topo, source, headers=None):
-    """One HSA exploration of the headers in `headers` (no underlay)
-    entering at `source`; returns whether any of them leaves at a sink
-    point carrying a header in a given cover."""
-    network = build_network(topo, [source])
-    context = TransformerContext()
-    injected = context.from_predicate(
-        ZenFunction(
-            lambda p: ~p.underlay_header.has_value()
-            & cover_predicate(p.overlay_header, headers),
-            [Packet],
-        )
-    )
-    entry = network.device(source[0]).interface(source[1])
-    sets = reachable_sets(network, entry, context, packets=injected)
-
-    def delivers(sink, cover) -> bool:
-        wanted = context.from_predicate(
-            ZenFunction(
-                lambda p: cover_predicate(p.overlay_header, cover), [Packet]
-            )
-        )
-        return any(
-            s.path[-1] == f"{sink[0]}:{sink[1]}"
-            and not s.packets.intersect(wanted).is_empty()
-            for s in sets
-        )
-
-    return delivers
-
-
 def hsa_against_compose(topo, source: str) -> int:
     """For every other host, one HSA exploration from `source` and
     `run_composed` agree on its own address (deliverable unless the
@@ -802,7 +791,6 @@ def hsa_against_compose(topo, source: str) -> int:
             query = fat_tree_reach_query(source, sink)
             query["headers"] = [{"dst_ip": [address, 0xFFFFFFFF]}]
             composed = run_composed(topo, query)
-            assert not composed.monolith_fallback  # the shards decided
             hsa = delivers((sink, 2), query["headers"])
             assert hsa == composed.reachable, (sink, hex(address))
             delivered += composed.reachable
@@ -919,7 +907,6 @@ def hsa_against_nat_chain(num_devices: int, seed: int) -> int:
     for target in targets:
         query["target"] = target
         composed = run_composed(topo, query)
-        assert not composed.monolith_fallback
         assert delivers(tuple(query["sink"]), target) == composed.reachable, (
             num_devices,
             seed,
@@ -929,18 +916,25 @@ def hsa_against_nat_chain(num_devices: int, seed: int) -> int:
 
 
 class TestLongNatChains:
-    """Chains of five to eight devices, most of them rewriting: once the
+    """Chains of four to eight devices, most of them rewriting: once the
     escalation ladder ran out of rounds on 28 of the 60 below and sent
     them to a monolith that ran out of memory.  Exact summaries answer
-    each in one dispatch round."""
+    each in one dispatch round, with a witness walked back through
+    them."""
 
     def test_every_long_chain_is_one_round(self, one_round):
         for num_devices in range(4, 9):
             for seed in range(12):
                 topo = long_nat_chain(num_devices, seed)
                 query = chain_query(num_devices)
-                assert run_composed(topo, query).escalations == 0
+                composed = run_composed(topo, query)
+                assert composed.escalations == 0
                 assert one_round(topo, query)
+                assert composed.reachable, (num_devices, seed)
+                assert delivers_witness(topo, query, composed.witness), (
+                    num_devices,
+                    seed,
+                )
 
     @pytest.mark.parametrize("num_devices, seed", [(5, 2), (6, 3)])
     def test_hsa_agrees_on_a_chain_the_ladder_gave_up_on(self, num_devices, seed):
@@ -1011,7 +1005,6 @@ class TestRecomposerCanary:
                 kinds=("topology",),
                 inject_bug=CANARY_DROP_ASSUMPTION,
                 service_every=0,
-                monolith_every=0,
                 max_failures=1,
             ),
             artifact_dir=str(tmp_path),

@@ -20,6 +20,7 @@ import pytest
 from repro.backends import bitvector
 from repro.compose import compute_shard_summary, plan_shards, run_composed, shard
 from repro.compose.shard import forget_devices
+from repro.fuzz.oracle import hsa_delivered
 from repro.telemetry.spans import TRACER, enable_tracing
 from repro.workloads import (
     chain_query,
@@ -33,7 +34,6 @@ from .test_compose import (
     _Counts,
     blocked_fabric,
     host_address,
-    hsa_delivered,
     payload,
     pinned_fabric,
 )

@@ -261,7 +261,7 @@ class TestWildcardRules:
     def test_oracle_agrees_on_wildcard_rules(self, kind):
         data = wildcard_scenario(kind)
         validate_scenario(data)
-        report = check_scenario(data, monolith=False)
+        report = check_scenario(data)
         assert report.ok, report.detail
         verdict = concrete_verdict(data)
         probe_rng = random.Random(f"wildcards:{kind}")

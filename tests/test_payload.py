@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compose import monolithic_verdict, plan_shards, run_composed
+from repro.compose import plan_shards, run_composed
 from repro.compose.topo import validate_topology
 from repro.fuzz import ScenarioGenerator, validate_scenario
 from repro.network import FwdRule, GreTunnel, Prefix, RouteMapClause, ip_to_int
@@ -163,7 +163,7 @@ class TestClosedDicts:
     def test_misspelt_key_is_an_error_not_a_wildcard(self):
         assert run_composed(deny_ten_chain("dst"), eleven_query(), None).reachable
         topo = deny_ten_chain("dts")
-        for entry in (plan_shards, run_composed, monolithic_verdict):
+        for entry in (plan_shards, run_composed):
             with pytest.raises(ValueError, match=r"\[0\]: unknown ACL rule key 'dts'"):
                 entry(topo, eleven_query())
 
@@ -190,7 +190,7 @@ class TestClosedDicts:
         assert run_composed(topo, eleven_query(), None).reachable is False
         query = eleven_query()
         query["header"] = query.pop("headers")
-        for entry in (plan_shards, run_composed, monolithic_verdict):
+        for entry in (plan_shards, run_composed):
             with pytest.raises(ValueError, match="unknown query key 'header'"):
                 entry(topo, query)
 
