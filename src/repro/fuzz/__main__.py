@@ -15,7 +15,13 @@ import sys
 from typing import Optional, Sequence
 
 from ..core.budget import Budget
-from .farm import DEFAULT_BUDGET, FarmConfig, replay_artifact, run_farm
+from .farm import (
+    DEFAULT_BUDGET,
+    VERDICT_LABELS,
+    FarmConfig,
+    replay_artifact,
+    run_farm,
+)
 from .reference import KNOWN_BUGS
 from .scenario import SCENARIO_KINDS
 
@@ -150,6 +156,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"  chaos: {summary['chaos_injected']} faults injected"
                 f" ({faults}); {summary['chaos_absorbed']}"
                 f" transport failures absorbed"
+            )
+        for kind, tally in sorted(summary["verdicts"].items()):
+            print(
+                f"  {kind}: "
+                + ", ".join(
+                    f"{tally[label]} {label}"
+                    for label in VERDICT_LABELS
+                    if label in tally
+                )
             )
         for signature, count in summary["signatures"].items():
             print(f"  {signature}: {count}")

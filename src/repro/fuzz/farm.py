@@ -112,6 +112,9 @@ class FarmResult:
     signatures: Dict[Tuple[str, ...], int] = field(default_factory=dict)
     explanations: Dict[str, int] = field(default_factory=dict)
     chaos_faults: Dict[str, int] = field(default_factory=dict)
+    #: Per scenario kind, how many scenarios got each verdict (see
+    #: :func:`verdict_labels`).
+    verdicts: Dict[str, Dict[str, int]] = field(default_factory=dict)
     artifacts: List[Dict[str, Any]] = field(default_factory=list)
     artifact_paths: List[str] = field(default_factory=list)
 
@@ -140,9 +143,41 @@ class FarmResult:
                 "/".join(sig): n for sig, n in self.signatures.items()
             },
             "explanations": dict(self.explanations),
+            "verdicts": {
+                kind: dict(tally) for kind, tally in self.verdicts.items()
+            },
             "artifacts": list(self.artifact_paths),
             "ok": self.ok,
         }
+
+
+#: Verdict tally labels, in the order the CLI prints them.
+VERDICT_LABELS = (
+    "sat", "unsat", "reachable", "unreachable", "hsa_judged", "undecided"
+)
+
+
+def verdict_labels(report: Any) -> List[str]:
+    """The verdict tallies one scenario's report adds to.
+
+    A solved scenario reads ``sat`` or ``unsat`` (its backends' agreed
+    verdict), a topology ``reachable`` or ``unreachable`` plus
+    ``hsa_judged`` when an HSA exploration judged it; ``undecided`` when no engine
+    completed or the completed ones contradict each other.
+    """
+    verdicts = report.verdicts
+    if "composed" in verdicts:
+        composed = verdicts["composed"]
+        if composed is None:
+            return ["undecided"]
+        labels = ["reachable" if composed else "unreachable"]
+        if "hsa" in verdicts:
+            labels.append("hsa_judged")
+        return labels
+    completed = {v for v in verdicts.values() if v is not None}
+    if len(completed) != 1:
+        return ["undecided"]
+    return ["sat" if completed.pop() else "unsat"]
 
 
 def run_farm(
@@ -233,6 +268,9 @@ def run_farm(
                     )
                     report = recheck
             result.checked += 1
+            tally = result.verdicts.setdefault(data["kind"], {})
+            for label in verdict_labels(report):
+                tally[label] = tally.get(label, 0) + 1
             if use_service:
                 result.service_checked += 1
             if report.failed:

@@ -6,7 +6,8 @@ One scenario, four independent derivations of the same semantics:
 2. the **BDD** backend's verdict;
 3. the **concrete evaluator** — every witness is replayed through it
    (the library's own ``validate=True`` self-check), and probe inputs
-   are evaluated directly;
+   are evaluated directly, by the interpreter and by the model's
+   compiled closure (``compile_divergence`` when they differ);
 4. the **reference interpreter** (:mod:`repro.fuzz.reference`) — a
    from-scratch reimplementation off the JSON payload.
 
@@ -48,6 +49,7 @@ from ..errors import (
     ZenQueueFull,
     ZenServiceError,
     ZenUnsoundResultError,
+    ZenUnsupportedError,
 )
 from .reference import _in_cover, reference_inputs, reference_result
 from .scenario import build_scenario_model, prop_never, scenario_label
@@ -571,10 +573,27 @@ def _cross_check(
         f"repro-fuzz-probe:{data.get('seed')}:{data.get('index')}"
     )
     probes = list(extra_inputs) + reference_inputs(data, rng, count=probe_count)
+    # The model's compiled closure (what a warm service `evaluate`
+    # runs) must also agree with the interpreter on every probe.
+    try:
+        compiled = fn.compile()
+    except ZenUnsupportedError:
+        compiled = None  # a list `case`: the service interprets it too
     for probe in probes:
-        model_says = bool(fn.evaluate(*probe))
+        value = fn.evaluate(*probe)
+        model_says = bool(value)
         ref_says = reference_result(data, probe)
         report.probes_checked += 1
+        compiled_value = value if compiled is None else compiled(*probe)
+        if compiled_value != value:
+            report.ok = False
+            report.signature = ("compile_divergence",)
+            report.detail = (
+                f"compiled={compiled_value!r} interpreted={value!r} on "
+                f"probe {probe!r}"
+            )
+            report.counterexample = probe
+            return
         if model_says != ref_says:
             report.ok = False
             report.signature = ("ref_divergence", "probe")

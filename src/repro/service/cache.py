@@ -64,7 +64,9 @@ class CacheEntry:
             str(t) for t in function.arg_types
         )
         #: Lazily built per-kind compiled state (e.g. ``"transformer"``
-        #: → a built StateSetTransformer that owns its BDD context).
+        #: → a built StateSetTransformer that owns its BDD context;
+        #: ``"compiled"`` → the model's ``compile()`` closure, or None
+        #: when the compiler refused it).
         self.artifacts: Dict[str, Any] = {}
 
 

@@ -17,11 +17,12 @@ run of a spec before shipping it to the pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.budget import Budget, start_meter
 from ..core.function import DEFAULT_MAX_LIST_LENGTH, ZenFunction, resolve_ref
-from ..errors import ZenTypeError
+from ..errors import ZenTypeError, ZenUnsupportedError
+from ..lang import types as ty
 from ..telemetry.spans import TRACER
 from .admission import PRIORITIES
 
@@ -210,6 +211,43 @@ def _build_function(
     )
 
 
+def _warm_compiled(
+    fn: ZenFunction, entry: Any
+) -> Optional[Callable[..., Any]]:
+    """The warm model's compiled closure, or None for the interpreter.
+
+    Codegen costs a few interpreted evaluations, so only a cache hit
+    pays it, once per entry.  A model the compiler refuses (a list
+    ``case``) is recorded as None and stays interpreted.
+    """
+    artifacts = entry.artifacts
+    if "compiled" not in artifacts:
+        try:
+            artifacts["compiled"] = fn.compile()
+        except ZenUnsupportedError:
+            artifacts["compiled"] = None
+    return artifacts["compiled"]
+
+
+def _checked_args(
+    fn: ZenFunction, args: Tuple[Any, ...]
+) -> Optional[List[Any]]:
+    """`args` as the interpreter reads them, or None when the count is
+    wrong or one is ill-typed.
+
+    None sends the call to the interpreter, which then raises exactly
+    as on a miss — or answers, when the ill-typed argument sits in a
+    branch it never takes (it checks only the variables it reaches).
+    """
+    types = fn.arg_types
+    if len(args) != len(types):
+        return None
+    try:
+        return [ty.check_value(t, arg) for t, arg in zip(types, args)]
+    except ZenTypeError:
+        return None
+
+
 def run_spec(
     spec: QuerySpec, cache: Optional["ModelCache"] = None
 ) -> Dict[str, Any]:
@@ -223,7 +261,8 @@ def run_spec(
     span) — so a parent process can merge a worker's timeline into its
     own.  With a ``cache`` (the worker's warm
     :class:`~repro.service.cache.ModelCache`), builder resolution may
-    be served warm and the payload carries ``"cache_hit"``.  Raises
+    be served warm and the payload carries ``"cache_hit"``; a warm
+    ``evaluate`` runs the model's compiled closure.  Raises
     whatever the underlying
     analysis raises — the worker loop converts exceptions into
     structured replies.
@@ -315,7 +354,9 @@ def _execute_spec(
         if nodes is not None and hasattr(nodes, "num_nodes"):
             answer["manager_nodes"] = nodes.num_nodes
     elif spec.kind == "evaluate":
-        answer = fn.evaluate(*spec.args)
+        compiled = _warm_compiled(fn, entry) if cache_hit else None
+        args = None if compiled is None else _checked_args(fn, spec.args)
+        answer = fn.evaluate(*spec.args) if args is None else compiled(*args)
     else:  # pragma: no cover - guarded by __post_init__
         raise ZenTypeError(f"unhandled kind {spec.kind!r}")
 

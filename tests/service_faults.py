@@ -83,6 +83,12 @@ def flaky_crash_model(flag_path: str) -> ZenFunction:
     return eq_model()
 
 
+def slow_eq_model(delay_s: float) -> ZenFunction:
+    """:func:`eq_model` whose build holds a cold worker for `delay_s`."""
+    time.sleep(delay_s)
+    return eq_model()
+
+
 def wait_for_file(flag_path: str, cap_s: float = 30.0) -> bool:
     """kind='call' target: hold the worker until `flag_path` exists.
 

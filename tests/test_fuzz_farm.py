@@ -173,7 +173,40 @@ class TestFarm:
         assert result.checked == 20
         assert result.failed == 0
         assert result.clean + result.explained == 20
-        json.dumps(result.summary())  # summary must be JSON-ready
+        summary = result.summary()
+        json.dumps(summary)  # summary must be JSON-ready
+        # One verdict per scenario; "hsa_judged" rides along.
+        assert sum(
+            n
+            for tally in summary["verdicts"].values()
+            for label, n in tally.items()
+            if label != "hsa_judged"
+        ) == 20
+
+    def test_summary_and_cli_report_the_verdict_mix(self, capsys):
+        from repro.fuzz.__main__ import main
+
+        config = FarmConfig(
+            seed=7, count=20, kinds=("topology",), service_every=0
+        )
+        result = run_farm(config)
+        tally = result.summary()["verdicts"]["topology"]
+        assert result.ok
+        assert tally["reachable"] + tally["unreachable"] == 20
+        assert tally["unreachable"] >= 1
+        # A clean campaign judged every "unreachable" with HSA.
+        assert tally.get("hsa_judged") == tally["unreachable"]
+        assert main(
+            [
+                "run", "--kinds", "topology", "--seed", "7", "--count",
+                "20", "--service-every", "0", "--quiet",
+            ]
+        ) == 0
+        assert (
+            f"topology: {tally['reachable']} reachable, "
+            f"{tally['unreachable']} unreachable, "
+            f"{tally['hsa_judged']} hsa_judged"
+        ) in capsys.readouterr().out
 
     def test_campaign_routes_through_service(self):
         result = run_farm(

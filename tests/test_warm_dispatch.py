@@ -171,16 +171,89 @@ class TestWarmWorkers:
             assert eq_runs[0].worker_pid != un_runs[0].worker_pid
 
     def test_idle_workers_steal_from_a_busy_sticky_worker(self):
-        # Work conservation: when the sticky worker is saturated, the
-        # other worker takes the overflow instead of idling.
+        # Work conservation holds for model-free `call` tasks: when
+        # their sticky worker is saturated, the other worker takes the
+        # overflow instead of idling.
         with make_engine(pool_size=2, max_batch_size=2) as engine:
             results = engine.run_many(
-                [QuerySpec(builder=EQ, label=f"q{i}") for i in range(8)]
+                [
+                    QuerySpec(
+                        builder="repro.service.chaos:sleep_ms",
+                        kind="call",
+                        args=(50,),
+                        label=f"q{i}",
+                    )
+                    for i in range(8)
+                ]
             )
             stats = engine.dispatch_stats()
-        assert [r.answer for r in results] == [MAGIC] * 8
-        assert stats["sticky_hits"] >= 1
+        assert [r.answer for r in results] == [50] * 8
+        assert stats["sticky_hits"] >= 1 and stats["steals"] >= 1
         assert stats["sticky_hits"] + stats["steals"] == 8
+        assert len({r.worker_pid for r in results}) == 2
+
+    def test_model_tasks_wait_for_their_busy_sticky_worker(self, tmp_path):
+        # A blocker sticky to EQ's worker holds it while EQ queries
+        # queue; the idle worker must not steal them, because only the
+        # sticky worker's cache holds EQ warm.
+        import time
+        import zlib
+
+        eq_slot = zlib.crc32(ref_cache_key(QuerySpec(builder=EQ)).encode()) % 2
+        for i in range(64):
+            release = tmp_path / f"release-{i}"
+            blocker_spec = QuerySpec(
+                builder="tests.service_faults:wait_for_file",
+                kind="call",
+                builder_args=(str(release),),
+            )
+            if zlib.crc32(ref_cache_key(blocker_spec).encode()) % 2 == eq_slot:
+                break
+        else:
+            pytest.fail("no release path hashed to EQ's worker slot")
+        with make_engine(pool_size=2, max_batch_size=2) as engine:
+            engine.run(QuerySpec(builder=EQ))  # warm EQ where it sticks
+            blocker = engine.submit(blocker_spec)
+            deadline = time.monotonic() + 10.0
+            while (
+                engine.status().pool_busy == 0
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+            futures = [
+                engine.submit(QuerySpec(builder=EQ, label=f"q{i}"))
+                for i in range(4)
+            ]
+            # Long enough for the idle worker to steal, were it allowed.
+            time.sleep(0.2)
+            assert not any(f.done() for f in futures)
+            release.touch()
+            held = blocker.result()
+            results = engine.gather(futures)
+            stats = engine.dispatch_stats()
+        assert held.answer is True
+        assert [r.answer for r in results] == [MAGIC] * 4
+        assert {r.worker_pid for r in results} == {held.worker_pid}
+        assert all(r.cache_hit for r in results)
+        assert stats["steals"] == 0
+
+    def test_differential_sides_run_on_two_workers(self):
+        # Both sides share one builder ref, so one sticky worker; the
+        # side that finds it busy (building the slow model) is stolen.
+        spec = QuerySpec(
+            builder="tests.service_faults:slow_eq_model",
+            builder_args=(0.3,),
+        )
+        with make_engine(pool_size=2) as engine:
+            result = engine.run_differential(spec)
+            stats = engine.dispatch_stats()
+        assert result.agreed is True
+        assert result.answers == {"sat": MAGIC, "bdd": MAGIC}
+        pids = {
+            a.worker_pid for a in result.attempts if a.outcome == "ok"
+        }
+        assert len(pids) == 2
+        assert stats["steals"] == 1
 
     def test_cache_survives_a_benign_error_in_the_same_worker(self):
         with make_engine(pool_size=1) as engine:
