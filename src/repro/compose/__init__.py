@@ -3,16 +3,18 @@
 Decomposes an end-to-end reachability/invariant query over an
 N-device topology into independent per-shard interface summaries that
 fan out across the :class:`~repro.service.QueryEngine` worker pool,
-then recomposes them by chaining the summaries along the topology and
-discharging the interface assumptions.  A summary is exact for every
+then recomposes them by chaining the summaries along the topology.
+A summary is exact for every
 set that can arrive at its shard — a rewriting shard ships guarded
-rewrites, not the image of one assumed set — so every query is one
-dispatch round and one recompose pass.
+rewrites, not the image of one assumed set — so a topology is
+summarised once, and every query on it is one recompose pass.
 
 Public surface:
 
-* :func:`run_composed` / :class:`ComposedResult` — the driver;
-* :func:`plan_shards` / :class:`Plan` — the topology partitioner;
+* :func:`run_composed` / :class:`ComposedResult` — the driver, which
+  holds each topology's plan and summaries across queries;
+* :func:`plan_shards` / :class:`Plan` — the topology partitioner, one
+  plan per topology;
 * :func:`compute_shard_summary` — the picklable worker entry
   (``repro.compose.shard:compute_shard_summary``);
 * :func:`recompose` — the parent-side chaining fixpoint, and
@@ -44,7 +46,6 @@ from .recompose import (
 from .shard import compute_shard_summary
 from .topo import (
     build_network,
-    has_nat,
     replay,
     validate_query,
     validate_topology,
@@ -61,7 +62,6 @@ __all__ = [
     "compute_shard_summary",
     "cover_node",
     "cover_predicate",
-    "has_nat",
     "plan_shards",
     "point_key",
     "recompose",

@@ -1,27 +1,46 @@
-"""The compose driver: plan, fan out, recompose.
+"""The compose driver: summarise a topology once, recompose each query.
 
 :func:`run_composed` is the public entry point of the compositional
-sharding subsystem.  It decomposes one end-to-end reachability or
-invariant query into per-layer shard summaries
-(:mod:`~repro.compose.plan`), evaluates them either in-process or
-fanned out across the :class:`~repro.service.QueryEngine` worker pool
-as independent ``kind="call"`` specs, then chains the summaries back
-together (:mod:`~repro.compose.recompose`).
+sharding subsystem.  It answers one end-to-end reachability or
+invariant query from its topology's shard summaries
+(:mod:`~repro.compose.plan`), computed either in-process or fanned
+out across the :class:`~repro.service.QueryEngine` worker pool as
+independent ``kind="call"`` specs, and chains them back together
+(:mod:`~repro.compose.recompose`).
 
-Every summary is exact for every set inside its shard's assumption,
-so one dispatch round and one recompose pass decide the verdict, and
-the same summaries justify it:
+**Held fabrics.**  Each thread keeps a bounded memo, keyed by a
+content hash of the topology, of what a query needs and no query
+changes: the validated plan, its shard summaries, those summaries
+imported once into a recompose context, and one
+:class:`~repro.network.Network` for witness replay.  A query on a
+held topology runs ``validate_query``, the recompose fixpoint,
+``walk_back`` and ``replay``, and dispatches nothing.  Summaries are
+memoised apart, by the content of their shard task (devices, links,
+entries, exits, budget), so a topology met for the first time
+dispatches only the shards no held summary covers: after a one-device
+edit, that device's shard.  A query naming a point outside the plan
+extends that point's shard (:func:`~repro.compose.plan.extend`), and
+the held plan keeps the extension.  The rules are the shard worker's
+for its device memo:
 
-* a reachable verdict carries a witness, NAT or not: an *initial*
-  header walked back from the hit through the summaries
-  (:func:`~repro.compose.recompose.walk_back`), then replayed
-  concretely through the Zen hop (:func:`~repro.compose.topo.replay`),
-  which must deliver a header inside the query's ``target`` cover.
-  No walk-back header, or a replay that disagrees, raises
-  :class:`~repro.errors.ZenComposeError` — a wrong "reachable" is
-  never returned, and no second engine is asked;
-* an arriving set that escapes its shard's assumption means the
-  planner assumed what it cannot prove, and raises too.
+* a budgeted query neither reads nor fills the memo: it plans,
+  summarises and recomposes on its own;
+* any exception drops the fabric it was answered from, with the
+  summaries it holds;
+* :data:`MAX_HELD_FABRICS` fabrics, :data:`MAX_HELD_SUMMARIES`
+  summaries and :data:`MAX_FABRIC_NODES` nodes in a fabric's
+  recompose context bound the memory.
+
+Every summary is exact for every arriving set, so one recompose pass
+decides the verdict, and the same summaries justify it: a reachable
+verdict carries a witness, NAT or not — an *initial* header walked
+back from the hit through the summaries
+(:func:`~repro.compose.recompose.walk_back`), then replayed concretely
+through the Zen hop (:func:`~repro.compose.topo.replay`), which must
+deliver a header inside the query's ``target`` cover.  No walk-back
+header, or a replay that disagrees, raises
+:class:`~repro.errors.ZenComposeError` — a wrong "reachable" is never
+returned, and no second engine is asked.
 
 A shard whose dispatch fails terminally raises
 :class:`~repro.errors.ZenComposeError` as well — a missing interface
@@ -30,26 +49,25 @@ summary is a structural failure, never silently skipped.
 
 from __future__ import annotations
 
+import json
+import pickle
+import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..core.budget import Budget
 from ..errors import ZenComposeError, ZenServiceError
-from ..network import Header
+from ..network import Header, Network
 from ..service.spec import QuerySpec
 from ..telemetry.metrics import METRICS
 from ..telemetry.spans import span
 from .cubes import in_cover
-from .plan import Plan, plan_shards
-from .recompose import (
-    CANARY_DROP_ASSUMPTION,
-    RecomposeOutcome,
-    recompose,
-    walk_back,
-)
+from .plan import Plan, extend, for_query, parse_point, plan_fabric, query_points
+from .recompose import ImportedSummaries, RecomposeOutcome, recompose, walk_back
 from .shard import compute_shard_summary
-from .topo import build_network, replay
+from .topo import Point, build_network, replay, validate_query, validate_topology
 
 #: module:attr builder reference resolved inside service workers.
 SHARD_BUILDER = "repro.compose.shard:compute_shard_summary"
@@ -65,8 +83,6 @@ class ComposedResult:
     shard_count: int
     recompose_ms: float
     total_ms: float
-    dropped_devices: List[str] = field(default_factory=list)
-    summaries: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
     #: Re-dispatch rounds and second-engine answers; always 0 and
     #: False since summaries are exact for any input and every witness
@@ -86,6 +102,7 @@ def _dispatch(
     timeout_s: Optional[float],
 ) -> List[Dict[str, Any]]:
     """Evaluate shard tasks in-process or across the worker pool."""
+    METRICS.counter("compose.shards_dispatched").inc(len(tasks))
     if engine is None:
         return [compute_shard_summary(task) for task in tasks]
     futures = []
@@ -99,7 +116,6 @@ def _dispatch(
         )
         futures.append(engine.submit(spec, wait=True))
     results = engine.gather(futures)
-    METRICS.counter("compose.shards_dispatched").inc(len(tasks))
     summaries = []
     for task, result in zip(tasks, results):
         if isinstance(result, ZenServiceError):
@@ -113,8 +129,123 @@ def _dispatch(
     return summaries
 
 
+def _content_key(value: Any) -> str:
+    """`value` as canonical JSON: equal for equal content.  The text
+    itself is the key (a digest would import ``hashlib``, whose
+    OpenSSL library costs every process 3.7 MB of resident memory)."""
+    return json.dumps(value, sort_keys=True)
+
+
+#: A thread holds at most this many fabrics and summaries, and drops a
+#: fabric once a query leaves its recompose context above this many
+#: nodes.  A held k=6 fat tree costs about 1.1 MB and a memoised
+#: summary about 9 kB; see DESIGN, *Held fabrics*.
+MAX_HELD_FABRICS = 2
+MAX_HELD_SUMMARIES = 64
+MAX_FABRIC_NODES = 20_000
+
+
+class _Fabric:
+    """One topology's plan, its summaries imported for recompose, and
+    its network for replay."""
+
+    def __init__(self, topo: Dict[str, Any], plan: Plan) -> None:
+        self.topo = topo
+        self.plan = plan
+        self.imported = ImportedSummaries()
+        self.network: Optional[Network] = None
+        self.tasks: Dict[str, Dict[str, Any]] = {}  # summarised, by shard id
+        self.keys: List[str] = []  # their content keys
+
+    def cover(
+        self,
+        points: Iterable[Point],
+        engine,
+        timeout_s: Optional[float],
+        memo: "OrderedDict[str, bytes]",
+    ) -> int:
+        """Make every point of `points` an entry and an exit, and
+        summarise and import each shard that is new or changed: from
+        `memo` by content, else dispatched into it.  Returns how many
+        summaries were dispatched."""
+        plan = extend(self.plan, points)
+        stale = [t for t in plan.shards if self.tasks.get(t["shard_id"]) is not t]
+        if not stale:
+            return 0
+        keys = [_content_key(task) for task in stale]
+        missing = {key: task for key, task in zip(keys, stale) if key not in memo}
+        fresh = {}
+        if missing:
+            summaries = _dispatch([*missing.values()], engine, timeout_s)
+            fresh = dict(zip(missing, summaries))
+        for key, task in zip(keys, stale):
+            self.keys.append(key)  # before it can fail: an error drops it
+            summary = fresh.get(key)
+            if summary is None:
+                summary = pickle.loads(memo[key])
+                memo.move_to_end(key)
+            else:
+                memo[key] = pickle.dumps(summary, pickle.HIGHEST_PROTOCOL)
+            self.imported.add(summary)
+            self.tasks[task["shard_id"]] = task
+        while len(memo) > MAX_HELD_SUMMARIES:
+            memo.popitem(last=False)
+        self.plan = plan
+        self.network = build_network(self.topo, map(parse_point, plan.points))
+        return len(missing)
+
+
+class _Held(threading.local):
+    """This thread's fabrics by topology content, and summaries by
+    shard content, least recently used first."""
+
+    def __init__(self) -> None:
+        self.fabrics: "OrderedDict[str, _Fabric]" = OrderedDict()
+        self.summaries: "OrderedDict[str, bytes]" = OrderedDict()
+
+
+_held = _Held()
+
+
+def forget_fabrics() -> None:
+    """Drop this thread's held fabrics and summaries."""
+    _held.fabrics.clear()
+    _held.summaries.clear()
+
+
+def _drop(key: str) -> None:
+    """Drop one held fabric and its summaries."""
+    fabric = _held.fabrics.pop(key, None)
+    if fabric is not None:
+        for summary_key in fabric.keys:
+            _held.summaries.pop(summary_key, None)
+
+
+def _held_fabric(topo: Any) -> "tuple[str, _Fabric]":
+    """The fabric held for `topo`'s content, planned on a miss.
+
+    The held fabric plans from a copy of the payload, so a caller that
+    edits its topology in place later changes only the key it reaches.
+    """
+    try:
+        key = _content_key(topo)
+    except TypeError:
+        validate_topology(topo)  # names what is malformed
+        raise
+    fabric = _held.fabrics.get(key)
+    if fabric is not None:
+        _held.fabrics.move_to_end(key)
+        return key, fabric
+    validate_topology(topo)
+    held = json.loads(key)
+    fabric = _held.fabrics[key] = _Fabric(held, plan_fabric(held))
+    while len(_held.fabrics) > MAX_HELD_FABRICS:
+        _held.fabrics.popitem(last=False)
+    return key, fabric
+
+
 def _witness(
-    topo: Dict[str, Any],
+    network: Network,
     query: Dict[str, Any],
     plan: Plan,
     outcome: RecomposeOutcome,
@@ -126,7 +257,6 @@ def _witness(
             "no initial header walks back from the delivered hit: the "
             "recomposed verdict is not backed by its summaries"
         )
-    network = build_network(topo, (plan.source, plan.sink))
     delivered = replay(network, query, Header(**witness))
     if delivered is None or not in_cover(plan.target, delivered):
         raise ZenComposeError(
@@ -152,34 +282,44 @@ def run_composed(
     :mod:`~repro.compose.topo`.  With an `engine`, shard summaries fan
     out across the worker pool; without one they run in-process.
     `budget` is a plain dict of :class:`~repro.core.Budget` fields
-    threaded into every shard.  `bug` injects a known
-    recomposer bug (fuzz-farm canary) — never set it outside tests.
+    threaded into every shard; a budgeted query bypasses the held
+    fabrics.  `bug` injects a known recomposer bug (fuzz-farm canary)
+    — never set it outside tests.
     """
     started = time.monotonic()
     Budget.from_dict(budget)  # a misspelt limit fails here, not in a shard
-    canary = bug == CANARY_DROP_ASSUMPTION
     METRICS.counter("compose.queries").inc()
     with span("compose.query", mode=query.get("mode", "reach")) as live:
-        plan = plan_shards(topo, query, budget=budget)
-        live.set("shards", len(plan.shards))
-        summaries = {
-            s["shard_id"]: s
-            for s in _dispatch(plan.shards, engine, timeout_s)
-        }
-
-        recompose_started = time.monotonic()
-        outcome = recompose(plan, summaries, bug=bug)
-        recompose_ms = (time.monotonic() - recompose_started) * 1000.0
-        if not (canary or outcome.trusted):
-            failed = sorted(outcome.assumption_failures)
-            raise ZenComposeError(
-                f"arriving headers escape the interface assumption of "
-                f"{', '.join(failed)}: the planner assumed what it cannot prove",
-                shard_id=failed[0],
+        if budget is None:
+            key, fabric = _held_fabric(topo)
+            memo = _held.summaries
+        else:
+            validate_topology(topo)
+            key, memo = None, OrderedDict()
+            fabric = _Fabric(topo, plan_fabric(topo, budget))
+        try:
+            validate_query(topo, query)
+            dispatched = fabric.cover(query_points(query), engine, timeout_s, memo)
+            plan = for_query(fabric.plan, query)
+            live.set("shards", len(plan.shards))
+            METRICS.counter("compose.summaries_reused").inc(
+                len(plan.shards) - dispatched
             )
 
-        reachable = outcome.hit_node != 0
-        witness = _witness(topo, query, plan, outcome) if reachable else None
+            recompose_started = time.monotonic()
+            outcome = recompose(plan, fabric.imported, bug=bug)
+            recompose_ms = (time.monotonic() - recompose_started) * 1000.0
+            reachable = outcome.hit_node != 0
+            witness = (
+                _witness(fabric.network, query, plan, outcome) if reachable else None
+            )
+        except BaseException:
+            if key is not None:
+                _drop(key)
+            raise
+        nodes = fabric.imported.context.manager.num_nodes
+        if key is not None and nodes > MAX_FABRIC_NODES:
+            _held.fabrics.pop(key)  # its summaries stay: they are not at fault
         live.set("reachable", reachable)
         return ComposedResult(
             mode=plan.mode,
@@ -188,6 +328,4 @@ def run_composed(
             shard_count=len(plan.shards),
             recompose_ms=recompose_ms,
             total_ms=(time.monotonic() - started) * 1000.0,
-            dropped_devices=plan.dropped_devices,
-            summaries=summaries,
         )

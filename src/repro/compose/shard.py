@@ -20,11 +20,11 @@ union of *flows*
 where the *guard* ``G`` is a set of entry headers and ``P`` the pins
 (``X`` is the bits ``P`` pins).  For each (entry point, exit point)
 pair the summary lists its flows; the recomposer applies them to
-whatever set actually arrives, so a summary is exact for every input
-inside the shard's interface assumption — it describes the interface,
-not one query.  A device without NAT never pins, so a filter shard has
-one flow per pair, with no pins, and its guard is the image of the
-assumption.
+whatever set actually arrives, so a summary is exact for every input —
+it describes the interface, not one query, and is computed once for
+every header (the universe).  A device without NAT never pins, so a
+filter shard has one flow per pair, with no pins, and its guard is the
+set of headers that pass from the entry to the exit.
 
 Internally this is a small worklist fixpoint over the shard's own
 devices and links (shards may contain internal loops) that carries
@@ -66,8 +66,8 @@ first-match over its rules: each rule is one ``(match cube, pins)``
 pair (:func:`nat_cubes`), adds its match (restricted by ``P``) to the
 guard and writes its pins over ``P``; what no rule matches keeps ``P``.
 
-The summary ships its guards as BDDs: the assumption and every guard
-are references into **one** node table, written in one walk
+The summary ships its guards as BDDs: every guard is a reference
+into **one** node table, written in one walk
 (:func:`~repro.compose.cubes.header_table`), exact and linear in the
 BDD's size; pins ship as one cube of the cover form.
 """
@@ -85,7 +85,7 @@ from ..lang import Zen
 from ..network import NULL_PORT, Header, NatRule, forward
 from ..network.device import Device, admits, permits, rewrite
 from ..telemetry.spans import span
-from .cubes import Cube, cover_node, cube_literals, header_table, validate_cover
+from .cubes import Cube, cube_literals, header_table
 from .plan import pair_key
 from .topo import Point, build_network
 
@@ -304,10 +304,10 @@ def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
     """Compute one shard's interface summary (worker entry).
 
     `task` is a shard dict from :func:`~repro.compose.plan.plan_shards`.
-    Returns a plain dict: ``table`` (one node table), ``assumption`` (a
-    reference into it) and ``images``, which maps each ``entry|exit``
-    pair key to its flows ``[[guard_ref, pins], ...]``; see the module
-    docstring for what they mean.
+    Returns a plain dict: ``table`` (one node table) and ``images``,
+    which maps each ``entry|exit`` pair key to its flows
+    ``[[guard_ref, pins], ...]`` with each guard a reference into the
+    table; see the module docstring for what they mean.
 
     A task without a budget runs on this thread's held model; one with
     a budget on a fresh model of its own, so its node cap counts only
@@ -333,13 +333,11 @@ def _summarise(task: Dict[str, Any]) -> Dict[str, Any]:
     entries: List[Point] = [(d, int(p)) for d, p in task.get("entries", [])]
     exits = {(d, int(p)) for d, p in task.get("exits", [])}
     network = build_network(task, [*entries, *exits])
-    assumption = validate_cover(task.get("assumption"), "assumption")
     meter = start_meter(Budget.from_dict(task.get("budget")))
     model = _held_model() if meter is None else _ShardModel.fresh(meter)
     builds = model.builds
     levels = model.levels
     manager = model.context.manager
-    base = cover_node(manager, levels, assumption)
     devices = network.devices
     # Each device's sets, looked up by content once per task.
     visited: Dict[str, _DeviceSets] = {}
@@ -351,7 +349,7 @@ def _summarise(task: Dict[str, Any]) -> Dict[str, Any]:
         "compose.shard", shard=shard_id, devices=len(devices)
     ) as live:
         for entry in entries:
-            arriving: Dict[Point, Flows] = {entry: {(): base} if base else {}}
+            arriving: Dict[Point, Flows] = {entry: {(): 1}}
             reached_exits: Dict[Point, Flows] = {}
             worklist: List[Point] = [entry]
             while worklist:
@@ -392,12 +390,11 @@ def _summarise(task: Dict[str, Any]) -> Dict[str, Any]:
 
     ordered = {pair: sorted(flows.items()) for pair, flows in images.items()}
     guards = [guard for flows in ordered.values() for _, guard in flows]
-    table, refs = header_table(manager, levels, [base, *guards])
-    guard_refs = iter(refs[1:])
+    table, refs = header_table(manager, levels, guards)
+    guard_refs = iter(refs)
     return {
         "shard_id": shard_id,
         "table": table,
-        "assumption": refs[0],
         "images": {
             pair: [[next(guard_refs), _cube(pins)] for pins, _ in flows]
             for pair, flows in ordered.items()

@@ -146,11 +146,6 @@ def validate_query(topo: Dict[str, Any], query: Any) -> Dict[str, Any]:
     return query
 
 
-def has_nat(topo: Dict[str, Any]) -> bool:
-    """Whether any device rewrites headers (affects compose exactness)."""
-    return any(spec.get("nat") for spec in topo["devices"].values())
-
-
 # ----------------------------------------------------------------------
 # JSON -> network.Network
 # ----------------------------------------------------------------------

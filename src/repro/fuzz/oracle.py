@@ -14,7 +14,9 @@ One scenario, four independent derivations of the same semantics:
 :func:`check_scenario` runs a scenario through all four and folds the
 comparisons into one :class:`OracleReport`.  A compose *topology*
 scenario has its own arms: the composed verdict, concrete replay and
-the reference walker on probes and on the composed witness, and one
+the reference walker on probes and on the composed witness, the same
+question asked again through the driver's held fabric
+(``memo_divergence`` when its verdict or witness differs), and one
 HSA exploration (:func:`hsa_delivered`) for every "unreachable".  A
 failure carries a *signature* — a short structural tuple like ``("unsound", "sat")`` or
 ``("ref_divergence", "probe")`` — which is what the shrinker preserves
@@ -446,9 +448,12 @@ def _check_topology(
     any True probe against a composed "unreachable"), then the verdict
     itself.  A "reachable" must carry a witness the reference walker
     delivers — the driver already replayed it, so that proves the
-    verdict.  An "unreachable" is judged by one HSA exploration
-    (:func:`hsa_delivered`), which must not deliver any injected
-    header into the target either.
+    verdict.  The memo arm asks the question twice more, unbudgeted
+    and in-process, so that the second answer comes from the fabric
+    the first one held: both must give the verdict and carry
+    witnesses the reference walker delivers.  An "unreachable" is
+    judged by one HSA exploration (:func:`hsa_delivered`), which must
+    not deliver any injected header into the target either.
     """
     from ..compose.driver import run_composed
     from ..errors import ZenComposeError
@@ -457,7 +462,9 @@ def _check_topology(
 
     payload = data["payload"]
     topo, query = payload["topo"], payload["query"]
-    bug = data.get("bug")
+    # Reference-planted bugs stay in the reference interpreter; only
+    # system bugs are interpreted by the compose pipeline.
+    system_bug = data.get("bug") if data.get("bug") in SYSTEM_BUGS else None
 
     try:
         composed = run_composed(
@@ -466,9 +473,7 @@ def _check_topology(
             engine=engine,
             budget=budget.to_dict() if budget is not None else None,
             timeout_s=timeout_s,
-            # Reference-planted bugs stay in the reference interpreter;
-            # only system bugs are interpreted by the compose pipeline.
-            bug=bug if bug in SYSTEM_BUGS else None,
+            bug=system_bug,
         )
     except ZenBudgetExceeded as error:
         report.explained = f"budget:{error.reason or 'exhausted'}"
@@ -510,6 +515,25 @@ def _check_topology(
                 f"(mode={composed.mode}, shards={composed.shard_count})"
             )
             report.counterexample = probe
+            return
+
+    for _ in range(2):
+        try:
+            held = run_composed(topo, query, bug=system_bug)
+        except ZenError as error:
+            held, detail = None, f"raised {type(error).__name__}: {error}"
+        else:
+            detail = f"reachable={held.reachable} witness={held.witness!r}"
+        if held is None or held.reachable != composed.reachable or (
+            held.reachable
+            and not reference_result(data, (Header(**held.witness),))
+        ):
+            report.ok = False
+            report.signature = ("memo_divergence",)
+            report.detail = (
+                f"composed reachable={composed.reachable}, through the "
+                f"held fabric {detail}"
+            )
             return
 
     if composed.reachable:

@@ -62,9 +62,9 @@ KNOWN_BUGS = {
 #: the module it names.
 SYSTEM_BUGS = {
     "compose-drop-assumption": (
-        "the recomposer skips assume-guarantee discharge and chains "
-        "rewriting shards as if they were filters (interpreted by "
-        "repro.compose.recompose)"
+        "the recomposer chains rewriting shards as if they were "
+        "filters, forgetting the bits a flow's pins overwrite "
+        "(interpreted by repro.compose.recompose)"
     ),
 }
 

@@ -128,5 +128,6 @@ def render_status(status: EngineStatus) -> str:
         lines.append(
             f"  compose: queries {int(compose.get('queries', 0))}"
             f" · shards {int(compose.get('shards_dispatched', 0))}"
+            f" · reused {int(compose.get('summaries_reused', 0))}"
         )
     return "\n".join(lines)

@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.compose.driver import forget_fabrics
 from repro.compose.shard import forget_devices
+
+
+@pytest.fixture(autouse=True)
+def _composed_tests_start_without_held_fabrics():
+    """Every test starts with no held fabric or summary, so whether a
+    query dispatches depends only on what that test asked before."""
+    forget_fabrics()
 
 
 @pytest.fixture(autouse=True)

@@ -712,7 +712,6 @@ class TestBatchedSetBuildBudget:
             "links": [],
             "entries": [["fat", 1]],
             "exits": [["fat", q] for q in range(1, 7)],
-            "assumption": None,
             "budget": budget,
         }
 

@@ -43,6 +43,7 @@ from repro.compose.cubes import cover_node, header_sets
 from repro.fuzz import FarmConfig, replay_artifact, run_farm
 from repro.fuzz.oracle import hsa_delivered
 from repro.fuzz.reference import _walk_topology, reference_inputs, reference_result
+from repro.telemetry.metrics import METRICS
 from repro.network import (
     Header,
     acl_allows,
@@ -115,9 +116,15 @@ def nat_chain():
 @pytest.fixture
 def one_round(monkeypatch):
     """Record every shard summary the driver computes.
-    ``one_round(topo, query)`` then checks that the queries since its
-    last call summarised each planned shard once."""
+    ``one_round(topo, query)`` then checks that the one query since its
+    last call used each planned shard's summary once: summarised then
+    (at most once each, and only if `topo` is new to the driver) or
+    reused (a held topology's, or a shard whose content an earlier
+    topology had)."""
     summarised = []
+    held = set()
+    reused = METRICS.counter("compose.summaries_reused")
+    last = [reused.value]
 
     def summarise(task):
         summarised.append(task["shard_id"])
@@ -127,8 +134,13 @@ def one_round(monkeypatch):
 
     def check(topo, query) -> bool:
         planned = [task["shard_id"] for task in plan_shards(topo, query).shards]
-        assert sorted(summarised) == sorted(planned)
+        content = json.dumps(topo, sort_keys=True)
+        assert len(set(summarised)) == len(summarised)
+        assert set(summarised) <= (set() if content in held else set(planned))
+        assert len(summarised) + reused.value - last[0] == len(planned)
+        held.add(content)
         summarised.clear()
+        last[0] = reused.value
         return True
 
     return check
@@ -359,20 +371,6 @@ class TestShardFailure:
             planned |= set(shard["devices"])
         assert planned == set(topo["devices"])
 
-    def test_undischarged_assumption_raises(self, monkeypatch):
-        # The planner only assumes what it can prove, so an arriving set
-        # that escapes a shard's assumption is a planner bug: it raises,
-        # it is never escalated or answered.
-        def planner(topo, query, budget=None):
-            plan = plan_shards(topo, query, budget=budget)
-            plan.shards[1]["assumption"] = [{"dst_ip": [0x0B000000, 0xFF000000]}]
-            return plan
-
-        monkeypatch.setattr(driver, "plan_shards", planner)
-        with pytest.raises(ZenComposeError, match="assumption") as caught:
-            run_composed(filter_chain(3), chain_query(3))
-        assert caught.value.shard_id == "shard1"
-
 
 def seeded_devices(seed: int):
     """Devices from the fuzz topology grammar (`chain_topology` with NAT
@@ -589,56 +587,50 @@ class TestPerDeviceBuild:
                 out[shard["shard_id"]] = summary
             return out
 
-        # The seven summaries of the 10/8 query (node table, references,
-        # flows, stats).  Every guard decodes to the node of the cube
-        # cover its shard shipped before summaries carried tables.
-        blob = json.dumps(summaries(0xFF000000), sort_keys=True)
+        # A plan is a function of the topology: the 10/8 query and the
+        # 10.0.0.0/29 one get the same five summaries (node table,
+        # references, flows, stats).
+        fabric = summaries(0xFF000000)
+        assert summaries(0xFFFFFFF8) == fabric
+        blob = json.dumps(fabric, sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == (
-            "caaf66ac960770f58cfd493d13f8c1f8e3aa2364e5083082a7e56d584f1d0f17"
+            "97a4733831027d4f6fa713e434b5dd5e755dc04df7585cf91913a3771252635f"
         )
-        # And one shard in full, on 10.0.0.0/29: host .2 goes down port
-        # 1, the rest of the /29 up port 3, from each of three entries.
-        assumption = [{"dst_ip": [0x0A000000, 0xFFFFFFF8]}]
-        down = [{"dst_ip": [0x0A000002, 0xFFFFFFFF]}]
-        up = [
-            {"dst_ip": [0x0A000004, 0xFFFFFFFC]},
-            {"dst_ip": [0x0A000003, 0xFFFFFFFF]},
-            {"dst_ip": [0x0A000000, 0xFFFFFFFE]},
-        ]
-        expected = {
-            f"edge_0_0:{entry}|edge_0_0:{port}": cover
-            for entry in (1, 3, 4)
-            for port, cover in ((1, down), (3, up))
+        # And one switch in full: from each of its three ports, edge_0_0
+        # sends its host's address down port 1 and every other header up
+        # port 3.
+        edge = fabric["shard1"]
+        assert edge["shard_id"] == "shard1"
+        assert edge["stats"] == {
+            "devices": 4,
+            "entries": 14,
+            "exits": 14,
+            "set_ops": 44,
+            "fixpoint_pops": 14,
         }
-        edge = summaries(0xFFFFFFF8)["shard1"]
+        images = {
+            pair: flows
+            for pair, flows in edge["images"].items()
+            if pair.startswith("edge_0_0:")
+        }
+        expected = [
+            (f"edge_0_0:{entry}|edge_0_0:{port}", port == 1)
+            for entry in (1, 3, 4)
+            for port in (1, 3)
+        ]
+        assert sorted(images) == sorted(pair for pair, _ in expected)
+        # A filter shard pins nothing: one flow per pair, its guard the image.
+        assert all(len(flows) == 1 and flows[0][1] == {} for flows in images.values())
         context = TransformerContext()
         levels = context.space(context.universe(Header).zen_type).levels
         manager = context.manager
-        images = edge.pop("images")
-        assert sorted(images) == sorted(expected)
-        # A filter shard pins nothing: one flow per pair, its guard the image.
-        assert all(len(images[pair]) == 1 for pair in expected)
-        assert all(images[pair][0][1] == {} for pair in expected)
         decoded = header_sets(
-            manager,
-            levels,
-            edge.pop("table"),
-            [edge.pop("assumption"), *(images[pair][0][0] for pair in expected)],
+            manager, levels, edge["table"], [images[pair][0][0] for pair, _ in expected]
         )
+        down = cover_node(manager, levels, [{"dst_ip": [0x0A000002, 0xFFFFFFFF]}])
         assert decoded == [
-            cover_node(manager, levels, cover)
-            for cover in (assumption, *expected.values())
+            down if is_down else manager.not_(down) for _, is_down in expected
         ]
-        assert edge == {
-            "shard_id": "shard1",
-            "stats": {
-                "devices": 1,
-                "entries": 3,
-                "exits": 3,
-                "set_ops": 6,
-                "fixpoint_pops": 3,
-            },
-        }
 
 
 class TestPortValidation:
@@ -733,9 +725,12 @@ def test_shard_summaries_match_the_pinned_digest():
     of a NAT chain, byte for byte.  The digest was re-pinned when
     summaries began to carry node tables, after every image and
     assumption was checked to decode to the node of the cube cover
-    the shard shipped before; and again when summaries began to ship
+    the shard shipped before; again when summaries began to ship
     flows, after every fat-tree table and reference was checked equal
-    to the filter images before (only the NAT chain's content moved)."""
+    to the filter images before (only the NAT chain's content moved);
+    and again when the plan became one per topology, with every shard
+    summarised under the universe (five shards a fabric, where there
+    were seven a query), after this file's HSA differentials held."""
     hosts = fat_tree_hosts(6)
     corpus = [
         (
@@ -752,10 +747,10 @@ def test_shard_summaries_match_the_pinned_digest():
             summary = compute_shard_summary(shard)
             assert summary["stats"].pop("elapsed_ms") >= 0.0
             summaries.append(summary)
-    assert len(summaries) == 111
+    assert len(summaries) == 81
     blob = json.dumps(summaries, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == (
-        "cd21c60a60253f414899f1270062874c41dc8cc2aa36d301d0f36ab303f0de1c"
+        "1b688bf3c77f19ae68f3d416ee4675c55dfde2a67c2e982e34fe4c6e90133893"
     )
 
 
@@ -959,6 +954,7 @@ class TestComposedThroughService:
         topo = filter_chain(3)
         query = chain_query(3)
         local = run_composed(topo, query)
+        driver.forget_fabrics()  # so the pool computes every summary
         engine = QueryEngine(pool_size=2, retries=1)
         try:
             remote = run_composed(topo, query, engine, timeout_s=60.0)
@@ -980,6 +976,8 @@ class TestComposedThroughService:
             # Workers spawn lazily: run one composed query first so
             # there are live workers to murder, then storm — a kill
             # before each subsequent composed run.
+            # Each run forgets the held fabric first, so it dispatches.
+            driver.forget_fabrics()
             warm = run_composed(topo, query, engine, timeout_s=120.0)
             assert warm.reachable == expected
             for _ in range(2):
@@ -987,6 +985,7 @@ class TestComposedThroughService:
                 assert live, "pool must be warm before the kill"
                 kind, pid = inject_worker_fault(engine, "kill")
                 assert kind == "kill" and pid is not None
+                driver.forget_fabrics()
                 result = run_composed(topo, query, engine, timeout_s=120.0)
                 assert result.reachable == expected
         finally:

@@ -19,6 +19,7 @@ import pytest
 
 from repro.backends import bitvector
 from repro.compose import compute_shard_summary, plan_shards, run_composed, shard
+from repro.compose.driver import forget_fabrics
 from repro.compose.shard import forget_devices
 from repro.fuzz.oracle import hsa_delivered
 from repro.telemetry.spans import TRACER, enable_tracing
@@ -39,8 +40,8 @@ from .test_compose import (
 )
 
 #: The digests `test_compose.py` pins for the same two corpora.
-CORPUS_DIGEST = "cd21c60a60253f414899f1270062874c41dc8cc2aa36d301d0f36ab303f0de1c"
-FABRIC_DIGEST = "caaf66ac960770f58cfd493d13f8c1f8e3aa2364e5083082a7e56d584f1d0f17"
+CORPUS_DIGEST = "1b688bf3c77f19ae68f3d416ee4675c55dfde2a67c2e982e34fe4c6e90133893"
+FABRIC_DIGEST = "97a4733831027d4f6fa713e434b5dd5e755dc04df7585cf91913a3771252635f"
 
 
 def digest(summaries) -> str:
@@ -56,7 +57,7 @@ def summarise(task):
 
 
 def corpus_summaries():
-    """The 111 summaries of `test_shard_summaries_match_the_pinned_digest`."""
+    """The 81 summaries of `test_shard_summaries_match_the_pinned_digest`."""
     hosts = fat_tree_hosts(6)
     corpus = [
         (
@@ -75,7 +76,7 @@ def corpus_summaries():
 
 
 def fabric_summaries():
-    """The seven summaries of `test_pinned_fat_tree_summaries`' 10/8 query."""
+    """The five summaries of `test_pinned_fat_tree_summaries`' 10/8 query."""
     topo, query = pinned_fabric(0xFF000000)
     return {
         task["shard_id"]: summarise(task)
@@ -191,6 +192,7 @@ class TestOneDeviceEdit:
         assert run_composed(topo, query, None).reachable is True
         assert counts.take()[0] == len(planned_payloads(topo, query) - seen)
         forget_devices()
+        forget_fabrics()
         cold = run_composed(edited, query, None)
         assert (warm.reachable, warm.witness) == (cold.reachable, cold.witness)
         assert warm.reachable is False
