@@ -1,9 +1,9 @@
 """Compositional sharding: assume-guarantee network verification.
 
 Decomposes an end-to-end reachability/invariant query over an
-N-device topology into independent per-shard interface summaries that
-fan out across the :class:`~repro.service.QueryEngine` worker pool,
-then recomposes them by chaining the summaries along the topology.
+N-device topology into independent per-shard interface summaries,
+computed in the calling thread, then recomposes them by chaining the
+summaries along the topology.
 A summary is exact for every
 set that can arrive at its shard — a rewriting shard ships guarded
 rewrites, not the image of one assumed set — so a topology is
@@ -15,9 +15,8 @@ Public surface:
   holds each topology's plan and summaries across queries;
 * :func:`plan_shards` / :class:`Plan` — the topology partitioner, one
   plan per topology;
-* :func:`compute_shard_summary` — the picklable worker entry
-  (``repro.compose.shard:compute_shard_summary``);
-* :func:`recompose` — the parent-side chaining fixpoint, and
+* :func:`compute_shard_summary` — one shard's summary, plain JSON;
+* :func:`recompose` — the chaining fixpoint, and
   :func:`walk_back` — its growth records run backwards from the hit
   to an initial-header witness;
 * :func:`build_network` / :func:`replay` — the payload as one

@@ -1,15 +1,15 @@
 """Portable header sets over the five-tuple: node tables and cube covers.
 
-A shard worker computes its summary's guards as BDDs over *its own*
-manager; the recomposer combines them in the parent over another.
-They cross as a **node table** (:meth:`~repro.bdd.Bdd.export_table`,
-bound to the header block by :func:`header_table` / :func:`header_sets`):
-the BDD itself, exact and linear in its size, one table shared by
-every set of a summary.  A **cube cover** is the form a human writes
-and reads — the query's ``headers`` and ``target``: a list of cubes,
-each mapping header field names to ``[value, mask]`` pairs (bits
-where ``mask`` is 1 must equal ``value``); ``None`` denotes the
-universe and ``[]`` the empty set.  A flow's pins are one such cube.
+A shard computes its summary's guards as BDDs over *its own* manager;
+the recomposer combines them over another.  They cross as a **node
+table** (:meth:`~repro.bdd.Bdd.export_table`, bound to the header
+block by :func:`header_table` / :func:`header_sets`): the BDD itself,
+exact and linear in its size, one table shared by every set of a
+summary.  A **cube cover** is the form a human writes and reads — the
+query's ``headers`` and ``target``: a list of cubes, each mapping
+header field names to ``[value, mask]`` pairs (bits where ``mask`` is
+1 must equal ``value``); ``None`` denotes the universe and ``[]`` the
+empty set.  A flow's pins are one such cube.
 
 A slot is a bit's position in the canonical transformer block for
 :class:`~repro.network.packet.Header`: fields in declaration order,

@@ -3,10 +3,9 @@
 :func:`run_composed` is the public entry point of the compositional
 sharding subsystem.  It answers one end-to-end reachability or
 invariant query from its topology's shard summaries
-(:mod:`~repro.compose.plan`), computed either in-process or fanned
-out across the :class:`~repro.service.QueryEngine` worker pool as
-independent ``kind="call"`` specs, and chains them back together
-(:mod:`~repro.compose.recompose`).
+(:mod:`~repro.compose.plan`), each computed in the calling thread by
+:func:`~repro.compose.shard.compute_shard_summary`, and chains them
+back together (:mod:`~repro.compose.recompose`).
 
 **Held fabrics.**  Each thread keeps a bounded memo, keyed by a
 content hash of the topology, of what a query needs and no query
@@ -14,13 +13,13 @@ changes: the validated plan, its shard summaries, those summaries
 imported once into a recompose context, and one
 :class:`~repro.network.Network` for witness replay.  A query on a
 held topology runs ``validate_query``, the recompose fixpoint,
-``walk_back`` and ``replay``, and dispatches nothing.  Summaries are
+``walk_back`` and ``replay``, and summarises no shard.  Summaries are
 memoised apart, by the content of their shard task (devices, links,
 entries, exits, budget), so a topology met for the first time
-dispatches only the shards no held summary covers: after a one-device
+summarises only the shards no held summary covers: after a one-device
 edit, that device's shard.  A query naming a point outside the plan
 extends that point's shard (:func:`~repro.compose.plan.extend`), and
-the held plan keeps the extension.  The rules are the shard worker's
+the held plan keeps the extension.  The rules are the shard model's
 for its device memo:
 
 * a budgeted query neither reads nor fills the memo: it plans,
@@ -41,10 +40,6 @@ deliver a header inside the query's ``target`` cover.  No walk-back
 header, or a replay that disagrees, raises
 :class:`~repro.errors.ZenComposeError` — a wrong "reachable" is never
 returned, and no second engine is asked.
-
-A shard whose dispatch fails terminally raises
-:class:`~repro.errors.ZenComposeError` as well — a missing interface
-summary is a structural failure, never silently skipped.
 """
 
 from __future__ import annotations
@@ -58,9 +53,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
 from ..core.budget import Budget
-from ..errors import ZenComposeError, ZenServiceError
+from ..errors import ZenComposeError
 from ..network import Header, Network
-from ..service.spec import QuerySpec
 from ..telemetry.metrics import METRICS
 from ..telemetry.spans import span
 from .cubes import in_cover
@@ -69,7 +63,9 @@ from .recompose import ImportedSummaries, RecomposeOutcome, recompose, walk_back
 from .shard import compute_shard_summary
 from .topo import Point, build_network, replay, validate_query, validate_topology
 
-#: module:attr builder reference resolved inside service workers.
+#: The shard entry as a service builder reference.  Compose never
+#: dispatches through the service; the frozen
+#: ``benchmarks/e2e/workloads.py`` still spawns its engine with it.
 SHARD_BUILDER = "repro.compose.shard:compute_shard_summary"
 
 
@@ -94,39 +90,6 @@ class ComposedResult:
     def holds(self) -> bool:
         """Invariant reading: no injected header is delivered on target."""
         return not self.reachable
-
-
-def _dispatch(
-    tasks: List[Dict[str, Any]],
-    engine,
-    timeout_s: Optional[float],
-) -> List[Dict[str, Any]]:
-    """Evaluate shard tasks in-process or across the worker pool."""
-    METRICS.counter("compose.shards_dispatched").inc(len(tasks))
-    if engine is None:
-        return [compute_shard_summary(task) for task in tasks]
-    futures = []
-    for task in tasks:
-        spec = QuerySpec(
-            builder=SHARD_BUILDER,
-            kind="call",
-            builder_args=(task,),
-            label=f"compose:{task['shard_id']}",
-            timeout_s=timeout_s,
-        )
-        futures.append(engine.submit(spec, wait=True))
-    results = engine.gather(futures)
-    summaries = []
-    for task, result in zip(tasks, results):
-        if isinstance(result, ZenServiceError):
-            METRICS.counter("compose.shard_failures").inc()
-            raise ZenComposeError(
-                f"shard {task['shard_id']!r} failed terminally: {result}",
-                shard_id=task["shard_id"],
-                causes=[result],
-            )
-        summaries.append(result.answer)
-    return summaries
 
 
 def _content_key(value: Any) -> str:
@@ -157,27 +120,19 @@ class _Fabric:
         self.tasks: Dict[str, Dict[str, Any]] = {}  # summarised, by shard id
         self.keys: List[str] = []  # their content keys
 
-    def cover(
-        self,
-        points: Iterable[Point],
-        engine,
-        timeout_s: Optional[float],
-        memo: "OrderedDict[str, bytes]",
-    ) -> int:
+    def cover(self, points: Iterable[Point], memo: "OrderedDict[str, bytes]") -> int:
         """Make every point of `points` an entry and an exit, and
         summarise and import each shard that is new or changed: from
-        `memo` by content, else dispatched into it.  Returns how many
-        summaries were dispatched."""
+        `memo` by content, else computed into it.  Returns how many
+        summaries were computed."""
         plan = extend(self.plan, points)
         stale = [t for t in plan.shards if self.tasks.get(t["shard_id"]) is not t]
         if not stale:
             return 0
         keys = [_content_key(task) for task in stale]
         missing = {key: task for key, task in zip(keys, stale) if key not in memo}
-        fresh = {}
-        if missing:
-            summaries = _dispatch([*missing.values()], engine, timeout_s)
-            fresh = dict(zip(missing, summaries))
+        METRICS.counter("compose.shards_dispatched").inc(len(missing))
+        fresh = {key: compute_shard_summary(task) for key, task in missing.items()}
         for key, task in zip(keys, stale):
             self.keys.append(key)  # before it can fail: an error drops it
             summary = fresh.get(key)
@@ -273,18 +228,18 @@ def run_composed(
     engine=None,
     *,
     budget: Optional[Dict[str, Any]] = None,
-    timeout_s: Optional[float] = None,
     bug: Optional[str] = None,
 ) -> ComposedResult:
     """Answer a topology query by assume-guarantee decomposition.
 
     `topo` and `query` are the plain-JSON payloads documented in
-    :mod:`~repro.compose.topo`.  With an `engine`, shard summaries fan
-    out across the worker pool; without one they run in-process.
-    `budget` is a plain dict of :class:`~repro.core.Budget` fields
-    threaded into every shard; a budgeted query bypasses the held
-    fabrics.  `bug` injects a known recomposer bug (fuzz-farm canary)
-    — never set it outside tests.
+    :mod:`~repro.compose.topo`.  Shard summaries are computed in the
+    calling thread.  No code reads `engine`: it stays only because the
+    frozen ``benchmarks/e2e/workloads.py`` passes one.  `budget` is a
+    plain dict of :class:`~repro.core.Budget` fields threaded into
+    every shard; a budgeted query bypasses the held fabrics.  `bug`
+    injects a known recomposer bug (fuzz-farm canary) — never set it
+    outside tests.
     """
     started = time.monotonic()
     Budget.from_dict(budget)  # a misspelt limit fails here, not in a shard
@@ -299,7 +254,7 @@ def run_composed(
             fabric = _Fabric(topo, plan_fabric(topo, budget))
         try:
             validate_query(topo, query)
-            dispatched = fabric.cover(query_points(query), engine, timeout_s, memo)
+            dispatched = fabric.cover(query_points(query), memo)
             plan = for_query(fabric.plan, query)
             live.set("shards", len(plan.shards))
             METRICS.counter("compose.summaries_reused").inc(

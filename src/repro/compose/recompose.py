@@ -1,7 +1,7 @@
 """Recomposition: chain shard summaries along the plan's boundaries.
 
-The recomposer runs in the parent process over its *own* transformer
-context.  It propagates header sets along the plan's boundary map —
+The recomposer runs over its *own* transformer context, not the
+shards'.  It propagates header sets along the plan's boundary map —
 ``arriving[entry] → flows → arriving[next entry]`` — to a fixpoint,
 then intersects what reached the sink with the query target.  A set
 ``S`` arriving at an entry leaves at an exit as the union of that

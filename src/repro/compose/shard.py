@@ -1,11 +1,9 @@
-"""Shard workers: per-shard interface summaries, exact for any input.
+"""Shard summaries: per-shard interface summaries, exact for any input.
 
-:func:`compute_shard_summary` is the compose fan-out's worker entry
-point.  It is addressed by the service layer as the ``module:attr``
-builder of a ``kind="call"`` :class:`~repro.service.QuerySpec`, takes
-one plain-JSON shard task (from :func:`~repro.compose.plan.plan_shards`)
-and returns a plain-JSON summary — nothing symbolic crosses the
-process boundary.
+:func:`compute_shard_summary` takes one plain-JSON shard task (from
+:func:`~repro.compose.plan.plan_shards`) and returns a plain-JSON
+summary — nothing symbolic leaves the shard's model, so the driver
+memoises summaries pickled and imports them into its own context.
 
 A device in this model only ever *pins* header bits: a NAT rule
 replaces the network bits of an address with a prefix's, or sets a
@@ -301,7 +299,7 @@ def forget_devices() -> None:
 
 
 def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Compute one shard's interface summary (worker entry).
+    """Compute one shard's interface summary.
 
     `task` is a shard dict from :func:`~repro.compose.plan.plan_shards`.
     Returns a plain dict: ``table`` (one node table) and ``images``,

@@ -23,7 +23,7 @@ JSON form :mod:`repro.network.payload` states (closed dicts, ints
 never bools, ``[lo, hi]`` port ranges with ``lo <= hi``, ACL port
 keys in canonical decimal).  :func:`validate_topology` checks every
 device where the payload enters, so a malformed one never reaches a
-worker.
+shard.
 
 There is one device model: :func:`build_network` lifts the payload
 into :mod:`repro.network` devices and interfaces, and the per-shard

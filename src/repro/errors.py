@@ -211,24 +211,14 @@ class ZenBackendDisagreement(ZenServiceError):
         self.profiles = dict(profiles or {})
 
 
-class ZenComposeError(ZenServiceError):
-    """A compositional query lost a shard or its witness.
+class ZenComposeError(ZenError, RuntimeError):
+    """A composed "reachable" is not backed by its summaries.
 
-    The compose driver fans per-shard summary tasks out through the
-    query engine; when a shard's dispatch fails terminally (worker
-    crash after retries, hard timeout, queue rejection) the
-    recomposition is missing an interface summary and *must not* fall
-    back to guessing.  The same error reports a "reachable" whose
-    walked-back witness is missing or fails concrete replay, which is
-    a summary or recomposer bug.  The failure is structural and
-    carries ``shard_id`` (when one shard is at fault) plus the
-    underlying per-shard errors (if any) so callers can re-dispatch.
+    Raised when no initial header walks back from the recomposed hit,
+    or when the walked-back witness fails concrete replay into the
+    query's target.  Either is a summary or recomposer bug, so the
+    driver raises rather than return a verdict it cannot justify.
     """
-
-    def __init__(self, message, shard_id="", causes=()):
-        super().__init__(message)
-        self.shard_id = shard_id
-        self.causes = tuple(causes)
 
 
 class ZenUnsoundResultError(ZenError, RuntimeError):

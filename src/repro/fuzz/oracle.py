@@ -191,20 +191,13 @@ def check_scenario(
     long as that specific input still diverges — without this, each
     shrink step would re-roll the probe stream and lose the failure.
     """
+    if data["kind"] == "topology":
+        report = OracleReport(scenario=data, ok=True)  # compose runs in process
+        _check_topology(data, report, probe_count, budget, extra_inputs)
+        return report
     report = OracleReport(
         scenario=data, ok=True, mode="service" if engine else "inprocess"
     )
-    if data["kind"] == "topology":
-        _check_topology(
-            data,
-            report,
-            engine,
-            probe_count,
-            budget,
-            timeout_s,
-            extra_inputs,
-        )
-        return report
     try:
         fn = build_scenario_model(data)
     except Exception as error:  # noqa: BLE001 - any build failure is a find
@@ -433,10 +426,8 @@ def hsa_delivered(
 def _check_topology(
     data: Dict[str, Any],
     report: OracleReport,
-    engine: Any,
     probe_count: int,
     budget: Optional[Budget],
-    timeout_s: Optional[float],
     extra_inputs: Sequence[Tuple[Any, ...]],
 ) -> None:
     """The compose differential: composed vs reference vs replay vs HSA.
@@ -448,15 +439,14 @@ def _check_topology(
     any True probe against a composed "unreachable"), then the verdict
     itself.  A "reachable" must carry a witness the reference walker
     delivers — the driver already replayed it, so that proves the
-    verdict.  The memo arm asks the question twice more, unbudgeted
-    and in-process, so that the second answer comes from the fabric
-    the first one held: both must give the verdict and carry
-    witnesses the reference walker delivers.  An "unreachable" is
-    judged by one HSA exploration (:func:`hsa_delivered`), which must
-    not deliver any injected header into the target either.
+    verdict.  The memo arm asks the question twice more, unbudgeted,
+    so that the second answer comes from the fabric the first one
+    held: both must give the verdict and carry witnesses the reference
+    walker delivers.  An "unreachable" is judged by one HSA
+    exploration (:func:`hsa_delivered`), which must not deliver any
+    injected header into the target either.
     """
     from ..compose.driver import run_composed
-    from ..errors import ZenComposeError
     from ..network.packet import Header
     from .reference import SYSTEM_BUGS
 
@@ -470,16 +460,14 @@ def _check_topology(
         composed = run_composed(
             topo,
             query,
-            engine=engine,
             budget=budget.to_dict() if budget is not None else None,
-            timeout_s=timeout_s,
             bug=system_bug,
         )
     except ZenBudgetExceeded as error:
         report.explained = f"budget:{error.reason or 'exhausted'}"
         report.verdicts["composed"] = None
         return
-    except (ZenComposeError, ZenError) as error:
+    except ZenError as error:
         report.ok = False
         report.signature = ("error", type(error).__name__)
         report.detail = f"run_composed raised: {error}"

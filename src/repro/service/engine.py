@@ -1551,14 +1551,13 @@ class QueryEngine:
 
         Sticky rule: a worker takes its own tasks freely.  A task that
         names a model waits for its sticky worker, whose cache holds
-        that model warm; only a model-free ``call`` task (a compose
-        shard, a chaos sleep) or one side of a differential group may
-        be stolen, and then only while its sticky worker is busy.
-        Stealing model tasks thrashed every worker's cache on
-        ``service_stream`` (hit rate 0.61, 1,122 steals against 1,328
-        sticky hits); waiting reads 0.98 and 0 steals.  The two sides
-        of a differential group never share a batch, so they run in
-        parallel workers.
+        that model warm; only a model-free ``call`` task (a chaos
+        sleep) or one side of a differential group may be stolen, and
+        then only while its sticky worker is busy.  Stealing model
+        tasks thrashed every worker's cache on ``service_stream`` (hit
+        rate 0.61, 1,122 steals against 1,328 sticky hits); waiting
+        reads 0.98 and 0 steals.  The two sides of a differential group
+        never share a batch, so they run in parallel workers.
 
         Scheduling order is priority-major (interactive before batch
         before fuzz), FIFO within a class — the stable sort preserves

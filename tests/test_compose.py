@@ -6,10 +6,9 @@ HSA exploration's (:func:`repro.fuzz.oracle.hsa_delivered`), and every
 composed "reachable" carries an initial-header witness that the fuzz
 farm's reference walker delivers into the target.  NAT topologies also
 get known-truth checks, each answered in one dispatch round.
-Structural-failure and chaos tests pin down the service contract: a
-lost shard, or a witness that fails replay, raises
-:class:`~repro.errors.ZenComposeError`, never a silently wrong
-verdict, while a killed worker is absorbed by respawn + retry.
+Structural-failure tests pin down the contract: a witness that fails
+walk-back or replay raises :class:`~repro.errors.ZenComposeError`,
+never a silently wrong verdict.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.core import transformers
 from repro.core.transformers import TransformerContext
 from repro.errors import (
     ZenComposeError,
-    ZenServiceError,
     ZenTypeError,
 )
 from repro.compose.cubes import cover_node, header_sets
@@ -324,44 +322,15 @@ class TestNatEscalation:
         assert one_round(topo, query)
 
 
-class _LostShardEngine:
-    """An engine stub whose every shard dispatch fails terminally."""
-
-    def __init__(self):
-        self.submitted = []
-
-    def submit(self, spec, wait=False):
-        self.submitted.append(spec)
-        return spec
-
-    def gather(self, futures):
-        return [
-            ZenServiceError(f"worker lost running {spec.label}")
-            for spec in futures
-        ]
-
-
 class TestShardFailure:
-    def test_lost_shard_raises_structurally(self):
-        topo = filter_chain(3)
-        query = chain_query(3)
-        engine = _LostShardEngine()
-        with pytest.raises(ZenComposeError) as excinfo:
-            run_composed(topo, query, engine)
-        assert engine.submitted, "shards must have been dispatched"
-        assert excinfo.value.shard_id
-        assert excinfo.value.causes
-        assert isinstance(excinfo.value.causes[0], ZenServiceError)
-
     def test_misspelt_budget_key_raises_before_any_dispatch(self):
         """`{"deadline": …}` for `deadline_s` used to build an all-None
         Budget: every shard ran unbounded."""
-        topo = filter_chain(3)
-        query = chain_query(3)
-        engine = _LostShardEngine()
+        dispatched = METRICS.counter("compose.shards_dispatched")
+        before = dispatched.value
         with pytest.raises(ZenTypeError, match="deadline"):
-            run_composed(topo, query, engine, budget={"deadline": 0.01})
-        assert engine.submitted == []
+            run_composed(filter_chain(3), chain_query(3), budget={"deadline": 0.01})
+        assert dispatched.value == before
 
     def test_plan_covers_every_device(self):
         topo = filter_chain(4)
@@ -945,51 +914,37 @@ class TestLongNatChains:
             assert hsa_against_nat_chain(num_devices, seed) >= 1
 
 
-class TestComposedThroughService:
-    """The same verdicts when shard summaries fan out across workers."""
+class _UntouchableEngine:
+    """An engine stub that fails any query handed to it."""
 
-    def test_service_fanout_matches_inprocess(self):
-        from repro.service import QueryEngine
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("compose handed work to the engine")
 
-        topo = filter_chain(3)
-        query = chain_query(3)
-        local = run_composed(topo, query)
-        driver.forget_fabrics()  # so the pool computes every summary
-        engine = QueryEngine(pool_size=2, retries=1)
-        try:
-            remote = run_composed(topo, query, engine, timeout_s=60.0)
-        finally:
-            engine.close()
-        assert remote.reachable == local.reachable
-        assert remote.shard_count == local.shard_count
+    submit = gather = run = _refuse
 
-    @pytest.mark.chaos
-    def test_composed_survives_worker_kill(self):
-        from repro.service import QueryEngine
-        from repro.service.chaos import inject_worker_fault
 
-        topo = filter_chain(4)
-        query = chain_query(4)
-        expected = run_composed(topo, query).reachable
-        engine = QueryEngine(pool_size=2, retries=2)
-        try:
-            # Workers spawn lazily: run one composed query first so
-            # there are live workers to murder, then storm — a kill
-            # before each subsequent composed run.
-            # Each run forgets the held fabric first, so it dispatches.
-            driver.forget_fabrics()
-            warm = run_composed(topo, query, engine, timeout_s=120.0)
-            assert warm.reachable == expected
-            for _ in range(2):
-                live = [p for p in engine.worker_pids() if p is not None]
-                assert live, "pool must be warm before the kill"
-                kind, pid = inject_worker_fault(engine, "kill")
-                assert kind == "kill" and pid is not None
-                driver.forget_fabrics()
-                result = run_composed(topo, query, engine, timeout_s=120.0)
-                assert result.reachable == expected
-        finally:
-            engine.close()
+@pytest.mark.parametrize("shape", ["chain", "fat-tree"])
+def test_an_engine_is_never_handed_a_shard(shape):
+    """Compose runs in the calling thread: an engine passed to
+    `run_composed` is not asked for anything, and the verdict and its
+    witness are the engine-less ones."""
+    if shape == "chain":
+        topo, query = filter_chain(3), chain_query(3)
+    else:
+        hosts = fat_tree_hosts(4)
+        topo = fat_tree(4, seed=3, acl_probability=0.3)
+        query = fat_tree_reach_query(hosts[0], hosts[-1])
+    forget_devices()
+    alone = run_composed(topo, query)
+    driver.forget_fabrics()
+    forget_devices()
+    dispatched = METRICS.counter("compose.shards_dispatched").value
+    with_engine = run_composed(topo, query, _UntouchableEngine())
+    assert METRICS.counter("compose.shards_dispatched").value > dispatched
+    assert (with_engine.reachable, with_engine.witness) == (
+        alone.reachable,
+        alone.witness,
+    )
 
 
 class TestRecomposerCanary:

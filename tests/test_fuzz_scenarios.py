@@ -263,6 +263,8 @@ class TestWildcardRules:
         validate_scenario(data)
         report = check_scenario(data)
         assert report.ok, report.detail
+        if kind == "topology":  # compose runs in process, engine or not
+            assert check_scenario(data, engine=object()).mode == "inprocess"
         verdict = concrete_verdict(data)
         probe_rng = random.Random(f"wildcards:{kind}")
         for inputs in reference_inputs(data, probe_rng, count=12):
