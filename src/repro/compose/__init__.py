@@ -19,9 +19,10 @@ Public surface:
 * :func:`recompose` — the chaining fixpoint, and
   :func:`walk_back` — its growth records run backwards from the hit
   to an initial-header witness;
-* :func:`build_network` / :func:`replay` — the payload as one
-  :class:`~repro.network.Network` (the only device model) and one
-  concrete header walked through its Zen hop (the witness check).
+* :func:`build_network` — the payload as one
+  :class:`~repro.network.Network`, the only device model: every
+  "reachable" witness is walked through it by
+  :func:`~repro.network.simulate`, the one concrete walker.
 """
 
 from .cubes import (
@@ -45,7 +46,6 @@ from .recompose import (
 from .shard import compute_shard_summary
 from .topo import (
     build_network,
-    replay,
     validate_query,
     validate_topology,
 )
@@ -64,7 +64,6 @@ __all__ = [
     "plan_shards",
     "point_key",
     "recompose",
-    "replay",
     "run_composed",
     "validate_cover",
     "validate_query",

@@ -7,13 +7,13 @@ invariant query from its topology's shard summaries
 :func:`~repro.compose.shard.compute_shard_summary`, and chains them
 back together (:mod:`~repro.compose.recompose`).
 
-**Held fabrics.**  Each thread keeps a bounded memo, keyed by a
-content hash of the topology, of what a query needs and no query
-changes: the validated plan, its shard summaries, those summaries
-imported once into a recompose context, and one
+**Held fabrics.**  Each thread keeps a bounded memo, keyed by the
+topology payload pickled, of what a query needs and no query changes:
+the validated plan, its shard summaries, those summaries imported
+once into a recompose context, and one
 :class:`~repro.network.Network` for witness replay.  A query on a
 held topology runs ``validate_query``, the recompose fixpoint,
-``walk_back`` and ``replay``, and summarises no shard.  Summaries are
+``walk_back`` and the witness walk, and summarises no shard.  Summaries are
 memoised apart, by the content of their shard task (devices, links,
 entries, exits, budget), so a topology met for the first time
 summarises only the shards no held summary covers: after a one-device
@@ -35,8 +35,9 @@ decides the verdict, and the same summaries justify it: a reachable
 verdict carries a witness, NAT or not — an *initial* header walked
 back from the hit through the summaries
 (:func:`~repro.compose.recompose.walk_back`), then replayed concretely
-through the Zen hop (:func:`~repro.compose.topo.replay`), which must
-deliver a header inside the query's ``target`` cover.  No walk-back
+from the query's source by :func:`~repro.network.simulate`, the one
+walker of the Zen device models, which must leave the network at the
+sink with a header inside the query's ``target`` cover.  No walk-back
 header, or a replay that disagrees, raises
 :class:`~repro.errors.ZenComposeError` — a wrong "reachable" is never
 returned, and no second engine is asked.
@@ -54,14 +55,14 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from ..core.budget import Budget
 from ..errors import ZenComposeError
-from ..network import Header, Network
+from ..network import Header, Network, make_packet, simulate
 from ..telemetry.metrics import METRICS
 from ..telemetry.spans import span
 from .cubes import in_cover
 from .plan import Plan, extend, for_query, parse_point, plan_fabric, query_points
 from .recompose import ImportedSummaries, RecomposeOutcome, recompose, walk_back
 from .shard import compute_shard_summary
-from .topo import Point, build_network, replay, validate_query, validate_topology
+from .topo import Point, build_network, validate_query, validate_topology
 
 #: The shard entry as a service builder reference.  Compose never
 #: dispatches through the service; the frozen
@@ -155,7 +156,7 @@ class _Held(threading.local):
     shard content, least recently used first."""
 
     def __init__(self) -> None:
-        self.fabrics: "OrderedDict[str, _Fabric]" = OrderedDict()
+        self.fabrics: "OrderedDict[bytes, _Fabric]" = OrderedDict()
         self.summaries: "OrderedDict[str, bytes]" = OrderedDict()
 
 
@@ -168,7 +169,7 @@ def forget_fabrics() -> None:
     _held.summaries.clear()
 
 
-def _drop(key: str) -> None:
+def _drop(key: bytes) -> None:
     """Drop one held fabric and its summaries."""
     fabric = _held.fabrics.pop(key, None)
     if fabric is not None:
@@ -176,15 +177,17 @@ def _drop(key: str) -> None:
             _held.summaries.pop(summary_key, None)
 
 
-def _held_fabric(topo: Any) -> "tuple[str, _Fabric]":
+def _held_fabric(topo: Any) -> "tuple[bytes, _Fabric]":
     """The fabric held for `topo`'s content, planned on a miss.
 
-    The held fabric plans from a copy of the payload, so a caller that
-    edits its topology in place later changes only the key it reaches.
+    The key is the payload pickled: equal bytes load to equal content,
+    and a payload that differs in anything, ``True`` for ``1`` included,
+    only misses.  The fabric plans from the key's own copy, so a caller
+    that edits its topology in place later changes only the key.
     """
     try:
-        key = _content_key(topo)
-    except TypeError:
+        key = pickle.dumps(topo, pickle.HIGHEST_PROTOCOL)
+    except Exception:
         validate_topology(topo)  # names what is malformed
         raise
     fabric = _held.fabrics.get(key)
@@ -192,7 +195,7 @@ def _held_fabric(topo: Any) -> "tuple[str, _Fabric]":
         _held.fabrics.move_to_end(key)
         return key, fabric
     validate_topology(topo)
-    held = json.loads(key)
+    held = pickle.loads(key)
     fabric = _held.fabrics[key] = _Fabric(held, plan_fabric(held))
     while len(_held.fabrics) > MAX_HELD_FABRICS:
         _held.fabrics.popitem(last=False)
@@ -205,19 +208,23 @@ def _witness(
     plan: Plan,
     outcome: RecomposeOutcome,
 ) -> Dict[str, int]:
-    """The hit's initial header, walked back and replayed concretely."""
+    """The hit's initial header, walked back, then walked from the
+    source: it must leave at the sink with a header in the target."""
     witness = walk_back(plan, outcome)
     if witness is None:
         raise ZenComposeError(
             "no initial header walks back from the delivered hit: the "
             "recomposed verdict is not backed by its summaries"
         )
-    delivered = replay(network, query, Header(**witness))
-    if delivered is None or not in_cover(plan.target, delivered):
+    (source, port), (sink, sink_port) = query["source"], query["sink"]
+    entry = network.device(source).interface(int(port))
+    trace = simulate(network, entry, make_packet(Header(**witness)))
+    delivered = trace.delivered_at(f"{sink}:{int(sink_port)}")
+    if delivered is None or not in_cover(plan.target, delivered.overlay_header):
         raise ZenComposeError(
             f"witness {witness} walks back through the summaries, but "
-            f"its concrete replay delivers {delivered}, not a header in "
-            f"the target"
+            f"its concrete replay ends {trace.outcome!r} with "
+            f"{trace.final_packet}, not at the sink inside the target"
         )
     return witness
 

@@ -80,8 +80,8 @@ from ..core import start_meter
 from ..core.transformers import StateSet, TransformerContext
 from ..core.budget import Budget
 from ..lang import Zen
-from ..network import NULL_PORT, Header, NatRule, forward
-from ..network.device import Device, admits, permits, rewrite
+from ..network import NULL_PORT, Header, NatRule, acl_allows, forward
+from ..network.device import Device, rewrite
 from ..telemetry.spans import span
 from .cubes import Cube, cube_literals, header_table
 from .plan import pair_key
@@ -213,11 +213,11 @@ class _ShardModel:
         def roots(h: Zen) -> List[Zen]:
             rewritten = rewrite(device, h)
             port = forward(device.fib, rewritten)
-            conds = [admits(intf, h) for intf in filtered]
+            conds = [acl_allows(intf.acl_in, h) for intf in filtered]
             for q in out_ports:
                 cond, out = port == q, device.interface(q)
                 if out.acl_out is not None:  # a bare `& True` costs a node
-                    cond = cond & permits(out, rewritten)
+                    cond = cond & acl_allows(out.acl_out, rewritten)
                 conds.append(cond)
             return conds
 

@@ -1,4 +1,4 @@
-"""Topology payloads: validation, the network they describe, replay.
+"""Topology payloads: validation and the network they describe.
 
 A compose topology is plain JSON so it can cross process boundaries
 inside a :class:`~repro.service.QuerySpec` payload::
@@ -26,10 +26,11 @@ device where the payload enters, so a malformed one never reaches a
 shard.
 
 There is one device model: :func:`build_network` lifts the payload
-into :mod:`repro.network` devices and interfaces, and the per-shard
-Zen sets and :func:`replay` both state a hop with the same pieces of
-:mod:`repro.network.device`.  A packet entering device ``d`` at port
-``p`` with header ``h``:
+into :mod:`repro.network` devices and interfaces.  The per-shard Zen
+sets state a hop with the pieces of :mod:`repro.network.device`, and
+the driver's witness replay walks the same models concretely with
+:func:`~repro.network.simulate`.  A packet entering device ``d`` at
+port ``p`` with header ``h``:
 
 1. ``acl_in[p]`` filters ``h`` (absent ACL admits everything);
 2. the device's NAT table rewrites ``h`` to ``h'``;
@@ -41,19 +42,9 @@ Zen sets and :func:`replay` both state a hop with the same pieces of
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Sequence, Tuple
 
-from ..core import ZenFunction
-from ..network import (
-    NULL_PORT,
-    Header,
-    Interface,
-    Network,
-    admits,
-    forward,
-    permits,
-    rewrite,
-)
+from ..network import NULL_PORT, Interface, Network
 from ..network.payload import (
     acl_from_json,
     check_device,
@@ -191,48 +182,3 @@ def build_network(
     for dev_a, port_a, dev_b, port_b in links:
         network.link(interfaces[(dev_a, port_a)], interfaces[(dev_b, port_b)])
     return network
-
-
-# ----------------------------------------------------------------------
-# Witness replay: the Zen hop, evaluated concretely
-# ----------------------------------------------------------------------
-
-
-def _evaluate(piece, header: Header) -> Any:
-    return ZenFunction(piece, [Header], name="replay").evaluate(header)
-
-
-def replay(
-    network: Network, query: Dict[str, Any], header: Header
-) -> Optional[Header]:
-    """Walk one concrete header from the query's source to its sink.
-
-    Each device the packet visits evaluates the hop pieces — inbound
-    admit, NAT rewrite, LPM port, outbound permit — concretely with
-    :meth:`~repro.core.ZenFunction.evaluate`: the same Zen the shards
-    compile symbolically.  Returns the header
-    delivered at the sink, or None when the packet is dropped, leaves
-    at another port, or loops.
-    """
-    sink = (query["sink"][0], int(query["sink"][1]))
-    source, port = query["source"]
-    intf = network.device(source).interface(int(port))
-    seen = set()
-    for _ in range(4 * len(network.devices) + 8):
-        if (intf.name, header) in seen:
-            return None  # forwarding loop
-        seen.add((intf.name, header))
-        device = intf.device
-        if not _evaluate(lambda h: admits(intf, h), header):
-            return None
-        header = _evaluate(lambda h: rewrite(device, h), header)
-        port = _evaluate(lambda h: forward(device.fib, h), header)
-        if port == NULL_PORT:
-            return None
-        out = device.interface(port)
-        if not _evaluate(lambda h: permits(out, h), header):
-            return None
-        if out.neighbor is None:
-            return header if (device.name, port) == sink else None
-        intf = out.neighbor
-    return None

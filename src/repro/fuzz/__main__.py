@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         help="route every Nth scenario through the QueryEngine "
-        "(0 = never, 1 = always)",
+        "(0 = never, 1 = always); topology scenarios run in process",
     )
     run.add_argument("--pool-size", type=int, default=2)
     run.add_argument("--timeout-s", type=float, default=30.0)

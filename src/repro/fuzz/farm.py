@@ -47,7 +47,7 @@ from .artifact import (
     load_artifact,
     write_artifact,
 )
-from .oracle import OracleReport, check_scenario
+from .oracle import IN_PROCESS_KINDS, OracleReport, check_scenario
 from .scenario import SCENARIO_KINDS, ScenarioGenerator
 from .shrink import scenario_size, shrink_scenario
 
@@ -67,8 +67,9 @@ class FarmConfig:
     """One fuzz campaign's configuration (fully determines its runs).
 
     ``service_every`` routes every Nth scenario through a
-    :class:`~repro.service.QueryEngine` (0 = never, 1 = always);
-    the rest solve in-process.  ``inject_bug`` plants a named
+    :class:`~repro.service.QueryEngine` (0 = never, 1 = always) unless
+    its kind is in :data:`~repro.fuzz.oracle.IN_PROCESS_KINDS`; the
+    rest solve in-process.  ``inject_bug`` plants a named
     reference-interpreter defect (see
     :data:`~repro.fuzz.reference.KNOWN_BUGS`) — the canary mode used
     by tests to prove the farm catches, shrinks, and reproduces real
@@ -219,6 +220,7 @@ def run_farm(
             use_service = (
                 config.service_every > 0
                 and index % config.service_every == 0
+                and data["kind"] not in IN_PROCESS_KINDS
             )
             if use_service and engine is None and own_engine is None:
                 from ..service import QueryEngine

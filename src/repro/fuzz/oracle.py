@@ -66,6 +66,10 @@ __all__ = [
 
 ORACLE_BACKENDS = ("sat", "bdd")
 
+#: Kinds checked in process whatever engine is handed over: the object
+#: under test of a topology scenario is the compose driver.
+IN_PROCESS_KINDS = ("topology",)
+
 #: Attempt outcomes that count as explained (resource) exhaustion
 #: rather than semantic failures when the service path gives up.
 #: Overload-protection outcomes (shed_overload, deadline_expired,
@@ -191,8 +195,8 @@ def check_scenario(
     long as that specific input still diverges — without this, each
     shrink step would re-roll the probe stream and lose the failure.
     """
-    if data["kind"] == "topology":
-        report = OracleReport(scenario=data, ok=True)  # compose runs in process
+    if data["kind"] in IN_PROCESS_KINDS:
+        report = OracleReport(scenario=data, ok=True)
         _check_topology(data, report, probe_count, budget, extra_inputs)
         return report
     report = OracleReport(
@@ -363,16 +367,22 @@ def _solve_service(
 def topology_replay(
     topo: Dict[str, Any], query: Dict[str, Any]
 ) -> Callable[[Any], bool]:
-    """A topology query's verdict on one header, by Zen hop replay."""
-    from ..compose.topo import build_network, replay
+    """A topology query's verdict on one header, by :func:`simulate`."""
+    from ..compose.topo import build_network
+    from ..network import make_packet, simulate
 
     network = build_network(topo, (query["source"], query["sink"]))
+    (source, port), (sink, sink_port) = query["source"], query["sink"]
+    entry = network.device(source).interface(int(port))
+    exit_name = f"{sink}:{int(sink_port)}"
 
     def verdict(h: Any) -> bool:
         if not _in_cover(query.get("headers"), h):
             return False
-        final = replay(network, query, h)
-        return final is not None and _in_cover(query.get("target"), final)
+        final = simulate(network, entry, make_packet(h)).delivered_at(exit_name)
+        return final is not None and _in_cover(
+            query.get("target"), final.overlay_header
+        )
 
     return verdict
 

@@ -7,10 +7,11 @@ the device's NAT rewrite); ``fwd_out`` applies outbound policy
 (forwarding decision + ACL + encapsulation).  ``forward_along_path``
 chains them along a path (Figure 7).
 
-The header-level hop pieces — :func:`admits`, :func:`rewrite`,
-:func:`~repro.network.fib.forward` and :func:`permits` — are stated
-once here; the packet models above and the compose subsystem's shard
-summaries and witness replay all call them.
+The packet models are stated over the configuration they read —
+:func:`ingress` is ``fwd_in``'s body, :func:`egress` ``fwd_out``'s once
+the FIB picked the port — so the concrete walker
+(:func:`~repro.network.topology.simulate`) memoises each by the frozen
+ACL, tunnel and NAT table it reads.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .acl import Acl, acl_allows
 from .fib import FwdTable, forward
 from .gre import GreTunnel, decap, encap
 from .nat import NatTable, apply_nat
-from .packet import Header, Packet
+from .packet import Packet
 
 
 @dataclass
@@ -71,11 +72,11 @@ def effective_header(pkt: Zen) -> Zen:
     return if_(underlay.has_value(), underlay.value(), pkt.overlay_header)
 
 
-def admits(intf: Interface, h: Zen) -> Zen:
-    """Whether the inbound ACL admits a header (no ACL admits all)."""
-    if intf.acl_in is None:
+def _allows(acl: Optional[Acl], h: Zen) -> Zen:
+    """Whether an ACL permits a header (no ACL permits all)."""
+    if acl is None:
         return constant(True, bool)
-    return acl_allows(intf.acl_in, h)
+    return acl_allows(acl, h)
 
 
 def rewrite(device: Device, h: Zen) -> Zen:
@@ -85,40 +86,49 @@ def rewrite(device: Device, h: Zen) -> Zen:
     return apply_nat(device.nat, h)
 
 
-def permits(intf: Interface, h: Zen) -> Zen:
-    """Whether the outbound ACL permits a header (no ACL permits all)."""
-    if intf.acl_out is None:
-        return constant(True, bool)
-    return acl_allows(intf.acl_out, h)
+def ingress(
+    acl: Optional[Acl], tunnel: Optional[GreTunnel], nat: Optional[NatTable], pkt: Zen
+) -> Zen:
+    """Inbound processing: the ACL on the arriving effective header,
+    decapsulation, then the NAT rewrite of the effective header."""
+    allow = _allows(acl, effective_header(pkt))
+    decapped = decap(tunnel, pkt)
+    if nat is not None:
+        underlay = decapped.underlay_header
+        decapped = if_(
+            underlay.has_value(),
+            decapped.with_field(
+                "underlay_header", some(apply_nat(nat, underlay.value()))
+            ),
+            decapped.with_field(
+                "overlay_header", apply_nat(nat, decapped.overlay_header)
+            ),
+        )
+    return if_(allow, some(decapped), none(Packet))
+
+
+def egress(
+    acl: Optional[Acl], tunnel: Optional[GreTunnel], header: Zen, pkt: Zen
+) -> Zen:
+    """Outbound processing at the chosen port: the ACL on `header`
+    (the packet's effective header), then encapsulation."""
+    allow = _allows(acl, header)
+    encapped = encap(tunnel, pkt)
+    return if_(allow, some(encapped), none(Packet))
 
 
 def fwd_in(intf: Interface, pkt: Zen) -> Zen:
     """Inbound processing: ACL check, decapsulation, then the device's
     NAT rewrite of the effective header (Fig. 6) — so ``acl_in`` sees
     the arriving header, forwarding and ``acl_out`` the rewritten one."""
-    allow = admits(intf, effective_header(pkt))
-    decapped = decap(intf.gre_end, pkt)
-    if intf.device.nat is not None:
-        underlay = decapped.underlay_header
-        decapped = if_(
-            underlay.has_value(),
-            decapped.with_field(
-                "underlay_header", some(rewrite(intf.device, underlay.value()))
-            ),
-            decapped.with_field(
-                "overlay_header", rewrite(intf.device, decapped.overlay_header)
-            ),
-        )
-    return if_(allow, some(decapped), none(Packet))
+    return ingress(intf.acl_in, intf.gre_end, intf.device.nat, pkt)
 
 
 def fwd_out(intf: Interface, pkt: Zen) -> Zen:
     """Outbound processing: forwarding + ACL + encapsulation (Fig. 6)."""
     header = effective_header(pkt)
     port = forward(intf.device.fib, header)
-    allow = permits(intf, header)
-    encapped = encap(intf.gre_start, pkt)
-    pkt_out = if_(allow, some(encapped), none(Packet))
+    pkt_out = egress(intf.acl_out, intf.gre_start, header, pkt)
     return if_(port == intf.id, pkt_out, none(Packet))
 
 

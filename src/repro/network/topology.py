@@ -8,13 +8,16 @@ possible because Zen models are executable (§4 "Simulation").
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core import ZenFunction
 from ..errors import ZenTypeError
+from ..lang import Zen
 from .acl import Acl
-from .device import Device, Interface, effective_header, fwd_in, fwd_out
+from .device import Device, Interface, effective_header, egress, ingress
 from .fib import NULL_PORT, FwdRule, FwdTable, forward
 from .gre import GreTunnel
 from .ip import Prefix
@@ -102,86 +105,111 @@ class Trace:
     """The result of simulating a packet through the network."""
 
     hops: Tuple[Hop, ...]
-    outcome: str  # "delivered", "dropped_in", "dropped_out", "no_route",
-    # "exited", or "loop"
+    outcome: str  # "dropped_in", "dropped_out", "no_route", "exited" or "loop"
     final_packet: Optional[Packet]
 
+    def delivered_at(self, interface: str) -> Optional[Packet]:
+        """The packet that left the network at `interface` (a name such
+        as ``u3:2``), or None when the trace ended any other way."""
+        if self.outcome == "exited" and self.hops[-1].interface_out == interface:
+            return self.final_packet
+        return None
 
-class _ModelCache:
-    """Caches the per-interface Zen models built during simulation."""
+
+#: A thread holds at most this many hop pieces, least recently used
+#: dropped first: 0.9 MB of fat-tree FIBs and inbound ACLs, their
+#: configuration included (see DESIGN, *Held fabrics*).
+MAX_HELD_PIECES = 256
+
+
+class _Pieces(threading.local):
+    """This thread's hop pieces, keyed by the frozen configuration each
+    one reads — never by an interface or a device, so the memo pins no
+    :class:`Network` and serves every network that shares a table."""
 
     def __init__(self) -> None:
-        self._in: Dict[int, ZenFunction] = {}
-        self._out: Dict[int, ZenFunction] = {}
-        self._fib: Dict[int, ZenFunction] = {}
+        self.memo: "OrderedDict[tuple, ZenFunction]" = OrderedDict()
 
-    def in_model(self, intf: Interface) -> ZenFunction:
-        key = id(intf)
-        if key not in self._in:
-            self._in[key] = ZenFunction(
-                lambda p, i=intf: fwd_in(i, p), [Packet], name="fwd_in"
-            )
-        return self._in[key]
 
-    def out_model(self, intf: Interface) -> ZenFunction:
-        key = id(intf)
-        if key not in self._out:
-            self._out[key] = ZenFunction(
-                lambda p, i=intf: fwd_out(i, p), [Packet], name="fwd_out"
-            )
-        return self._out[key]
+_pieces = _Pieces()
 
-    def fib_model(self, device: Device) -> ZenFunction:
-        key = id(device)
-        if key not in self._fib:
-            self._fib[key] = ZenFunction(
-                lambda p, d=device: forward(d.fib, effective_header(p)),
-                [Packet],
-                name="fib",
-            )
-        return self._fib[key]
+
+def _fib_port(fib: FwdTable, pkt: Zen) -> Zen:
+    return forward(fib, effective_header(pkt))
+
+
+def _egress(acl: Optional[Acl], tunnel: Optional[GreTunnel], pkt: Zen) -> Zen:
+    return egress(acl, tunnel, effective_header(pkt), pkt)
+
+
+def _piece(model: Callable[..., Zen], *config: Any) -> ZenFunction:
+    """`model` over `config` and a packet, built once per thread."""
+    memo = _pieces.memo
+    key = (model, *config)
+    piece = memo.get(key)
+    if piece is None:
+        piece = memo[key] = ZenFunction(
+            lambda p: model(*config, p), [Packet], name=model.__name__.strip("_")
+        )
+        while len(memo) > MAX_HELD_PIECES:
+            memo.popitem(last=False)
+    else:
+        memo.move_to_end(key)
+    return piece
 
 
 def simulate(
     network: Network,
     entry: Interface,
     packet: Packet,
-    max_hops: int = 32,
-    _cache: Optional[_ModelCache] = None,
+    max_hops: Optional[int] = None,
 ) -> Trace:
     """Concretely simulate a packet entering at an interface.
 
     At each device the packet passes inbound processing at the entry
-    interface, the device picks an output port via its FIB, outbound
-    processing runs at that port, and the packet crosses the link.
-    The trace ends when the packet is dropped (inbound ACL, no route,
-    or outbound ACL), leaves the network via an unlinked interface,
-    or exceeds `max_hops` (reported as a loop).
+    interface (:func:`~repro.network.device.ingress`), the device
+    picks an output port via its FIB, outbound processing runs at that
+    port (:func:`~repro.network.device.egress`), and the packet
+    crosses the link; each piece is evaluated once a hop.  The trace
+    ends when the packet is dropped (inbound ACL, no route, or
+    outbound ACL) or leaves the network via an unlinked interface; it
+    reads "loop" when the packet reaches an interface a second time
+    with the same packet, or runs past `max_hops` (by default four a
+    device, plus eight).
     """
-    cache = _cache if _cache is not None else _ModelCache()
+    if max_hops is None:
+        max_hops = 4 * len(network._devices) + 8
     hops: List[Hop] = []
+    seen = set()
     current = packet
     intf = entry
     for _ in range(max_hops):
-        after_in = cache.in_model(intf).evaluate(current)
+        name = intf.name
+        if (name, current) in seen:
+            break
+        seen.add((name, current))
+        device = intf.device
+        inbound = _piece(ingress, intf.acl_in, intf.gre_end, device.nat)
+        after_in = inbound.evaluate(current)
         if after_in is None:
-            hops.append(Hop(intf.name, None, current))
+            hops.append(Hop(name, None, current))
             return Trace(tuple(hops), "dropped_in", None)
         current = after_in
-        port = cache.fib_model(intf.device).evaluate(current)
+        port = _piece(_fib_port, device.fib).evaluate(current)
         if port == NULL_PORT:
-            hops.append(Hop(intf.name, None, current))
+            hops.append(Hop(name, None, current))
             return Trace(tuple(hops), "no_route", None)
         try:
-            out_intf = intf.device.interface(port)
+            out_intf = device.interface(port)
         except KeyError:
-            hops.append(Hop(intf.name, None, current))
+            hops.append(Hop(name, None, current))
             return Trace(tuple(hops), "no_route", None)
-        after_out = cache.out_model(out_intf).evaluate(current)
+        outbound = _piece(_egress, out_intf.acl_out, out_intf.gre_start)
+        after_out = outbound.evaluate(current)
         if after_out is None:
-            hops.append(Hop(intf.name, out_intf.name, current))
+            hops.append(Hop(name, out_intf.name, current))
             return Trace(tuple(hops), "dropped_out", None)
-        hops.append(Hop(intf.name, out_intf.name, after_out))
+        hops.append(Hop(name, out_intf.name, after_out))
         current = after_out
         if out_intf.neighbor is None:
             return Trace(tuple(hops), "exited", current)

@@ -44,6 +44,8 @@ from repro.fuzz.reference import _walk_topology, reference_inputs, reference_res
 from repro.telemetry.metrics import METRICS
 from repro.network import (
     Header,
+    Hop,
+    Trace,
     acl_allows,
     apply_nat,
     forward,
@@ -238,12 +240,12 @@ class TestWitnessIsChecked:
         topo, query = filter_chain(3), chain_query(3)
         query["target"] = [{"dst_ip": [0x0A000000, 0xFF000000]}]
         assert run_composed(topo, query).reachable is True
-        off_target = Header(0x0B000001, 1, 80, 1234, 6)
-        monkeypatch.setattr(
-            driver,
-            "replay",
-            lambda *args: None if delivered == "dropped" else off_target,
-        )
+        off_target = make_packet(Header(0x0B000001, 1, 80, 1234, 6))
+        if delivered == "dropped":
+            walked = Trace((Hop("d1:1", None, off_target),), "dropped_in", None)
+        else:
+            walked = Trace((Hop("d2:1", "d2:2", off_target),), "exited", off_target)
+        monkeypatch.setattr(driver, "simulate", lambda *args: walked)
         with pytest.raises(ZenComposeError, match="replay"):
             run_composed(topo, query)
 

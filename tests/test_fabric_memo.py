@@ -21,6 +21,7 @@ import pytest
 from repro.compose import compute_shard_summary, driver, plan_shards, run_composed
 from repro.compose.driver import forget_fabrics
 from repro.errors import ZenComposeError
+from repro.network import Trace
 from repro.obs.status import render_status
 from repro.telemetry.metrics import METRICS
 from repro.workloads import (
@@ -154,6 +155,50 @@ class TestOneDeviceEdit:
         assert cold(edited, query) == warm
 
 
+class TestFabricKey:
+    """A fabric is found by its payload's pickled bytes: exact content,
+    exact types."""
+
+    def test_an_in_place_edit_is_a_new_fabric(self):
+        hosts = fat_tree_hosts(6)
+        topo = fat_tree(6, seed=11, acl_probability=0.3)
+        query = fat_tree_reach_query(hosts[3], hosts[-1])
+        assert run_composed(topo, query, None).reachable
+        sink = hosts[-1]
+        edge = "edge_" + "_".join(sink.split("_")[1:3])
+        topo["devices"][edge]["acl_out"] = {
+            "1": [
+                {"action": False, "dst": [host_address(sink), 32]},
+                {"action": True},
+            ]
+        }
+        assert answer(run_composed(topo, query, None)) == (False, None)
+        assert len(held_fabrics()) == 2
+        del topo["devices"][edge]["acl_out"]
+        assert run_composed(topo, query, None).reachable
+        assert cold(topo, query) == answer(run_composed(topo, query, None))
+
+    @pytest.mark.parametrize("retype", ["bool_link_port", "float_prefix_length"])
+    def test_an_equal_payload_of_other_types_raises_as_cold(self, retype):
+        topo = chain_topology(4, seed=7, acl_probability=0.0)
+        query = chain_query(4)
+        edited = copy.deepcopy(topo)
+        if retype == "bool_link_port":
+            edited["links"][0][3] = True  # d1's port 1
+        else:
+            rule = edited["devices"]["d1"]["fib"][0]
+            rule[0][1] = float(rule[0][1])
+        assert edited == topo  # deep == cannot tell them apart
+        forget_fabrics()
+        with pytest.raises(ValueError) as cold_error:
+            run_composed(edited, query, None)
+        assert run_composed(topo, query, None).reachable is True
+        with pytest.raises(ValueError) as warm_error:
+            run_composed(edited, query, None)
+        assert str(warm_error.value) == str(cold_error.value)
+        assert len(held_fabrics()) == 1
+
+
 class TestMemoRules:
     def test_a_budgeted_query_neither_reads_nor_fills_the_memo(self):
         topo = fat_tree(4, seed=5, acl_probability=0.3)
@@ -175,7 +220,8 @@ class TestMemoRules:
         query = chain_query(4)
         assert run_composed(topo, query, None).reachable is True
         assert len(held_fabrics()) == 1
-        monkeypatch.setattr(driver, "replay", lambda *args: None)
+        dropped = Trace((), "loop", None)
+        monkeypatch.setattr(driver, "simulate", lambda *args: dropped)
         with pytest.raises(ZenComposeError, match="replay"):
             run_composed(topo, query, None)
         assert held_fabrics() == [] and len(driver._held.summaries) == 0

@@ -219,7 +219,29 @@ class TestFarm:
             )
         )
         assert result.ok
-        assert result.service_checked == 2
+        # Scenarios 0 and 2 are routed; 0 is a topology scenario, which
+        # runs in process whatever the farm routes.
+        assert result.service_checked == 1
+
+    def test_topology_scenarios_never_reach_the_service(self, monkeypatch):
+        import repro.service
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("a topology campaign spawned a QueryEngine")
+
+        monkeypatch.setattr(repro.service, "QueryEngine", no_engine)
+        result = run_farm(
+            FarmConfig(
+                seed=7,
+                count=4,
+                kinds=("topology",),
+                service_every=1,
+                chaos_every=1,
+            )
+        )
+        assert result.ok and result.checked == 4
+        assert result.service_checked == 0
+        assert result.chaos_injected == 0
 
     def test_wall_budget_truncates(self):
         result = run_farm(
