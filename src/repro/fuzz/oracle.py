@@ -289,7 +289,7 @@ def _solve_service(
     arity = _arity(data)
     spec = make_specs(data, budget=budget, timeout_s=timeout_s)
     try:
-        result = engine.run_differential(spec, backends=ORACLE_BACKENDS)
+        result = engine.run_differential(spec)
     except ZenBackendDisagreement as error:
         report.ok = False
         report.signature = ("backend_disagreement",)

@@ -14,8 +14,8 @@ PR 5 adds the warm dispatch path: workers keep an LRU
 (a respawned worker starts cold), the scheduler routes repeat refs to
 their warm worker (sticky routing), one pipe round-trip batches many
 specs, and :meth:`QueryEngine.submit` / :meth:`QueryEngine.gather`
-plus the async ``run_async``/``run_many_async`` keep thousands of
-queries in flight from one caller.
+keep thousands of queries in flight from one caller (an event loop
+awaits ``asyncio.wrap_future(engine.submit(spec))``).
 
 PR 7 adds overload protection: bounded per-priority admission
 (:class:`AdmissionController`, ``ZenQueueFull`` backpressure),

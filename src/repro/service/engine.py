@@ -47,14 +47,16 @@ anti-scale on tiny solves:
 * **request batching** — one pipe round-trip carries up to
   ``max_batch_size`` specs and streams one reply per spec back, with
   the hard deadline re-armed per spec as replies land;
-* **an asyncio-friendly front-end** — :meth:`submit` returns a
-  :class:`concurrent.futures.Future`, :meth:`gather` collects, and
-  :meth:`run_async` / :meth:`run_many_async` await the same futures
-  from an event loop.
+* **one future per query** — :meth:`submit` returns a
+  :class:`concurrent.futures.Future`, :meth:`gather` collects, and an
+  event loop awaits ``asyncio.wrap_future(engine.submit(spec))``.
 
-A persistent dispatcher thread owns the pool; the public API enqueues
-tasks and waits on futures, so any number of caller threads (or one
-event loop with thousands of in-flight queries) can share one engine.
+A persistent dispatcher thread owns the pool.  Every query enters
+through ``_submit`` (admit, build the task, enqueue it) and every
+finished task leaves through ``_settle`` (release the admission slot,
+count an engine-side outcome, resolve the future), so any number of
+caller threads (or one event loop with thousands of in-flight
+queries) can share one engine.
 
 Overload protection (PR 7)
 --------------------------
@@ -94,7 +96,7 @@ import threading
 import time
 import zlib
 from collections import deque
-from concurrent.futures import Future
+from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import wait as wait_futures
 from dataclasses import dataclass, field, replace
 from multiprocessing import connection, get_all_start_methods, get_context
@@ -119,7 +121,7 @@ from .admission import PRIORITIES, PRIORITY_RANK, AdmissionController
 from .breaker import OPEN as BREAKER_OPEN
 from .breaker import CircuitBreaker
 from .cache import ref_cache_key
-from .spec import QuerySpec, clamp_spec_deadline
+from .spec import _SERVICE_BACKENDS, QuerySpec, clamp_spec_deadline
 from .worker import worker_main
 
 __all__ = ["AttemptRecord", "QueryEngine", "ServiceResult"]
@@ -133,6 +135,15 @@ _CONFIG_ERRORS = frozenset(
 #: Outcomes caused by the execution substrate rather than the query;
 #: these are retried (with backoff) on the same backend.
 _RETRYABLE = frozenset({"crash", "timeout", "oom"})
+
+#: Terminal outcomes the engine decides itself, with no worker answer;
+#: ``overload_stats()`` and ``status().counters`` count each one.
+_ENGINE_OUTCOMES = (
+    "shed_overload",
+    "deadline_expired",
+    "cancelled",
+    "engine_shutdown",
+)
 
 #: Queue waits shorter than this don't earn a span (scheduler noise).
 _QUEUE_WAIT_SPAN_FLOOR_S = 0.005
@@ -313,7 +324,6 @@ class _Task:
     """Mutable scheduler state for one query."""
 
     __slots__ = (
-        "index",
         "spec",
         "ladder",
         "ladder_pos",
@@ -321,7 +331,6 @@ class _Task:
         "ref_key",
         "sticky_index",
         "ready_at",
-        "deadline",
         "submitted_at",
         "enqueued_at",
         "queue_wait_s",
@@ -329,27 +338,23 @@ class _Task:
         "finished_at",
         "attempts",
         "result",
-        "error",
         "group",
         "done",
         "future",
         "trace_parent",
         "batch_size",
         "deadline_at",
-        "admitted",
         "launched",
         "total_queue_wait_s",
     )
 
     def __init__(
         self,
-        index: int,
         spec: QuerySpec,
         ladder: Sequence[str],
         ref_key: str,
         sticky_index: int,
     ):
-        self.index = index
         self.spec = spec
         self.ladder = list(ladder)
         self.ladder_pos = 0
@@ -357,7 +362,6 @@ class _Task:
         self.ref_key = ref_key
         self.sticky_index = sticky_index
         self.ready_at = 0.0
-        self.deadline: Optional[float] = None
         self.submitted_at = 0.0
         self.enqueued_at = 0.0
         self.queue_wait_s = 0.0
@@ -365,18 +369,17 @@ class _Task:
         self.finished_at: Optional[float] = None
         self.attempts: List[AttemptRecord] = []
         self.result: Optional[ServiceResult] = None
-        self.error: Optional[ZenServiceError] = None
         #: Identity shared by the sides of one differential run (which
         #: must never share a batch); None for every other task.
         self.group: Optional[object] = None
+        #: True once :meth:`QueryEngine._settle` returned the admission
+        #: slot and resolved the future.
         self.done = False
         self.future: "Future[ServiceResult]" = Future()
         self.trace_parent: Optional[Span] = None
         self.batch_size = 1
         #: Absolute client deadline (engine clock); None = no deadline.
         self.deadline_at: Optional[float] = None
-        #: True while this task holds an admission slot.
-        self.admitted = False
         #: True once the first dispatch marked the future RUNNING —
         #: after that, ``Future.cancel()`` is (correctly) refused.
         self.launched = False
@@ -389,10 +392,6 @@ class _Task:
         # Clamp: a task whose final rung just failed sits one past the
         # end until the scheduler finish-fails it.
         return self.ladder[min(self.ladder_pos, len(self.ladder) - 1)]
-
-    def finish(self, now: float) -> None:
-        self.finished_at = now
-        self.done = True
 
 
 class _Batch:
@@ -445,7 +444,6 @@ class QueryEngine:
         breaker_threshold: int = 3,
         breaker_cooldown_s: float = 5.0,
         default_timeout_s: Optional[float] = 60.0,
-        backends: Sequence[str] = ("sat", "bdd"),
         seed: int = 0,
         max_batch_size: int = 8,
         crash_loop_threshold: int = 3,
@@ -462,8 +460,6 @@ class QueryEngine:
             raise ZenTypeError(f"pool_size must be >= 1, got {pool_size!r}")
         if retries < 0:
             raise ZenTypeError(f"retries must be >= 0, got {retries!r}")
-        if not backends:
-            raise ZenTypeError("QueryEngine needs at least one backend")
         if max_batch_size < 1:
             raise ZenTypeError(
                 f"max_batch_size must be >= 1, got {max_batch_size!r}"
@@ -497,7 +493,6 @@ class QueryEngine:
         self.backoff_max_s = backoff_max_s
         self.jitter_s = jitter_s
         self.default_timeout_s = default_timeout_s
-        self.backends = tuple(backends)
         self.max_batch_size = max_batch_size
         self.crash_loop_threshold = crash_loop_threshold
         self.cache_capacity = cache_capacity
@@ -521,7 +516,7 @@ class QueryEngine:
                 clock=clock,
                 name=name,
             )
-            for name in self.backends
+            for name in _SERVICE_BACKENDS
         }
         # -- dispatcher plumbing ----------------------------------------
         self._commands: "deque[Tuple[Any, ...]]" = deque()
@@ -544,10 +539,11 @@ class QueryEngine:
             shed_threshold=shed_threshold,
             clock=clock,
         )
-        self._shed_count = 0
-        self._expired_count = 0
-        self._cancelled_count = 0
-        self._shutdown_failed_count = 0
+        #: Outcomes the engine decides without a worker answering,
+        #: each counted once by :meth:`_settle`.
+        self._engine_outcomes: Dict[str, int] = dict.fromkeys(
+            _ENGINE_OUTCOMES, 0
+        )
         # -- operational observability (repro.obs) -----------------------
         if status_interval_s <= 0:
             raise ZenTypeError(
@@ -686,10 +682,7 @@ class QueryEngine:
             "utilization": self._admission.utilization(),
             "shed_threshold": self.shed_threshold,
             "admission": self._admission.detail(),
-            "shed_overload": self._shed_count,
-            "deadline_expired": self._expired_count,
-            "cancelled": self._cancelled_count,
-            "engine_shutdown": self._shutdown_failed_count,
+            **self._engine_outcomes,
             # Forced warts: benchmarks/e2e/workloads.py (frozen) reads
             # both keys; neither mechanism exists any more.
             "brownout": {"transitions": []},
@@ -748,10 +741,10 @@ class QueryEngine:
                 if key.startswith("compose.")
             },
             counters={
-                "shed_overload": float(self._shed_count),
-                "deadline_expired": float(self._expired_count),
-                "cancelled": float(self._cancelled_count),
-                "engine_shutdown": float(self._shutdown_failed_count),
+                **{
+                    outcome: float(count)
+                    for outcome, count in self._engine_outcomes.items()
+                },
                 "restarts": float(self.total_restarts()),
                 **{
                     f"recorder.{key}": float(value)
@@ -786,24 +779,14 @@ class QueryEngine:
         query ended with (not raised, so one poisoned query cannot
         mask the rest of the portfolio).
         """
-        self._check_open()
-        tasks: List[_Task] = []
-        with span("service.run_many", queries=len(specs)) as sp:
-            # Admit-then-enqueue one task at a time: blocking admission
+        with span("service.run_many", queries=len(specs)):
+            # Admit-then-enqueue one query at a time: blocking admission
             # of the whole portfolio up front would deadlock when the
             # portfolio is larger than the admission window (admitted
             # tasks only release their slots once dispatched).
-            for i, spec in enumerate(specs):
-                self._admit(spec, wait=True)
-                task = self._make_task(i, spec, self._ladder(spec, fallback))
-                self._attach_trace([task], sp)
-                self._enqueue([task])
-                tasks.append(task)
-            wait_futures([t.future for t in tasks])
-        out: List[Union[ServiceResult, ZenServiceError]] = []
-        for task in tasks:
-            out.append(task.result if task.result is not None else task.error)
-        return out
+            return self.gather(
+                [self.submit(s, fallback=fallback, wait=True) for s in specs]
+            )
 
     def submit(
         self,
@@ -818,9 +801,9 @@ class QueryEngine:
         The future resolves to a :class:`ServiceResult` or raises the
         query's structured :class:`~repro.errors.ZenServiceError`.
         Futures compose with :meth:`gather` (blocking) or
-        ``asyncio.wrap_future`` (see :meth:`run_async`), so one
-        process can keep thousands of queries in flight against the
-        pool without blocking per batch.
+        ``asyncio.wrap_future`` (awaitable), so one process can keep
+        thousands of queries in flight against the pool without
+        blocking per batch.
 
         Backpressure: when the admission window for ``spec.priority``
         is full the call raises :class:`~repro.errors.ZenQueueFull`
@@ -832,13 +815,10 @@ class QueryEngine:
         dispatched is skipped by the dispatcher with a ``cancelled``
         attempt record; the worker never runs it.
         """
-        self._check_open()
-        self._admit(spec, wait=wait, wait_timeout_s=wait_timeout_s)
-        task = self._make_task(0, spec, self._ladder(spec, fallback))
-        if TRACER.enabled:
-            task.trace_parent = TRACER.current()
-        self._enqueue([task])
-        return task.future
+        ladder = [spec.backend]
+        if fallback:
+            ladder.extend(b for b in _SERVICE_BACKENDS if b != spec.backend)
+        return self._submit(spec, ladder, wait, wait_timeout_s).future
 
     def gather(
         self, futures: Sequence["Future[ServiceResult]"]
@@ -857,40 +837,8 @@ class QueryEngine:
                 out.append(error)
         return out
 
-    async def run_async(
-        self, spec: QuerySpec, *, fallback: bool = True
-    ) -> ServiceResult:
-        """Await one query from an event loop (raises on failure)."""
-        import asyncio
-
-        return await asyncio.wrap_future(
-            self.submit(spec, fallback=fallback)
-        )
-
-    async def run_many_async(
-        self, specs: Sequence[QuerySpec], *, fallback: bool = True
-    ) -> List[Union[ServiceResult, ZenServiceError]]:
-        """Await a portfolio concurrently; error objects, not raises."""
-        import asyncio
-
-        futures = [
-            asyncio.wrap_future(self.submit(spec, fallback=fallback))
-            for spec in specs
-        ]
-        gathered = await asyncio.gather(*futures, return_exceptions=True)
-        out: List[Union[ServiceResult, ZenServiceError]] = []
-        for item in gathered:
-            if isinstance(item, BaseException) and not isinstance(
-                item, ZenServiceError
-            ):
-                raise item
-            out.append(item)
-        return out
-
     def run_differential(
-        self,
-        spec: Union[QuerySpec, Dict[str, QuerySpec]],
-        backends: Sequence[str] = ("sat", "bdd"),
+        self, spec: Union[QuerySpec, Dict[str, QuerySpec]]
     ) -> ServiceResult:
         """Cross-check a find/verify query across two backends.
 
@@ -908,15 +856,15 @@ class QueryEngine:
         * both fail → :class:`ZenQueryFailed` with the combined
           attempt history.
 
-        `spec` may also be a dict mapping backend name to spec — the
-        two sides are then expected to be semantically equivalent
-        queries (useful for oracle testing and staged encodings).
+        A plain spec runs once per service backend.  `spec` may also
+        be a dict mapping backend name to spec — the two sides are
+        then expected to be semantically equivalent queries (useful
+        for oracle testing and staged encodings).
         """
-        self._check_open()
         if isinstance(spec, dict):
             sides = {b: s.with_backend(b) for b, s in spec.items()}
         else:
-            sides = {b: spec.with_backend(b) for b in backends}
+            sides = {b: spec.with_backend(b) for b in _SERVICE_BACKENDS}
         if len(sides) < 2:
             raise ZenTypeError(
                 f"differential mode needs two backends, got {list(sides)}"
@@ -927,18 +875,14 @@ class QueryEngine:
                     "differential mode compares find/verify answers, got "
                     f"kind={side.kind!r} for backend {name!r}"
                 )
-        tasks: List[_Task] = []
         group = object()
-        with span("service.run_differential", backends=list(sides)) as sp:
+        with span("service.run_differential", backends=list(sides)):
             # Incremental admit-then-enqueue (see run_many): a depth-1
             # window must be able to drain side 1 before side 2 blocks.
-            for i, (name, side) in enumerate(sides.items()):
-                self._admit(side, wait=True)
-                task = self._make_task(i, side, [name])
-                task.group = group
-                self._attach_trace([task], sp)
-                self._enqueue([task])
-                tasks.append(task)
+            tasks = [
+                self._submit(side, [name], True, None, group)
+                for name, side in sides.items()
+            ]
             wait_futures([t.future for t in tasks])
 
         combined: Tuple[AttemptRecord, ...] = tuple(
@@ -996,22 +940,28 @@ class QueryEngine:
             attempts=combined,
         )
 
-    # -- task construction & dispatch hand-off ---------------------------
+    # -- the way in and the way out -------------------------------------
 
-    def _check_open(self) -> None:
+    def _submit(
+        self,
+        spec: QuerySpec,
+        ladder: Sequence[str],
+        wait: bool,
+        wait_timeout_s: Optional[float],
+        group: Optional[object] = None,
+    ) -> _Task:
+        """The one way in: admit ``spec``, build its task, enqueue it.
+
+        The task's trace parent is the caller's innermost open span
+        (``service.run_many`` / ``service.run_differential`` while one
+        is open): the dispatcher thread has no span stack of its own,
+        so worker span trees and retroactive attempt spans attach to
+        the submitting thread's span.
+        """
         if self._closed:
             raise ZenServiceError("QueryEngine is closed")
         if self._draining:
             raise ZenServiceError("QueryEngine is draining (shutdown)")
-
-    def _admit(
-        self,
-        spec: QuerySpec,
-        *,
-        wait: bool = False,
-        wait_timeout_s: Optional[float] = None,
-    ) -> None:
-        """Claim one admission slot for ``spec`` or raise ZenQueueFull."""
         start = self._clock()
         try:
             self._admission.admit(
@@ -1036,62 +986,63 @@ class QueryEngine:
                 waited,
                 {"priority": spec.priority, "label": spec.label},
             )
-
-    def _ladder(self, spec: QuerySpec, fallback: bool) -> List[str]:
-        if not fallback:
-            return [spec.backend]
-        ladder = [spec.backend]
-        ladder.extend(b for b in self.backends if b != spec.backend)
-        return ladder
-
-    def _make_task(
-        self, index: int, spec: QuerySpec, ladder: Sequence[str]
-    ) -> _Task:
         ref_key = ref_cache_key(spec)
         sticky = zlib.crc32(ref_key.encode("utf-8")) % self.pool_size
-        task = _Task(index, spec, ladder, ref_key, sticky)
-        task.admitted = True
+        task = _Task(spec, ladder, ref_key, sticky)
+        task.group = group
+        if TRACER.enabled:
+            task.trace_parent = TRACER.current()
         if spec.deadline_s is not None:
             # The client deadline starts ticking at submission, so the
             # queue wait ahead of the first dispatch counts against it.
             task.deadline_at = self._clock() + spec.deadline_s
+        self._ensure_dispatcher()
+        with self._cmd_lock:
+            self._commands.append(("task", task))
+        self._wake()
         return task
 
-    def _complete(self, task: _Task, now: float) -> None:
-        """Mark done and return the admission slot (exactly once)."""
-        if not task.done:
-            task.finish(now)
-        if task.admitted:
-            task.admitted = False
-            self._admission.release(task.spec.priority)
-            self._observe_completion(task, now)
+    def _settle(
+        self,
+        task: _Task,
+        now: float,
+        error: Optional[ZenServiceError] = None,
+    ) -> None:
+        """The one way out, exactly once per task.
 
-    def _observe_completion(self, task: _Task, now: float) -> None:
-        """Feed one finished task to the obs layer (exactly once).
+        Returns the admission slot, counts an engine-side outcome (the
+        last attempt record names it), feeds the obs layer and
+        resolves the future: with ``task.result`` when ``error`` is
+        None, else with ``error``.  A future the caller cancelled is
+        already resolved and stays so.
 
-        This is the always-on per-query cost of the flight recorder
-        and rolling windows: one deque append and one histogram
-        observe — measured in bench_micro_bdd's telemetry row.
-        Latency runs from the dispatcher's intake, so the queue wait
-        before the first dispatch counts like every later one.
+        The obs feed is the always-on per-query cost of the flight
+        recorder and rolling windows: one deque append and one
+        histogram observe — measured in bench_micro_bdd's telemetry
+        row.  Latency runs from the dispatcher's intake, so the queue
+        wait before the first dispatch counts like every later one.
         """
+        if task.done:
+            return
+        task.done = True
+        task.finished_at = now
+        self._admission.release(task.spec.priority)
+        last = task.attempts[-1] if task.attempts else None
+        outcome = last.outcome if last is not None else ""
+        if outcome in self._engine_outcomes:
+            self._engine_outcomes[outcome] += 1
         ok = task.result is not None
         latency = max(0.0, now - (task.enqueued_at or now))
         window = self._latency_windows.get(task.spec.priority)
         if window is not None:
             window.observe(now, latency)
-        last = task.attempts[-1] if task.attempts else None
         self._recorder.record_attempt(
             {
                 "spec": task.spec.label or task.ref_key,
                 "kind": task.spec.kind,
                 "priority": task.spec.priority,
                 "ok": ok,
-                "outcome": (
-                    last.outcome
-                    if last is not None
-                    else ("ok" if ok else "unknown")
-                ),
+                "outcome": outcome or ("ok" if ok else "unknown"),
                 "backend": task.backend,
                 "latency_s": round(latency, 6),
                 "queue_wait_s": round(task.total_queue_wait_s, 6),
@@ -1099,26 +1050,39 @@ class QueryEngine:
                 "at": now,
             }
         )
+        try:
+            if error is None:
+                task.future.set_result(task.result)
+            else:
+                task.future.set_exception(error)
+        except InvalidStateError:
+            pass  # cancelled by the caller before dispatch
 
-    @staticmethod
-    def _attach_trace(tasks: Sequence[_Task], sp: Any) -> None:
-        """Pin the caller's open span as each task's adoption parent.
+    def _record_engine_outcome(
+        self,
+        task: _Task,
+        outcome: str,
+        error_type: str,
+        message: str,
+        pid: Optional[int] = None,
+    ) -> List[AttemptRecord]:
+        """Append the record of an outcome in ``_ENGINE_OUTCOMES``.
 
-        The dispatcher thread has no span stack of its own; worker
-        span trees and retroactive attempt spans must attach to the
-        *submitting* thread's ``service.run_many`` /
-        ``service.run_differential`` span, which stays open until all
-        futures resolve.
+        None of them charges a breaker or retries.  Returns the task's
+        attempt history for the error that settles it.
         """
-        parent = sp if isinstance(sp, Span) else None
-        for task in tasks:
-            task.trace_parent = parent
-
-    def _enqueue(self, tasks: Sequence[_Task]) -> None:
-        self._ensure_dispatcher()
-        with self._cmd_lock:
-            self._commands.append(("tasks", list(tasks)))
-        self._wake()
+        task.attempts.append(
+            AttemptRecord(
+                backend=task.backend,
+                attempt=task.attempt + 1,
+                worker_pid=pid,
+                outcome=outcome,
+                error_type=error_type,
+                error=message,
+                queue_wait_s=task.total_queue_wait_s,
+            )
+        )
+        return task.attempts
 
     def _ensure_dispatcher(self) -> None:
         with self._dispatcher_lock:
@@ -1222,11 +1186,10 @@ class QueryEngine:
                     break
                 command = self._commands.popleft()
             kind = command[0]
-            if kind == "tasks":
-                now = self._clock()
-                for task in command[1]:
-                    task.enqueued_at = now
-                    pending.append(task)
+            if kind == "task":
+                task = command[1]
+                task.enqueued_at = self._clock()
+                pending.append(task)
             elif kind == "drain":
                 state["draining"] = True
             elif kind == "stop":
@@ -1240,23 +1203,11 @@ class QueryEngine:
         for handle, batch in list(inflight.items()):
             handle.kill()
             for task in batch.tasks[batch.next_index:]:
-                self._fail_now(task, failure, now)
+                self._settle(task, now, failure)
         inflight.clear()
         for task in pending:
-            self._fail_now(task, failure, now)
+            self._settle(task, now, failure)
         pending.clear()
-
-    def _fail_now(
-        self, task: _Task, error: ZenServiceError, now: float
-    ) -> None:
-        if task.done:
-            return
-        task.error = error
-        self._complete(task, now)
-        try:
-            task.future.set_exception(error)
-        except Exception:  # pragma: no cover - already resolved
-            pass
 
     def _wait_timeout(
         self, pending, inflight, now, draining=False
@@ -1303,84 +1254,58 @@ class QueryEngine:
                 self._expire_task(task, now, where="in queue")
 
     def _cancel_task(self, task, now) -> None:
-        """Bookkeeping for a future the caller cancelled pre-dispatch.
-
-        The future is already resolved (cancelled); only the attempt
-        record and the admission slot need completing.
-        """
-        self._cancelled_count += 1
-        task.attempts.append(
-            AttemptRecord(
-                backend=task.backend,
-                attempt=task.attempt + 1,
-                worker_pid=None,
-                outcome="cancelled",
-                error="cancelled by the caller before dispatch",
-            )
+        """Settle a task whose future the caller cancelled pre-dispatch."""
+        self._record_engine_outcome(
+            task, "cancelled", "", "cancelled by the caller before dispatch"
         )
-        self._complete(task, now)
+        self._settle(task, now)
 
     def _expire_task(self, task, now, where, pid=None) -> None:
         """Resolve a task as deadline_expired (no retry, no breaker)."""
-        self._expired_count += 1
-        task.attempts.append(
-            AttemptRecord(
-                backend=task.backend,
-                attempt=task.attempt + 1,
-                worker_pid=pid,
-                outcome="deadline_expired",
-                error_type="ZenQueryTimeout",
-                error=(
-                    f"client deadline of {task.spec.deadline_s}s "
-                    f"expired {where}"
-                ),
-                queue_wait_s=task.total_queue_wait_s,
-            )
+        deadline_s = task.spec.deadline_s
+        attempts = self._record_engine_outcome(
+            task,
+            "deadline_expired",
+            "ZenQueryTimeout",
+            f"client deadline of {deadline_s}s expired {where}",
+            pid,
         )
-        task.error = ZenQueryTimeout(
-            f"client deadline of {task.spec.deadline_s}s expired "
-            f"{where} (label {task.spec.label!r})",
-            timeout_s=task.spec.deadline_s,
-            pid=pid,
-            attempts=task.attempts,
+        self._settle(
+            task,
+            now,
+            ZenQueryTimeout(
+                f"client deadline of {deadline_s}s expired "
+                f"{where} (label {task.spec.label!r})",
+                timeout_s=deadline_s,
+                pid=pid,
+                attempts=attempts,
+            ),
         )
-        self._complete(task, now)
-        try:
-            task.future.set_exception(task.error)
-        except Exception:  # pragma: no cover - already resolved
-            pass
 
     def _drain_queued(self, pending, now) -> None:
         """Resolve every queued task with an engine_shutdown outcome."""
-        for task in list(pending):
-            pending.remove(task)
+        for task in pending:
             if task.done:
                 continue
-            self._shutdown_failed_count += 1
-            task.attempts.append(
-                AttemptRecord(
-                    backend=task.backend,
-                    attempt=task.attempt + 1,
-                    worker_pid=None,
-                    outcome="engine_shutdown",
-                    error_type="ZenServiceError",
-                    error=(
-                        "engine drained before this task was dispatched"
-                    ),
-                    queue_wait_s=task.total_queue_wait_s,
-                )
+            # The record names the drain; the raised class stays the
+            # generic query failure.
+            attempts = self._record_engine_outcome(
+                task,
+                "engine_shutdown",
+                "ZenServiceError",
+                "engine drained before this task was dispatched",
             )
-            task.error = ZenQueryFailed(
-                "engine shut down (drain) before this query was "
-                "dispatched",
-                attempts=task.attempts,
-                label=task.spec.label,
+            self._settle(
+                task,
+                now,
+                ZenQueryFailed(
+                    "engine shut down (drain) before this query was "
+                    "dispatched",
+                    attempts=attempts,
+                    label=task.spec.label,
+                ),
             )
-            self._complete(task, now)
-            try:
-                task.future.set_exception(task.error)
-            except Exception:  # pragma: no cover - already resolved
-                pass
+        pending.clear()
 
     def _shed_overloaded(self, pending, now) -> None:
         """Drop queued batch/fuzz tasks while utilization is critical.
@@ -1414,7 +1339,6 @@ class QueryEngine:
 
     def _shed_task(self, task, now) -> None:
         """Resolve a task as shed_overload (structured, never retried)."""
-        self._shed_count += 1
         utilization = self._admission.utilization()
         if TRACER.enabled:
             TRACER.record(
@@ -1432,32 +1356,24 @@ class QueryEngine:
             priority=task.spec.priority,
             utilization=round(utilization, 3),
         )
-        task.attempts.append(
-            AttemptRecord(
-                backend=task.backend,
-                attempt=task.attempt + 1,
-                worker_pid=None,
-                outcome="shed_overload",
-                error_type="ZenOverloadShed",
-                error=(
-                    f"queue overloaded (utilization {utilization:.0%}); "
-                    f"{task.spec.priority} task shed"
-                ),
-                queue_wait_s=task.total_queue_wait_s,
-            )
+        attempts = self._record_engine_outcome(
+            task,
+            "shed_overload",
+            "ZenOverloadShed",
+            f"queue overloaded (utilization {utilization:.0%}); "
+            f"{task.spec.priority} task shed",
         )
-        task.error = ZenOverloadShed(
-            "query shed under overload: queue overloaded "
-            f"(priority {task.spec.priority!r}, "
-            f"utilization {utilization:.0%})",
-            attempts=task.attempts,
-            priority=task.spec.priority,
+        self._settle(
+            task,
+            now,
+            ZenOverloadShed(
+                "query shed under overload: queue overloaded "
+                f"(priority {task.spec.priority!r}, "
+                f"utilization {utilization:.0%})",
+                attempts=attempts,
+                priority=task.spec.priority,
+            ),
         )
-        self._complete(task, now)
-        try:
-            task.future.set_exception(task.error)
-        except Exception:  # pragma: no cover - already resolved
-            pass
 
     # -- operational observability (repro.obs) ---------------------------
 
@@ -1507,7 +1423,7 @@ class QueryEngine:
             "engine": {
                 "pool_size": self.pool_size,
                 "retries": self.retries,
-                "backends": list(self.backends),
+                "backends": list(self._breakers),
                 "max_batch_size": self.max_batch_size,
                 "crash_loop_threshold": self.crash_loop_threshold,
                 "cache_capacity": self.cache_capacity,
@@ -1624,10 +1540,7 @@ class QueryEngine:
                 self._finish_failure(task, now)
                 return None
             backend = task.backend
-            breaker = self._breakers.setdefault(
-                backend,
-                CircuitBreaker(clock=self._clock, name=backend),
-            )
+            breaker = self._breakers[backend]
             if breaker.allow():
                 return backend
             task.attempts.append(
@@ -1868,11 +1781,7 @@ class QueryEngine:
                 priority=task.spec.priority,
                 queue_wait_s=task.total_queue_wait_s,
             )
-            self._complete(task, now)
-            try:
-                task.future.set_result(task.result)
-            except Exception:  # pragma: no cover - already resolved
-                pass
+            self._settle(task, now)
             self._advance_batch(batch, handle, inflight, now)
             return
         if status == "oom":
@@ -1917,17 +1826,16 @@ class QueryEngine:
                     breaker_state=breaker.state,
                 )
             )
-            task.error = ZenQueryFailed(
-                f"query is misconfigured ({error_type}: {message}); "
-                "not retried",
-                attempts=task.attempts,
-                label=task.spec.label,
+            self._settle(
+                task,
+                now,
+                ZenQueryFailed(
+                    f"query is misconfigured ({error_type}: {message}); "
+                    "not retried",
+                    attempts=task.attempts,
+                    label=task.spec.label,
+                ),
             )
-            self._complete(task, now)
-            try:
-                task.future.set_exception(task.error)
-            except Exception:  # pragma: no cover - already resolved
-                pass
             self._advance_batch(batch, handle, inflight, now)
             return
         outcome = (
@@ -2145,7 +2053,7 @@ class QueryEngine:
         if task.attempts and all(
             a.outcome == "shed" for a in task.attempts
         ):
-            task.error = ZenCircuitOpen(
+            error: ZenServiceError = ZenCircuitOpen(
                 "every backend's circuit breaker is open; query "
                 f"{task.spec.label or task.spec.kind!r} shed without "
                 "executing",
@@ -2160,14 +2068,10 @@ class QueryEngine:
             summary = ", ".join(
                 f"{a.backend}#{a.attempt}:{a.outcome}" for a in task.attempts
             )
-            task.error = ZenQueryFailed(
+            error = ZenQueryFailed(
                 f"query failed after {len(executed)} attempt(s) across "
                 f"{len(task.ladder)} backend rung(s) [{summary}]",
                 attempts=task.attempts,
                 label=task.spec.label,
             )
-        self._complete(task, now)
-        try:
-            task.future.set_exception(task.error)
-        except Exception:  # pragma: no cover - already resolved
-            pass
+        self._settle(task, now, error)

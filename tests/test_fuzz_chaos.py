@@ -39,7 +39,7 @@ class _RaisingEngine:
     def __init__(self, error):
         self._error = error
 
-    def run_differential(self, spec, backends=()):
+    def run_differential(self, spec):
         raise self._error
 
 

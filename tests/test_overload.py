@@ -12,6 +12,7 @@ overload, worker-kill storms, clock-skewed bursts) carry the ``chaos``
 marker and run in the dedicated CI chaos job.
 """
 
+import threading
 import time
 
 import pytest
@@ -30,6 +31,7 @@ from repro.service.chaos import (
     inject_worker_fault,
     run_overload,
 )
+from tests.service_faults import MAGIC
 from tests.test_admission import FakeClock
 
 SLEEP = "repro.service.chaos:sleep_ms"
@@ -443,6 +445,133 @@ class TestQueueWaitAccounting:
         assert record["queue_wait_s"] > 0.0
         # Latency covers that wait, not just the time since dispatch.
         assert record["latency_s"] >= record["queue_wait_s"]
+
+
+# -- the one exit: every terminal outcome settles exactly once ----------
+
+
+class TestOneExit:
+    ENGINE_OUTCOMES = (
+        "shed_overload",
+        "deadline_expired",
+        "cancelled",
+        "engine_shutdown",
+    )
+
+    def test_every_terminal_outcome_settles_once(self, tmp_path):
+        eq = "tests.service_faults:eq_model"
+        recorder = FlightRecorder()
+        resolved = []  # one label per done-callback run
+
+        with QueryEngine(
+            pool_size=1,
+            max_batch_size=1,
+            retries=0,
+            max_queue_depth=4,
+            shed_threshold=0.75,
+            recorder=recorder,
+        ) as engine:
+
+            def submit(spec, **kwargs):
+                future = engine.submit(spec, **kwargs)
+                future.add_done_callback(
+                    lambda f, label=spec.label: resolved.append(label)
+                )
+                return future
+
+            # A free worker: ok, config error, exhausted ladder.
+            ok = submit(QuerySpec(builder=eq, label="ok"))
+            config = submit(
+                QuerySpec(
+                    builder=eq, kind="evaluate", args=(1, 2), label="config"
+                )
+            )
+            exhausted = submit(
+                QuerySpec(
+                    builder="tests.service_faults:error_model",
+                    label="exhausted",
+                )
+            )
+            assert ok.result(timeout=60).answer == MAGIC
+            error = config.exception(timeout=60)
+            assert isinstance(error, ZenQueryFailed)
+            assert "misconfigured" in str(error)
+            assert [a.outcome for a in error.attempts] == ["error"]
+            error = exhausted.exception(timeout=60)
+            assert isinstance(error, ZenQueryFailed)
+            assert [(a.backend, a.outcome) for a in error.attempts] == [
+                ("sat", "error"),
+                ("bdd", "error"),
+            ]
+
+            # Hold the only worker until the test creates `release`;
+            # everything below queues behind it.
+            release = tmp_path / "release"
+            blocker = submit(
+                QuerySpec(
+                    builder="tests.service_faults:wait_for_file",
+                    kind="call",
+                    args=(str(release),),
+                    timeout_s=60.0,
+                    label="blocker",
+                )
+            )
+            doomed = submit(sleep_spec(5, deadline_s=0.05, label="doomed"))
+            error = doomed.exception(timeout=60)
+            assert isinstance(error, ZenQueryTimeout)
+            assert "in queue" in str(error)
+            assert error.attempts[-1].outcome == "deadline_expired"
+
+            # blocker + queued + batch = 3 of 4 slots, at the 0.75 shed
+            # threshold: the batch task is the only one that may go.
+            queued = submit(sleep_spec(5, label="queued"))
+            shed = submit(sleep_spec(5, priority="batch", label="shed"))
+            error = shed.exception(timeout=60)
+            assert isinstance(error, ZenOverloadShed)
+            assert error.attempts[-1].outcome == "shed_overload"
+
+            cancelled = submit(sleep_spec(5, label="cancelled"))
+            assert cancelled.cancel() is True
+
+            # The drain settles the queue (the cancelled task first)
+            # while the blocker still holds the worker; the blocker
+            # then finishes in flight.
+            drain = threading.Thread(
+                target=engine.shutdown, kwargs={"timeout_s": 60.0}
+            )
+            drain.start()
+            error = queued.exception(timeout=60)
+            assert isinstance(error, ZenQueryFailed)
+            record = error.attempts[-1]
+            assert (record.outcome, record.error_type) == (
+                "engine_shutdown",
+                "ZenServiceError",
+            )
+            release.touch()
+            drain.join(timeout=60)
+            assert not drain.is_alive()
+            assert blocker.result(timeout=1).answer is True
+
+            labels = [
+                "ok", "config", "exhausted", "blocker", "doomed",
+                "queued", "shed", "cancelled",
+            ]
+            assert sorted(resolved) == sorted(labels)
+            # One completion record per task: nothing settled twice.
+            completions = [
+                r["spec"] for r in recorder.rings()["attempts"] if "ok" in r
+            ]
+            assert sorted(completions) == sorted(labels)
+            stats = engine.overload_stats()
+            counters = engine.status().counters
+            for outcome in self.ENGINE_OUTCOMES:
+                assert stats[outcome] == 1, outcome
+                assert counters[outcome] == 1.0, outcome
+            assert stats["queue_depth"] == 0
+            assert set(stats["admission"]["in_flight"].values()) == {0}
+            latency = engine.status().latency_ms
+            assert latency["interactive"]["count"] == len(labels) - 1
+            assert latency["batch"]["count"] == 1
 
 
 # -- chaos: full storm scenarios (CI chaos job) --------------------------

@@ -668,6 +668,22 @@ class TestServiceTracePropagation:
                 )
             )
         assert result.agreed is True
+        # Both sides' worker trees hang under the differential root,
+        # each from its own worker process.
+        roots = TRACER.finished_roots()
+        diff_root = [
+            r for r in roots if r.name == "service.run_differential"
+        ][0]
+        worker_tasks = [
+            c for c in diff_root.children if c.name == "task.find"
+        ]
+        assert len(worker_tasks) == 2
+        assert {t.attrs.get("backend") for t in worker_tasks} == {
+            "sat",
+            "bdd",
+        }
+        assert os.getpid() not in {t.pid for t in worker_tasks}
+        assert all(r.name != "task.find" for r in roots)  # no orphan
         path = tmp_path / "differential.json"
         count = write_chrome_trace(str(path))
         assert count > 0

@@ -467,36 +467,31 @@ class TestAsyncFrontEnd:
         assert results[0].answer == MAGIC
         assert isinstance(results[1], ZenQueryFailed)
 
-    def test_run_async_awaits_one_query(self):
-        with make_engine(pool_size=1) as engine:
-            result = asyncio.run(engine.run_async(QuerySpec(builder=EQ)))
-        assert result.answer == MAGIC
-
-    def test_run_many_async_keeps_order_and_isolates_poison(self):
+    def test_event_loop_awaits_wrapped_futures(self):
         async def go(engine):
-            return await engine.run_many_async(
-                [
-                    QuerySpec(builder=EQ, label="a"),
-                    QuerySpec(builder=CRASH, label="poison", timeout_s=10),
-                    QuerySpec(builder=UNSAT, label="c"),
-                ]
+            return await asyncio.gather(
+                asyncio.wrap_future(
+                    engine.submit(QuerySpec(builder=EQ, label="a"))
+                ),
+                asyncio.wrap_future(
+                    engine.submit(
+                        QuerySpec(builder=CRASH, label="poison", timeout_s=10),
+                        fallback=False,
+                    )
+                ),
+                asyncio.wrap_future(
+                    engine.submit(QuerySpec(builder=UNSAT, label="c"))
+                ),
+                return_exceptions=True,
             )
 
         with make_engine(pool_size=2) as engine:
             outcomes = asyncio.run(go(engine))
         assert outcomes[0].answer == MAGIC
+        assert outcomes[0].label == "a"
         assert isinstance(outcomes[1], ZenQueryFailed)
         assert outcomes[2].answer is None
-
-    def test_async_failure_raises_on_await(self):
-        async def go(engine):
-            with pytest.raises(ZenQueryFailed):
-                await engine.run_async(
-                    QuerySpec(builder=CRASH, timeout_s=10), fallback=False
-                )
-
-        with make_engine(pool_size=1) as engine:
-            asyncio.run(go(engine))
+        assert outcomes[2].label == "c"
 
     def test_submit_after_close_refuses(self):
         engine = make_engine()
