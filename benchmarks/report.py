@@ -14,12 +14,6 @@ service rows additionally must carry the PR 5 warm-dispatch fields
 (p99, cache hit rate, batch stats) — and the report folds
 ``BENCH_service.json`` into a summary table alongside the live sweeps.
 
-``--check-scaling`` gates on the service pool sweep: throughput must
-not *decrease* as the pool grows (beyond ``--scaling-tolerance``).
-This is the regression the warm-dispatch scheduler exists to prevent — the
-pre-PR-5 pool inverted (pool=4 slower than pool=1) because every
-query paid a fresh round-trip and a cold model build.
-
 ``--record-history`` appends each run's trend metrics (every ``_ms``
 and ``_qps`` field) to ``BENCH_history.jsonl``; ``--check-trend``
 gates the current artifacts against the rolling per-metric median of
@@ -27,8 +21,8 @@ that history with suffix-specific tolerances — the perf-regression
 sentry CI runs after each benchmark step.
 
 Usage:  python benchmarks/report.py
-            [--full | --check-bench | --check-scaling
-             | --record-history | --check-trend [--warn-only]]
+            [--full | --check-bench | --record-history
+             | --check-trend [--warn-only]]
 """
 
 from __future__ import annotations
@@ -89,11 +83,6 @@ OVERLOAD_PRIORITY_KEYS = ("interactive", "batch", "fuzz")
 #: Provenance a ``bench == "micro_bdd"`` artifact must carry under
 #: ``stamp``: what machine and code produced the numbers.
 STAMP_SCHEMA = {"nproc": int, "cpu_model": str, "git_sha": str}
-
-#: Allowed fractional throughput drop between successive pool sizes
-#: before --check-scaling complains.
-DEFAULT_SCALING_TOLERANCE = 0.15
-
 
 def _check_service_row(i: int, row: dict) -> list:
     problems = []
@@ -212,78 +201,6 @@ def check_bench_files(root: Path = REPO_ROOT) -> int:
         else:
             print(f"{path.name}: ok")
     return bad
-
-
-def check_scaling(
-    root: Path = REPO_ROOT,
-    tolerance: float = DEFAULT_SCALING_TOLERANCE,
-    warn_only: bool = False,
-) -> int:
-    """Gate on BENCH_service.json throughput scaling with pool size.
-
-    The pool-sweep rows (everything except the ``sustained`` scenario)
-    must show non-decreasing throughput as ``pool_size`` grows — a
-    larger pool may never fall more than ``tolerance`` (fractional)
-    below the best throughput of any smaller pool.  Returns the number
-    of violations (0 with ``warn_only``, which prints them as warnings
-    instead of failing).
-    """
-    path = root / "BENCH_service.json"
-    if not path.is_file():
-        # Bootstrap: a fresh checkout (or a CI job that has not run
-        # the service benchmark yet) has no prior artifact — that is
-        # a clean pass, not a failure.
-        print(
-            f"check-scaling: no {path.name} artifact yet (bootstrap) — "
-            "nothing to gate on, passing clean"
-        )
-        return 0
-    problems = check_bench_file(path)
-    if problems:
-        print(f"check-scaling: {path.name} invalid: {'; '.join(problems)}")
-        return 0 if warn_only else 1
-    data = json.loads(path.read_text())
-    sweep = sorted(
-        (
-            row
-            for row in data["results"]
-            if row.get("scenario", "mixed") != "sustained"
-        ),
-        key=lambda row: row["pool_size"],
-    )
-    if len(sweep) < 2:
-        print("check-scaling: fewer than 2 pool sizes, nothing to check")
-        return 0
-    violations = 0
-    best_qps = sweep[0]["throughput_qps"]
-    best_pool = sweep[0]["pool_size"]
-    print(
-        f"check-scaling: {path.name} "
-        f"({'quick' if data.get('quick') else 'full'} run, "
-        f"tolerance {tolerance:.0%})"
-    )
-    for row in sweep[1:]:
-        qps = row["throughput_qps"]
-        floor = best_qps * (1.0 - tolerance)
-        status = "ok"
-        if qps < floor:
-            violations += 1
-            status = "WARN" if warn_only else "FAIL"
-        print(
-            f"  pool={row['pool_size']}: {qps:.0f} qps vs best "
-            f"{best_qps:.0f} (pool={best_pool}) -> {status}"
-        )
-        if qps > best_qps:
-            best_qps, best_pool = qps, row["pool_size"]
-    if violations:
-        print(
-            f"check-scaling: throughput inverts with pool size "
-            f"({violations} violation(s)) — the pool is doing "
-            f"negative work"
-        )
-    else:
-        print("check-scaling: throughput is monotone (within tolerance)")
-    return 0 if warn_only else violations
 
 
 # -- perf-regression sentry (--record-history / --check-trend) ----------
@@ -663,19 +580,6 @@ def main() -> None:
         "schema and exit (non-zero on any invalid file)",
     )
     parser.add_argument(
-        "--check-scaling",
-        action="store_true",
-        help="gate on BENCH_service.json throughput being monotone "
-        "(non-decreasing) in pool size and exit",
-    )
-    parser.add_argument(
-        "--scaling-tolerance",
-        type=float,
-        default=DEFAULT_SCALING_TOLERANCE,
-        help="allowed fractional throughput drop vs the best smaller "
-        "pool before --check-scaling flags it (default 0.15)",
-    )
-    parser.add_argument(
         "--record-history",
         action="store_true",
         help=f"append every current BENCH_*.json to {HISTORY_NAME} "
@@ -697,25 +601,14 @@ def main() -> None:
     parser.add_argument(
         "--warn-only",
         action="store_true",
-        help="with --check-scaling / --check-trend: report violations "
+        help="with --check-trend: report violations "
         "but exit 0 (for noisy CI runners)",
     )
     args = parser.parse_args()
-    if not 0.0 <= args.scaling_tolerance < 1.0:
-        parser.error("--scaling-tolerance must be in [0, 1)")
     if args.trend_baseline < 1:
         parser.error("--trend-baseline must be >= 1")
     if args.check_bench:
         sys.exit(1 if check_bench_files() else 0)
-    if args.check_scaling:
-        sys.exit(
-            1
-            if check_scaling(
-                tolerance=args.scaling_tolerance,
-                warn_only=args.warn_only,
-            )
-            else 0
-        )
     if args.record_history:
         record_history()
         sys.exit(0)

@@ -1336,8 +1336,10 @@ class Bdd:
         base``; a reference is ``2 * row + complement`` with row 0 the
         terminal, like a handle.  One post-order walk over all roots
         writes a shared node once; it follows structure, not indices,
-        so equal sets give equal tables in any manager.  A level
-        outside ``[base, base + width)`` raises :class:`ValueError`.
+        so equal sets give equal tables in any manager: it is the
+        canonical structural form tests compare sets of two managers
+        by.  A level outside ``[base, base + width)`` raises
+        :class:`ValueError`.
         """
         row_of: Dict[int, int] = {0: 0}
         table: List[int] = []
@@ -1361,35 +1363,6 @@ class Bdd:
                 2 * row_of[high >> 1] | high & 1,
             )
         return table, [2 * row_of[root >> 1] | root & 1 for root in roots]
-
-    def import_table(
-        self, table: Sequence[int], refs: Sequence[int], base: int, width: int
-    ) -> List[int]:
-        """Rebuild an :meth:`export_table` table at ``base``.
-
-        One bottom-up ``_mk`` pass; returns each reference's handle.  A
-        malformed table raises :class:`ValueError`: a child must be an
-        earlier row with a slot below its parent's, a slot must lie in
-        the block and a reference must name a row.
-        """
-        if len(table) % 3:
-            raise ValueError("a node table holds whole (slot, low, high) rows")
-        nodes, slots = [FALSE], [width]  # the terminal sits below every slot
-        for row in range(1, len(table) // 3 + 1):
-            slot, low, high = table[3 * row - 3 : 3 * row]
-            if not 0 <= slot < width:
-                raise ValueError(f"row {row}: slot {slot} is outside the block")
-            for child in (low, high):
-                if not (0 <= child < 2 * row and slots[child >> 1] > slot):
-                    raise ValueError(
-                        f"row {row}: child {child} is not an earlier row below it"
-                    )
-            low, high = nodes[low >> 1] ^ low & 1, nodes[high >> 1] ^ high & 1
-            nodes.append(self._mk(base + slot, low, high))
-            slots.append(slot)
-        if not all(0 <= ref < 2 * len(nodes) for ref in refs):
-            raise ValueError("a reference is outside the table")
-        return [nodes[ref >> 1] ^ ref & 1 for ref in refs]
 
     def clear_cache(self) -> None:
         """Drop the computed caches (unique tables are kept)."""

@@ -12,10 +12,12 @@ summarised once, and every query on it is one recompose pass.
 Public surface:
 
 * :func:`run_composed` / :class:`ComposedResult` — the driver, which
-  holds each topology's plan and summaries across queries;
+  holds each topology's plan and summaries across queries in its
+  thread's one compose context;
 * :func:`plan_shards` / :class:`Plan` — the topology partitioner, one
   plan per topology;
-* :func:`compute_shard_summary` — one shard's summary, plain JSON;
+* :func:`compute_shard_summary` — one shard's summary: picklable
+  data whose guards are nodes of the compose context it names;
 * :func:`recompose` — the chaining fixpoint, and
   :func:`walk_back` — its growth records run backwards from the hit
   to an initial-header witness;

@@ -1,25 +1,24 @@
-"""Portable header sets over the five-tuple: node tables and cube covers.
+"""Header sets over the five-tuple: cube covers and the header block.
 
-A shard computes its summary's guards as BDDs over *its own* manager;
-the recomposer combines them over another.  They cross as a **node
-table** (:meth:`~repro.bdd.Bdd.export_table`, bound to the header
-block by :func:`header_table` / :func:`header_sets`): the BDD itself,
-exact and linear in its size, one table shared by every set of a
-summary.  A **cube cover** is the form a human writes and reads — the
-query's ``headers`` and ``target``: a list of cubes, each mapping
-header field names to ``[value, mask]`` pairs (bits where ``mask`` is
-1 must equal ``value``); ``None`` denotes the universe and ``[]`` the
-empty set.  A flow's pins are one such cube.
+A shard's summary guards are BDDs over the header block of its compose
+context, and the recomposer reads them in that same context.  A **cube
+cover** is the form a human writes and reads — the query's
+``headers`` and ``target``: a list of cubes, each mapping header field
+names to ``[value, mask]`` pairs (bits where ``mask`` is 1 must equal
+``value``); ``None`` denotes the universe and ``[]`` the empty set.  A
+flow's pins are one such cube.
 
 A slot is a bit's position in the canonical transformer block for
 :class:`~repro.network.packet.Header`: fields in declaration order,
-bits most-significant first — so both forms convert to/from any
-context's header space without renaming.
+bits most-significant first — so a cover converts to and from any
+context's header space without renaming, and
+:meth:`~repro.bdd.Bdd.export_table` over ``HEADER_BITS`` slots from the
+block's first level renders header sets canonically.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..lang import Zen, constant
 
@@ -77,7 +76,7 @@ def validate_cover(cover: Any, where: str = "cover") -> Cover:
 
 
 # ----------------------------------------------------------------------
-# Covers and node tables <-> BDD (any manager, given the header levels)
+# Covers <-> BDD (any manager, given the header levels)
 # ----------------------------------------------------------------------
 
 
@@ -101,20 +100,6 @@ def cover_node(manager, levels: Sequence[int], cover: Cover) -> int:
     return manager.or_many(
         manager.cube(cube_literals(cube, levels)) for cube in cover
     )
-
-
-def header_table(
-    manager, levels: Sequence[int], nodes: Sequence[int]
-) -> Tuple[List[int], List[int]]:
-    """One shared node table for header sets, and a reference per set."""
-    return manager.export_table(nodes, levels[0], HEADER_BITS)
-
-
-def header_sets(
-    manager, levels: Sequence[int], table: Sequence[int], refs: Sequence[int]
-) -> List[int]:
-    """The header sets a :func:`header_table` table references."""
-    return manager.import_table(table, refs, levels[0], HEADER_BITS)
 
 
 def assignment_header(

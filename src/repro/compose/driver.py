@@ -7,28 +7,29 @@ invariant query from its topology's shard summaries
 :func:`~repro.compose.shard.compute_shard_summary`, and chains them
 back together (:mod:`~repro.compose.recompose`).
 
-**Held fabrics.**  Each thread keeps a bounded memo, keyed by the
+**Held fabrics.**  Each thread's compose context
+(:mod:`~repro.compose.shard`) keeps a bounded memo, keyed by the
 topology payload pickled, of what a query needs and no query changes:
-the validated plan, its shard summaries, those summaries imported
-once into a recompose context, and one
-:class:`~repro.network.Network` for witness replay.  A query on a
-held topology runs ``validate_query``, the recompose fixpoint,
-``walk_back`` and the witness walk, and summarises no shard.  Summaries are
-memoised apart, by the content of their shard task (devices, links,
-entries, exits, budget), so a topology met for the first time
-summarises only the shards no held summary covers: after a one-device
-edit, that device's shard.  A query naming a point outside the plan
-extends that point's shard (:func:`~repro.compose.plan.extend`), and
-the held plan keeps the extension.  The rules are the shard model's
-for its device memo:
+the validated plan, its shard summaries (their guards nodes of that
+context) and one :class:`~repro.network.Network` for witness replay.
+A query on a held topology runs ``validate_query``, the recompose
+fixpoint, ``walk_back`` and the witness walk, and summarises no shard.
+Summaries are memoised apart in the same context, by the content of
+their shard task (devices, links, entries, exits), so a topology met
+for the first time summarises only the shards no held summary covers:
+after a one-device edit, that device's shard.  A query naming a point
+outside the plan extends that point's shard
+(:func:`~repro.compose.plan.extend`), and the held plan keeps the
+extension.  The rules are the context's:
 
-* a budgeted query neither reads nor fills the memo: it plans,
-  summarises and recomposes on its own;
-* any exception drops the fabric it was answered from, with the
-  summaries it holds;
-* :data:`MAX_HELD_FABRICS` fabrics, :data:`MAX_HELD_SUMMARIES`
-  summaries and :data:`MAX_FABRIC_NODES` nodes in a fabric's
-  recompose context bound the memory.
+* a budgeted query runs in a fresh context of its own, metered as a
+  whole, so it neither reads nor fills this thread's memo;
+* any exception drops this thread's context, its fabrics and
+  summaries with it;
+* :data:`MAX_HELD_FABRICS` fabrics and :data:`MAX_HELD_SUMMARIES`
+  summaries bound the memo, and between queries the whole context is
+  dropped once it passes its node or device bound
+  (:data:`~repro.compose.shard.MAX_HELD_NODES`).
 
 Every summary is exact for every arriving set, so one recompose pass
 decides the verdict, and the same summaries justify it: a reachable
@@ -47,21 +48,19 @@ from __future__ import annotations
 
 import json
 import pickle
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Optional
 
-from ..core.budget import Budget
 from ..errors import ZenComposeError
 from ..network import Header, Network, make_packet, simulate
 from ..telemetry.metrics import METRICS
 from ..telemetry.spans import span
 from .cubes import in_cover
 from .plan import Plan, extend, for_query, parse_point, plan_fabric, query_points
-from .recompose import ImportedSummaries, RecomposeOutcome, recompose, walk_back
-from .shard import compute_shard_summary
+from .recompose import RecomposeOutcome, recompose, walk_back
+from .shard import _ShardModel, compute_shard_summary, forget, query_context
 from .topo import Point, build_network, validate_query, validate_topology
 
 #: The shard entry as a service builder reference.  Compose never
@@ -100,32 +99,32 @@ def _content_key(value: Any) -> str:
     return json.dumps(value, sort_keys=True)
 
 
-#: A thread holds at most this many fabrics and summaries, and drops a
-#: fabric once a query leaves its recompose context above this many
-#: nodes.  A held k=6 fat tree costs about 1.1 MB and a memoised
-#: summary about 9 kB; see DESIGN, *Held fabrics*.
+#: A compose context holds at most this many fabrics and summaries.
+#: A held k=6 fat tree costs about 0.66 MB, its five summaries
+#: included, and a memoised summary about 60 kB; see DESIGN, *Held
+#: fabrics*.
 MAX_HELD_FABRICS = 2
-MAX_HELD_SUMMARIES = 64
-MAX_FABRIC_NODES = 20_000
+MAX_HELD_SUMMARIES = 16
 
 
 class _Fabric:
-    """One topology's plan, its summaries imported for recompose, and
-    its network for replay."""
+    """One topology's plan, its summaries by shard id, and its network
+    for replay."""
 
     def __init__(self, topo: Dict[str, Any], plan: Plan) -> None:
         self.topo = topo
         self.plan = plan
-        self.imported = ImportedSummaries()
+        self.summaries: Dict[str, Dict[str, Any]] = {}
         self.network: Optional[Network] = None
         self.tasks: Dict[str, Dict[str, Any]] = {}  # summarised, by shard id
-        self.keys: List[str] = []  # their content keys
 
-    def cover(self, points: Iterable[Point], memo: "OrderedDict[str, bytes]") -> int:
+    def cover(
+        self, points: Iterable[Point], memo: "OrderedDict[str, Dict[str, Any]]"
+    ) -> int:
         """Make every point of `points` an entry and an exit, and
-        summarise and import each shard that is new or changed: from
-        `memo` by content, else computed into it.  Returns how many
-        summaries were computed."""
+        summarise each shard that is new or changed: from `memo` by
+        content, else computed into it.  Returns how many summaries
+        were computed."""
         plan = extend(self.plan, points)
         stale = [t for t in plan.shards if self.tasks.get(t["shard_id"]) is not t]
         if not stale:
@@ -133,16 +132,11 @@ class _Fabric:
         keys = [_content_key(task) for task in stale]
         missing = {key: task for key, task in zip(keys, stale) if key not in memo}
         METRICS.counter("compose.shards_dispatched").inc(len(missing))
-        fresh = {key: compute_shard_summary(task) for key, task in missing.items()}
+        for key, task in missing.items():
+            memo[key] = compute_shard_summary(task)
         for key, task in zip(keys, stale):
-            self.keys.append(key)  # before it can fail: an error drops it
-            summary = fresh.get(key)
-            if summary is None:
-                summary = pickle.loads(memo[key])
-                memo.move_to_end(key)
-            else:
-                memo[key] = pickle.dumps(summary, pickle.HIGHEST_PROTOCOL)
-            self.imported.add(summary)
+            memo.move_to_end(key)
+            self.summaries[task["shard_id"]] = memo[key]
             self.tasks[task["shard_id"]] = task
         while len(memo) > MAX_HELD_SUMMARIES:
             memo.popitem(last=False)
@@ -151,34 +145,8 @@ class _Fabric:
         return len(missing)
 
 
-class _Held(threading.local):
-    """This thread's fabrics by topology content, and summaries by
-    shard content, least recently used first."""
-
-    def __init__(self) -> None:
-        self.fabrics: "OrderedDict[bytes, _Fabric]" = OrderedDict()
-        self.summaries: "OrderedDict[str, bytes]" = OrderedDict()
-
-
-_held = _Held()
-
-
-def forget_fabrics() -> None:
-    """Drop this thread's held fabrics and summaries."""
-    _held.fabrics.clear()
-    _held.summaries.clear()
-
-
-def _drop(key: bytes) -> None:
-    """Drop one held fabric and its summaries."""
-    fabric = _held.fabrics.pop(key, None)
-    if fabric is not None:
-        for summary_key in fabric.keys:
-            _held.summaries.pop(summary_key, None)
-
-
-def _held_fabric(topo: Any) -> "tuple[bytes, _Fabric]":
-    """The fabric held for `topo`'s content, planned on a miss.
+def _held_fabric(model: _ShardModel, topo: Any) -> _Fabric:
+    """The fabric `model` holds for `topo`'s content, planned on a miss.
 
     The key is the payload pickled: equal bytes load to equal content,
     and a payload that differs in anything, ``True`` for ``1`` included,
@@ -190,16 +158,16 @@ def _held_fabric(topo: Any) -> "tuple[bytes, _Fabric]":
     except Exception:
         validate_topology(topo)  # names what is malformed
         raise
-    fabric = _held.fabrics.get(key)
+    fabric = model.fabrics.get(key)
     if fabric is not None:
-        _held.fabrics.move_to_end(key)
-        return key, fabric
+        model.fabrics.move_to_end(key)
+        return fabric
     validate_topology(topo)
     held = pickle.loads(key)
-    fabric = _held.fabrics[key] = _Fabric(held, plan_fabric(held))
-    while len(_held.fabrics) > MAX_HELD_FABRICS:
-        _held.fabrics.popitem(last=False)
-    return key, fabric
+    fabric = model.fabrics[key] = _Fabric(held, plan_fabric(held))
+    while len(model.fabrics) > MAX_HELD_FABRICS:
+        model.fabrics.popitem(last=False)
+    return fabric
 
 
 def _witness(
@@ -243,51 +211,45 @@ def run_composed(
     :mod:`~repro.compose.topo`.  Shard summaries are computed in the
     calling thread.  No code reads `engine`: it stays only because the
     frozen ``benchmarks/e2e/workloads.py`` passes one.  `budget` is a
-    plain dict of :class:`~repro.core.Budget` fields threaded into
-    every shard; a budgeted query bypasses the held fabrics.  `bug`
+    plain dict of :class:`~repro.core.Budget` fields: a budgeted query
+    runs in a fresh compose context of its own, metered as a whole
+    (``max_bdd_nodes`` counts its shards' nodes and its recompose's),
+    and bypasses the held fabrics.  `bug`
     injects a known recomposer bug (fuzz-farm canary) — never set it
     outside tests.
     """
     started = time.monotonic()
-    Budget.from_dict(budget)  # a misspelt limit fails here, not in a shard
-    METRICS.counter("compose.queries").inc()
-    with span("compose.query", mode=query.get("mode", "reach")) as live:
-        if budget is None:
-            key, fabric = _held_fabric(topo)
-            memo = _held.summaries
-        else:
-            validate_topology(topo)
-            key, memo = None, OrderedDict()
-            fabric = _Fabric(topo, plan_fabric(topo, budget))
-        try:
-            validate_query(topo, query)
-            dispatched = fabric.cover(query_points(query), memo)
-            plan = for_query(fabric.plan, query)
-            live.set("shards", len(plan.shards))
-            METRICS.counter("compose.summaries_reused").inc(
-                len(plan.shards) - dispatched
-            )
+    with query_context(budget) as model:
+        METRICS.counter("compose.queries").inc()
+        with span("compose.query", mode=query.get("mode", "reach")) as live:
+            fabric = _held_fabric(model, topo)
+            try:
+                validate_query(topo, query)
+                dispatched = fabric.cover(query_points(query), model.summaries)
+                plan = for_query(fabric.plan, query)
+                live.set("shards", len(plan.shards))
+                METRICS.counter("compose.summaries_reused").inc(
+                    len(plan.shards) - dispatched
+                )
 
-            recompose_started = time.monotonic()
-            outcome = recompose(plan, fabric.imported, bug=bug)
-            recompose_ms = (time.monotonic() - recompose_started) * 1000.0
-            reachable = outcome.hit_node != 0
-            witness = (
-                _witness(fabric.network, query, plan, outcome) if reachable else None
-            )
-        except BaseException:
-            if key is not None:
-                _drop(key)
-            raise
-        nodes = fabric.imported.context.manager.num_nodes
-        if key is not None and nodes > MAX_FABRIC_NODES:
-            _held.fabrics.pop(key)  # its summaries stay: they are not at fault
-        live.set("reachable", reachable)
-        return ComposedResult(
-            mode=plan.mode,
-            reachable=reachable,
-            witness=witness,
-            shard_count=len(plan.shards),
-            recompose_ms=recompose_ms,
-            total_ms=(time.monotonic() - started) * 1000.0,
-        )
+                recompose_started = time.monotonic()
+                outcome = recompose(plan, fabric.summaries, bug=bug)
+                recompose_ms = (time.monotonic() - recompose_started) * 1000.0
+                reachable = outcome.hit_node != 0
+                witness = (
+                    _witness(fabric.network, query, plan, outcome)
+                    if reachable
+                    else None
+                )
+            except BaseException:
+                forget()
+                raise
+            live.set("reachable", reachable)
+    return ComposedResult(
+        mode=plan.mode,
+        reachable=reachable,
+        witness=witness,
+        shard_count=len(plan.shards),
+        recompose_ms=recompose_ms,
+        total_ms=(time.monotonic() - started) * 1000.0,
+    )

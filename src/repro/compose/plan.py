@@ -20,7 +20,7 @@ exact for every set that can arrive at its shard
 (:mod:`~repro.compose.shard`), so a query's ``headers`` cover could
 only bound that one query's work, and a plan that serves every query
 has no cover to assume.  The universe costs once per topology, not
-per query: the driver holds the summaries imported
+per query: the driver holds the summaries
 (:mod:`~repro.compose.driver`), and on a k=6 fat tree (2-core Xeon,
 in process, p50) a query's recompose fixpoint over them takes
 0.17 ms.  Summarising the whole fabric takes 17.1 ms with its devices
@@ -91,9 +91,7 @@ def _layers(devices: Dict[str, Any], links: List[Any]) -> List[List[str]]:
     return layers
 
 
-def plan_fabric(
-    topo: Dict[str, Any], budget: Optional[Dict[str, Any]] = None
-) -> Plan:
+def plan_fabric(topo: Dict[str, Any]) -> Plan:
     """The shards of a validated topology, with no query."""
     devices = topo["devices"]
     links = topo.get("links", [])
@@ -138,7 +136,6 @@ def plan_fabric(
                 "links": internal[sid],
                 "entries": ends,
                 "exits": ends,
-                "budget": budget,
             }
         )
     return Plan(
@@ -191,12 +188,8 @@ def for_query(plan: Plan, query: Dict[str, Any]) -> Plan:
     )
 
 
-def plan_shards(
-    topo: Dict[str, Any],
-    query: Dict[str, Any],
-    budget: Optional[Dict[str, Any]] = None,
-) -> Plan:
+def plan_shards(topo: Dict[str, Any], query: Dict[str, Any]) -> Plan:
     """Validate `topo` and `query` and plan the topology for the query."""
     validate_topology(topo)
     validate_query(topo, query)
-    return for_query(extend(plan_fabric(topo, budget), query_points(query)), query)
+    return for_query(extend(plan_fabric(topo), query_points(query)), query)

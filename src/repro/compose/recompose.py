@@ -1,7 +1,11 @@
 """Recomposition: chain shard summaries along the plan's boundaries.
 
-The recomposer runs over its *own* transformer context, not the
-shards'.  It propagates header sets along the plan's boundary map —
+The recomposer runs in the compose context its summaries were
+computed in, this thread's (:func:`~repro.compose.shard.model_of`):
+their guards are nodes there and are read in place, and a summary of
+any other context raises :class:`~repro.errors.ZenComposeError` rather
+than be read as some other set.  It propagates header sets along the
+plan's boundary map —
 ``arriving[entry] → flows → arriving[next entry]`` — to a fixpoint,
 then intersects what reached the sink with the query target.  A set
 ``S`` arriving at an entry leaves at an exit as the union of that
@@ -9,12 +13,12 @@ pair's flows ``∃X. (S ∧ G) ∧ P`` (:mod:`~repro.compose.shard`): one
 ``and_exists`` per flow, exact for any ``S``, so one pass decides the
 verdict in both directions.
 
-Each summary's sets arrive as references into its one node table
-(:func:`~repro.compose.cubes.header_sets`), imported once per summary
-into an :class:`ImportedSummaries` before any fixpoint starts.  The
-driver holds one per topology and recomposes every query of that
-topology over it, so a summary's table is imported once, not once per
-query.
+A popped entry's flows are looked up in its shard's summary, by pair
+key over the shard's exits, once per entry and call.  A fixpoint still
+holding work after :data:`MAX_ITERATIONS` pops raises: a partial
+verdict is never returned as a final one.  A call ends a query, so it
+drops the context once that passed its bound
+(:func:`~repro.compose.shard.settle`).
 
 **Walk-back.**  The fixpoint records each growth of a point's set — an
 entry's arriving set, or the headers delivered at the sink — stamped
@@ -38,20 +42,14 @@ of unsoundness the differential fuzz farm exists to catch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.transformers import TransformerContext
-from ..network import Header
+from ..errors import ZenComposeError
 from ..telemetry.spans import span
-from .cubes import (
-    Cube,
-    assignment_header,
-    cover_node,
-    cube_literals,
-    header_sets,
-)
-from .plan import Plan, point_key
+from .cubes import assignment_header, cover_node, cube_literals
+from .plan import Plan, parse_point, point_key
+from .shard import model_of, settle
 
 #: Canary bug id: chain every flow as a filter in the recomposer (named
 #: for the assumption a flow's pins overwrite).
@@ -61,10 +59,15 @@ CANARY_DROP_ASSUMPTION = "compose-drop-assumption"
 #: point key: device names hold no ``|``).
 DELIVERED = "|delivered"
 
+#: The fixpoint raises once it has popped this many entries with work
+#: left (a k=6 fat-tree query pops 7).
+MAX_ITERATIONS = 100_000
+
 #: One growth of a point's set: ``(stamp, popped entry, grown set)``.
 #: The source's initial set has stamp 0 and no popped entry.
 Growth = Tuple[int, Optional[str], int]
-Flow = Tuple[int, Cube]
+#: A flow as a summary holds it: ``[guard node, pins]``.
+Flow = List[Any]
 
 
 def _landing(plan: Plan, exit_key: str) -> Optional[str]:
@@ -77,39 +80,6 @@ def _landing(plan: Plan, exit_key: str) -> Optional[str]:
     return landing
 
 
-class ImportedSummaries:
-    """Shard summaries imported into one context: each entry's
-    ``(exit, flows)`` pairs, the flows' guards as nodes there."""
-
-    def __init__(self, summaries: Iterable[Dict[str, Any]] = ()) -> None:
-        self.context = TransformerContext()
-        header_type = self.context.universe(Header).zen_type
-        self.levels = self.context.space(header_type).levels
-        self.flows_of_entry: Dict[str, List[Tuple[str, List[Flow]]]] = {}
-        for summary in summaries:
-            self.add(summary)
-
-    def add(self, summary: Dict[str, Any]) -> None:
-        """Import one summary's table; its entries' flows replace any
-        flows those entries had."""
-        images = summary["images"]
-        flat = [flow for flows in images.values() for flow in flows]
-        nodes = header_sets(
-            self.context.manager,
-            self.levels,
-            summary["table"],
-            [ref for ref, _ in flat],
-        )
-        imported = iter(zip(nodes, (pins for _, pins in flat)))
-        flows_of_entry: Dict[str, List[Tuple[str, List[Flow]]]] = {}
-        for pair, flows in images.items():
-            entry_key, exit_key = pair.split("|", 1)
-            flows_of_entry.setdefault(entry_key, []).append(
-                (exit_key, list(islice(imported, len(flows))))
-            )
-        self.flows_of_entry.update(flows_of_entry)
-
-
 @dataclass
 class RecomposeOutcome:
     """What one recompose fixpoint established."""
@@ -117,7 +87,7 @@ class RecomposeOutcome:
     hit_node: int  # delivered ∩ target, in `context`
     context: TransformerContext
     levels: List[int]  # the context's header block
-    #: Each entry's ``(exit, flows)`` pairs, as imported.
+    #: Each popped entry's ``(exit, flows)`` pairs.
     flows_of_entry: Dict[str, List[Tuple[str, List[Flow]]]]
     iterations: int = 0
     #: Every growth of each point's set, in stamp order.
@@ -131,23 +101,33 @@ class RecomposeOutcome:
 
 def recompose(
     plan: Plan,
-    summaries: Union[Dict[str, Dict[str, Any]], ImportedSummaries],
+    summaries: Dict[str, Dict[str, Any]],
     bug: Optional[str] = None,
-    max_iterations: int = 100_000,
 ) -> RecomposeOutcome:
     """Chain shard summaries along the plan's boundaries to a fixpoint.
 
-    `summaries` maps shard ids to summaries, imported here into a
-    context of this call's own, or is already imported: then the
-    fixpoint runs in that context and imports nothing.
+    `summaries` maps shard ids to summaries computed in this thread's
+    compose context; the fixpoint runs there and reads them in place.
     """
-    if not isinstance(summaries, ImportedSummaries):
-        summaries = ImportedSummaries(summaries.values())
-    levels = summaries.levels
-    manager = summaries.context.manager
+    model = model_of(summaries.values())
+    levels = model.levels
+    manager = model.context.manager
     canary = bug == CANARY_DROP_ASSUMPTION
-    flows_of_entry = summaries.flows_of_entry
-    outcome = RecomposeOutcome(0, summaries.context, levels, flows_of_entry)
+    exits = {task["shard_id"]: task["exits"] for task in plan.shards}
+    flows_of_entry: Dict[str, List[Tuple[str, List[Flow]]]] = {}
+    outcome = RecomposeOutcome(0, model.context, levels, flows_of_entry)
+
+    def flows_from(entry_key: str) -> List[Tuple[str, List[Flow]]]:
+        found = flows_of_entry.get(entry_key)
+        if found is None:
+            shard_id = plan.shard_of[parse_point(entry_key)[0]]
+            images = summaries[shard_id]["images"]
+            found = flows_of_entry[entry_key] = []
+            for exit_key in map(point_key, exits[shard_id]):
+                flows = images.get(f"{entry_key}|{exit_key}")
+                if flows is not None:
+                    found.append((exit_key, flows))
+        return found
 
     source_key = point_key(plan.source)
     arriving: Dict[str, int] = {
@@ -158,13 +138,19 @@ def recompose(
     worklist = [source_key]
 
     with span("compose.recompose", shards=len(plan.shards)) as live:
-        while worklist and outcome.iterations < max_iterations:
+        while worklist:
+            if outcome.iterations == MAX_ITERATIONS:
+                raise ZenComposeError(
+                    f"the recompose fixpoint stopped after {MAX_ITERATIONS} "
+                    f"pops with {len(worklist)} entries still to pop: its "
+                    "verdict would be partial"
+                )
             outcome.iterations += 1
             entry_key = worklist.pop()
             current = arriving.get(entry_key, 0)
             if current == 0:
                 continue
-            for exit_key, flows in flows_of_entry.get(entry_key, ()):
+            for exit_key, flows in flows_from(entry_key):
                 landing = _landing(plan, exit_key)
                 if landing is None:
                     continue  # it leaves the region
@@ -193,6 +179,7 @@ def recompose(
         outcome.hit_node = manager.and_(delivered, target_node)
         live.set("iterations", outcome.iterations)
         live.set("hit", outcome.hit_node != 0)
+    settle()
     return outcome
 
 

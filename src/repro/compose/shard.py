@@ -1,9 +1,9 @@
 """Shard summaries: per-shard interface summaries, exact for any input.
 
 :func:`compute_shard_summary` takes one plain-JSON shard task (from
-:func:`~repro.compose.plan.plan_shards`) and returns a plain-JSON
-summary — nothing symbolic leaves the shard's model, so the driver
-memoises summaries pickled and imports them into its own context.
+:func:`~repro.compose.plan.plan_shards`) and returns its summary:
+plain picklable data whose guards are node handles in the compose
+context it was computed in, which it names by an int token.
 
 A device in this model only ever *pins* header bits: a NAT rule
 replaces the network bits of an address with a prefix's, or sets a
@@ -40,22 +40,27 @@ so the NAT rewrite, the FIB chain and every match condition are
 compiled once per device, not once per port.  A port without an
 ingress ACL admits everything and has no ``IN`` set.
 
-Device models outlive the task.  Each thread holds one
-:class:`~repro.core.transformers.TransformerContext` and a memo from a
+One compose context per thread.  Each thread holds one
+:class:`_ShardModel`: one
+:class:`~repro.core.transformers.TransformerContext`, a memo from a
 device's *configuration* — its FIB, NAT and ACL rules as decoded from
-the payload, never its name — to those sets and its NAT match cubes.
-A task without a budget runs in that context, so a device the thread
-has built before, under any name and in any shard, costs a lookup: no
-trace, no evaluator session.  Nothing built there leaves it: the
-summary is a node table, the same bytes a cold build writes.  The
-context and the memo are dropped together when a task leaves the
-manager above :data:`MAX_HELD_NODES` nodes or the memo above
-:data:`MAX_HELD_DEVICES` devices, and when any exception leaves
-:func:`compute_shard_summary`, so a half-finished build is never
-reused.  A task with a budget runs in a fresh context of its own, as
-it always did: ``max_bdd_nodes`` caps a manager's cumulative
-allocation, which on the held manager would charge the task for its
-predecessors' nodes.
+the payload, never its name — to those sets and its NAT match cubes,
+and the driver's summaries (by shard content) and fabrics (by
+topology content).  A task without a budget runs in that context, so
+a device the thread has built before, under any name and in any
+shard, costs a lookup: no trace, no evaluator session.  Its summary's
+guards are nodes there, and the recomposer reads them in place
+(:func:`model_of` refuses a summary of any other context).  The
+context is dropped whole when any exception leaves
+:func:`compute_shard_summary` or the driver, so a half-finished build
+is never reused, and between queries (:func:`settle`) once it holds
+more than :data:`MAX_HELD_NODES` nodes or :data:`MAX_HELD_DEVICES`
+device models.  A task with a budget runs in a fresh context of its
+own: ``max_bdd_nodes`` caps a manager's cumulative allocation, which
+on the held manager would charge the task for its predecessors'
+nodes.  Nothing holds that context, so its summary cannot be
+recomposed; a budgeted *query* runs every shard and its recompose in
+one fresh context of its own (:func:`query_context`).
 
 A hop of flow ``(P, G)`` entering ``p`` and leaving ``q`` restricts
 ``IN[p] ∧ PRE[q]`` by ``P`` (the device sees ``e`` with ``P`` written
@@ -64,26 +69,41 @@ first-match over its rules: each rule is one ``(match cube, pins)``
 pair (:func:`nat_cubes`), adds its match (restricted by ``P``) to the
 guard and writes its pins over ``P``; what no rule matches keeps ``P``.
 
-The summary ships its guards as BDDs: every guard is a reference
-into **one** node table, written in one walk
-(:func:`~repro.compose.cubes.header_table`), exact and linear in the
-BDD's size; pins ship as one cube of the cover form.
+A summary's guards are BDD nodes, exact; its pins are one cube of
+the cover form.  :meth:`~repro.bdd.Bdd.export_table` renders the
+guards as one node table, canonical in the BDD's structure: equal
+guards in any two contexts give equal tables, which is how tests
+compare summaries across contexts.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
-from typing import Any, Dict, Hashable, List, NamedTuple, Tuple
+from collections import OrderedDict
+from contextlib import contextmanager
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from ..core import start_meter
 from ..core.transformers import StateSet, TransformerContext
-from ..core.budget import Budget
+from ..core.budget import Budget, metered
+from ..errors import ZenComposeError
 from ..lang import Zen
 from ..network import NULL_PORT, Header, NatRule, acl_allows, forward
 from ..network.device import Device, rewrite
 from ..telemetry.spans import span
-from .cubes import Cube, cube_literals, header_table
+from .cubes import Cube, cube_literals
 from .plan import pair_key
 from .topo import Point, build_network
 
@@ -173,19 +193,27 @@ def _model_key(device: Device) -> Hashable:
     )
 
 
+_tokens = itertools.count(1)
+
+
 class _ShardModel:
-    """Per-device Zen sets, built on a device's first hop and kept by
-    content: a device built before is looked up, not recompiled."""
+    """A compose context: per-device Zen sets, built on a device's
+    first hop and kept by content (a device built before is looked up,
+    not recompiled), and the driver's summaries and fabrics, whose
+    guards are nodes of the same context."""
 
     def __init__(
         self, context: TransformerContext, header_type, levels, meter
     ) -> None:
+        self.token = next(_tokens)  # what its summaries name it by
         self.context = context
         self.header_type = header_type
         self.levels = levels
         self.meter = meter
         self._sets: Dict[Hashable, _DeviceSets] = {}
         self.builds = 0  # devices built, so entries in the memo
+        self.summaries: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self.fabrics: "OrderedDict[bytes, Any]" = OrderedDict()
 
     @classmethod
     def fresh(cls, meter=None) -> "_ShardModel":
@@ -274,67 +302,110 @@ class _ShardModel:
         return flows
 
 
-#: A thread's held model is dropped, context and memo together, once a
-#: task leaves its manager above this many nodes or its memo above this
-#: many device models: about 7 MB and 2.3 MB held at most (~350 B a
-#: node, ~4.4 kB a device, caches included; see DESIGN, *Shard
-#: summaries*).
+#: A thread's compose context is dropped whole, between queries, once
+#: it holds more than this many nodes or device models: about 7 MB and
+#: 2.3 MB at most (~350 B a node, ~4.4 kB a device, caches included;
+#: see DESIGN, *Shard summaries*).
 MAX_HELD_NODES = 20_000
 MAX_HELD_DEVICES = 512
 
 _held = threading.local()
 
 
-def _held_model() -> _ShardModel:
-    """This thread's long-lived model."""
+def held() -> _ShardModel:
+    """This thread's compose context, made on first use."""
     model = getattr(_held, "model", None)
     if model is None:
         model = _held.model = _ShardModel.fresh()
     return model
 
 
-def forget_devices() -> None:
-    """Drop this thread's held context and memo of device models."""
+def forget() -> None:
+    """Drop this thread's compose context: its device models, summaries
+    and fabrics."""
     _held.__dict__.pop("model", None)
+
+
+def settle() -> None:
+    """A query is over: drop this thread's compose context if it holds
+    more than :data:`MAX_HELD_NODES` nodes or :data:`MAX_HELD_DEVICES`
+    device models."""
+    model = getattr(_held, "model", None)
+    if model is not None and (
+        model.context.manager.num_nodes > MAX_HELD_NODES
+        or model.builds > MAX_HELD_DEVICES
+    ):
+        forget()
+
+
+@contextmanager
+def query_context(budget: Optional[Dict[str, Any]]) -> Iterator[_ShardModel]:
+    """The compose context a query runs in: this thread's, or, for a
+    budgeted query, a fresh one of its own, metered as a whole (its node
+    cap counts every shard's nodes and the recompose's) and this
+    thread's context until the query ends.  A misspelt limit raises
+    here, before any shard runs."""
+    meter = start_meter(Budget.from_dict(budget))
+    if meter is None:
+        yield held()
+        return
+    model = _ShardModel.fresh(meter)
+    saved = getattr(_held, "model", None)
+    _held.model = model
+    try:
+        with metered(model.context.manager, meter):
+            yield model
+    finally:
+        _held.model = saved
+
+
+def model_of(summaries: Iterable[Dict[str, Any]]) -> _ShardModel:
+    """This thread's compose context, which every one of `summaries`
+    must name: their guards are its nodes.  A summary of a dropped
+    context, of another thread's or of a budgeted task's raises
+    :class:`~repro.errors.ZenComposeError`, as a handle of one manager
+    read in another would mean another set."""
+    model = held()
+    for summary in summaries:
+        if summary.get("context") != model.token:
+            raise ZenComposeError(
+                f"the summary of {summary.get('shard_id')!r} names compose "
+                f"context {summary.get('context')!r}, not this thread's "
+                f"context {model.token}: its guards are not nodes here"
+            )
+    return model
 
 
 def compute_shard_summary(task: Dict[str, Any]) -> Dict[str, Any]:
     """Compute one shard's interface summary.
 
     `task` is a shard dict from :func:`~repro.compose.plan.plan_shards`.
-    Returns a plain dict: ``table`` (one node table) and ``images``,
-    which maps each ``entry|exit`` pair key to its flows
-    ``[[guard_ref, pins], ...]`` with each guard a reference into the
-    table; see the module docstring for what they mean.
+    Returns a plain dict: ``context``, the token of the compose context
+    it was computed in, and ``images``, which maps each ``entry|exit``
+    pair key to its flows ``[[guard, pins], ...]`` with each guard a
+    node of that context; see the module docstring for what they mean.
 
-    A task without a budget runs on this thread's held model; one with
-    a budget on a fresh model of its own, so its node cap counts only
-    its own allocation.  Any exception drops the held model.
+    A task without a budget runs in this thread's compose context; one
+    with a budget in a fresh context of its own, so its node cap counts
+    only its own allocation.  Any exception drops this thread's context.
     """
     try:
-        summary = _summarise(task)
+        meter = start_meter(Budget.from_dict(task.get("budget")))
+        model = held() if meter is None else _ShardModel.fresh(meter)
+        return _summarise(task, model)
     except BaseException:
-        forget_devices()
+        forget()
         raise
-    model = getattr(_held, "model", None)
-    if model is not None and (
-        model.context.manager.num_nodes > MAX_HELD_NODES
-        or model.builds > MAX_HELD_DEVICES
-    ):
-        forget_devices()
-    return summary
 
 
-def _summarise(task: Dict[str, Any]) -> Dict[str, Any]:
+def _summarise(task: Dict[str, Any], model: _ShardModel) -> Dict[str, Any]:
     started = time.monotonic()
     shard_id = task["shard_id"]
     entries: List[Point] = [(d, int(p)) for d, p in task.get("entries", [])]
     exits = {(d, int(p)) for d, p in task.get("exits", [])}
     network = build_network(task, [*entries, *exits])
-    meter = start_meter(Budget.from_dict(task.get("budget")))
-    model = _held_model() if meter is None else _ShardModel.fresh(meter)
+    meter = model.meter
     builds = model.builds
-    levels = model.levels
     manager = model.context.manager
     devices = network.devices
     # Each device's sets, looked up by content once per task.
@@ -386,16 +457,12 @@ def _summarise(task: Dict[str, Any]) -> Dict[str, Any]:
         live.set("devices_compiled", compiled)
         live.set("devices_reused", len(visited) - compiled)
 
-    ordered = {pair: sorted(flows.items()) for pair, flows in images.items()}
-    guards = [guard for flows in ordered.values() for _, guard in flows]
-    table, refs = header_table(manager, levels, guards)
-    guard_refs = iter(refs)
     return {
         "shard_id": shard_id,
-        "table": table,
+        "context": model.token,
         "images": {
-            pair: [[next(guard_refs), _cube(pins)] for pins, _ in flows]
-            for pair, flows in ordered.items()
+            pair: [[guard, _cube(pins)] for pins, guard in sorted(flows.items())]
+            for pair, flows in images.items()
         },
         "stats": {
             "devices": len(devices),

@@ -215,9 +215,11 @@ class ZenComposeError(ZenError, RuntimeError):
     """A composed "reachable" is not backed by its summaries.
 
     Raised when no initial header walks back from the recomposed hit,
-    or when the walked-back witness fails concrete replay into the
-    query's target.  Either is a summary or recomposer bug, so the
-    driver raises rather than return a verdict it cannot justify.
+    when the walked-back witness fails concrete replay into the
+    query's target, when the recompose fixpoint stops with work left,
+    or when a summary is read outside the compose context its guards
+    are nodes of.  Each is a summary or recomposer bug, so compose
+    raises rather than return a verdict it cannot justify.
     """
 
 

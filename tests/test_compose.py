@@ -8,14 +8,18 @@ farm's reference walker delivers into the target.  NAT topologies also
 get known-truth checks, each answered in one dispatch round.
 Structural-failure tests pin down the contract: a witness that fails
 walk-back or replay raises :class:`~repro.errors.ZenComposeError`,
-never a silently wrong verdict.
+never a silently wrong verdict; so do a summary read outside the
+compose context it names and a recompose fixpoint stopped with work
+left.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import random
+import threading
 
 import pytest
 
@@ -30,14 +34,14 @@ from repro.compose import (
     run_composed,
 )
 from repro.compose import driver
-from repro.compose.shard import _ShardModel, forget_devices
+from repro.compose import shard as shard_module
+from repro.compose.shard import _ShardModel, forget
 from repro.core import transformers
-from repro.core.transformers import TransformerContext
 from repro.errors import (
     ZenComposeError,
     ZenTypeError,
 )
-from repro.compose.cubes import cover_node, header_sets
+from repro.compose.cubes import HEADER_BITS, cover_node
 from repro.fuzz import FarmConfig, replay_artifact, run_farm
 from repro.fuzz.oracle import hsa_delivered
 from repro.fuzz.reference import _walk_topology, reference_inputs, reference_result
@@ -384,10 +388,33 @@ def seeded_devices(seed: int):
 
 
 def fresh_shard_model():
-    context = TransformerContext()
-    header_type = context.universe(Header).zen_type
-    levels = context.space(header_type).levels
-    return context, _ShardModel(context, header_type, levels, None)
+    model = _ShardModel.fresh()
+    return model.context, model
+
+
+def rendered(summary, context=None):
+    """`summary` with its guards rendered as one node table and a
+    reference into it per flow (:meth:`~repro.bdd.Bdd.export_table`,
+    canonical in each BDD's structure), and no context token: the form
+    the pinned digests hash, equal for equal guards in any two
+    contexts.  `context` is the one the summary was computed in, this
+    thread's by default."""
+    if context is None:
+        context = shard_module.model_of([summary]).context
+    levels = context.space(context.universe(Header).zen_type).levels
+    images = summary["images"]
+    guards = [guard for flows in images.values() for guard, _ in flows]
+    table, refs = context.manager.export_table(guards, levels[0], HEADER_BITS)
+    ref = iter(refs)
+    return {
+        "shard_id": summary["shard_id"],
+        "table": table,
+        "images": {
+            pair: [[next(ref), pins] for _, pins in flows]
+            for pair, flows in images.items()
+        },
+        "stats": summary["stats"],
+    }
 
 
 def pinned_fabric(mask: int):
@@ -515,7 +542,7 @@ class TestPerDeviceBuild:
         topo, query = pinned_fabric(0xFF000000)
         shards = plan_shards(topo, query).shards
         counts = _Counts(monkeypatch)
-        forget_devices()
+        forget()
         seen = set()
         for shard in shards:
             summary = compute_shard_summary(shard)
@@ -559,11 +586,14 @@ class TestPerDeviceBuild:
             return out
 
         # A plan is a function of the topology: the 10/8 query and the
-        # 10.0.0.0/29 one get the same five summaries (node table,
-        # references, flows, stats).
+        # 10.0.0.0/29 one get the same five summaries (guard nodes,
+        # flows, stats).
         fabric = summaries(0xFF000000)
         assert summaries(0xFFFFFFF8) == fabric
-        blob = json.dumps(fabric, sort_keys=True)
+        blob = json.dumps(
+            {sid: rendered(summary) for sid, summary in fabric.items()},
+            sort_keys=True,
+        )
         assert hashlib.sha256(blob.encode()).hexdigest() == (
             "97a4733831027d4f6fa713e434b5dd5e755dc04df7585cf91913a3771252635f"
         )
@@ -592,12 +622,9 @@ class TestPerDeviceBuild:
         assert sorted(images) == sorted(pair for pair, _ in expected)
         # A filter shard pins nothing: one flow per pair, its guard the image.
         assert all(len(flows) == 1 and flows[0][1] == {} for flows in images.values())
-        context = TransformerContext()
-        levels = context.space(context.universe(Header).zen_type).levels
-        manager = context.manager
-        decoded = header_sets(
-            manager, levels, edge["table"], [images[pair][0][0] for pair, _ in expected]
-        )
+        model = shard_module.model_of([edge])
+        levels, manager = model.levels, model.context.manager
+        decoded = [images[pair][0][0] for pair, _ in expected]
         down = cover_node(manager, levels, [{"dst_ip": [0x0A000002, 0xFFFFFFFF]}])
         assert decoded == [
             down if is_down else manager.not_(down) for _, is_down in expected
@@ -701,7 +728,10 @@ def test_shard_summaries_match_the_pinned_digest():
     to the filter images before (only the NAT chain's content moved);
     and again when the plan became one per topology, with every shard
     summarised under the universe (five shards a fabric, where there
-    were seven a query), after this file's HSA differentials held."""
+    were seven a query), after this file's HSA differentials held.
+    Summaries now keep their guards as nodes of their context; the
+    digest hashes them rendered through `export_table` (`rendered`),
+    and did not move."""
     hosts = fat_tree_hosts(6)
     corpus = [
         (
@@ -717,7 +747,7 @@ def test_shard_summaries_match_the_pinned_digest():
         for shard in plan_shards(topo, query).shards:
             summary = compute_shard_summary(shard)
             assert summary["stats"].pop("elapsed_ms") >= 0.0
-            summaries.append(summary)
+            summaries.append(rendered(summary))
     assert len(summaries) == 81
     blob = json.dumps(summaries, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == (
@@ -936,10 +966,9 @@ def test_an_engine_is_never_handed_a_shard(shape):
         hosts = fat_tree_hosts(4)
         topo = fat_tree(4, seed=3, acl_probability=0.3)
         query = fat_tree_reach_query(hosts[0], hosts[-1])
-    forget_devices()
+    forget()
     alone = run_composed(topo, query)
-    driver.forget_fabrics()
-    forget_devices()
+    forget()
     dispatched = METRICS.counter("compose.shards_dispatched").value
     with_engine = run_composed(topo, query, _UntouchableEngine())
     assert METRICS.counter("compose.shards_dispatched").value > dispatched
@@ -947,6 +976,72 @@ def test_an_engine_is_never_handed_a_shard(shape):
         alone.reachable,
         alone.witness,
     )
+
+
+class TestContextGuard:
+    """A summary's guards are nodes of the compose context it names.
+    Read anywhere else it raises, and no verdict is given."""
+
+    @staticmethod
+    def summaries(plan):
+        return {t["shard_id"]: compute_shard_summary(t) for t in plan.shards}
+
+    def test_a_summary_of_a_dropped_context_raises(self):
+        plan = plan_shards(*pinned_fabric(0xFF000000))
+        summaries = self.summaries(plan)
+        assert recompose(plan, summaries).hit_node != 0
+        forget()
+        with pytest.raises(ZenComposeError, match="not nodes here"):
+            recompose(plan, summaries)
+
+    def test_a_summary_of_another_context_raises(self):
+        plan = plan_shards(*pinned_fabric(0xFF000000))
+        ours = self.summaries(plan)
+        done = []
+
+        def work():
+            done.append((self.summaries(plan), shard_module.held().context))
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join(timeout=60)
+        ((theirs, context),) = done
+        # Another thread's context: the same guards, as its own nodes.
+        def guards(summaries, context=None):
+            renders = [rendered(s, context) for s in summaries.values()]
+            return [(r["table"], r["images"]) for r in renders]
+
+        assert guards(theirs, context) == guards(ours)
+        with pytest.raises(ZenComposeError, match="not nodes here"):
+            recompose(plan, theirs)
+        sid = plan.shards[0]["shard_id"]
+        with pytest.raises(ZenComposeError, match="not nodes here"):
+            recompose(plan, {**ours, sid: theirs[sid]})
+        # A budgeted task's context of its own is held by nothing.
+        task = plan.shards[-1]
+        budgeted = compute_shard_summary({**task, "budget": {"deadline_s": 60.0}})
+        with pytest.raises(ZenComposeError, match="not nodes here"):
+            recompose(plan, {**ours, task["shard_id"]: budgeted})
+        assert recompose(plan, ours).hit_node != 0
+
+
+def test_a_fixpoint_stopped_with_work_left_raises(monkeypatch):
+    """A recompose fixpoint that runs out of pops with entries still on
+    its worklist raises rather than answer "unreachable"."""
+    hosts = fat_tree_hosts(6)
+    topo = fat_tree(6, seed=5, acl_probability=0.3)
+    query = fat_tree_reach_query(hosts[0], hosts[-1])
+    assert run_composed(topo, query).reachable is True
+    recomposer = importlib.import_module("repro.compose.recompose")
+    monkeypatch.setattr(recomposer, "MAX_ITERATIONS", 2)
+    with pytest.raises(ZenComposeError, match="partial"):
+        run_composed(topo, query)
+    plan = plan_shards(topo, query)
+    summaries = {t["shard_id"]: compute_shard_summary(t) for t in plan.shards}
+    with pytest.raises(ZenComposeError, match="partial"):
+        recompose(plan, summaries)
+    monkeypatch.setattr(recomposer, "MAX_ITERATIONS", 7)  # what it pops
+    assert recompose(plan, summaries).hit_node != 0
 
 
 class TestRecomposerCanary:

@@ -1,10 +1,11 @@
-"""The shard worker's held device models.
+"""The thread's compose context and its held device models.
 
-A task without a budget runs on its thread's held model: one
-`TransformerContext` and a memo from a device's configuration to its
-hop sets, kept across tasks.  These tests pin what that may change —
-nothing in a summary, and nothing in a verdict — and what it must
-save: a device met before opens no evaluator session.
+A task without a budget runs in its thread's compose context: one
+`TransformerContext` with a memo from a device's configuration to its
+hop sets, kept across tasks, in which summaries keep their guards as
+nodes.  These tests pin what that may change — nothing in a summary's
+guards, and nothing in a verdict — what it must save (a device met
+before opens no evaluator session), and when the context goes.
 """
 
 from __future__ import annotations
@@ -18,9 +19,15 @@ import threading
 import pytest
 
 from repro.backends import bitvector
-from repro.compose import compute_shard_summary, plan_shards, run_composed, shard
-from repro.compose.driver import forget_fabrics
-from repro.compose.shard import forget_devices
+from repro.compose import (
+    compute_shard_summary,
+    plan_shards,
+    recompose,
+    run_composed,
+    shard,
+)
+from repro.compose.shard import forget
+from repro.errors import ZenComposeError
 from repro.fuzz.oracle import hsa_delivered
 from repro.telemetry.spans import TRACER, enable_tracing
 from repro.workloads import (
@@ -37,6 +44,7 @@ from .test_compose import (
     host_address,
     payload,
     pinned_fabric,
+    rendered,
 )
 
 #: The digests `test_compose.py` pins for the same two corpora.
@@ -50,10 +58,11 @@ def digest(summaries) -> str:
 
 
 def summarise(task):
-    """A shard summary without its wall-clock stat."""
+    """A shard summary without its wall-clock stat, its guards
+    rendered as a node table (`rendered`)."""
     summary = compute_shard_summary(task)
     assert summary["stats"].pop("elapsed_ms") >= 0.0
-    return summary
+    return rendered(summary)
 
 
 def corpus_summaries():
@@ -85,7 +94,7 @@ def fabric_summaries():
 
 
 def held():
-    """This thread's held model, or None."""
+    """This thread's compose context, or None."""
     return getattr(shard._held, "model", None)
 
 
@@ -121,7 +130,7 @@ class TestWarmEqualsCold:
     def test_a_warm_run_gives_the_pinned_digest_and_opens_no_session(
         self, monkeypatch, corpus, pinned
     ):
-        forget_devices()
+        forget()
         counts = _Counts(monkeypatch)
         assert digest(corpus()) == pinned
         sessions, _ = counts.take()
@@ -134,7 +143,7 @@ class TestShardSpan:
     def test_the_span_counts_devices_compiled_and_reused(self):
         topo, query = pinned_fabric(0xFF000000)
         tasks = plan_shards(topo, query).shards
-        forget_devices()
+        forget()
         TRACER.hard_reset()
         enable_tracing()
         try:
@@ -164,7 +173,7 @@ class TestOneDeviceEdit:
     def test_an_edited_acl_recompiles_one_device(self, monkeypatch):
         hosts = fat_tree_hosts(6)
         topo = fat_tree(6, seed=11, acl_probability=0.3)
-        forget_devices()
+        forget()
         seen = set()
         for i in range(3):
             query = fat_tree_reach_query(hosts[i], hosts[-1 - i])
@@ -191,8 +200,7 @@ class TestOneDeviceEdit:
         # The unedited fabric still delivers, from the memo alone.
         assert run_composed(topo, query, None).reachable is True
         assert counts.take()[0] == len(planned_payloads(topo, query) - seen)
-        forget_devices()
-        forget_fabrics()
+        forget()
         cold = run_composed(edited, query, None)
         assert (warm.reachable, warm.witness) == (cold.reachable, cold.witness)
         assert warm.reachable is False
@@ -202,39 +210,48 @@ class TestOneDeviceEdit:
 
 class TestBoundsErrorsThreads:
     def test_a_low_node_ceiling_drops_the_context(self, monkeypatch):
-        forget_devices()
+        topo, query = pinned_fabric(0xFF000000)
         cold = fabric_summaries()
-        tasks = plan_shards(*pinned_fabric(0xFF000000)).shards
-        contexts = recorded_contexts(monkeypatch)
-        for task in tasks:
-            summarise(task)
-        assert contexts == []  # warm: no task needed a context of its own
+        plan = plan_shards(topo, query)
+        model = held()
+        expected = run_composed(topo, query).reachable
+        assert held() is model  # under the ceiling: kept across the query
         monkeypatch.setattr(shard, "MAX_HELD_NODES", 1)
-        for task in tasks:
-            assert summarise(task) == cold[task["shard_id"]]
+        # A task alone never drops it: a query's summaries recompose together.
+        summaries = {t["shard_id"]: compute_shard_summary(t) for t in plan.shards}
+        assert held() is model
+        assert (recompose(plan, summaries).hit_node != 0) is expected
+        # The query is over and the context past its ceiling: dropped whole.
+        assert held() is None
+        with pytest.raises(ZenComposeError, match="not nodes here"):
+            recompose(plan, summaries)
+        for _ in range(2):
+            assert run_composed(topo, query).reachable is expected
             assert held() is None
-        # Past the ceiling after every task: each ran on a context of its own.
-        assert len(contexts) == len(tasks) - 1
+        for task in plan.shards:
+            assert summarise(task) == cold[task["shard_id"]]
 
     def test_a_low_device_count_drops_the_memo(self, monkeypatch):
-        forget_devices()
+        topo, query = pinned_fabric(0xFF000000)
         cold = fabric_summaries()
-        tasks = plan_shards(*pinned_fabric(0xFF000000)).shards
-        forget_devices()
-        contexts = recorded_contexts(monkeypatch)
+        plan = plan_shards(topo, query)
+        forget()
         monkeypatch.setattr(shard, "MAX_HELD_DEVICES", 2)
-        sizes = []
-        for task in tasks:
+        summaries = {t["shard_id"]: compute_shard_summary(t) for t in plan.shards}
+        model = held()
+        assert model.builds > 2  # past the bound, kept until the query ends
+        recompose(plan, summaries)
+        assert held() is None
+        run_composed(topo, query)
+        assert held() is None
+        for task in plan.shards:
             assert summarise(task) == cold[task["shard_id"]]
-            sizes.append(0 if held() is None else held().builds)
-        assert max(sizes) <= 2 and 0 in sizes and sizes != [0] * len(tasks)
-        assert 1 < len(contexts) < len(tasks)
 
     def test_an_error_mid_build_drops_the_held_model(self, monkeypatch):
-        forget_devices()
+        forget()
         cold = fabric_summaries()
         tasks = plan_shards(*pinned_fabric(0xFF000000)).shards
-        forget_devices()
+        forget()
         original = bitvector.equal_const
         calls = itertools.count()
 
@@ -266,14 +283,19 @@ class TestBoundsErrorsThreads:
     def test_a_budgeted_task_builds_apart_from_the_held_model(
         self, monkeypatch
     ):
-        forget_devices()
+        forget()
         cold = fabric_summaries()
         model, builds = held(), held().builds
         tasks = plan_shards(*pinned_fabric(0xFF000000)).shards
         contexts = recorded_contexts(monkeypatch)
         for task in tasks:
             budgeted = {**task, "budget": {"deadline_s": 60.0}}
-            assert summarise(budgeted) == cold[task["shard_id"]]
+            summary = compute_shard_summary(budgeted)
+            assert summary["stats"].pop("elapsed_ms") >= 0.0
+            assert rendered(summary, contexts[-1]) == cold[task["shard_id"]]
+            # Nothing holds that context: the summary is not recomposed here.
+            with pytest.raises(ZenComposeError, match="not nodes here"):
+                shard.model_of([summary])
         # A context of its own per task; the held model is not touched.
         assert len(contexts) == len(tasks)
         assert held() is model and model.builds == builds
@@ -287,7 +309,7 @@ class TestBoundsErrorsThreads:
             result = run_composed(topo, query, None)
             return result.reachable, result.witness
 
-        forget_devices()
+        forget()
         expected = [verdict(query) for query in queries]
         assert [reachable for reachable, _ in expected].count(False) == 1
         barrier = threading.Barrier(2)

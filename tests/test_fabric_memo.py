@@ -1,10 +1,10 @@
 """The driver's held fabrics.
 
 A query without a budget is answered from its topology's held fabric:
-the plan, the shard summaries imported into one recompose context,
-and one network for witness replay, kept across queries by the
-topology's content, with the summaries also kept by the content of
-their shard.  These tests pin what that may change — no verdict and
+the plan, the shard summaries (their guards nodes of the thread's one
+compose context) and one network for witness replay, kept in that
+context across queries by the topology's content, with the summaries
+also kept by the content of their shard.  These tests pin what that may change — no verdict and
 no witness — and what it must save: a query on a held topology
 dispatches nothing, and a one-device edit re-dispatches one shard.
 """
@@ -18,9 +18,15 @@ import threading
 
 import pytest
 
-from repro.compose import compute_shard_summary, driver, plan_shards, run_composed
-from repro.compose.driver import forget_fabrics
-from repro.errors import ZenComposeError
+from repro.compose import (
+    compute_shard_summary,
+    driver,
+    plan_shards,
+    run_composed,
+    shard,
+)
+from repro.compose.shard import forget
+from repro.errors import ZenBudgetExceeded, ZenComposeError
 from repro.network import Trace
 from repro.obs.status import render_status
 from repro.telemetry.metrics import METRICS
@@ -48,7 +54,7 @@ def answer(result):
 
 def cold(topo, query):
     """The answer of a driver that holds nothing."""
-    forget_fabrics()
+    forget()
     return answer(run_composed(topo, query, None))
 
 
@@ -71,7 +77,11 @@ class Counted:
 
 
 def held_fabrics():
-    return list(driver._held.fabrics.values())
+    return list(shard.held().fabrics.values())
+
+
+def held_summaries():
+    return shard.held().summaries
 
 
 class TestHeldEqualsCold:
@@ -88,7 +98,7 @@ class TestHeldEqualsCold:
         ]
         expected = [cold(topo, query) for query in queries]
         assert {reachable for reachable, _ in expected} == {True, False}
-        forget_fabrics()
+        forget()
         counted = Counted()
         held = [answer(run_composed(topo, query, None)) for query in queries]
         assert held == expected
@@ -189,7 +199,7 @@ class TestFabricKey:
             rule = edited["devices"]["d1"]["fib"][0]
             rule[0][1] = float(rule[0][1])
         assert edited == topo  # deep == cannot tell them apart
-        forget_fabrics()
+        forget()
         with pytest.raises(ValueError) as cold_error:
             run_composed(edited, query, None)
         assert run_composed(topo, query, None).reachable is True
@@ -208,12 +218,33 @@ class TestMemoRules:
         budgeted = run_composed(topo, query, None, budget=budget)
         shards = len(plan_shards(topo, query).shards)
         assert counted.take() == (shards, 0)
-        assert held_fabrics() == [] and len(driver._held.summaries) == 0
+        assert held_fabrics() == [] and len(held_summaries()) == 0
         expected = answer(run_composed(topo, query, None))
         assert answer(budgeted) == expected
         counted.take()
         assert answer(run_composed(topo, query, None, budget=budget)) == expected
         assert counted.take() == (shards, 0)
+
+    def test_a_budgeted_querys_node_cap_counts_its_recompose(self, monkeypatch):
+        """A budgeted query runs its shards and its recompose in one
+        context of its own, metered as a whole."""
+        topo, query = long_nat_chain(6, 1), chain_query(6)
+        held = shard.held()
+        before = []
+        original = driver.recompose
+
+        def recompose(plan, summaries, bug=None):
+            before.append(shard.held().context.manager.num_nodes)
+            return original(plan, summaries, bug=bug)
+
+        monkeypatch.setattr(driver, "recompose", recompose)
+        run_composed(topo, query, None, budget={"max_bdd_nodes": 10**6})
+        (shards,) = before  # the nodes its shards left
+        with pytest.raises(ZenBudgetExceeded) as info:
+            run_composed(topo, query, None, budget={"max_bdd_nodes": shards + 1})
+        assert before[1] == shards and info.value.reason == "bdd_nodes"
+        assert any(entry.name == "recompose" for entry in info.traceback)
+        assert shard.held() is held and held_fabrics() == []
 
     def test_an_exception_drops_the_held_fabric(self, monkeypatch):
         topo = chain_topology(4, seed=7, acl_probability=0.0)
@@ -224,23 +255,25 @@ class TestMemoRules:
         monkeypatch.setattr(driver, "simulate", lambda *args: dropped)
         with pytest.raises(ZenComposeError, match="replay"):
             run_composed(topo, query, None)
-        assert held_fabrics() == [] and len(driver._held.summaries) == 0
+        assert held_fabrics() == [] and len(held_summaries()) == 0
         monkeypatch.undo()
         counted = Counted()
         assert run_composed(topo, query, None).reachable is True
         assert counted.take()[0] == len(plan_shards(topo, query).shards)
 
     def test_a_summary_that_fails_to_import_is_not_kept(self, monkeypatch):
-        def truncated(task):
-            summary = compute_shard_summary(task)
-            summary["table"] = [*summary["table"], 0]  # not whole rows
-            return summary
+        """A summary the recomposer cannot read in this context (here,
+        one computed in a budgeted task's context of its own) raises,
+        gives no verdict, and is kept nowhere."""
 
-        monkeypatch.setattr(driver, "compute_shard_summary", truncated)
+        def elsewhere(task):
+            return compute_shard_summary({**task, "budget": {"deadline_s": 60.0}})
+
+        monkeypatch.setattr(driver, "compute_shard_summary", elsewhere)
         topo = chain_topology(3, seed=7, acl_probability=0.0)
-        with pytest.raises(ValueError, match="whole"):
+        with pytest.raises(ZenComposeError, match="not nodes here"):
             run_composed(topo, chain_query(3), None)
-        assert held_fabrics() == [] and len(driver._held.summaries) == 0
+        assert held_fabrics() == [] and len(held_summaries()) == 0
 
     def test_a_malformed_query_drops_it_too(self):
         topo = chain_topology(3, seed=7, acl_probability=0.0)
@@ -257,20 +290,19 @@ class TestMemoRules:
             for i in range(2):
                 run_composed(topo, fat_tree_reach_query(hosts[i], hosts[-1 - i]), None)
             assert len(held_fabrics()) <= driver.MAX_HELD_FABRICS
-            assert len(driver._held.summaries) <= driver.MAX_HELD_SUMMARIES
+            assert len(held_summaries()) <= driver.MAX_HELD_SUMMARIES
         assert len(held_fabrics()) == driver.MAX_HELD_FABRICS
-        assert len(driver._held.summaries) == driver.MAX_HELD_SUMMARIES
-        for fabric in held_fabrics():
-            nodes = fabric.imported.context.manager.num_nodes
-            assert nodes <= driver.MAX_FABRIC_NODES
-        # A query that leaves its fabric's context above the node bound
-        # drops that fabric; its summaries stay, so nothing re-dispatches.
-        monkeypatch.setattr(driver, "MAX_FABRIC_NODES", 1)
-        run_composed(topo, fat_tree_reach_query(hosts[0], hosts[-1]), None)
-        assert len(held_fabrics()) == driver.MAX_HELD_FABRICS - 1
+        assert len(held_summaries()) == driver.MAX_HELD_SUMMARIES
+        assert shard.held().context.manager.num_nodes <= shard.MAX_HELD_NODES
+        # A query that leaves the context above its node bound drops it
+        # whole, fabrics and summaries with it: the next query on the
+        # same topology summarises every shard again.
+        monkeypatch.setattr(shard, "MAX_HELD_NODES", 1)
+        query = fat_tree_reach_query(hosts[0], hosts[-1])
+        expected = answer(run_composed(topo, query, None))
         counted = Counted()
-        run_composed(topo, fat_tree_reach_query(hosts[0], hosts[-1]), None)
-        assert counted.take()[0] == 0
+        assert answer(run_composed(topo, query, None)) == expected
+        assert counted.take()[0] == len(plan_shards(topo, query).shards)
 
     def test_held_state_is_per_thread(self):
         topo = chain_topology(3, seed=7, acl_probability=0.0)

@@ -23,7 +23,7 @@ from repro.fuzz import (
     replay_artifact,
     run_farm,
 )
-from repro.fuzz.oracle import make_specs
+from repro.fuzz.oracle import IN_PROCESS_KINDS, make_specs
 from repro.service.engine import AttemptRecord
 
 CANARY = "acl-last-match"
@@ -149,22 +149,31 @@ class TestChaosCampaigns:
     kill its members."""
 
     def test_campaign_survives_worker_faults(self):
-        # Every scenario through the engine, a kill or stall before
-        # every other one.  The campaign must complete all scenarios,
-        # absorb any fault-induced transport failures, and end clean.
-        result = run_farm(
-            FarmConfig(
-                seed=11,
-                count=24,
-                service_every=1,
-                chaos_every=2,
-                probe_count=4,
-                pool_size=2,
-            )
+        # Every scenario the service can answer through the engine, a
+        # kill or stall before every other one; topology scenarios are
+        # answered in process.  The campaign must complete all
+        # scenarios, absorb any fault-induced transport failures, and
+        # end clean.
+        config = FarmConfig(
+            seed=11,
+            count=24,
+            service_every=1,
+            chaos_every=2,
+            probe_count=4,
+            pool_size=2,
         )
+        generator = ScenarioGenerator(seed=config.seed, kinds=config.kinds)
+        kinds = [generator.scenario(i)["kind"] for i in range(config.count)]
+        in_process = sum(kind in IN_PROCESS_KINDS for kind in kinds)
+        assert 0 < in_process < config.count
+        result = run_farm(config)
         assert result.ok, result.summary()
         assert result.checked == 24
-        assert result.service_checked == 24
+        assert result.service_checked == 24 - in_process
+        # Each topology scenario still got its composed verdict.
+        topology = result.verdicts.get("topology", {})
+        composed = topology.get("reachable", 0) + topology.get("unreachable", 0)
+        assert composed == in_process
         assert result.chaos_injected >= 8
         assert result.failed == 0
 

@@ -16,7 +16,7 @@ import weakref
 import pytest
 
 from repro.compose import driver, run_composed
-from repro.compose.driver import forget_fabrics
+from repro.compose.shard import forget, held
 from repro.compose.topo import build_network
 from repro.core import ZenFunction
 from repro.network import (
@@ -184,12 +184,12 @@ class TestPieceMemo:
         hosts = fat_tree_hosts(4)
         query = fat_tree_reach_query(hosts[0], hosts[-1])
         assert run_composed(fat_tree(4, seed=1, acl_probability=0.3), query, None).reachable
-        (first,) = driver._held.fabrics.values()
+        (first,) = held().fabrics.values()
         network = weakref.ref(first.network)
         del first
         for seed in range(2, 2 + driver.MAX_HELD_FABRICS):
             run_composed(fat_tree(4, seed=seed, acl_probability=0.3), query, None)
         assert len(topology._pieces.memo) > 0
-        forget_fabrics()
+        forget()
         gc.collect()
         assert network() is None
